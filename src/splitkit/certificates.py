@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .operators import as_vector
 from .solvers import Method
 
 
@@ -30,15 +31,20 @@ def _sq(v):
     return float(np.dot(v, v))
 
 
-def omega_residual(problem, lam, z):
+def omega_residual(problem, lam, z, x=None):
     """Distance of ``z`` from being a fixed point of the splitting dynamics.
 
     Computes ``x = J_{lam*A}(z)`` and returns
     ``| J_{lam*C}(2x - z - lam*B(x)) - x |``, which vanishes exactly on the
     shadow set of the inclusion (for single-valued ``B``).  Used as the
-    solution-quality metric of solver traces.
+    solution-quality metric of solver traces.  A caller that already holds
+    ``J_{lam*A}(z)`` passes it as ``x`` to save that resolvent.
     """
-    x = problem.A.resolve(lam, z)
+    if lam <= 0:
+        raise CertificateError("lam must be positive")
+    z = as_vector(z, problem.dim, "z")
+    if x is None:
+        x = problem.A.resolve(lam, z)
     y = problem.C.resolve(lam, 2.0 * x - z - lam * problem.B.forward(x))
     return float(np.linalg.norm(y - x))
 

@@ -364,10 +364,16 @@ def _certificate_gate(report, z0):
 
 
 def _threads():
+    """Worker count from ``SPLITKIT_THREADS`` (default 1)."""
+    raw = os.environ.get("SPLITKIT_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("SPLITKIT_THREADS", "1")))
+        n = int(raw)
     except ValueError:
-        return 1
+        n = 0
+    if n < 1:
+        raise ConfigError([(None, "SPLITKIT_THREADS must be a positive "
+                                  f"integer, got {raw!r}")])
+    return n
 
 
 def _say(quiet, msg):
@@ -377,6 +383,7 @@ def _say(quiet, msg):
 
 def cmd_run(cfg, out_dir, quiet=False, seed_override=None):
     """Run every configured method; write traces, summaries, certificates."""
+    pool = _threads()
     pid, problem, _ = build_problem(cfg, seed_override)
     os.makedirs(out_dir, exist_ok=True)
     L = problem.B.lipschitz
@@ -387,7 +394,6 @@ def cmd_run(cfg, out_dir, quiet=False, seed_override=None):
         trace = run(problem, sc, record_history=cfg.certify)
         return method, lam, trace
 
-    pool = _threads()
     if pool > 1 and len(cfg.methods) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=pool) as ex:
             results = list(ex.map(one, cfg.methods))
@@ -515,10 +521,10 @@ def cmd_flow(cfg, out_dir, quiet=False, seed_override=None):
         prev = None
         for t, state in zip(flow.times, flow.states):
             step = 0.0 if prev is None else float(np.linalg.norm(state - prev))
-            res = omega_residual(res_problem, lam, state)
+            x = res_problem.A.resolve(lam, state)
+            res = omega_residual(res_problem, lam, state, x)
             row = [_FMT % t, _FMT % step, _FMT % res]
             if with_dist:
-                x = res_problem.A.resolve(lam, state)
                 row.append(_FMT % np.linalg.norm(x - problem.x_star))
             fh.write(",".join(row) + "\n")
             prev = state

@@ -15,7 +15,6 @@ the discrete methods these flows explain are first order.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .operators import (AffineOperator, BilinearCoupling, OperatorError,
                         ZeroOperator, as_vector)
@@ -40,13 +39,18 @@ class AlignmentError(OperatorError):
 
 @dataclass
 class FlowTrajectory:
-    """Euler trajectory: ``states[j]`` approximates the flow at ``times[j]``."""
+    """Euler trajectory: ``states[j]`` approximates the flow at ``times[j]``.
+
+    ``kind`` is ``"ppa"`` (states are points ``x``) or ``"dr"`` (states are
+    shadow points ``z``, with ``x = J_{lam*A}(z)``).
+    """
 
     times: np.ndarray
     states: np.ndarray
     h_ode: float
     lam: float
     inner_tol: float
+    kind: str = "ppa"
 
     @property
     def terminal(self):
@@ -72,13 +76,14 @@ def _linear_parts(op):
 class _SumResolvent:
     """Evaluator for ``J_{lam*(B+C)}``, direct where possible.
 
-    When both ``B`` and ``C`` are affine-representable the resolvent is one
-    cached dense solve.  Otherwise it is computed iteratively with the
-    forward-reflected-backward method applied to the shifted inclusion
-    ``0 in (lam*B + I - w)(u) + lam*C(u)``, whose forward part is strongly
-    monotone with modulus one and Lipschitz with constant ``lam*L + 1``; the
-    iteration needs no cocoercivity and converges linearly.  Stops at
-    fixed-point residual ``|J_{lam*C}(w - lam*B(u)) - u| <= inner_tol``.
+    When both ``B`` and ``C`` are affine-representable it is the resolvent
+    of their affine sum: one solve on cached LU factors.  Otherwise it is
+    computed iteratively with the forward-reflected-backward method applied
+    to the shifted inclusion ``0 in (lam*B + I - w)(u) + lam*C(u)``, whose
+    forward part is strongly monotone with modulus one and Lipschitz with
+    constant ``lam*L + 1``; the iteration needs no cocoercivity and
+    converges linearly.  Stops at fixed-point residual
+    ``|J_{lam*C}(w - lam*B(u)) - u| <= inner_tol``.
     """
 
     def __init__(self, problem, lam, inner_tol=1e-10, max_inner=100000):
@@ -91,18 +96,18 @@ class _SumResolvent:
         pb = _linear_parts(problem.B)
         pc = _linear_parts(problem.C)
         if pb is not None and pc is not None:
-            Msum = pb[0] + pc[0]
-            self._bsum = pb[1] + pc[1]
-            self._lu = lu_factor(np.eye(problem.dim) + lam * Msum)
+            self._sum = AffineOperator(pb[0] + pc[0], pb[1] + pc[1],
+                                       validate=False)
+            self._sum.prepare(lam)
         else:
-            self._lu = None
+            self._sum = None
             L = problem.B.lipschitz or 0.0
             self._tau = 0.9 / (2.0 * (lam * L + 1.0))
 
     def __call__(self, w):
         lam = self.lam
-        if self._lu is not None:
-            return lu_solve(self._lu, w - lam * self._bsum, check_finite=False)
+        if self._sum is not None:
+            return self._sum.resolve(lam, w)
         B, C = self.problem.B, self.problem.C
         tau = self._tau
 
@@ -167,7 +172,7 @@ def simulate_ppa(problem, lam, h_ode, T, x0, inner_tol=1e-10):
     rs = _SumResolvent(problem, lam, inner_tol)
     times, states = _euler(lambda x: rs(x) - x, x0, h_ode, T)
     return FlowTrajectory(times=times, states=states, h_ode=h_ode, lam=lam,
-                          inner_tol=inner_tol)
+                          inner_tol=inner_tol, kind="ppa")
 
 
 def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
@@ -187,27 +192,32 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
 
     times, states = _euler(rhs, z0, h_ode, T)
     return FlowTrajectory(times=times, states=states, h_ode=h_ode, lam=lam,
-                          inner_tol=inner_tol)
+                          inner_tol=inner_tol, kind="dr")
 
 
 def discretization_gap(flow, trace, stride):
     """Distances between flow samples and discrete iterates.
 
     Iterate ``k`` is aligned with flow time ``t = k`` (the discretizations
-    behind the methods take unit time steps).  Returns ``(ks, gaps)`` where
-    ``gaps[i] = |x_flow(ks[i]) - x_{ks[i]}|``; purely diagnostic, no
-    convergence claim attached.
+    behind the methods take unit time steps).  Like is compared with like:
+    a proximal-point flow against the trace's ``x_k``, a Douglas-Rachford
+    flow, whose states are shadow points, against its ``z_k``.  Returns
+    ``(ks, gaps)`` where ``gaps[i] = |v_flow(ks[i]) - v_{ks[i]}|``; purely
+    diagnostic, no convergence claim attached.
     """
-    if trace.xs is None:
-        raise AlignmentError("trace lacks iterate history; "
-                             "rerun with record_history=True")
+    history = "zs" if flow.kind == "dr" else "xs"
+    iterates = getattr(trace, history)
+    if iterates is None:
+        raise AlignmentError(
+            f"trace lacks the {history} history a {flow.kind} flow is "
+            "compared with; rerun with record_history=True")
     if stride < 1:
         raise AlignmentError("stride must be a positive integer")
-    n_iters = len(trace.xs) - 1
+    n_iters = len(iterates) - 1
     if stride > n_iters:
         raise AlignmentError(
             f"stride {stride} exceeds trace length {n_iters}")
-    if flow.states.shape[1] != trace.xs[0].shape[0]:
+    if flow.states.shape[1] != iterates[0].shape[0]:
         raise AlignmentError("flow and trace dimensions differ")
     t_max = flow.times[-1]
     ks, gaps = [], []
@@ -216,5 +226,5 @@ def discretization_gap(flow, trace, stride):
             break
         j = int(round(k / flow.h_ode))
         ks.append(k)
-        gaps.append(float(np.linalg.norm(flow.states[j] - trace.xs[k])))
+        gaps.append(float(np.linalg.norm(flow.states[j] - iterates[k])))
     return np.array(ks, dtype=int), np.array(gaps)

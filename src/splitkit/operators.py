@@ -8,10 +8,26 @@ standard inner product.  An operator advertises two capabilities:
 
 Operators are immutable after construction and all oracle evaluations are
 pure functions, so instances can be shared freely across concurrent runs.
+
+Oracle contract: the methods ``forward``, ``resolve`` and ``prepare`` are
+the trusted inner oracles of the solvers.  They assume a finite 1-D float64
+array of the operator's dimension (and ``lam > 0``) and do not check it;
+they never write into their argument.  Validation happens once, at the
+public boundary: :func:`resolvent`, :func:`forward_eval`,
+:class:`ProblemTriple`, ``SolverConfig``/``run``, the flow simulators and
+``omega_residual``.  :class:`CustomOperator` additionally checks what the
+user's callables return.
 """
 
+from functools import cached_property
+
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg import cho_factor, get_lapack_funcs, lu_factor
+
+# The LAPACK routines behind scipy.linalg.lu_solve and cho_solve, called
+# directly on cached factors: the scipy wrappers re-check their arguments
+# on every call, which at d=50 costs several times the solve itself.
+_getrs, _potrs = get_lapack_funcs(("getrs", "potrs"), (np.empty((1, 1)),))
 
 
 class OperatorError(Exception):
@@ -205,7 +221,7 @@ class ZeroOperator(MonotoneOperator):
         return np.zeros(self.dim)
 
     def resolve(self, lam, v):
-        return as_vector(v, self.dim)
+        return v
 
 
 class AffineOperator(MonotoneOperator):
@@ -213,8 +229,8 @@ class AffineOperator(MonotoneOperator):
 
     Monotonicity is validated eagerly at construction by an eigenvalue test
     on the symmetric part.  Resolvents solve ``(I + lam*M) u = v - lam*b``
-    with a dense LU factorization cached per stepsize (``lam`` is constant
-    within a run, so each factorization happens once).
+    with a dense LU factorization and ``lam*b`` cached per stepsize (``lam``
+    is constant within a run, so each factorization happens once).
     """
 
     kind = "affine"
@@ -236,24 +252,32 @@ class AffineOperator(MonotoneOperator):
             if lo < -MONOTONE_EIG_TOL * scale:
                 raise NotMonotoneError(
                     f"symmetric part has eigenvalue {lo:.3e} < 0")
-        self.lipschitz = float(np.linalg.norm(M, 2)) if np.any(M) else 0.0
         self._lu = {}
 
+    @cached_property
+    def lipschitz(self):
+        """Spectral norm of ``M``, computed on first use."""
+        return float(np.linalg.norm(self.M, 2)) if np.any(self.M) else 0.0
+
     def forward(self, v):
-        return self.M @ as_vector(v, self.dim) + self.b
+        return self.M @ v + self.b
 
     def prepare(self, lam):
         if lam not in self._lu:
             try:
-                self._lu[lam] = lu_factor(np.eye(self.dim) + lam * self.M)
+                lu, piv = lu_factor(np.eye(self.dim) + lam * self.M)
             except np.linalg.LinAlgError as exc:  # pragma: no cover
                 raise NotMonotoneError(f"(I + lam*M) is singular: {exc}")
+            self._lu[lam] = (lu, piv, lam * self.b)
 
     def resolve(self, lam, v):
-        self.prepare(lam)
-        v = as_vector(v, self.dim)
-        u = lu_solve(self._lu[lam], v - lam * self.b, check_finite=False)
-        if not np.all(np.isfinite(u)):
+        factors = self._lu.get(lam)
+        if factors is None:
+            self.prepare(lam)
+            factors = self._lu[lam]
+        lu, piv, lam_b = factors
+        u = _getrs(lu, piv, v - lam_b, overwrite_b=True)[0]
+        if not np.isfinite(u).all():
             raise NotMonotoneError("affine resolvent produced non-finite values")
         return u
 
@@ -271,7 +295,7 @@ class ScaledL1(MonotoneOperator):
         self.weight = float(weight)
 
     def resolve(self, lam, v):
-        return soft_threshold(self.weight, lam, as_vector(v, self.dim))
+        return np.sign(v) * np.maximum(np.abs(v) - lam * self.weight, 0.0)
 
 
 class BoxNormalCone(MonotoneOperator):
@@ -292,7 +316,7 @@ class BoxNormalCone(MonotoneOperator):
         self.hi = hi
 
     def resolve(self, lam, v):
-        return box_project(self.lo, self.hi, as_vector(v, self.dim))
+        return np.minimum(np.maximum(v, self.lo), self.hi)
 
 
 class BilinearCoupling(MonotoneOperator):
@@ -303,7 +327,7 @@ class BilinearCoupling(MonotoneOperator):
     and Lipschitz with constant ``|K|`` computed by power iteration at
     construction.  Only ``K`` is stored; ``K'`` is applied on the fly.
     The resolvent is evaluated by block elimination with a Cholesky
-    factorization of ``I + lam^2 K'K`` cached per stepsize.
+    factorization of ``I + lam^2 K'K`` and ``lam*c`` cached per stepsize.
     """
 
     kind = "bilinear_coupling"
@@ -324,23 +348,26 @@ class BilinearCoupling(MonotoneOperator):
         self._cho = {}
 
     def forward(self, v):
-        v = as_vector(v, self.dim)
         x, y = v[:self.n], v[self.n:]
         return np.concatenate([self.K.T @ y, -(self.K @ x) + self.c])
 
     def prepare(self, lam):
         if lam not in self._cho:
-            self._cho[lam] = cho_factor(
+            c, lower = cho_factor(
                 np.eye(self.n) + (lam * lam) * (self.K.T @ self.K))
+            self._cho[lam] = (c, lower, lam * self.c)
 
     def resolve(self, lam, v):
         # Solve (I + lam*M) u = v - lam*(0, c) with M = [[0, K'], [-K, 0]]:
         # eliminating the y block leaves (I + lam^2 K'K) u_x = w_x - lam*K' w_y.
-        self.prepare(lam)
-        v = as_vector(v, self.dim)
-        wx, wy = v[:self.n], v[self.n:] - lam * self.c
-        ux = cho_solve(self._cho[lam], wx - lam * (self.K.T @ wy),
-                       check_finite=False)
+        factors = self._cho.get(lam)
+        if factors is None:
+            self.prepare(lam)
+            factors = self._cho[lam]
+        c, lower, lam_c = factors
+        wx, wy = v[:self.n], v[self.n:] - lam_c
+        ux = _potrs(c, wx - lam * (self.K.T @ wy), lower=lower,
+                    overwrite_b=True)[0]
         uy = wy + lam * (self.K @ ux)
         return np.concatenate([ux, uy])
 
@@ -378,13 +405,12 @@ class CustomOperator(MonotoneOperator):
     def forward(self, v):
         if self._forward is None:
             raise CapabilityError("custom operator has no forward oracle")
-        return as_vector(self._forward(as_vector(v, self.dim)), self.dim, "F(v)")
+        return as_vector(self._forward(v), self.dim, "F(v)")
 
     def resolve(self, lam, v):
         if self._resolvent is None:
             raise CapabilityError("custom operator has no resolvent")
-        return as_vector(self._resolvent(lam, as_vector(v, self.dim)),
-                         self.dim, "J(v)")
+        return as_vector(self._resolvent(lam, v), self.dim, "J(v)")
 
 
 class ProblemTriple:

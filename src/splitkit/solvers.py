@@ -9,6 +9,7 @@ mutated, so runs over distinct states may proceed concurrently.
 """
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -414,8 +415,8 @@ def _residual(problem, config, state, z_point, b_at_x=None):
     lam = config.lam
     x = state.x
     bx = problem.B.forward(x) if b_at_x is None else b_at_x
-    y = problem.C.resolve(lam, 2.0 * x - z_point - lam * bx)
-    return float(np.linalg.norm(y - x))
+    r = problem.C.resolve(lam, 2.0 * x - z_point - lam * bx) - x
+    return math.sqrt(r @ r)
 
 
 def run(problem, config, record_history=False):
@@ -453,8 +454,9 @@ def run(problem, config, record_history=False):
 
     state = _init_state(problem, config)
     step = _STEPPERS[method]
-    z0_norm = np.linalg.norm(config.z0)
+    z0_norm = math.sqrt(config.z0 @ config.z0)
     big = DIVERGE_FACTOR * (1.0 + z0_norm)
+    x_star = problem.x_star
 
     if record_history:
         if two_op:
@@ -471,18 +473,23 @@ def run(problem, config, record_history=False):
 
     status = "max_iters"
     frdr = method is Method.FRDR
+    # Each iterate's norm is computed once, for the divergence test, and
+    # reused as the next iteration's prev_norm (the first iterate is z0).
+    # math.sqrt(d @ d) has the bits of np.linalg.norm: sqrt(d.dot(d)).
+    prev_norm = z0_norm
     for _ in range(config.max_iters):
         gov_prev = state.x if (two_op or frdr) else state.z
         u_prev = state.u if frdr else None
-        prev_norm = float(np.linalg.norm(gov_prev))
 
         step(problem, config, state)
 
         gov = state.x if (two_op or frdr) else state.z
-        step_norm = float(np.linalg.norm(gov - gov_prev))
+        d = gov - gov_prev
+        step_norm = math.sqrt(d @ d)
         if frdr:
             # u moves even when x stalls, so fold it into the stopping measure.
-            step_norm += lam * float(np.linalg.norm(state.u - u_prev))
+            du = state.u - u_prev
+            step_norm += lam * math.sqrt(du @ du)
 
         trace.step_norms.append(step_norm)
         trace.iterations += 1
@@ -496,10 +503,9 @@ def run(problem, config, record_history=False):
                 if state.y is not None:
                     trace.ys.append(state.y)
 
-        finite = bool(np.all(np.isfinite(gov)))
-        if frdr and finite:
-            finite = bool(np.all(np.isfinite(state.u)))
-        if not finite or np.linalg.norm(gov) > big:
+        # NaN and inf fail the comparison, so this is also the finiteness test.
+        gov_norm = math.sqrt(gov @ gov)
+        if not gov_norm <= big or (frdr and not np.isfinite(state.u).all()):
             trace.residuals.append(float("nan"))
             if trace.dist_to_xstar is not None:
                 trace.dist_to_xstar.append(float("nan"))
@@ -520,12 +526,13 @@ def run(problem, config, record_history=False):
             res = _residual(problem, config, state, gov_prev)
         trace.residuals.append(res)
         if trace.dist_to_xstar is not None:
-            trace.dist_to_xstar.append(
-                float(np.linalg.norm(state.x - problem.x_star)))
+            e = state.x - x_star
+            trace.dist_to_xstar.append(math.sqrt(e @ e))
 
         if step_norm <= config.tol * (1.0 + prev_norm):
             status = "converged"
             break
+        prev_norm = gov_norm
 
     trace.status = status
     trace.forward_evals = state.forward_evals

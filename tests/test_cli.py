@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,19 @@ def test_parse_ode_block():
     assert cfg.ode == {"lambda": 0.1, "h_ode": 0.01, "T": 5.0, "flow": "ppa"}
     with pytest.raises(ConfigError):
         parse_config(AFFINE_CFG + "\n[ode]\nlambda = 0.1\n")
+
+
+def test_readme_example_config_parses():
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme) as fh:
+        blocks = re.findall(r"```ini\n(.*?)```", fh.read(), re.S)
+    assert len(blocks) == 1
+    cfg = parse_config(blocks[0])
+    assert cfg.problem_kind == "affine"
+    assert cfg.problem_params == {"dim": 50, "seed": 1, "skew_fraction": 0.8}
+    assert [m.value for m in cfg.methods] == ["BFoRB", "BRFoB"]
+    assert cfg.lam_policy == "fraction" and cfg.lam_value == 0.9
+    assert cfg.ode == {"lambda": 0.1, "h_ode": 0.01, "T": 200.0, "flow": "dr"}
 
 
 def test_build_problem_ids():
@@ -226,6 +240,17 @@ def test_run_threaded_matches_serial(tmp_path, monkeypatch):
     for f in sorted(os.listdir(out1)):
         assert (tmp_path / "serial" / f).read_bytes() == \
             (tmp_path / "threaded" / f).read_bytes()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+def test_run_bad_threads_value_exits_1(tmp_path, monkeypatch, capsys, value):
+    cfg = write(tmp_path, "exp.cfg", AFFINE_CFG)
+    monkeypatch.setenv("SPLITKIT_THREADS", value)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == EXIT_CONFIG
+    assert "SPLITKIT_THREADS" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_seed_override_changes_artifacts(tmp_path):

@@ -179,6 +179,34 @@ def test_gap_shrinks_as_both_converge():
     assert gaps[-1] <= 1e-2
 
 
+def test_dr_flow_gap_zero_against_dr_run():
+    # With B = 0 one Euler step of the DR flow at h_ode = 1 is one DR
+    # iteration, and the flow states are the shadow points z_k.
+    inst = make_affine_instance(5, 2, 0.8)
+    full = inst.triple()
+    problem = ProblemTriple(A=full.A, B=ZeroOperator(5), C=full.C)
+    lam, z0 = 0.5, np.ones(5)
+    flow = simulate_dr_flow(problem, lam, 1.0, 20.0, z0)
+    trace = run(problem, SolverConfig(method="DR", lam=lam, z0=z0,
+                                      max_iters=20, tol=1e-300),
+                record_history=True)
+    ks, gaps = discretization_gap(flow, trace, stride=1)
+    assert np.array_equal(ks, np.arange(21))
+    assert np.max(gaps) <= 1e-13
+    # the x_k = J_{lam*A}(z_k) would be a different sequence
+    assert np.linalg.norm(flow.states[5] - trace.xs[5]) > 1e-3
+
+
+def test_dr_flow_gap_needs_z_history():
+    problem = scalar_identity_B()
+    flow = simulate_dr_flow(problem, 0.5, 0.5, 5.0, np.array([1.0]))
+    trace = run(problem, SolverConfig(method="FoRB", lam=0.4,
+                                      z0=np.array([1.0]), max_iters=4,
+                                      tol=1e-300), record_history=True)
+    with pytest.raises(AlignmentError):
+        discretization_gap(flow, trace, stride=1)
+
+
 def test_gap_contract_errors():
     problem = scalar_identity_B()
     flow = simulate_ppa(problem, 0.5, 0.5, 5.0, np.array([1.0]))

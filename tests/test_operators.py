@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 
 from splitkit import (AffineOperator, BilinearCoupling, BoxNormalCone,
                       CapabilityError, CustomOperator, DimensionMismatchError,
@@ -312,3 +315,86 @@ def test_triple_z_star_consistency():
         ProblemTriple(A=A, B=B, C=C, x_star=[0.0], z_star=[1.0], lam_ref=0.5)
     with pytest.raises(OperatorError):
         ProblemTriple(A=A, B=B, C=C, z_star=[1.0])      # missing lam_ref
+
+
+# ------------------------------------------- lean oracles vs scipy reference
+#
+# The affine and bilinear resolvents call LAPACK getrs/potrs directly on
+# cached factors; scipy.linalg.lu_solve/cho_solve, the reference kept here,
+# call the same routines, so the results must agree bit for bit.
+
+_lams = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
+
+
+def _monotone_matrix(r, d):
+    G = r.uniform(-1, 1, (d, d))
+    return G @ G.T / d + r.uniform(0.0, 2.0) * (G - G.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 40), lam=_lams)
+def test_affine_resolve_bit_identical_to_lu_solve(seed, d, lam):
+    r = rng(seed)
+    M, b = _monotone_matrix(r, d), r.uniform(-1, 1, d)
+    op = AffineOperator(M, b)
+    ref_lu = lu_factor(np.eye(d) + lam * M)
+    for _ in range(3):                       # the first call fills the cache
+        v = r.uniform(-5, 5, d)
+        v_in = v.copy()
+        u = op.resolve(lam, v)
+        assert np.array_equal(v, v_in)       # the argument is not written
+        assert np.array_equal(
+            u, lu_solve(ref_lu, v - lam * b, check_finite=False))
+        assert np.array_equal(resolvent(op, lam, v), u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
+       n=st.integers(1, 12), lam=_lams)
+def test_bilinear_resolve_bit_identical_to_cho_solve(seed, m, n, lam):
+    r = rng(seed)
+    K, c = r.uniform(-1, 1, (m, n)), r.uniform(-1, 1, m)
+    op = BilinearCoupling(K, c)
+    ref_cho = cho_factor(np.eye(n) + (lam * lam) * (K.T @ K))
+    for _ in range(3):
+        v = r.uniform(-5, 5, m + n)
+        v_in = v.copy()
+        u = op.resolve(lam, v)
+        assert np.array_equal(v, v_in)
+        wx, wy = v[:n], v[n:] - lam * c
+        ux = cho_solve(ref_cho, wx - lam * (K.T @ wy), check_finite=False)
+        expected = np.concatenate([ux, wy + lam * (K @ ux)])
+        assert np.array_equal(u, expected)
+
+
+def _factored_ops():
+    return [AffineOperator(SKEW2, [1.0, -1.0]), BilinearCoupling([[1.0]], [0.5])]
+
+
+@pytest.mark.parametrize("op", _factored_ops(), ids=lambda op: op.kind)
+def test_resolve_prepares_only_on_a_cache_miss(op):
+    calls = []
+    prepare = op.prepare
+    op.prepare = lambda lam: (calls.append(lam), prepare(lam))
+    v = np.array([1.0, 2.0])
+    first = op.resolve(0.5, v)
+    for _ in range(3):
+        assert np.array_equal(op.resolve(0.5, v), first)
+    op.resolve(0.25, v)
+    assert calls == [0.5, 0.25]
+
+
+@pytest.mark.parametrize("op", _factored_ops(), ids=lambda op: op.kind)
+@pytest.mark.parametrize("bad,error", [
+    ([np.nan, 1.0], OperatorError),
+    ([1.0, np.inf], OperatorError),
+    ([-np.inf, 0.0], OperatorError),
+    ([1.0], DimensionMismatchError),
+    ([1.0, 2.0, 3.0], DimensionMismatchError),
+    ([[1.0, 2.0]], DimensionMismatchError),
+])
+def test_public_oracles_validate_input(op, bad, error):
+    with pytest.raises(error):
+        resolvent(op, 0.5, bad)
+    with pytest.raises(error):
+        forward_eval(op, bad)
