@@ -29,8 +29,6 @@ from .problems import (AffineInstance, SaddleInstance, SingularProblemError,
                        make_saddle_instance, save_instance,
                        solve_affine_direct)
 from .solvers import (Method, NOT_GUARANTEED, SolverConfig, SolverError,
-                      SolverState, Trace, bforb_step, brfob_step,
-                      davis_yin_step, dr_step, fb_step, forb_step, frdr_step,
-                      max_stepsize, rfob_step, run)
+                      Trace, max_stepsize, run)
 
 __version__ = "0.1.0"

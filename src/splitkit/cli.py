@@ -61,7 +61,6 @@ class ExperimentConfig:
     out: str = None
     z0_kind: str = "ones"
     ode: dict = None
-    source_path: str = None
 
 
 _PROBLEM_KEYS = {
@@ -502,17 +501,19 @@ def cmd_flow(cfg, out_dir, quiet=False, seed_override=None):
     lam, h_ode, T = cfg.ode["lambda"], cfg.ode["h_ode"], cfg.ode["T"]
     v0 = _initial_point(cfg, problem.dim)
 
+    # A PPA flow solves 0 in (B + C)(x), whose zero is not x_star (that
+    # one solves A + B + C), so only the DR flow reports the distance.
     if cfg.ode["flow"] == "ppa":
         flow = simulate_ppa(problem, lam, h_ode, T, v0)
         res_problem = ProblemTriple(A=ZeroOperator(problem.dim),
-                                    B=problem.B, C=problem.C,
-                                    x_star=problem.x_star)
+                                    B=problem.B, C=problem.C)
+        with_dist = False
     else:
         flow = simulate_dr_flow(problem, lam, h_ode, T, v0)
         res_problem = problem
+        with_dist = problem.x_star is not None
 
     path = os.path.join(out_dir, f"{pid}__{cfg.ode['flow']}-flow.csv")
-    with_dist = problem.x_star is not None
     with open(path, "w", newline="\n") as fh:
         cols = ["t", "step_norm", "omega_residual"]
         if with_dist:
@@ -558,7 +559,6 @@ def main(argv=None):
 
     try:
         cfg = parse_config(text)
-        cfg.source_path = args.config
         out_dir = args.out or cfg.out or "."
         if args.verb == "run":
             return cmd_run(cfg, out_dir, args.quiet, args.seed_override)

@@ -16,7 +16,9 @@ they never write into their argument.  Validation happens once, at the
 public boundary: :func:`resolvent`, :func:`forward_eval`,
 :class:`ProblemTriple`, ``SolverConfig``/``run``, the flow simulators and
 ``omega_residual``.  :class:`CustomOperator` additionally checks what the
-user's callables return.
+user's callables return.  A non-finite vector raises :class:`NonFiniteError`
+(also the affine resolvent's overflow check), which ``run`` turns into a
+``"diverged"`` run.
 """
 
 from functools import cached_property
@@ -32,6 +34,10 @@ _getrs, _potrs = get_lapack_funcs(("getrs", "potrs"), (np.empty((1, 1)),))
 
 class OperatorError(Exception):
     """Base class for operator construction and evaluation errors."""
+
+
+class NonFiniteError(OperatorError):
+    """A vector, typically an oracle's output, has inf or NaN entries."""
 
 
 class CapabilityError(OperatorError):
@@ -71,7 +77,7 @@ def as_vector(v, dim=None, name="v"):
     if arr.ndim != 1:
         raise DimensionMismatchError(f"{name} must be 1-D, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise OperatorError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     if dim is not None and arr.shape[0] != dim:
         raise DimensionMismatchError(
             f"{name} has dim {arr.shape[0]}, expected {dim}")
@@ -187,7 +193,6 @@ class MonotoneOperator:
     kind = "abstract"
     has_forward = False
     has_resolvent = False
-    single_valued = False
     lipschitz = None
 
     def __init__(self, dim):
@@ -214,7 +219,6 @@ class ZeroOperator(MonotoneOperator):
     kind = "zero"
     has_forward = True
     has_resolvent = True
-    single_valued = True
     lipschitz = 0.0
 
     def forward(self, v):
@@ -236,7 +240,6 @@ class AffineOperator(MonotoneOperator):
     kind = "affine"
     has_forward = True
     has_resolvent = True
-    single_valued = True
 
     def __init__(self, M, b=None, validate=True):
         M = np.asarray(M, dtype=float)
@@ -278,7 +281,7 @@ class AffineOperator(MonotoneOperator):
         lu, piv, lam_b = factors
         u = _getrs(lu, piv, v - lam_b, overwrite_b=True)[0]
         if not np.isfinite(u).all():
-            raise NotMonotoneError("affine resolvent produced non-finite values")
+            raise NonFiniteError("affine resolvent produced non-finite values")
         return u
 
 
@@ -333,7 +336,6 @@ class BilinearCoupling(MonotoneOperator):
     kind = "bilinear_coupling"
     has_forward = True
     has_resolvent = True
-    single_valued = True
 
     def __init__(self, K, c=None):
         K = np.asarray(K, dtype=float)
@@ -397,7 +399,6 @@ class CustomOperator(MonotoneOperator):
         self._resolvent = resolvent
         self.has_forward = forward is not None
         self.has_resolvent = resolvent is not None
-        self.single_valued = forward is not None
         if lipschitz is not None and lipschitz < 0:
             raise OperatorError("lipschitz must be nonnegative")
         self.lipschitz = lipschitz

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (AffineOperator, BilinearCoupling, CustomOperator,
-                        OperatorError, ProblemTriple, box_project,
-                        operator_norm, soft_threshold)
+from .operators import (AffineOperator, BilinearCoupling, BoxNormalCone,
+                        CustomOperator, OperatorError, ProblemTriple, ScaledL1,
+                        operator_norm)
 
 #: Skew fraction mixed into the monotone parts M_A and M_C.
 SMALL_SKEW = 0.1
@@ -160,18 +160,17 @@ class SaddleInstance:
     L: float
 
     def triple(self):
-        n, m, alpha, R = self.n, self.m, self.alpha, self.radius
+        n, m, R = self.n, self.m, self.radius
+        shrink = (ScaledL1(n, self.alpha).resolve if self.alpha > 0
+                  else lambda lam, v: v)
+        clip = BoxNormalCone(-1.0, 1.0).resolve
 
         def resolve_A(lam, v):
-            return np.concatenate([
-                soft_threshold(alpha, lam, v[:n]) if alpha > 0 else v[:n],
-                box_project(-1.0, 1.0, v[n:])])
-
-        def resolve_C(lam, v):
-            return np.concatenate([box_project(-R, R, v[:n]), v[n:]])
+            return np.concatenate([shrink(lam, v[:n]), clip(lam, v[n:])])
 
         A = CustomOperator(n + m, resolvent=resolve_A)
-        C = CustomOperator(n + m, resolvent=resolve_C)
+        C = BoxNormalCone(np.r_[np.full(n, -R), np.full(m, -np.inf)],
+                          np.r_[np.full(n, R), np.full(m, np.inf)])
         B = BilinearCoupling(self.K, self.c)
         return ProblemTriple(A=A, B=B, C=C)
 

@@ -1,11 +1,23 @@
-"""Splitting iterations behind a uniform step/run interface.
+"""Splitting iterations behind one ``run()`` driver.
 
-Three-operator methods (``BFoRB``, ``BRFoB``, ``DavisYin``, ``FRDR``, ``DR``)
-drive a shadow sequence ``z_k`` and extract solutions through ``J_{lam*A}``;
-two-operator methods (``FB``, ``FoRB``, ``RFoB``) ignore ``A`` and iterate
-``x_k`` directly.  Every step function mutates (and returns) a
-:class:`SolverState` owned by a single run; the problem itself is never
-mutated, so runs over distinct states may proceed concurrently.
+Each method family is a generator that keeps its iterates, its
+forward-value history and its oracle counters in local variables.  It
+yields its initial y-history once, ``(y_-2, y_-1)`` for BFoRB/BRFoB and
+``()`` otherwise, and then one record per step::
+
+    (step_norm, norm, z, x, y, p, bx, forward_evals, resolvent_evals)
+
+``norm`` is the norm of the governing iterate (``z_{k+1}``; ``x_{k+1}``
+for FB, FoRB, RFoB and FRDR), ``z`` the point recorded in ``Trace.zs``,
+``p`` the point whose ``J_{lam*A}`` is ``x`` and ``bx`` a cached ``B(x)``
+or ``None``.
+:func:`_shadow` is the three-operator template of BFoRB, BRFoB, Davis-Yin
+and DR, which differ only in the forward term (DR is the template with
+``F = 0``); :func:`_two_op` runs FB, FoRB and RFoB, which ignore ``A`` and
+iterate ``x_k`` directly; :func:`_frdr` runs FRDR.  :func:`run` consumes
+the records and owns the stopping rule, the divergence test, the residual
+and the history.  A run never mutates the problem's data, so runs may
+proceed concurrently.
 """
 
 import enum
@@ -14,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import as_vector
+from .operators import NonFiniteError, as_vector
 
 #: Sentinel returned by :func:`max_stepsize` for methods whose convergence
 #: is not guaranteed by a Lipschitz bound alone (they need cocoercivity).
@@ -102,8 +114,8 @@ class SolverConfig:
 
     def __post_init__(self):
         self.method = Method(self.method)
-        if self.lam <= 0:
-            raise SolverError("lam must be positive")
+        if not 0.0 < self.lam < math.inf:
+            raise SolverError("lam must be positive and finite")
         if self.max_iters < 1:
             raise SolverError("max_iters must be a positive integer")
         if self.tol <= 0:
@@ -112,8 +124,8 @@ class SolverConfig:
         if self.method is Method.FRDR:
             if self.gamma is None:
                 raise SolverError("FRDR requires gamma")
-            if self.gamma <= 0:
-                raise SolverError("gamma must be positive")
+            if not 0.0 < self.gamma < math.inf:
+                raise SolverError("gamma must be positive and finite")
         elif self.gamma is not None:
             raise SolverError(f"{self.method.value} does not accept gamma")
         if self.method in (Method.FORB, Method.RFOB):
@@ -128,26 +140,6 @@ class SolverConfig:
             a, b = self.y_init
             self.y_init = (as_vector(a, self.z0.shape[0], "y_init[0]"),
                            as_vector(b, self.z0.shape[0], "y_init[1]"))
-
-
-@dataclass
-class SolverState:
-    """Mutable per-run iterate bundle; owned by exactly one run."""
-
-    k: int = 0
-    z: np.ndarray = None
-    x: np.ndarray = None
-    y: np.ndarray = None
-    y_prev: np.ndarray = None      # BRFoB / RFoB argument history
-    y_prev2: np.ndarray = None
-    B_y_prev: np.ndarray = None    # BFoRB cached forward values
-    B_y_prev2: np.ndarray = None
-    x_prev: np.ndarray = None      # FoRB / RFoB / FRDR history
-    B_x: np.ndarray = None         # FoRB / FRDR cached forward values
-    B_x_prev: np.ndarray = None
-    u: np.ndarray = None           # FRDR dual variable
-    forward_evals: int = 0
-    resolvent_evals: int = 0
 
 
 @dataclass
@@ -183,207 +175,137 @@ class Trace:
         return self.zs[max(j, 0)]
 
 
-def _init_state(problem, config):
-    state = SolverState(z=config.z0.copy())
-    m, lam = config.method, config.lam
-    if m in (Method.BFORB, Method.BRFOB):
+def _shadow(problem, config):
+    """BFoRB, BRFoB, Davis-Yin and DR: the three-operator template.
+
+    x_k = J_{lam*A}(z_k);  y_k = J_{lam*C}(2 x_k - z_k - lam*F_k);
+    z_{k+1} = z_k + y_k - x_k.
+
+    The methods differ only in the forward term F_k: 2B(y_{k-1}) - B(y_{k-2})
+    for BFoRB (one new value B(y_k) is cached at the end of each step),
+    B(2y_{k-1} - y_{k-2}) for BRFoB, B(x_k) for Davis-Yin and 0 for DR,
+    which never evaluates B.  The history (y_{-2}, y_{-1}) defaults to
+    (x_0, x_0) with x_0 = J_{lam*A}(z_0).
+    """
+    A_res, B_fwd, C_res = problem.A.resolve, problem.B.forward, problem.C.resolve
+    lam, method = config.lam, config.method
+    bforb, brfob = method is Method.BFORB, method is Method.BRFOB
+    dr = method is Method.DR
+    z = config.z0.copy()
+    fe = re = 0
+    if bforb or brfob:
         if config.y_init is None:
-            x0 = problem.A.resolve(lam, state.z)
-            state.resolvent_evals += 1
-            y1, y2 = x0, x0
+            y1 = y2 = A_res(lam, z)
+            re = 1
         else:
             y1, y2 = config.y_init
-        state.y_prev, state.y_prev2 = y1, y2
-        if m is Method.BFORB:
-            state.B_y_prev = problem.B.forward(y1)
-            state.forward_evals += 1
-            if y1 is y2:
-                state.B_y_prev2 = state.B_y_prev
-            else:
-                state.B_y_prev2 = problem.B.forward(y2)
-                state.forward_evals += 1
-    elif m in (Method.FB, Method.FORB, Method.RFOB):
-        state.x = config.z0.copy()
-        if config.y_init is not None:
-            if not np.array_equal(config.y_init[0], state.x):
-                raise SolverError(
-                    "for two-operator methods y_init[0] must equal z0 "
-                    "(the history is the x-sequence itself)")
-            state.x_prev = config.y_init[1]
+        if bforb:
+            By1 = B_fwd(y1)
+            By2 = By1 if y1 is y2 else B_fwd(y2)
+            fe = 1 if y1 is y2 else 2
+        yield y2, y1
+    else:
+        yield ()
+    fe_step = 0 if dr else 1
+    while True:
+        x = A_res(lam, z)
+        if bforb:
+            F = 2.0 * By1 - By2
+        elif brfob:
+            F = B_fwd(2.0 * y1 - y2)
+        elif not dr:                    # Davis-Yin
+            F = B_fwd(x)
+        w = 2.0 * x - z
+        y = C_res(lam, w if dr else w - lam * F)
+        z_next = z + y - x
+        fe += fe_step
+        re += 2
+        if bforb:
+            By2, By1 = By1, B_fwd(y)
+        elif brfob:
+            y2, y1 = y1, y
+        d = z_next - z
+        yield (math.sqrt(d @ d), math.sqrt(z_next @ z_next), z_next, x, y, z,
+               None, fe, re)
+        z = z_next
+
+
+def _two_op(problem, config):
+    """FB, FoRB and RFoB on x_k; A is ignored.
+
+    FB:    x_{k+1} = J_{lam*C}(x_k - lam*B(x_k)), the baseline that may fail
+           without cocoercivity of B;
+    FoRB:  x_{k+1} = (1-h) x_k
+                     + h*J_{lam*C}(x_k - lam*B(x_k) - (lam/h)*(B(x_k) - B(x_{k-1}))),
+           with one new value B(x_{k+1}) cached at the end of each step;
+    RFoB:  x_{k+1} = (1-h) x_k + h*J_{lam*C}(x_k - lam*B(x_k + (x_k - x_{k-1})/h)).
+
+    The history x_{-1} defaults to x_0 = z_0.
+    """
+    B_fwd, C_res = problem.B.forward, problem.C.resolve
+    lam, h, method = config.lam, config.h, config.method
+    fb, forb = method is Method.FB, method is Method.FORB
+    x = x_prev = config.z0.copy()
+    if config.y_init is not None:
+        if not np.array_equal(config.y_init[0], x):
+            raise SolverError(
+                "for two-operator methods y_init[0] must equal z0 "
+                "(the history is the x-sequence itself)")
+        x_prev = config.y_init[1]
+    fe = re = 0
+    Bx = None
+    if forb:
+        Bx = B_fwd(x)
+        Bx_prev = Bx if x_prev is x else B_fwd(x_prev)
+        fe = 1 if x_prev is x else 2
+    yield ()
+    while True:
+        if fb:
+            x_next = C_res(lam, x - lam * B_fwd(x))
+        elif forb:
+            x_next = (1.0 - h) * x + h * C_res(
+                lam, x - lam * Bx - (lam / h) * (Bx - Bx_prev))
+            Bx_prev, Bx = Bx, B_fwd(x_next)
         else:
-            state.x_prev = state.x
-        if m is Method.FORB:
-            state.B_x = problem.B.forward(state.x)
-            state.forward_evals += 1
-            if state.x_prev is state.x:
-                state.B_x_prev = state.B_x
-            else:
-                state.B_x_prev = problem.B.forward(state.x_prev)
-                state.forward_evals += 1
-    elif m is Method.FRDR:
-        state.x = config.z0.copy()
-        state.x_prev = state.x
-        state.B_x = problem.B.forward(state.x)
-        state.B_x_prev = state.B_x
-        state.forward_evals += 1
-        state.u = np.zeros(problem.dim)
-    return state
+            x_next = (1.0 - h) * x + h * C_res(
+                lam, x - lam * B_fwd(x + (x - x_prev) / h))
+        fe += 1
+        re += 1
+        d = x_next - x
+        x_prev, x = x, x_next
+        yield math.sqrt(d @ d), math.sqrt(x @ x), x, x, None, x, Bx, fe, re
 
 
-def bforb_step(problem, config, state):
-    """One backward-forward-reflected-backward update.
+def _frdr(problem, config):
+    """Forward-reflected-Douglas-Rachford with stepsizes lam < gamma.
 
-    x_k = J_{lam*A}(z_k);
-    y_k = J_{lam*C}(2 x_k - z_k - lam*(2 B(y_{k-1}) - B(y_{k-2})));
-    z_{k+1} = z_k + y_k - x_k,
-    followed by caching the single new forward value B(y_k).
-    """
-    lam = config.lam
-    x = problem.A.resolve(lam, state.z)
-    w = 2.0 * x - state.z - lam * (2.0 * state.B_y_prev - state.B_y_prev2)
-    y = problem.C.resolve(lam, w)
-    state.z = state.z + y - x
-    state.x, state.y = x, y
-    state.y_prev2, state.y_prev = state.y_prev, y
-    state.B_y_prev2, state.B_y_prev = state.B_y_prev, problem.B.forward(y)
-    state.forward_evals += 1
-    state.resolvent_evals += 2
-    state.k += 1
-    return state
-
-
-def brfob_step(problem, config, state):
-    """One backward-reflected-forward-backward update.
-
-    x_k = J_{lam*A}(z_k);
-    y_k = J_{lam*C}(2 x_k - z_k - lam*B(2 y_{k-1} - y_{k-2}));
-    z_{k+1} = z_k + y_k - x_k.
-    """
-    lam = config.lam
-    x = problem.A.resolve(lam, state.z)
-    w = 2.0 * x - state.z - lam * problem.B.forward(
-        2.0 * state.y_prev - state.y_prev2)
-    y = problem.C.resolve(lam, w)
-    state.z = state.z + y - x
-    state.x, state.y = x, y
-    state.y_prev2, state.y_prev = state.y_prev, y
-    state.forward_evals += 1
-    state.resolvent_evals += 2
-    state.k += 1
-    return state
-
-
-def davis_yin_step(problem, config, state):
-    """x = J_{lam*A}(z); y = J_{lam*C}(2x - z - lam*B(x)); z+ = z + y - x."""
-    lam = config.lam
-    x = problem.A.resolve(lam, state.z)
-    w = 2.0 * x - state.z - lam * problem.B.forward(x)
-    y = problem.C.resolve(lam, w)
-    state.z = state.z + y - x
-    state.x, state.y = x, y
-    state.forward_evals += 1
-    state.resolvent_evals += 2
-    state.k += 1
-    return state
-
-
-def dr_step(problem, config, state):
-    """Douglas-Rachford for A + C (B is ignored)."""
-    lam = config.lam
-    x = problem.A.resolve(lam, state.z)
-    y = problem.C.resolve(lam, 2.0 * x - state.z)
-    state.z = state.z + y - x
-    state.x, state.y = x, y
-    state.resolvent_evals += 2
-    state.k += 1
-    return state
-
-
-def fb_step(problem, config, state):
-    """Forward-backward: x+ = J_{lam*C}(x - lam*B(x)).  A is ignored.
-
-    Included as the baseline that may fail without cocoercivity of B.
-    """
-    lam = config.lam
-    x_new = problem.C.resolve(lam, state.x - lam * problem.B.forward(state.x))
-    state.x_prev, state.x = state.x, x_new
-    state.forward_evals += 1
-    state.resolvent_evals += 1
-    state.k += 1
-    return state
-
-
-def forb_step(problem, config, state):
-    """Relaxed forward-reflected-backward step (A is ignored).
-
-    x_{k+1} = (1-h) x_k
-              + h*J_{lam*C}(x_k - lam*B(x_k) - (lam/h)*(B(x_k) - B(x_{k-1}))).
-    One forward evaluation per step: B(x_k), B(x_{k-1}) come from the cache
-    and B(x_{k+1}) is evaluated once at the end.
-    """
-    lam, h = config.lam, config.h
-    arg = state.x - lam * state.B_x - (lam / h) * (state.B_x - state.B_x_prev)
-    x_new = (1.0 - h) * state.x + h * problem.C.resolve(lam, arg)
-    state.x_prev, state.x = state.x, x_new
-    state.B_x_prev, state.B_x = state.B_x, problem.B.forward(x_new)
-    state.forward_evals += 1
-    state.resolvent_evals += 1
-    state.k += 1
-    return state
-
-
-def rfob_step(problem, config, state):
-    """Relaxed reflected-forward-backward step (A is ignored).
-
-    x_{k+1} = (1-h) x_k + h*J_{lam*C}(x_k - lam*B(x_k + (x_k - x_{k-1})/h)).
-    """
-    lam, h = config.lam, config.h
-    reflected = state.x + (state.x - state.x_prev) / h
-    x_new = (1.0 - h) * state.x + h * problem.C.resolve(
-        lam, state.x - lam * problem.B.forward(reflected))
-    state.x_prev, state.x = state.x, x_new
-    state.forward_evals += 1
-    state.resolvent_evals += 1
-    state.k += 1
-    return state
-
-
-def frdr_step(problem, config, state):
-    """Forward-reflected-Douglas-Rachford step with stepsizes lam < gamma.
-
-    x_{k+1} = J_{lam*A}(x_k - lam*u_k - lam*(2 B(x_k) - B(x_{k-1})));
+    w_k = x_k - lam*u_k - lam*(2 B(x_k) - B(x_{k-1}));  x_{k+1} = J_{lam*A}(w_k);
     y_{k+1} = J_{gamma*C}(2 x_{k+1} - x_k + gamma*u_k);
     u_{k+1} = u_k + (2 x_{k+1} - x_k - y_{k+1}) / gamma,
     which keeps u_{k+1} an element of C(y_{k+1}), so fixed points solve
-    0 in (A + B + C)(x).  The pre-resolvent point is stashed in ``state.z``
-    (it satisfies x_{k+1} = J_{lam*A}(state.z), which the run loop uses for
-    residual instrumentation).
+    0 in (A + B + C)(x).  The record's z is w_k, the point whose resolvent
+    is x_{k+1}.  u moves even when x stalls, so the step norm adds
+    lam*|u_{k+1} - u_k|.
     """
+    A_res, B_fwd, C_res = problem.A.resolve, problem.B.forward, problem.C.resolve
     lam, gamma = config.lam, config.gamma
-    w = state.x - lam * state.u - lam * (2.0 * state.B_x - state.B_x_prev)
-    x_new = problem.A.resolve(lam, w)
-    y_new = problem.C.resolve(gamma, 2.0 * x_new - state.x + gamma * state.u)
-    state.u = state.u + (2.0 * x_new - state.x - y_new) / gamma
-    state.x_prev, state.x = state.x, x_new
-    state.y = y_new
-    state.z = w
-    state.B_x_prev, state.B_x = state.B_x, problem.B.forward(x_new)
-    state.forward_evals += 1
-    state.resolvent_evals += 2
-    state.k += 1
-    return state
-
-
-_STEPPERS = {
-    Method.BFORB: bforb_step,
-    Method.BRFOB: brfob_step,
-    Method.DAVIS_YIN: davis_yin_step,
-    Method.DR: dr_step,
-    Method.FB: fb_step,
-    Method.FORB: forb_step,
-    Method.RFOB: rfob_step,
-    Method.FRDR: frdr_step,
-}
+    x = config.z0.copy()
+    Bx = Bx_prev = B_fwd(x)
+    u = np.zeros(problem.dim)
+    fe, re = 1, 0
+    yield ()
+    while True:
+        w = x - lam * u - lam * (2.0 * Bx - Bx_prev)
+        x_next = A_res(lam, w)
+        y = C_res(gamma, 2.0 * x_next - x + gamma * u)
+        u_next = u + (2.0 * x_next - x - y) / gamma
+        Bx_prev, Bx = Bx, B_fwd(x_next)
+        fe += 1
+        re += 2
+        d, du = x_next - x, u_next - u
+        x, u = x_next, u_next
+        yield (math.sqrt(d @ d) + lam * math.sqrt(du @ du), math.sqrt(x @ x),
+               w, x, y, w, Bx, fe, re)
 
 
 def _stepsize_warnings(config, L):
@@ -405,35 +327,27 @@ def _stepsize_warnings(config, L):
     return notes
 
 
-def _residual(problem, config, state, z_point, b_at_x=None):
-    """Fixed-point residual |J_{lam*C}(2x - z - lam*B(x)) - x| at x = state.x.
-
-    For two-operator methods the caller passes ``z_point = x`` so this
-    reduces to the forward-backward residual; instrumentation does not touch
-    the state's evaluation counters.
-    """
-    lam = config.lam
-    x = state.x
-    bx = problem.B.forward(x) if b_at_x is None else b_at_x
-    r = problem.C.resolve(lam, 2.0 * x - z_point - lam * bx) - x
-    return math.sqrt(r @ r)
-
-
 def run(problem, config, record_history=False):
     """Drive ``config.method`` on ``problem`` until the stopping rule fires.
 
     Stops when the governing iterate change satisfies
     ``|z_{k+1} - z_k| <= tol * (1 + |z_k|)`` (``x`` takes the role of ``z``
-    for two-operator methods), when ``max_iters`` is reached, or when an
-    iterate goes non-finite or beyond ``DIVERGE_FACTOR * (1 + |z0|)``
-    (status ``"diverged"``; never an exception).
+    for two-operator methods and FRDR), when ``max_iters`` is reached, or
+    when an iterate goes non-finite or beyond ``DIVERGE_FACTOR * (1 + |z0|)``
+    (status ``"diverged"``; never an exception).  An oracle that overflows
+    (:class:`~splitkit.operators.NonFiniteError`) also ends the run as
+    ``"diverged"``: every series then has one entry per recorded iteration,
+    and the final iterates and counters are those of the last iteration
+    that completed (the start, before any).
 
-    Per-iteration records hold the step norm, the solution residual of
-    :func:`splitkit.certificates.omega_residual` form, and, when the problem
-    carries ``x_star``, the distance of ``x_k`` to it.  With
-    ``record_history=True`` the full ``z``/``y``/``x`` histories are kept so
-    certificates can be evaluated afterwards; the hot loop itself performs
-    exactly the oracle calls of the method plus this bookkeeping.
+    Per-iteration records hold the step norm, the solution residual
+    ``|J_{lam*C}(2x - p - lam*B(x)) - x|`` with ``x = J_{lam*A}(p)`` (the
+    form of :func:`splitkit.certificates.omega_residual`; for DR and
+    Davis-Yin the step computes exactly this, so it is the step norm), and,
+    when the problem carries ``x_star``, the distance of ``x_k`` to it.
+    With ``record_history=True`` the full ``z``/``y``/``x`` histories are
+    kept so certificates can be evaluated afterwards; the hot loop itself
+    performs exactly the oracle calls of the method plus this bookkeeping.
     """
     config = config if isinstance(config, SolverConfig) else SolverConfig(**config)
     method, lam = config.method, config.lam
@@ -441,106 +355,89 @@ def run(problem, config, record_history=False):
         raise SolverError(
             f"z0 has dim {config.z0.shape[0]}, problem has {problem.dim}")
     two_op = method in TWO_OPERATOR_METHODS
-    L = problem.B.lipschitz
+    frdr = method is Method.FRDR
 
     problem.prepare(lam)
-    if method is Method.FRDR:
+    if frdr:
         problem.C.prepare(config.gamma)
 
     trace = Trace(method=method, lam=lam, gamma=config.gamma, h=config.h)
-    trace.warnings.extend(_stepsize_warnings(config, L))
-    if problem.x_star is not None:
+    trace.warnings.extend(_stepsize_warnings(config, problem.B.lipschitz))
+    x_star = problem.x_star
+    if x_star is not None:
         trace.dist_to_xstar = []
+    step_norms, residuals, dists = (trace.step_norms, trace.residuals,
+                                    trace.dist_to_xstar)
 
-    state = _init_state(problem, config)
-    step = _STEPPERS[method]
+    # The latest record's iterates; the start stands in until a step is done.
+    z = x = config.z0.copy()
+    fe = re = 0
+    if record_history:
+        trace.xs = [x] if two_op else []
+        if not two_op:
+            trace.zs, trace.ys = [z], []
+    xs, zs, ys = trace.xs, trace.zs, trace.ys
+
+    steps = (_two_op if two_op else _frdr if frdr else _shadow)(problem, config)
+    B_fwd, C_res = problem.B.forward, problem.C.resolve
+    residual_is_step = method is Method.DR or method is Method.DAVIS_YIN
     z0_norm = math.sqrt(config.z0 @ config.z0)
     big = DIVERGE_FACTOR * (1.0 + z0_norm)
-    x_star = problem.x_star
-
-    if record_history:
-        if two_op:
-            trace.xs = [state.x]
-        else:
-            trace.zs = [state.z.copy()]
-            trace.xs = []
-            if method in (Method.BFORB, Method.BRFOB):
-                trace.ys = [state.y_prev2, state.y_prev]
-                trace.y_offset = 2
-            else:
-                trace.ys = []
-                trace.y_offset = 0
-
+    tol, inf = config.tol, math.inf
     status = "max_iters"
-    frdr = method is Method.FRDR
     # Each iterate's norm is computed once, for the divergence test, and
     # reused as the next iteration's prev_norm (the first iterate is z0).
     # math.sqrt(d @ d) has the bits of np.linalg.norm: sqrt(d.dot(d)).
     prev_norm = z0_norm
-    for _ in range(config.max_iters):
-        gov_prev = state.x if (two_op or frdr) else state.z
-        u_prev = state.u if frdr else None
+    try:
+        y_history = next(steps)
+        if ys is not None:
+            ys.extend(y_history)
+            trace.y_offset = len(y_history)
+        for _, (step_norm, norm, z, x, y, p, bx, fe, re) in zip(
+                range(config.max_iters), steps):
+            step_norms.append(step_norm)
+            if record_history:
+                xs.append(x)
+                if zs is not None:
+                    zs.append(z)
+                    ys.append(y)
 
-        step(problem, config, state)
+            # NaN and inf fail these comparisons, so this is also the
+            # finiteness test (FRDR's dual variable enters the step norm).
+            if not (norm <= big and step_norm < inf):
+                residuals.append(math.nan)
+                if dists is not None:
+                    dists.append(math.nan)
+                status = "diverged"
+                break
 
-        gov = state.x if (two_op or frdr) else state.z
-        d = gov - gov_prev
-        step_norm = math.sqrt(d @ d)
-        if frdr:
-            # u moves even when x stalls, so fold it into the stopping measure.
-            du = state.u - u_prev
-            step_norm += lam * math.sqrt(du @ du)
-
-        trace.step_norms.append(step_norm)
-        trace.iterations += 1
-
-        if record_history:
-            if two_op:
-                trace.xs.append(state.x)
+            if residual_is_step:
+                res = step_norm
             else:
-                trace.zs.append(state.z)
-                trace.xs.append(state.x)
-                if state.y is not None:
-                    trace.ys.append(state.y)
+                r = C_res(lam, 2.0 * x - p - lam * (
+                    B_fwd(x) if bx is None else bx)) - x
+                res = math.sqrt(r @ r)
+            residuals.append(res)
+            if dists is not None:
+                e = x - x_star
+                dists.append(math.sqrt(e @ e))
 
-        # NaN and inf fail the comparison, so this is also the finiteness test.
-        gov_norm = math.sqrt(gov @ gov)
-        if not gov_norm <= big or (frdr and not np.isfinite(state.u).all()):
-            trace.residuals.append(float("nan"))
-            if trace.dist_to_xstar is not None:
-                trace.dist_to_xstar.append(float("nan"))
-            status = "diverged"
-            break
-
-        # Solution-quality instrumentation (never touches the state counters).
-        if method is Method.DR or method is Method.DAVIS_YIN:
-            # Both compute y = J_{lam*C}(2x - z - lam*B_eff(x)) in the step,
-            # so the residual |y - x| equals the step norm exactly.
-            res = step_norm
-        elif two_op:
-            b_at_x = state.B_x if method is Method.FORB else None
-            res = _residual(problem, config, state, state.x, b_at_x)
-        elif frdr:
-            res = _residual(problem, config, state, state.z, state.B_x)
-        else:
-            res = _residual(problem, config, state, gov_prev)
-        trace.residuals.append(res)
-        if trace.dist_to_xstar is not None:
-            e = state.x - x_star
-            trace.dist_to_xstar.append(math.sqrt(e @ e))
-
-        if step_norm <= config.tol * (1.0 + prev_norm):
-            status = "converged"
-            break
-        prev_norm = gov_norm
+            if step_norm <= tol * (1.0 + prev_norm):
+                status = "converged"
+                break
+            prev_norm = norm
+    except NonFiniteError:
+        status = "diverged"
+        if len(residuals) < len(step_norms):
+            residuals.append(math.nan)
+            if dists is not None:
+                dists.append(math.nan)
+    if not (two_op or frdr):
+        x = problem.A.resolve(lam, z)
 
     trace.status = status
-    trace.forward_evals = state.forward_evals
-    trace.resolvent_evals = state.resolvent_evals
-    if two_op or method is Method.FRDR:
-        trace.x_final = state.x
-        trace.z_final = state.x if two_op else state.z
-    else:
-        trace.z_final = state.z
-        trace.x_final = problem.A.resolve(lam, state.z)
+    trace.iterations = len(step_norms)
+    trace.forward_evals, trace.resolvent_evals = fe, re
+    trace.z_final, trace.x_final = z, x
     return trace

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from splitkit import (AffineOperator, ProblemTriple, ScaledL1, SolverConfig,
-                      ZeroOperator, certify_trace, forb_step, lipschitz_check, make_affine_instance,
-                      make_saddle_instance, max_stepsize, omega_residual,
-                      reference_point, run, simulate_dr_flow, simulate_ppa,
-                      SolverState)
+                      ZeroOperator, certify_trace, lipschitz_check,
+                      make_affine_instance, make_saddle_instance,
+                      max_stepsize, omega_residual, reference_point, run,
+                      simulate_dr_flow, simulate_ppa)
 from splitkit.cli import EXIT_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK, main
 
 SEEDS = tuple(range(1, 11))
@@ -237,17 +237,21 @@ def test_criterion_6_reduction_equivalences():
                             B=AffineOperator(0.5 * (G - G.T)),
                             C=ScaledL1(dim, 0.3))
     lam = 0.9 * max_stepsize("FoRB", problem.B.lipschitz)
-    cfg = SolverConfig(method="FoRB", lam=lam, z0=np.zeros(dim), h=1.0)
     x = r.uniform(-1, 1, dim)
     xp = r.uniform(-1, 1, dim)
-    st = SolverState(x=x, x_prev=xp, B_x=problem.B.forward(x),
-                     B_x_prev=problem.B.forward(xp))
+    trace = run(problem, SolverConfig(
+        method="FoRB", lam=lam, z0=x, h=1.0, y_init=(x, xp), max_iters=200,
+        tol=1e-300), record_history=True)
+    # tol=1e-300 stops the run early only at an exact fixed point, after
+    # which every further step is trivially the unrelaxed one
+    if trace.iterations < 200 and trace.step_norms[-1] != 0.0:
+        failures.append(f"(c) FoRB stopped after {trace.iterations} steps")
+    xs = [xp] + trace.xs
     worst = 0.0
-    for _ in range(200):
-        ref = problem.C.resolve(
-            lam, st.x - 2.0 * lam * st.B_x + lam * st.B_x_prev)
-        forb_step(problem, cfg, st)
-        worst = max(worst, float(np.max(np.abs(st.x - ref))))
+    for k in range(1, len(xs) - 1):
+        ref = problem.C.resolve(lam, xs[k] - 2.0 * lam * problem.B.forward(
+            xs[k]) + lam * problem.B.forward(xs[k - 1]))
+        worst = max(worst, float(np.max(np.abs(xs[k + 1] - ref))))
     if worst > 1e-15:
         failures.append(f"(c) h=1 step deviates by {worst:.2e}")
 

@@ -366,6 +366,24 @@ T = 20.0
     assert float(last[0]) == pytest.approx(20.0)
 
 
+def test_flow_ppa_on_readme_config(tmp_path):
+    # x_star solves A + B + C, not the B + C of the PPA flow, so the PPA
+    # flow neither validates it nor reports a distance to it
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme) as fh:
+        block = re.findall(r"```ini\n(.*?)```", fh.read(), re.S)[0]
+    cfg_text = block.replace("flow = dr", "flow = ppa")
+    assert "flow = ppa" in cfg_text
+    ode = parse_config(cfg_text).ode
+    cfg = write(tmp_path, "readme.cfg", cfg_text)
+    out = str(tmp_path / "o")
+    assert main(["flow", "--config", cfg, "--out", out, "--quiet"]) == EXIT_OK
+    lines = (tmp_path / "o" / "affine-d50-s1__ppa-flow.csv").read_text() \
+        .splitlines()
+    assert lines[0] == "t,step_norm,omega_residual"
+    assert len(lines) == 1 + round(ode["T"] / ode["h_ode"]) + 1
+
+
 def test_flow_requires_ode_block(tmp_path):
     cfg = write(tmp_path, "exp.cfg", AFFINE_CFG)
     assert main(["flow", "--config", cfg, "--out", str(tmp_path / "o"),

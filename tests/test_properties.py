@@ -1,0 +1,74 @@
+"""Property tests over random monotone instances (d <= 8)."""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from splitkit import (AffineOperator, ProblemTriple, SolverConfig,
+                      ZeroOperator, certify_trace, make_affine_instance,
+                      max_stepsize, reference_point, run)
+
+PROPERTY = settings(max_examples=50, deadline=None)
+
+
+@st.composite
+def monotone_affine(draw, dim):
+    """``M = G G'/dim + s*(S - S')/2`` plus an offset ``b``; M is monotone."""
+    unit = st.floats(-1.0, 1.0)
+    G = draw(arrays(float, (dim, dim), elements=unit))
+    S = draw(arrays(float, (dim, dim), elements=unit))
+    s = draw(st.floats(0.0, 2.0))
+    b = draw(arrays(float, dim, elements=unit))
+    return AffineOperator(G @ G.T / dim + s * 0.5 * (S - S.T), b)
+
+
+@st.composite
+def dr_family_problem(draw):
+    dim = draw(st.integers(1, 8))
+    problem = ProblemTriple(A=draw(monotone_affine(dim)), B=ZeroOperator(dim),
+                            C=draw(monotone_affine(dim)))
+    z0 = draw(arrays(float, dim, elements=st.floats(-10.0, 10.0)))
+    return problem, z0
+
+
+@PROPERTY
+@given(dr_family_problem(), st.floats(0.01, 10.0))
+def test_b_zero_collapses_the_template_to_dr(case, lam):
+    # with B = 0 every forward term vanishes: the iterates are DR's, bit for bit
+    problem, z0 = case
+    zs = {}
+    for method in ("DR", "BFoRB", "BRFoB", "DavisYin"):
+        zs[method] = run(problem, SolverConfig(
+            method=method, lam=lam, z0=z0, max_iters=30, tol=1e-300,
+            enforce_bound=False), record_history=True).zs
+    for method in ("BFoRB", "BRFoB", "DavisYin"):
+        assert len(zs[method]) == len(zs["DR"])
+        for a, b in zip(zs["DR"], zs[method]):
+            assert np.array_equal(a, b)
+
+
+@PROPERTY
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0),
+       st.floats(0.1, 3.0), st.sampled_from(["BFoRB", "BRFoB"]))
+def test_lemma_slacks_nonnegative_at_any_stepsize(dim, seed, skew, frac,
+                                                  method):
+    # the per-iteration inequality needs monotonicity only, not the bound
+    problem = make_affine_instance(dim, seed, skew).triple()
+    # B numerically zero (in d <= 2 the generator's PSD part can clip to
+    # 0): 1/(8L) is then astronomically large and the arithmetic at that
+    # stepsize overflows, which says nothing about the inequality
+    assume(problem.B.lipschitz > 1e-6)
+    lam = frac * max_stepsize(method, problem.B.lipschitz)
+    trace = run(problem, SolverConfig(method=method, lam=lam,
+                                      z0=np.ones(dim), max_iters=40,
+                                      tol=1e-300, enforce_bound=False),
+                record_history=True)
+    report = certify_trace(problem, trace)
+    z_ref = reference_point(problem, lam).z
+    scale = max(float(np.dot(z - z_ref, z - z_ref)) for z in trace.zs)
+    # the first report.warmup steps read the warm-start history (y_-1 =
+    # y_-2 = x_0), which no resolvent of C produced, so the lemma's
+    # hypotheses start to hold only after them (a run that diverges sooner
+    # has nothing to check)
+    assert np.all(report.lemma_slacks[report.warmup:] >= -1e-9 * (1.0 + scale))

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from splitkit import (AffineOperator, Method, NOT_GUARANTEED, ProblemTriple,
-                      SolverConfig, SolverError, SolverState, ZeroOperator,
-                      bforb_step, brfob_step, davis_yin_step,
-                      fb_step, forb_step, frdr_step, make_affine_instance,
-                      max_stepsize, rfob_step, run, solve_affine_direct)
+from splitkit import (AffineOperator, CustomOperator, Method, NOT_GUARANTEED,
+                      ProblemTriple, SolverConfig, SolverError, ZeroOperator,
+                      make_affine_instance, max_stepsize, run,
+                      solve_affine_direct)
 
 SKEW2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -65,19 +64,23 @@ def test_max_stepsize_errors():
 
 
 # ------------------------------------------------------------ single steps
+# Each step is driven through run(): max_iters=1 for one step, y_init for a
+# hand-built history, record_history=True to read x_k, y_k and z_{k+1}.
+
+def one_step(problem, **kwargs):
+    return run(problem, SolverConfig(max_iters=1, tol=1e-300, **kwargs),
+               record_history=True)
+
 
 def test_bforb_step_identity_B():
-    problem = identity_B_problem()
-    cfg = SolverConfig(method="BFoRB", lam=0.1, z0=[1.0])
-    one = np.array([1.0])
-    st = SolverState(z=one.copy(), y_prev=one, y_prev2=one,
-                     B_y_prev=one, B_y_prev2=one)
-    bforb_step(problem, cfg, st)
+    # default warm start: y_-1 = y_-2 = x_0 = 1, B(y_-1) = B(y_-2) = 1
+    t = one_step(identity_B_problem(), method="BFoRB", lam=0.1, z0=[1.0])
     # x0 = 1; y0 = 2 - 1 - 0.2 + 0.1 = 0.9; z1 = 0.9
-    assert st.x[0] == pytest.approx(1.0)
-    assert st.y[0] == pytest.approx(0.9)
-    assert st.z[0] == pytest.approx(0.9)
-    assert (st.forward_evals, st.resolvent_evals) == (1, 2)
+    assert t.xs[0][0] == pytest.approx(1.0)
+    assert t.y_at(0)[0] == pytest.approx(0.9)
+    assert t.zs[1][0] == pytest.approx(0.9)
+    # the step costs (1, 2); the warm start adds J_A(z0) and one shared B
+    assert (t.forward_evals, t.resolvent_evals) == (1 + 1, 2 + 1)
 
 
 def test_bforb_step_reduces_to_dr_when_B_zero():
@@ -88,55 +91,39 @@ def test_bforb_step_reduces_to_dr_when_B_zero():
                             B=ZeroOperator(dim),
                             C=AffineOperator(np.eye(dim), r.uniform(-1, 1, dim)))
     z0 = r.uniform(-1, 1, dim)
-    cfg = SolverConfig(method="BFoRB", lam=0.5, z0=z0)
-    zeros = np.zeros(dim)
-    st = SolverState(z=z0.copy(), y_prev=z0, y_prev2=z0,
-                     B_y_prev=zeros, B_y_prev2=zeros)
-    bforb_step(problem, cfg, st)
+    t = one_step(problem, method="BFoRB", lam=0.5, z0=z0, y_init=(z0, z0))
     x = problem.A.resolve(0.5, z0)
     y = problem.C.resolve(0.5, 2.0 * x - z0)
-    assert np.array_equal(st.z, z0 + y - x)
+    assert np.array_equal(t.zs[1], z0 + y - x)
 
 
 def test_bforb_step_scalar_hand_recursion():
     # A(x) = x, B = C = 0, lam = 1, z0 = 2: resolvent of A solves (1+1)x = 2
-    problem = scalar_problem(a=1.0)
-    cfg = SolverConfig(method="BFoRB", lam=1.0, z0=[2.0])
     z0 = np.array([2.0])
-    zeros = np.zeros(1)
-    st = SolverState(z=z0.copy(), y_prev=z0, y_prev2=z0,
-                     B_y_prev=zeros, B_y_prev2=zeros)
-    bforb_step(problem, cfg, st)
-    assert st.x[0] == pytest.approx(1.0)
-    assert st.y[0] == pytest.approx(0.0)
-    assert st.z[0] == pytest.approx(1.0)
+    t = one_step(scalar_problem(a=1.0), method="BFoRB", lam=1.0, z0=z0,
+                 y_init=(z0, z0))
+    assert t.xs[0][0] == pytest.approx(1.0)
+    assert t.y_at(0)[0] == pytest.approx(0.0)
+    assert t.zs[1][0] == pytest.approx(1.0)
 
 
 def test_brfob_step_identity_B():
-    problem = identity_B_problem()
-    cfg = SolverConfig(method="BRFoB", lam=0.1, z0=[1.0])
-    one = np.array([1.0])
-    st = SolverState(z=one.copy(), y_prev=one, y_prev2=one)
-    brfob_step(problem, cfg, st)
+    t = one_step(identity_B_problem(), method="BRFoB", lam=0.1, z0=[1.0])
     # ybar = 1, y0 = 2 - 1 - 0.1 = 0.9, z1 = 0.9
-    assert st.y[0] == pytest.approx(0.9)
-    assert st.z[0] == pytest.approx(0.9)
-    assert (st.forward_evals, st.resolvent_evals) == (1, 2)
+    assert t.y_at(0)[0] == pytest.approx(0.9)
+    assert t.zs[1][0] == pytest.approx(0.9)
+    # the step costs (1, 2); the warm start adds J_A(z0)
+    assert (t.forward_evals, t.resolvent_evals) == (1, 2 + 1)
 
 
 def test_forb_step_values():
     problem = identity_B_problem()
-    one = np.array([1.0])
     # h = 1: x1 = J(1 - 0.2 + 0.1) = 0.9
-    cfg = SolverConfig(method="FoRB", lam=0.1, z0=[1.0], h=1.0)
-    st = SolverState(x=one.copy(), x_prev=one, B_x=one, B_x_prev=one)
-    forb_step(problem, cfg, st)
-    assert st.x[0] == pytest.approx(0.9)
+    t = one_step(problem, method="FoRB", lam=0.1, z0=[1.0], h=1.0)
+    assert t.xs[1][0] == pytest.approx(0.9)
     # h = 0.5 with B(x0) = B(x_-1): x1 = 0.5 + 0.5*(1 - 0.1) = 0.95
-    cfg = SolverConfig(method="FoRB", lam=0.1, z0=[1.0], h=0.5)
-    st = SolverState(x=one.copy(), x_prev=one, B_x=one, B_x_prev=one)
-    forb_step(problem, cfg, st)
-    assert st.x[0] == pytest.approx(0.95)
+    t = one_step(problem, method="FoRB", lam=0.1, z0=[1.0], h=0.5)
+    assert t.xs[1][0] == pytest.approx(0.95)
 
 
 def test_forb_step_h1_matches_unrelaxed_formula():
@@ -148,52 +135,44 @@ def test_forb_step_h1_matches_unrelaxed_formula():
                             B=AffineOperator(0.5 * (G - G.T)),
                             C=AffineOperator(np.eye(dim)))
     lam = 0.9 * max_stepsize("FoRB", problem.B.lipschitz)
-    cfg = SolverConfig(method="FoRB", lam=lam, z0=np.zeros(dim), h=1.0)
     x = r.uniform(-1, 1, dim)
     x_prev = r.uniform(-1, 1, dim)
-    st = SolverState(x=x, x_prev=x_prev,
-                     B_x=problem.B.forward(x),
-                     B_x_prev=problem.B.forward(x_prev))
-    for _ in range(50):
-        ref = problem.C.resolve(
-            lam, st.x - 2.0 * lam * st.B_x + lam * st.B_x_prev)
-        forb_step(problem, cfg, st)
-        assert np.max(np.abs(st.x - ref)) <= 1e-15
+    t = run(problem, SolverConfig(method="FoRB", lam=lam, z0=x, h=1.0,
+                                  y_init=(x, x_prev), max_iters=50,
+                                  tol=1e-300), record_history=True)
+    assert t.iterations == 50
+    xs = [x_prev] + t.xs
+    for k in range(1, 51):
+        ref = problem.C.resolve(lam, xs[k] - 2.0 * lam * problem.B.forward(
+            xs[k]) + lam * problem.B.forward(xs[k - 1]))
+        assert np.max(np.abs(xs[k + 1] - ref)) <= 1e-15
 
 
 def test_rfob_step_values():
     problem = identity_B_problem()
     # h = 1, x0 = 1, x_-1 = 0.8: x1 = 1 - 0.1*(2 - 0.8) = 0.88
-    cfg = SolverConfig(method="RFoB", lam=0.1, z0=[1.0], h=1.0)
-    st = SolverState(x=np.array([1.0]), x_prev=np.array([0.8]))
-    rfob_step(problem, cfg, st)
-    assert st.x[0] == pytest.approx(0.88)
+    t = one_step(problem, method="RFoB", lam=0.1, z0=[1.0], h=1.0,
+                 y_init=([1.0], [0.8]))
+    assert t.xs[1][0] == pytest.approx(0.88)
     # fixed point of B + C stays put
     problem0 = ProblemTriple(A=ZeroOperator(1),
                              B=AffineOperator([[1.0]], [-1.0]),
                              C=ZeroOperator(1))
-    st = SolverState(x=np.array([1.0]), x_prev=np.array([1.0]))
-    rfob_step(problem0, cfg, st)
-    assert st.x[0] == pytest.approx(1.0, abs=1e-15)
+    t = one_step(problem0, method="RFoB", lam=0.1, z0=[1.0], h=1.0)
+    assert t.xs[1][0] == pytest.approx(1.0, abs=1e-15)
     # h = 0.5, x0 = x_-1 = 1: x1 = 0.5 + 0.5*0.9 = 0.95
-    cfg = SolverConfig(method="RFoB", lam=0.1, z0=[1.0], h=0.5)
-    st = SolverState(x=np.array([1.0]), x_prev=np.array([1.0]))
-    rfob_step(problem, cfg, st)
-    assert st.x[0] == pytest.approx(0.95)
+    t = one_step(problem, method="RFoB", lam=0.1, z0=[1.0], h=0.5)
+    assert t.xs[1][0] == pytest.approx(0.95)
 
 
 def test_fb_step_value_and_fixed_point():
-    problem = identity_B_problem()
-    cfg = SolverConfig(method="FB", lam=0.1, z0=[1.0])
-    st = SolverState(x=np.array([1.0]))
-    fb_step(problem, cfg, st)
-    assert st.x[0] == pytest.approx(0.9)
+    t = one_step(identity_B_problem(), method="FB", lam=0.1, z0=[1.0])
+    assert t.xs[1][0] == pytest.approx(0.9)
     problem0 = ProblemTriple(A=ZeroOperator(1),
                              B=AffineOperator([[1.0]], [-1.0]),
                              C=ZeroOperator(1))
-    st = SolverState(x=np.array([1.0]))
-    fb_step(problem0, cfg, st)
-    assert st.x[0] == pytest.approx(1.0, abs=1e-16)
+    t = one_step(problem0, method="FB", lam=0.1, z0=[1.0])
+    assert t.xs[1][0] == pytest.approx(1.0, abs=1e-16)
 
 
 def test_fb_norm_growth_on_skew():
@@ -201,20 +180,18 @@ def test_fb_norm_growth_on_skew():
     problem = ProblemTriple(A=ZeroOperator(2), B=AffineOperator(SKEW2),
                             C=ZeroOperator(2))
     lam = 0.5
-    cfg = SolverConfig(method="FB", lam=lam, z0=[1.0, 0.0])
-    st = SolverState(x=np.array([1.0, 0.0]))
+    t = run(problem, SolverConfig(method="FB", lam=lam, z0=[1.0, 0.0],
+                                  max_iters=39, tol=1e-300),
+            record_history=True)
     growth = np.sqrt(1 + lam ** 2)
+    assert t.iterations == 39
     for k in range(1, 40):
-        fb_step(problem, cfg, st)
-        assert np.linalg.norm(st.x) == pytest.approx(growth ** k, rel=1e-12)
+        assert np.linalg.norm(t.xs[k]) == pytest.approx(growth ** k, rel=1e-12)
 
 
 def test_davis_yin_step():
-    problem = identity_B_problem()
-    cfg = SolverConfig(method="DavisYin", lam=0.1, z0=[1.0])
-    st = SolverState(z=np.array([1.0]))
-    davis_yin_step(problem, cfg, st)
-    assert st.z[0] == pytest.approx(0.9)
+    t = one_step(identity_B_problem(), method="DavisYin", lam=0.1, z0=[1.0])
+    assert t.zs[1][0] == pytest.approx(0.9)
     # A = 0 reduces to the forward-backward step on z
     r = rng(4)
     dim = 3
@@ -223,34 +200,31 @@ def test_davis_yin_step():
                             B=AffineOperator(0.5 * (G - G.T)),
                             C=AffineOperator(np.eye(dim)))
     z0 = r.uniform(-1, 1, dim)
-    st = SolverState(z=z0.copy())
-    davis_yin_step(problem, cfg, st)
+    t = one_step(problem, method="DavisYin", lam=0.1, z0=z0)
     fb = problem.C.resolve(0.1, z0 - 0.1 * problem.B.forward(z0))
-    assert np.allclose(st.z, fb, atol=1e-15)
+    assert np.allclose(t.zs[1], fb, atol=1e-15)
 
 
 def test_frdr_step_hand_values():
-    problem = identity_B_problem()
-    cfg = SolverConfig(method="FRDR", lam=0.1, z0=[1.0], gamma=0.2)
-    one = np.array([1.0])
-    st = SolverState(x=one.copy(), x_prev=one, B_x=one, B_x_prev=one,
-                     u=np.zeros(1))
-    frdr_step(problem, cfg, st)
-    assert st.x[0] == pytest.approx(0.9)
-    assert st.y[0] == pytest.approx(0.8)
-    assert st.u[0] == pytest.approx(0.0, abs=1e-16)
-    assert (st.forward_evals, st.resolvent_evals) == (1, 2)
+    # default start: x_0 = x_-1 = 1, B(x_0) = B(x_-1) = 1, u_0 = 0
+    t = one_step(identity_B_problem(), method="FRDR", lam=0.1, z0=[1.0],
+                 gamma=0.2)
+    assert t.xs[0][0] == pytest.approx(0.9)
+    assert t.ys[0][0] == pytest.approx(0.8)
+    # the step norm is |x_1 - x_0| + lam*|u_1 - u_0|, and u_1 = 0
+    assert t.step_norms[0] == pytest.approx(0.1)
+    assert t.step_norms[0] - abs(t.xs[0][0] - 1.0) <= 0.1 * 1e-16
+    # the step costs (1, 2); the start adds B(x_0)
+    assert (t.forward_evals, t.resolvent_evals) == (1 + 1, 2)
 
 
 def test_frdr_stationary_when_all_zero():
     problem = ProblemTriple(A=ZeroOperator(1), B=ZeroOperator(1),
                             C=ZeroOperator(1))
-    cfg = SolverConfig(method="FRDR", lam=0.1, z0=[3.0], gamma=0.2)
-    st = SolverState(x=np.array([3.0]), x_prev=np.array([3.0]),
-                     B_x=np.zeros(1), B_x_prev=np.zeros(1), u=np.zeros(1))
-    frdr_step(problem, cfg, st)
-    assert st.x[0] == pytest.approx(3.0)
-    assert st.u[0] == pytest.approx(0.0)
+    t = one_step(problem, method="FRDR", lam=0.1, z0=[3.0], gamma=0.2)
+    assert t.x_final[0] == pytest.approx(3.0)
+    # x does not move, so a zero step norm means u_1 = 0 as well
+    assert t.step_norms[0] == pytest.approx(0.0)
 
 
 def test_frdr_converges_to_direct_solution():
@@ -302,6 +276,38 @@ def test_run_fb_on_skew_diverges():
                                       max_iters=1000, tol=1e-14))
     assert trace.status == "diverged"
     assert np.isnan(trace.residuals[-1])
+
+
+def test_run_oracle_overflow_ends_diverged():
+    # B = sinh overflows long before the iterates pass the divergence bound:
+    # the oracle's NonFiniteError ends the run instead of escaping from it
+    problem = ProblemTriple(
+        A=ZeroOperator(1), C=ZeroOperator(1),
+        B=CustomOperator(1, forward=np.sinh, lipschitz=1.0))
+    for method in Method:
+        kwargs = {"gamma": 6.0} if method is Method.FRDR else {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = run(problem, SolverConfig(method=method, lam=3.0, z0=[1.0],
+                                          max_iters=100, **kwargs),
+                    record_history=True)
+        assert t.status == ("converged" if method is Method.DR
+                            else "diverged")
+        assert len(t.step_norms) == len(t.residuals) == t.iterations
+        if method in (Method.FB, Method.FORB, Method.RFOB):
+            assert len(t.xs) == t.iterations + 1
+        else:
+            assert len(t.zs) == len(t.xs) + 1 == t.iterations + 1
+            assert len(t.ys) == t.iterations + t.y_offset
+        assert np.isfinite(t.z_final).all() and np.isfinite(t.x_final).all()
+    # an affine resolvent overflows at an absurd stepsize
+    problem = make_affine_instance(10, 1, 0.8).triple()
+    for method in Method:
+        kwargs = {"gamma": 2e300} if method is Method.FRDR else {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = run(problem, SolverConfig(method=method, lam=1e300,
+                                          z0=np.ones(10), max_iters=50,
+                                          **kwargs))
+        assert len(t.residuals) == len(t.dist_to_xstar) == t.iterations
 
 
 def test_run_records_residual_and_dist():
@@ -476,7 +482,7 @@ def test_bforb_and_brfob_differ_on_nonlinear_B():
     # For affine B the value reflection 2B(y1) - B(y2) equals the argument
     # reflection B(2*y1 - y2), so the two methods coincide; a genuinely
     # nonlinear monotone B separates them while both still find the zero.
-    from splitkit import BoxNormalCone, CustomOperator, omega_residual
+    from splitkit import BoxNormalCone, omega_residual
     dim = 4
     x_star = 0.3 * np.ones(dim)
     v0 = x_star + 0.5 * np.sin(x_star)
