@@ -7,8 +7,14 @@ descent additionally needs the stepsize inside its guaranteed interval.
 This module evaluates both numerically, from full iterate histories
 (``run(..., record_history=True)``), never inside the hot solver loop.
 
-All evaluations are pure functions over recorded vectors, so they are
-embarrassingly parallel across iterations and across runs.
+Each inequality and each Lyapunov function is written once, in ``_kernel``:
+row k of its output is the lemma slack of the step k -> k+1 and phi_k, each
+a row-wise dot product over shifted slices of stacked iterates and forward
+values.  ``certify_trace`` feeds it a recorded run in blocks of ``_BLOCK``
+rows, evaluating B once per recorded point; each public per-k function
+(``lemma_*_slack``, ``phi_*``) is a one-row call into it.  The blocks bound
+peak memory: the stacked rows and the kernel's temporaries grow with the
+block, not with the length of the run.
 """
 
 from dataclasses import dataclass, field
@@ -27,8 +33,15 @@ class GroundTruthError(CertificateError):
     """The problem carries neither ``x_star`` nor a usable ``z_star``."""
 
 
-def _sq(v):
-    return float(np.dot(v, v))
+#: Rows per kernel call in ``certify_trace``.  Stacking a whole 5,000-step
+#: trace at d=50 at once raised peak memory by about 8 MB; blocks of this
+#: size cost under 1 MB and keep the per-block numpy overhead negligible.
+_BLOCK = 1024
+
+
+def _dot(u, v):
+    """Row-wise dot products of two stacks of vectors."""
+    return np.einsum("ij,ij->i", u, v)
 
 
 def omega_residual(problem, lam, z, x=None):
@@ -99,6 +112,71 @@ def reference_point(problem, lam):
     return ReferencePoint(z=z, x=x, lam_ref=lam)
 
 
+def _reflect(u, u_prev):
+    """The reflected point ``2u - u_prev`` (``ybar``, ``zbar`` below)."""
+    return 2.0 * u - u_prev
+
+
+def _forward_points(flavor, Y):
+    """Where B is evaluated: y_j (BFoRB) or ybar_j (BRFoB) for rows 1.. of Y."""
+    return Y[1:] if flavor == "bforb" else _reflect(Y[1:], Y[:-1])
+
+
+def _kernel(flavor, ref, lam, L, Z, Y, F, b_x=None):
+    """Lemma slacks of the steps k0..k1-1 and phi of the iterates k0..k1.
+
+    ``Z`` stacks ``z_{k0-3}..z_{k1}``, ``Y`` stacks ``y_{k0-3}..y_{k1-1}``
+    and ``F`` holds B at ``_forward_points(flavor, Y)``; BRFoB also needs
+    ``b_x = B(x)``.  Every formula is a row-wise dot product over shifted
+    slices.  Also returns ``|z_{k+1} - z_k|^2`` per step and ``|z_k - z|^2``
+    per iterate.
+    """
+    if ref.lam_ref != lam:
+        raise CertificateError("reference point was built for a different lam")
+
+    def sq(u):
+        return _dot(u, u)
+
+    zk, zk1, zk2, zk3 = Z[3:], Z[2:-1], Z[1:-2], Z[:-3]
+    yk1, yk2 = Y[2:], Y[1:-1]
+    df = F[1:] - F[:-1]             # B at point k-1 minus B at point k-2
+    dist2, step2 = sq(zk - ref.z), sq(zk - zk1)
+    # v_k is the part of phi_k that both sides of the lemma share: its right
+    # side starts with v_k and its left side with v_{k+1}.
+    if flavor == "bforb":
+        v = dist2 + 2.0 * lam * _dot(df, ref.x - yk1)
+        phi = v + 0.75 * step2 + 2.0 * lam * L * sq(zk1 - zk2)
+        rhs = v[:-1] + 2.0 * lam * _dot(df[:-1], yk1[:-1] - yk1[1:])
+        lhs = v[1:] + step2[1:]
+    else:
+        v = dist2 + 2.0 * lam * _dot(F[:-1] - b_x, yk1 - yk2)
+        phi = (v + (1.0 + 22.0 * lam * L) * step2
+               + (47.0 / 3.0) * lam * L * sq(zk1 - zk2)
+               + (14.0 / 3.0) * lam * L * sq(zk2 - zk3)
+               + (7.0 / 11.0) * sq(zk - _reflect(zk1, zk2)))
+        rhs = v[:-1] + step2[:-1] + 2.0 * lam * _dot(
+            df[:-1], _reflect(yk1, yk2)[:-1] - yk1[1:])
+        lhs = (v[1:] + 2.0 * step2[1:]
+               + sq(zk[1:] - _reflect(zk, zk1)[:-1]))
+    return rhs - lhs, phi, step2[1:], dist2
+
+
+def _pointwise(problem, ref, lam, L, flavor, zs, ys, lemma):
+    """One-row kernel call: the lemma slack of step k, or phi_k.
+
+    ``zs`` and ``ys`` run oldest first; missing older entries are
+    backfilled with the first one, as ``Trace.z_at``/``y_at`` do.
+    """
+    n = int(lemma)
+    Z = np.array(zs[:1] * (4 + n - len(zs)) + zs)
+    Y = np.array(ys[:1] * (3 + n - len(ys)) + ys)
+    B = problem.B.forward
+    F = np.array([B(p) for p in _forward_points(flavor, Y)])
+    slack, phi, _, _ = _kernel(flavor, ref, lam, L, Z, Y, F,
+                               B(ref.x) if flavor == "brfob" else None)
+    return float(slack[0] if lemma else phi[0])
+
+
 def lemma_bforb_slack(problem, ref, lam, z_k, z_next, y_k, y_prev, y_prev2):
     """Right minus left side of the BFoRB per-iteration inequality.
 
@@ -112,18 +190,8 @@ def lemma_bforb_slack(problem, ref, lam, z_k, z_next, y_k, y_prev, y_prev2):
     so a nonnegative return value certifies it.  Only monotonicity of the
     three operators is needed; no stepsize restriction.
     """
-    if ref.lam_ref != lam:
-        raise CertificateError("reference point was built for a different lam")
-    B = problem.B.forward
-    z, x = ref.z, ref.x
-    b_k, b_1, b_2 = B(y_k), B(y_prev), B(y_prev2)
-    rhs = (_sq(z_k - z)
-           + 2.0 * lam * float(np.dot(b_1 - b_2, x - y_prev))
-           + 2.0 * lam * float(np.dot(b_1 - b_2, y_prev - y_k)))
-    lhs = (_sq(z_next - z)
-           + 2.0 * lam * float(np.dot(b_k - b_1, x - y_k))
-           + _sq(z_next - z_k))
-    return rhs - lhs
+    return _pointwise(problem, ref, lam, 0.0, "bforb", [z_k, z_next],
+                      [y_prev2, y_prev, y_k], lemma=True)
 
 
 def phi_bforb(problem, ref, lam, L, z_k, z_prev, z_prev2, y_prev, y_prev2):
@@ -135,13 +203,8 @@ def phi_bforb(problem, ref, lam, L, z_k, z_prev, z_prev2, y_prev, y_prev2):
     Computable for any ``lam``; the descent interpretation requires
     ``lam*L < 1/8``.
     """
-    B = problem.B.forward
-    z, x = ref.z, ref.x
-    b_1, b_2 = B(y_prev), B(y_prev2)
-    return (_sq(z_k - z)
-            + 2.0 * lam * float(np.dot(b_1 - b_2, x - y_prev))
-            + 0.75 * _sq(z_k - z_prev)
-            + 2.0 * lam * L * _sq(z_prev - z_prev2))
+    return _pointwise(problem, ref, lam, L, "bforb", [z_prev2, z_prev, z_k],
+                      [y_prev2, y_prev], lemma=False)
 
 
 def lemma_brfob_slack(problem, ref, lam, z_next, z_k, z_prev,
@@ -157,23 +220,8 @@ def lemma_brfob_slack(problem, ref, lam, z_next, z_k, z_prev,
             + |z_k - z_{k-1}|^2
             + 2*lam*<B(ybar_{k-1}) - B(ybar_{k-2}), ybar_{k-1} - y_k>.
     """
-    if ref.lam_ref != lam:
-        raise CertificateError("reference point was built for a different lam")
-    B = problem.B.forward
-    z, x = ref.z, ref.x
-    ybar1 = 2.0 * y_prev - y_prev2
-    ybar2 = 2.0 * y_prev2 - y_prev3
-    zbar = 2.0 * z_k - z_prev
-    b_bar1, b_bar2, b_x = B(ybar1), B(ybar2), B(x)
-    rhs = (_sq(z_k - z)
-           + 2.0 * lam * float(np.dot(b_bar2 - b_x, y_prev - y_prev2))
-           + _sq(z_k - z_prev)
-           + 2.0 * lam * float(np.dot(b_bar1 - b_bar2, ybar1 - y_k)))
-    lhs = (_sq(z_next - z)
-           + 2.0 * lam * float(np.dot(b_bar1 - b_x, y_k - y_prev))
-           + 2.0 * _sq(z_next - z_k)
-           + _sq(z_next - zbar))
-    return rhs - lhs
+    return _pointwise(problem, ref, lam, 0.0, "brfob", [z_prev, z_k, z_next],
+                      [y_prev3, y_prev2, y_prev, y_k], lemma=True)
 
 
 def phi_brfob(problem, ref, lam, L, z_k, z_prev, z_prev2, z_prev3,
@@ -186,16 +234,9 @@ def phi_brfob(problem, ref, lam, L, z_k, z_prev, z_prev2, z_prev3,
             + (14/3)*lam*L*|z_{k-2} - z_{k-3}|^2
             + (7/11)*|z_k - zbar_{k-1}|^2.
     """
-    B = problem.B.forward
-    z, x = ref.z, ref.x
-    ybar2 = 2.0 * y_prev2 - y_prev3
-    zbar_prev = 2.0 * z_prev - z_prev2
-    return (_sq(z_k - z)
-            + 2.0 * lam * float(np.dot(B(ybar2) - B(x), y_prev - y_prev2))
-            + (1.0 + 22.0 * lam * L) * _sq(z_k - z_prev)
-            + (47.0 / 3.0) * lam * L * _sq(z_prev - z_prev2)
-            + (14.0 / 3.0) * lam * L * _sq(z_prev2 - z_prev3)
-            + (7.0 / 11.0) * _sq(z_k - zbar_prev))
+    return _pointwise(problem, ref, lam, L, "brfob",
+                      [z_prev3, z_prev2, z_prev, z_k],
+                      [y_prev3, y_prev2, y_prev], lemma=False)
 
 
 @dataclass
@@ -268,14 +309,6 @@ def descent_report(phis, z_steps, eps, lemma_slacks=None,
         lower_bound_coeff=lower_bound_coeff, warmup=warmup, summary=summary)
 
 
-def _finite_horizon(zs):
-    """Largest index such that all z_0..z_K are finite."""
-    for j, z in enumerate(zs):
-        if not np.all(np.isfinite(z)):
-            return j - 1
-    return len(zs) - 1
-
-
 def certify_trace(problem, trace, kmax=None):
     """Evaluate the full certificate suite along a recorded run.
 
@@ -288,90 +321,47 @@ def certify_trace(problem, trace, kmax=None):
     if trace.zs is None or trace.ys is None:
         raise CertificateError("trace lacks history; rerun with record_history")
     method = Method(trace.method)
-    if method in (Method.DR, Method.DAVIS_YIN):
-        if problem.B.lipschitz != 0.0:
-            raise CertificateError(
-                f"{method.value} certificates require B = 0")
-        flavor, warmup = "bforb", 2
-    elif method is Method.BFORB:
-        flavor, warmup = "bforb", 2
-    elif method is Method.BRFOB:
-        flavor, warmup = "brfob", 3
-    else:
+    if method not in (Method.BFORB, Method.BRFOB, Method.DR,
+                      Method.DAVIS_YIN):
         raise CertificateError(
             f"no certificate is defined for method {method.value}")
+    if method in (Method.DR, Method.DAVIS_YIN) and problem.B.lipschitz != 0.0:
+        raise CertificateError(f"{method.value} certificates require B = 0")
 
-    lam = trace.lam
-    L = problem.B.lipschitz
+    lam, L = trace.lam, problem.B.lipschitz
     ref = reference_point(problem, lam)
-    K = _finite_horizon(trace.zs)
+    # run() ends a run at its first non-finite iterate, so only the last
+    # recorded z can be non-finite.
+    K = len(trace.zs) - 1 - int(not np.isfinite(trace.zs[-1]).all())
     if kmax is not None:
         K = min(K, kmax)
     if K < 1:
         raise CertificateError("trace too short to certify")
-
-    z, y = trace.z_at, trace.y_at
-    z_steps = np.array([np.linalg.norm(z(k + 1) - z(k)) for k in range(K)])
-
-    # One forward evaluation per distinct recorded point; the formulas below
-    # match lemma_*_slack / phi_* exactly but reuse these cached values.
-    B = problem.B.forward
-    zc, xc = ref.z, ref.x
+    flavor = "brfob" if method is Method.BRFOB else "bforb"
     if flavor == "bforb":
-        eps = 0.25 - 2.0 * lam * L
-        lb_coeff = 0.75
-        by = {j: B(y(j)) for j in range(-2, K)}
-        slacks = np.empty(K)
-        for k in range(K):
-            b_k, b_1, b_2 = by[k], by[k - 1], by[k - 2]
-            rhs = (_sq(z(k) - zc)
-                   + 2.0 * lam * float(np.dot(b_1 - b_2, xc - y(k - 1)))
-                   + 2.0 * lam * float(np.dot(b_1 - b_2, y(k - 1) - y(k))))
-            lhs = (_sq(z(k + 1) - zc)
-                   + 2.0 * lam * float(np.dot(b_k - b_1, xc - y(k)))
-                   + _sq(z(k + 1) - z(k)))
-            slacks[k] = rhs - lhs
-        phis = np.empty(K + 1)
-        for k in range(K + 1):
-            b_1, b_2 = by[k - 1], by[k - 2]
-            phis[k] = (_sq(z(k) - zc)
-                       + 2.0 * lam * float(np.dot(b_1 - b_2, xc - y(k - 1)))
-                       + 0.75 * _sq(z(k) - z(k - 1))
-                       + 2.0 * lam * L * _sq(z(k - 1) - z(k - 2)))
+        warmup, eps, lb_coeff = 2, 0.25 - 2.0 * lam * L, 0.75
     else:
-        eps = 1.0 - 22.0 * lam * L
-        lb_coeff = 6.0 / 11.0
-        ybar = {j: 2.0 * y(j) - y(j - 1) for j in range(-2, K)}
-        bybar = {j: B(v) for j, v in ybar.items()}
-        b_x = B(xc)
-        slacks = np.empty(K)
-        for k in range(K):
-            b1, b2 = bybar[k - 1], bybar[k - 2]
-            zbar = 2.0 * z(k) - z(k - 1)
-            rhs = (_sq(z(k) - zc)
-                   + 2.0 * lam * float(np.dot(b2 - b_x, y(k - 1) - y(k - 2)))
-                   + _sq(z(k) - z(k - 1))
-                   + 2.0 * lam * float(np.dot(b1 - b2, ybar[k - 1] - y(k))))
-            lhs = (_sq(z(k + 1) - zc)
-                   + 2.0 * lam * float(np.dot(b1 - b_x, y(k) - y(k - 1)))
-                   + 2.0 * _sq(z(k + 1) - z(k))
-                   + _sq(z(k + 1) - zbar))
-            slacks[k] = rhs - lhs
-        phis = np.empty(K + 1)
-        for k in range(K + 1):
-            b2 = bybar[k - 2]
-            zbar_prev = 2.0 * z(k - 1) - z(k - 2)
-            phis[k] = (_sq(z(k) - zc)
-                       + 2.0 * lam * float(np.dot(b2 - b_x, y(k - 1) - y(k - 2)))
-                       + (1.0 + 22.0 * lam * L) * _sq(z(k) - z(k - 1))
-                       + (47.0 / 3.0) * lam * L * _sq(z(k - 1) - z(k - 2))
-                       + (14.0 / 3.0) * lam * L * _sq(z(k - 2) - z(k - 3))
-                       + (7.0 / 11.0) * _sq(z(k) - zbar_prev))
+        warmup, eps, lb_coeff = 3, 1.0 - 22.0 * lam * L, 6.0 / 11.0
 
-    lb = np.zeros(K + 1)
-    for k in range(1, K + 1):
-        lb[k] = max(0.0, lb_coeff * _sq(z(k) - ref.z) - phis[k])
+    B = problem.B.forward
+    b_x = B(ref.x) if flavor == "brfob" else None
+    slacks, step2 = np.empty(K), np.empty(K)
+    phis, dist2 = np.empty(K + 1), np.empty(K + 1)
+    F = np.empty((0, problem.dim))
+    for k0 in range(0, K, _BLOCK):
+        k1 = min(k0 + _BLOCK, K)
+        Z = np.array([trace.z_at(k) for k in range(k0 - 3, k1 + 1)])
+        Y = np.array([trace.y_at(j) for j in range(k0 - 3, k1)])
+        # B at the points j = k0-2..k1-1, once per point: the previous
+        # block already evaluated j = k0-2 and k0-1.
+        done = F[-2:]
+        F = np.vstack([done] + [B(p) for p in
+                                _forward_points(flavor, Y)[len(done):]])
+        (slacks[k0:k1], phis[k0:k1 + 1], step2[k0:k1],
+         dist2[k0:k1 + 1]) = _kernel(flavor, ref, lam, L, Z, Y, F, b_x)
 
-    return descent_report(phis, z_steps, eps, lemma_slacks=slacks,
+    lb = np.maximum(0.0, lb_coeff * dist2 - phis)
+    lb[0] = 0.0
+    return descent_report(phis, np.sqrt(step2), eps, lemma_slacks=slacks,
                           lower_bound_violations=lb,
                           lower_bound_coeff=lb_coeff, warmup=warmup)

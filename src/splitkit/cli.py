@@ -289,18 +289,21 @@ def _artifact_stem(pid, method, lam):
     return f"{pid}__{method.value}__lam{lam:.10g}"
 
 
-def _write_trace_csv(path, trace):
+def _write_csv(path, key, labels, columns):
+    """Write a CSV: a ``key`` column of ``labels``, then one column per
+    entry of ``columns`` (name -> floats, in order) formatted with ``_FMT``."""
     with open(path, "w", newline="\n") as fh:
-        cols = ["k", "step_norm", "omega_residual"]
-        if trace.dist_to_xstar is not None:
-            cols.append("dist_to_xstar")
-        fh.write(",".join(cols) + "\n")
-        for k in range(trace.iterations):
-            row = [str(k), _FMT % trace.step_norms[k],
-                   _FMT % trace.residuals[k]]
-            if trace.dist_to_xstar is not None:
-                row.append(_FMT % trace.dist_to_xstar[k])
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join([key, *columns]) + "\n")
+        for label, *values in zip(labels, *columns.values()):
+            fh.write(",".join([label] + [_FMT % v for v in values]) + "\n")
+
+
+def _series(step_norms, residuals, dists=None):
+    """Columns of a trace or flow CSV; ``dist_to_xstar`` only when given."""
+    columns = {"step_norm": step_norms, "omega_residual": residuals}
+    if dists is not None:
+        columns["dist_to_xstar"] = dists
+    return columns
 
 
 def _write_json(path, payload):
@@ -331,35 +334,28 @@ def _trace_summary(trace):
     }
 
 
-def _write_certificate(out_dir, stem, report):
-    path = os.path.join(out_dir, stem + "__certificate.csv")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("k,lemma_slack,phi,descent_violation,"
-                 "telescope_violation,lower_bound_violation\n")
-        for k in range(report.lemma_slacks.shape[0]):
-            fh.write(",".join([
-                str(k),
-                _FMT % report.lemma_slacks[k],
-                _FMT % report.phi[k],
-                _FMT % report.descent_violations[k],
-                _FMT % report.telescope_violations[k],
-                _FMT % report.lower_bound_violations[k],
-            ]) + "\n")
-    return path
+def _certify(problem, trace, cfg, out_dir, stem):
+    """Certify ``trace``, write its certificate CSV, return summary + gates.
 
-
-def _certificate_gate(report, z0):
-    """Pass/fail booleans at the documented tolerances."""
-    s = report.summary
-    lemma_tol = 1e-9 * (1.0 + float(np.dot(z0, z0)))
-    phi_tol = 1e-9 * (1.0 + max(s["phi0"], 0.0))
-    return {
-        "lemma_tol": lemma_tol,
-        "phi_tol": phi_tol,
-        "lemma_ok": s["min_lemma_slack"] >= -lemma_tol,
-        "descent_ok": s["max_descent_violation"] <= phi_tol,
-        "lower_bound_ok": s["max_lower_bound_violation"] <= phi_tol,
-    }
+    The gates are pass/fail booleans at the documented tolerances.
+    """
+    report = certify_trace(problem, trace)
+    n = report.lemma_slacks.shape[0]
+    _write_csv(os.path.join(out_dir, stem + "__certificate.csv"), "k",
+               map(str, range(n)), {
+                   "lemma_slack": report.lemma_slacks,
+                   "phi": report.phi,
+                   "descent_violation": report.descent_violations,
+                   "telescope_violation": report.telescope_violations,
+                   "lower_bound_violation": report.lower_bound_violations})
+    s = dict(report.summary)
+    z0 = _initial_point(cfg, problem.dim)
+    s["lemma_tol"] = 1e-9 * (1.0 + float(np.dot(z0, z0)))
+    s["phi_tol"] = 1e-9 * (1.0 + max(s["phi0"], 0.0))
+    s["lemma_ok"] = s["min_lemma_slack"] >= -s["lemma_tol"]
+    s["descent_ok"] = s["max_descent_violation"] <= s["phi_tol"]
+    s["lower_bound_ok"] = s["max_lower_bound_violation"] <= s["phi_tol"]
+    return s
 
 
 def _threads():
@@ -402,14 +398,14 @@ def cmd_run(cfg, out_dir, quiet=False, seed_override=None):
     all_converged = True
     for method, lam, trace in results:
         stem = _artifact_stem(pid, method, lam)
-        _write_trace_csv(os.path.join(out_dir, stem + ".csv"), trace)
+        _write_csv(os.path.join(out_dir, stem + ".csv"), "k",
+                   map(str, range(trace.iterations)),
+                   _series(trace.step_norms, trace.residuals,
+                           trace.dist_to_xstar))
         summary = _trace_summary(trace)
         if cfg.certify:
-            report = certify_trace(problem, trace)
-            _write_certificate(out_dir, stem, report)
-            summary["certificate"] = dict(report.summary)
-            summary["certificate"].update(
-                _certificate_gate(report, _initial_point(cfg, problem.dim)))
+            summary["certificate"] = _certify(problem, trace, cfg, out_dir,
+                                              stem)
         _write_json(os.path.join(out_dir, stem + "__summary.json"), summary)
         res = summary["terminal_residual"]
         _say(quiet, f"{pid} {method.value}: {trace.status} "
@@ -472,23 +468,20 @@ def cmd_certify(cfg, out_dir, quiet=False, seed_override=None):
         lam = _resolve_lambda(cfg, method, L)
         sc = _solver_config(cfg, method, lam, problem.dim)
         trace = run(problem, sc, record_history=True)
-        report = certify_trace(problem, trace)
         stem = _artifact_stem(pid, method, lam)
-        _write_certificate(out_dir, stem, report)
-        gate = _certificate_gate(report, _initial_point(cfg, problem.dim))
-        payload = dict(report.summary)
-        payload.update(gate)
+        payload = _certify(problem, trace, cfg, out_dir, stem)
         payload["status"] = trace.status
         payload["iterations"] = trace.iterations
         _write_json(os.path.join(out_dir, stem + "__certificate.json"),
                     payload)
-        good = gate["lemma_ok"] and gate["descent_ok"] and gate["lower_bound_ok"]
+        good = (payload["lemma_ok"] and payload["descent_ok"]
+                and payload["lower_bound_ok"])
         ok = ok and good
         _say(quiet, f"{pid} {method.value}: certificate "
                     f"{'ok' if good else 'VIOLATED'} "
-                    f"(min slack {report.summary['min_lemma_slack']:.3e}, "
+                    f"(min slack {payload['min_lemma_slack']:.3e}, "
                     f"max descent violation "
-                    f"{report.summary['max_descent_violation']:.3e})")
+                    f"{payload['max_descent_violation']:.3e})")
     return EXIT_OK if ok else EXIT_NOT_CONVERGED
 
 
@@ -513,22 +506,18 @@ def cmd_flow(cfg, out_dir, quiet=False, seed_override=None):
         res_problem = problem
         with_dist = problem.x_star is not None
 
-    path = os.path.join(out_dir, f"{pid}__{cfg.ode['flow']}-flow.csv")
-    with open(path, "w", newline="\n") as fh:
-        cols = ["t", "step_norm", "omega_residual"]
+    steps, residuals, dists = [], [], []
+    prev = None
+    for state in flow.states:
+        steps.append(0.0 if prev is None else np.linalg.norm(state - prev))
+        x = res_problem.A.resolve(lam, state)
+        residuals.append(omega_residual(res_problem, lam, state, x))
         if with_dist:
-            cols.append("dist_to_xstar")
-        fh.write(",".join(cols) + "\n")
-        prev = None
-        for t, state in zip(flow.times, flow.states):
-            step = 0.0 if prev is None else float(np.linalg.norm(state - prev))
-            x = res_problem.A.resolve(lam, state)
-            res = omega_residual(res_problem, lam, state, x)
-            row = [_FMT % t, _FMT % step, _FMT % res]
-            if with_dist:
-                row.append(_FMT % np.linalg.norm(x - problem.x_star))
-            fh.write(",".join(row) + "\n")
-            prev = state
+            dists.append(np.linalg.norm(x - problem.x_star))
+        prev = state
+    _write_csv(os.path.join(out_dir, f"{pid}__{cfg.ode['flow']}-flow.csv"),
+               "t", (_FMT % t for t in flow.times),
+               _series(steps, residuals, dists if with_dist else None))
     term = omega_residual(res_problem, lam, flow.terminal)
     _say(quiet, f"{pid} {cfg.ode['flow']}-flow: terminal residual {term:.3e}")
     return EXIT_OK

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from splitkit import (AffineOperator, CertificateError, GroundTruthError,
                       lemma_brfob_slack, make_affine_instance,
                       make_saddle_instance, max_stepsize, omega_residual,
                       phi_bforb, phi_brfob, reference_point, run)
+from splitkit.certificates import _BLOCK
 
 
 def rng(seed=0):
@@ -258,6 +261,81 @@ def test_phi_brfob_lower_bound_along_run():
     assert report.lower_bound_violations.max() == 0.0
 
 
+# ------------------------------------------------- hand values with B != 0
+
+def _skew_b_problem():
+    """d = 2 affine triple whose B has a skew part, with its solution."""
+    M_A = np.array([[1.0, 0.2], [0.2, 0.5]])
+    M_B = np.array([[0.3, 0.5], [-0.5, 0.2]])
+    M_C = np.array([[0.4, 0.0], [0.0, 0.9]])
+    b_A, b_B, b_C = (np.array([0.1, -0.3]), np.array([0.7, 0.2]),
+                     np.array([-0.4, 0.5]))
+    x_star = np.linalg.solve(M_A + M_B + M_C, -(b_A + b_B + b_C))
+    problem = ProblemTriple(A=AffineOperator(M_A, b_A),
+                            B=AffineOperator(M_B, b_B),
+                            C=AffineOperator(M_C, b_C), x_star=x_star)
+    return problem, lambda v: M_B @ v + b_B
+
+
+def test_certificate_functions_hand_values_nonzero_B():
+    problem, Bf = _skew_b_problem()
+    lam, L = 0.3, 0.8
+    ref = reference_point(problem, lam)
+    z, x = ref.z, ref.x
+    z_n, z_k, z_1, z_2, z_3, y_k, y_1, y_2, y_3 = rng(5).uniform(-2, 2,
+                                                                 (9, 2))
+
+    def sq(v):
+        return float(v @ v)
+
+    # BFoRB, typed out from the lemma_bforb_slack and phi_bforb docstrings
+    rhs = (sq(z_k - z) + 2 * lam * (Bf(y_1) - Bf(y_2)) @ (x - y_1)
+           + 2 * lam * (Bf(y_1) - Bf(y_2)) @ (y_1 - y_k))
+    lhs = (sq(z_n - z) + 2 * lam * (Bf(y_k) - Bf(y_1)) @ (x - y_k)
+           + sq(z_n - z_k))
+    got = lemma_bforb_slack(problem, ref, lam, z_k, z_n, y_k, y_1, y_2)
+    assert got == pytest.approx(rhs - lhs, rel=1e-12, abs=1e-13)
+    phi = (sq(z_k - z) + 2 * lam * (Bf(y_1) - Bf(y_2)) @ (x - y_1)
+           + 0.75 * sq(z_k - z_1) + 2 * lam * L * sq(z_1 - z_2))
+    got = phi_bforb(problem, ref, lam, L, z_k, z_1, z_2, y_1, y_2)
+    assert got == pytest.approx(phi, rel=1e-12, abs=1e-13)
+
+    # BRFoB, typed out from the lemma_brfob_slack and phi_brfob docstrings
+    ybar_1, ybar_2 = 2 * y_1 - y_2, 2 * y_2 - y_3
+    zbar_k, zbar_1 = 2 * z_k - z_1, 2 * z_1 - z_2
+    rhs = (sq(z_k - z) + 2 * lam * (Bf(ybar_2) - Bf(x)) @ (y_1 - y_2)
+           + sq(z_k - z_1)
+           + 2 * lam * (Bf(ybar_1) - Bf(ybar_2)) @ (ybar_1 - y_k))
+    lhs = (sq(z_n - z) + 2 * lam * (Bf(ybar_1) - Bf(x)) @ (y_k - y_1)
+           + 2 * sq(z_n - z_k) + sq(z_n - zbar_k))
+    got = lemma_brfob_slack(problem, ref, lam, z_n, z_k, z_1, y_k, y_1, y_2,
+                            y_3)
+    assert got == pytest.approx(rhs - lhs, rel=1e-12, abs=1e-13)
+    phi = (sq(z_k - z) + 2 * lam * (Bf(ybar_2) - Bf(x)) @ (y_1 - y_2)
+           + (1 + 22 * lam * L) * sq(z_k - z_1)
+           + (47 / 3) * lam * L * sq(z_1 - z_2)
+           + (14 / 3) * lam * L * sq(z_2 - z_3)
+           + (7 / 11) * sq(z_k - zbar_1))
+    got = phi_brfob(problem, ref, lam, L, z_k, z_1, z_2, z_3, y_1, y_2, y_3)
+    assert got == pytest.approx(phi, rel=1e-12, abs=1e-13)
+
+
+def test_certificate_functions_reject_reference_for_other_lam():
+    problem, _ = _skew_b_problem()
+    ref = reference_point(problem, 0.3)
+    v = np.ones(2)
+    calls = (lambda lam: lemma_bforb_slack(problem, ref, lam, v, v, v, v, v),
+             lambda lam: phi_bforb(problem, ref, lam, 0.8, v, v, v, v, v),
+             lambda lam: lemma_brfob_slack(problem, ref, lam, v, v, v, v, v,
+                                           v, v),
+             lambda lam: phi_brfob(problem, ref, lam, 0.8, v, v, v, v, v, v,
+                                   v))
+    for call in calls:
+        call(0.3)
+        with pytest.raises(CertificateError):
+            call(0.6)
+
+
 # ------------------------------------------------------------ descent_report
 
 def test_descent_report_constant_zero():
@@ -315,33 +393,54 @@ def test_certify_trace_matches_pointwise_ops():
     inst = make_affine_instance(8, 9, 0.8)
     problem = inst.triple()
     L = problem.B.lipschitz
+    long_run = 2 * _BLOCK + 100         # three blocks, the last one partial
     for method in ("BFoRB", "BRFoB"):
         lam = 0.9 * max_stepsize(method, L)
-        trace = run(problem, SolverConfig(method=method, lam=lam,
+        short = run(problem, SolverConfig(method=method, lam=lam,
                                           z0=np.ones(8), max_iters=50,
                                           tol=1e-300), record_history=True)
-        report = certify_trace(problem, trace)
-        ref = reference_point(problem, lam)
-        scale = 1 + abs(report.summary["phi0"])
-        for k in range(len(report.lemma_slacks)):
-            if method == "BFoRB":
-                s = lemma_bforb_slack(problem, ref, lam, trace.zs[k],
-                                      trace.zs[k + 1], trace.y_at(k),
-                                      trace.y_at(k - 1), trace.y_at(k - 2))
-                p = phi_bforb(problem, ref, lam, L, trace.z_at(k),
-                              trace.z_at(k - 1), trace.z_at(k - 2),
-                              trace.y_at(k - 1), trace.y_at(k - 2))
-            else:
-                s = lemma_brfob_slack(problem, ref, lam, trace.zs[k + 1],
-                                      trace.zs[k], trace.z_at(k - 1),
-                                      trace.y_at(k), trace.y_at(k - 1),
-                                      trace.y_at(k - 2), trace.y_at(k - 3))
-                p = phi_brfob(problem, ref, lam, L, trace.z_at(k),
-                              trace.z_at(k - 1), trace.z_at(k - 2),
-                              trace.z_at(k - 3), trace.y_at(k - 1),
-                              trace.y_at(k - 2), trace.y_at(k - 3))
-            assert abs(report.lemma_slacks[k] - s) <= 1e-12 * scale
-            assert abs(report.phi[k] - p) <= 1e-12 * scale
+        long = run(problem, SolverConfig(method=method, lam=lam,
+                                         z0=np.ones(8), max_iters=long_run,
+                                         tol=1e-300), record_history=True)
+        assert long.iterations == long_run
+        # a hand-built trace whose last z is non-finite, as after divergence
+        nan = np.full(8, np.nan)
+        blown = replace(short, zs=short.zs + [nan], ys=short.ys + [nan],
+                        iterations=short.iterations + 1)
+        cases = [(short, None, 50), (long, None, long_run),
+                 (long, _BLOCK + 300, _BLOCK + 300),   # ends inside a block
+                 (blown, None, blown.iterations - 1)]
+        for trace, kmax, k_evaluated in cases:
+            report = certify_trace(problem, trace, kmax=kmax)
+            assert report.summary["k_evaluated"] == k_evaluated
+            assert len(report.lemma_slacks) == k_evaluated
+            _check_pointwise(problem, method, trace, report)
+
+
+def _check_pointwise(problem, method, trace, report):
+    """Every k of ``report`` against the public per-k functions."""
+    lam, L = trace.lam, problem.B.lipschitz
+    ref = reference_point(problem, lam)
+    scale = 1 + abs(report.summary["phi0"])
+    for k in range(len(report.lemma_slacks)):
+        if method == "BFoRB":
+            s = lemma_bforb_slack(problem, ref, lam, trace.zs[k],
+                                  trace.zs[k + 1], trace.y_at(k),
+                                  trace.y_at(k - 1), trace.y_at(k - 2))
+            p = phi_bforb(problem, ref, lam, L, trace.z_at(k),
+                          trace.z_at(k - 1), trace.z_at(k - 2),
+                          trace.y_at(k - 1), trace.y_at(k - 2))
+        else:
+            s = lemma_brfob_slack(problem, ref, lam, trace.zs[k + 1],
+                                  trace.zs[k], trace.z_at(k - 1),
+                                  trace.y_at(k), trace.y_at(k - 1),
+                                  trace.y_at(k - 2), trace.y_at(k - 3))
+            p = phi_brfob(problem, ref, lam, L, trace.z_at(k),
+                          trace.z_at(k - 1), trace.z_at(k - 2),
+                          trace.z_at(k - 3), trace.y_at(k - 1),
+                          trace.y_at(k - 2), trace.y_at(k - 3))
+        assert abs(report.lemma_slacks[k] - s) <= 1e-12 * scale
+        assert abs(report.phi[k] - p) <= 1e-12 * scale
 
 
 def test_certify_trace_guards():
