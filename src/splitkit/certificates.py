@@ -11,12 +11,14 @@ Each inequality and each Lyapunov function is written once, in ``_kernel``:
 row k of its output is the lemma slack of the step k -> k+1 and phi_k, each
 a row-wise dot product over shifted slices of stacked iterates and forward
 values.  ``certify_trace`` feeds it a recorded run in blocks of ``_BLOCK``
-rows, evaluating B once per recorded point; each public per-k function
-(``lemma_*_slack``, ``phi_*``) is a one-row call into it.  The blocks bound
-peak memory: the stacked rows and the kernel's temporaries grow with the
-block, not with the length of the run.
+rows, evaluating B once at ``x`` and once at each point the formulas read
+(K+3 calls for a K-step BFoRB run, K+2 for BRFoB); each public per-k
+function (``lemma_*_slack``, ``phi_*``) is a one-row call into it.  The
+blocks bound peak memory: the stacked rows and the kernel's temporaries
+grow with the block, not with the length of the run.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,17 +60,30 @@ def omega_residual(problem, lam, z, x=None):
     z = as_vector(z, problem.dim, "z")
     if x is None:
         x = problem.A.resolve(lam, z)
-    y = problem.C.resolve(lam, 2.0 * x - z - lam * problem.B.forward(x))
-    return float(np.linalg.norm(y - x))
+    return _residual(problem, lam, z, x)
+
+
+def _residual(problem, lam, z, x):
+    """:func:`omega_residual` on checked inputs, with ``x = J_{lam*A}(z)``.
+
+    ``math.sqrt(r @ r)`` has the bits of ``np.linalg.norm(r)``.
+    """
+    r = problem.C.resolve(lam, 2.0 * x - z - lam * problem.B.forward(x)) - x
+    return math.sqrt(r @ r)
 
 
 @dataclass
 class ReferencePoint:
-    """A pair ``(z, x)`` with ``x = J_{lam*A}(z)`` and ``x`` a solution."""
+    """A pair ``(z, x)`` with ``x = J_{lam*A}(z)`` and ``x`` a solution.
+
+    :func:`reference_point` also keeps ``b_x = B(x)``, evaluated once for
+    its own check and read again by the BRFoB certificates.
+    """
 
     z: np.ndarray
     x: np.ndarray
     lam_ref: float
+    b_x: np.ndarray = None
 
 
 def reference_point(problem, lam):
@@ -104,12 +119,13 @@ def reference_point(problem, lam):
     xr = A.resolve(lam, z)
     if np.linalg.norm(xr - x) > 1e-10 * (1.0 + np.linalg.norm(x)):
         raise CertificateError("reference point fails x = J_{lam*A}(z)")
-    if B.has_forward and C.has_forward:
-        r = (x - z) - lam * (B.forward(x) + C.forward(x))
+    b_x = B.forward(x)
+    if C.has_forward:
+        r = (x - z) - lam * (b_x + C.forward(x))
         if np.linalg.norm(r) > 1e-10 * (1.0 + np.linalg.norm(z)):
             raise CertificateError(
                 "reference point fails x - z = lam*(B+C)(x)")
-    return ReferencePoint(z=z, x=x, lam_ref=lam)
+    return ReferencePoint(z=z, x=x, lam_ref=lam, b_x=b_x)
 
 
 def _reflect(u, u_prev):
@@ -118,15 +134,17 @@ def _reflect(u, u_prev):
 
 
 def _forward_points(flavor, Y):
-    """Where B is evaluated: y_j (BFoRB) or ybar_j (BRFoB) for rows 1.. of Y."""
-    return Y[1:] if flavor == "bforb" else _reflect(Y[1:], Y[:-1])
+    """Where the formulas read B: at y_j for rows 1.. of Y (BFoRB), or at
+    ybar_j for rows 1.. of Y but the last (BRFoB)."""
+    return Y[1:] if flavor == "bforb" else _reflect(Y[1:-1], Y[:-2])
 
 
 def _kernel(flavor, ref, lam, L, Z, Y, F, b_x=None):
     """Lemma slacks of the steps k0..k1-1 and phi of the iterates k0..k1.
 
     ``Z`` stacks ``z_{k0-3}..z_{k1}``, ``Y`` stacks ``y_{k0-3}..y_{k1-1}``
-    and ``F`` holds B at ``_forward_points(flavor, Y)``; BRFoB also needs
+    and ``F`` holds B at ``_forward_points(flavor, Y)``: at points
+    ``k0-2..k1-1`` for BFoRB and ``k0-2..k1-2`` for BRFoB, which also needs
     ``b_x = B(x)``.  Every formula is a row-wise dot product over shifted
     slices.  Also returns ``|z_{k+1} - z_k|^2`` per step and ``|z_k - z|^2``
     per iterate.
@@ -149,13 +167,13 @@ def _kernel(flavor, ref, lam, L, Z, Y, F, b_x=None):
         rhs = v[:-1] + 2.0 * lam * _dot(df[:-1], yk1[:-1] - yk1[1:])
         lhs = v[1:] + step2[1:]
     else:
-        v = dist2 + 2.0 * lam * _dot(F[:-1] - b_x, yk1 - yk2)
+        v = dist2 + 2.0 * lam * _dot(F - b_x, yk1 - yk2)
         phi = (v + (1.0 + 22.0 * lam * L) * step2
                + (47.0 / 3.0) * lam * L * sq(zk1 - zk2)
                + (14.0 / 3.0) * lam * L * sq(zk2 - zk3)
                + (7.0 / 11.0) * sq(zk - _reflect(zk1, zk2)))
         rhs = v[:-1] + step2[:-1] + 2.0 * lam * _dot(
-            df[:-1], _reflect(yk1, yk2)[:-1] - yk1[1:])
+            df, _reflect(yk1, yk2)[:-1] - yk1[1:])
         lhs = (v[1:] + 2.0 * step2[1:]
                + sq(zk[1:] - _reflect(zk, zk1)[:-1]))
     return rhs - lhs, phi, step2[1:], dist2
@@ -344,7 +362,6 @@ def certify_trace(problem, trace, kmax=None):
         warmup, eps, lb_coeff = 3, 1.0 - 22.0 * lam * L, 6.0 / 11.0
 
     B = problem.B.forward
-    b_x = B(ref.x) if flavor == "brfob" else None
     slacks, step2 = np.empty(K), np.empty(K)
     phis, dist2 = np.empty(K + 1), np.empty(K + 1)
     F = np.empty((0, problem.dim))
@@ -352,13 +369,13 @@ def certify_trace(problem, trace, kmax=None):
         k1 = min(k0 + _BLOCK, K)
         Z = np.array([trace.z_at(k) for k in range(k0 - 3, k1 + 1)])
         Y = np.array([trace.y_at(j) for j in range(k0 - 3, k1)])
-        # B at the points j = k0-2..k1-1, once per point: the previous
-        # block already evaluated j = k0-2 and k0-1.
-        done = F[-2:]
-        F = np.vstack([done] + [B(p) for p in
-                                _forward_points(flavor, Y)[len(done):]])
+        # B once per point: the previous block already evaluated the first
+        # points of this one (two for BFoRB, one for BRFoB).
+        P = _forward_points(flavor, Y)
+        done = F[k1 - k0 - len(P):]
+        F = np.vstack([done] + [B(p) for p in P[len(done):]])
         (slacks[k0:k1], phis[k0:k1 + 1], step2[k0:k1],
-         dist2[k0:k1 + 1]) = _kernel(flavor, ref, lam, L, Z, Y, F, b_x)
+         dist2[k0:k1 + 1]) = _kernel(flavor, ref, lam, L, Z, Y, F, ref.b_x)
 
     lb = np.maximum(0.0, lb_coeff * dist2 - phis)
     lb[0] = 0.0

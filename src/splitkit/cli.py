@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Unused here; kept because perfbench/bench_trace.py patches it in this module.
 from .certificates import (CertificateError, GroundTruthError, certify_trace,
-                           omega_residual)
+                           omega_residual)  # noqa: F401
 from .dynamics import simulate_dr_flow, simulate_ppa
-from .operators import OperatorError, ProblemTriple, ZeroOperator
+from .operators import OperatorError
 from .problems import (load_instance, make_affine_instance,
                        make_saddle_instance)
 from .solvers import (Method, NOT_GUARANTEED, SolverConfig, SolverError,
@@ -289,13 +290,14 @@ def _artifact_stem(pid, method, lam):
     return f"{pid}__{method.value}__lam{lam:.10g}"
 
 
-def _write_csv(path, key, labels, columns):
-    """Write a CSV: a ``key`` column of ``labels``, then one column per
-    entry of ``columns`` (name -> floats, in order) formatted with ``_FMT``."""
+def _write_csv(path, key, keys, columns):
+    """Write a CSV: a ``key`` column of ``keys``, then one column per entry
+    of ``columns`` (name -> floats, in order), all formatted with ``_FMT``
+    (which prints an integer key as ``str`` does)."""
+    row = ",".join([_FMT] * (1 + len(columns))) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join([key, *columns]) + "\n")
-        for label, *values in zip(labels, *columns.values()):
-            fh.write(",".join([label] + [_FMT % v for v in values]) + "\n")
+        fh.writelines(row % values for values in zip(keys, *columns.values()))
 
 
 def _series(step_norms, residuals, dists=None):
@@ -342,7 +344,7 @@ def _certify(problem, trace, cfg, out_dir, stem):
     report = certify_trace(problem, trace)
     n = report.lemma_slacks.shape[0]
     _write_csv(os.path.join(out_dir, stem + "__certificate.csv"), "k",
-               map(str, range(n)), {
+               range(n), {
                    "lemma_slack": report.lemma_slacks,
                    "phi": report.phi,
                    "descent_violation": report.descent_violations,
@@ -399,7 +401,7 @@ def cmd_run(cfg, out_dir, quiet=False, seed_override=None):
     for method, lam, trace in results:
         stem = _artifact_stem(pid, method, lam)
         _write_csv(os.path.join(out_dir, stem + ".csv"), "k",
-                   map(str, range(trace.iterations)),
+                   range(trace.iterations),
                    _series(trace.step_norms, trace.residuals,
                            trace.dist_to_xstar))
         summary = _trace_summary(trace)
@@ -490,36 +492,16 @@ def cmd_flow(cfg, out_dir, quiet=False, seed_override=None):
     if cfg.ode is None:
         raise ConfigError([(None, "flow requires an [ode] section")])
     pid, problem, _ = build_problem(cfg, seed_override)
+    kind = cfg.ode["flow"]
+    simulate = simulate_ppa if kind == "ppa" else simulate_dr_flow
+    flow = simulate(problem, cfg.ode["lambda"], cfg.ode["h_ode"],
+                    cfg.ode["T"], _initial_point(cfg, problem.dim))
     os.makedirs(out_dir, exist_ok=True)
-    lam, h_ode, T = cfg.ode["lambda"], cfg.ode["h_ode"], cfg.ode["T"]
-    v0 = _initial_point(cfg, problem.dim)
-
-    # A PPA flow solves 0 in (B + C)(x), whose zero is not x_star (that
-    # one solves A + B + C), so only the DR flow reports the distance.
-    if cfg.ode["flow"] == "ppa":
-        flow = simulate_ppa(problem, lam, h_ode, T, v0)
-        res_problem = ProblemTriple(A=ZeroOperator(problem.dim),
-                                    B=problem.B, C=problem.C)
-        with_dist = False
-    else:
-        flow = simulate_dr_flow(problem, lam, h_ode, T, v0)
-        res_problem = problem
-        with_dist = problem.x_star is not None
-
-    steps, residuals, dists = [], [], []
-    prev = None
-    for state in flow.states:
-        steps.append(0.0 if prev is None else np.linalg.norm(state - prev))
-        x = res_problem.A.resolve(lam, state)
-        residuals.append(omega_residual(res_problem, lam, state, x))
-        if with_dist:
-            dists.append(np.linalg.norm(x - problem.x_star))
-        prev = state
-    _write_csv(os.path.join(out_dir, f"{pid}__{cfg.ode['flow']}-flow.csv"),
-               "t", (_FMT % t for t in flow.times),
-               _series(steps, residuals, dists if with_dist else None))
-    term = omega_residual(res_problem, lam, flow.terminal)
-    _say(quiet, f"{pid} {cfg.ode['flow']}-flow: terminal residual {term:.3e}")
+    _write_csv(os.path.join(out_dir, f"{pid}__{kind}-flow.csv"), "t",
+               flow.times, _series(flow.step_norms, flow.residuals,
+                                   flow.dist_to_xstar))
+    _say(quiet, f"{pid} {kind}-flow: terminal residual "
+                f"{flow.residuals[-1]:.3e}")
     return EXIT_OK
 
 

@@ -393,6 +393,13 @@ def test_certify_trace_matches_pointwise_ops():
     inst = make_affine_instance(8, 9, 0.8)
     problem = inst.triple()
     L = problem.B.lipschitz
+    forward, calls = problem.B.forward, [0]
+
+    def counted(v):
+        calls[0] += 1
+        return forward(v)
+
+    problem.B.forward = counted
     long_run = 2 * _BLOCK + 100         # three blocks, the last one partial
     for method in ("BFoRB", "BRFoB"):
         lam = 0.9 * max_stepsize(method, L)
@@ -411,7 +418,11 @@ def test_certify_trace_matches_pointwise_ops():
                  (long, _BLOCK + 300, _BLOCK + 300),   # ends inside a block
                  (blown, None, blown.iterations - 1)]
         for trace, kmax, k_evaluated in cases:
+            calls[0] = 0
             report = certify_trace(problem, trace, kmax=kmax)
+            # B once at x and once at each point the formulas read: y_j for
+            # j = -2..K-1 (BFoRB) or ybar_j for j = -2..K-2 (BRFoB)
+            assert calls[0] == k_evaluated + (3 if method == "BFoRB" else 2)
             assert report.summary["k_evaluated"] == k_evaluated
             assert len(report.lemma_slacks) == k_evaluated
             _check_pointwise(problem, method, trace, report)

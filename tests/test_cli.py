@@ -5,9 +5,15 @@ import re
 import numpy as np
 import pytest
 
-from splitkit import make_affine_instance, save_instance
+import splitkit
+import splitkit.cli
+from splitkit import (ProblemTriple, ZeroOperator, make_affine_instance,
+                      omega_residual, save_instance, simulate_dr_flow,
+                      simulate_ppa)
 from splitkit.cli import (ConfigError, EXIT_CONFIG, EXIT_NOT_CONVERGED,
                           EXIT_OK, build_problem, main, parse_config)
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 AFFINE_CFG = """\
 [problem]
@@ -388,3 +394,91 @@ def test_flow_requires_ode_block(tmp_path):
     cfg = write(tmp_path, "exp.cfg", AFFINE_CFG)
     assert main(["flow", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--quiet"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("key, value", [
+    ("T", "inf"), ("T", "nan"), ("T", "0"), ("lambda", "nan"),
+    ("lambda", "inf"), ("lambda", "-0.1"), ("h_ode", "nan"),
+    ("h_ode", "1.5")])
+def test_flow_bad_ode_value_exits_1(tmp_path, capsys, key, value):
+    ode = {"lambda": "0.1", "h_ode": "0.1", "T": "2.0", key: value}
+    cfg = write(tmp_path, "exp.cfg", AFFINE_CFG + "\n[ode]\n" + "".join(
+        f"{k} = {v}\n" for k, v in ode.items()))
+    out = tmp_path / "o"
+    assert main(["flow", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not out.exists()
+
+
+SADDLE_CFG = """\
+[problem]
+kind = saddle
+m = 4
+n = 6
+seed = 2
+alpha = 0.5
+radius = 1.0
+
+[run]
+methods = BFoRB
+lambda_fraction = 0.9
+"""
+
+
+def _flow_csv_rowwise(problem, flow):
+    """The flow CSV recomputed row by row from the states alone."""
+    lam = flow.lam
+    with_dist = flow.kind == "dr" and problem.x_star is not None
+    res_problem = problem if flow.kind == "dr" else ProblemTriple(
+        A=ZeroOperator(problem.dim), B=problem.B, C=problem.C)
+    lines = ["t,step_norm,omega_residual" + ",dist_to_xstar" * with_dist]
+    prev = None
+    for t, state in zip(flow.times, flow.states):
+        x = res_problem.A.resolve(lam, state)
+        row = [t, 0.0 if prev is None else np.linalg.norm(state - prev),
+               omega_residual(res_problem, lam, state, x)]
+        if with_dist:
+            row.append(np.linalg.norm(x - problem.x_star))
+        lines.append(",".join("%.17g" % v for v in row))
+        prev = state
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("problem_kind, kind", [
+    ("affine", "dr"), ("affine", "ppa"), ("saddle", "dr")])
+def test_flow_csv_matches_rowwise_computation(tmp_path, problem_kind, kind):
+    # the series the Euler loop records are the ones the states give; the
+    # saddle DR flow takes the inner-solver path of J_{lam*(B+C)}
+    base = AFFINE_CFG if problem_kind == "affine" else SADDLE_CFG
+    text = base + ("\n[ode]\nlambda = 0.1\nh_ode = 0.1\nT = 8.0\n"
+                   f"flow = {kind}\n")
+    cfg = parse_config(text)
+    pid, problem, _ = build_problem(cfg)
+    simulate = simulate_dr_flow if kind == "dr" else simulate_ppa
+    flow = simulate(problem, 0.1, 0.1, 8.0, np.ones(problem.dim))
+    out = tmp_path / "o"
+    assert main(["flow", "--config", write(tmp_path, "exp.cfg", text),
+                 "--out", str(out), "--quiet"]) == EXIT_OK
+    csv = (out / f"{pid}__{kind}-flow.csv").read_text()
+    assert csv == _flow_csv_rowwise(problem, flow)
+    res_problem = problem if kind == "dr" else ProblemTriple(
+        A=ZeroOperator(problem.dim), B=problem.B, C=problem.C)
+    assert flow.residuals[-1] == omega_residual(res_problem, 0.1,
+                                                flow.terminal)
+
+
+def test_benchmark_tracer_patches_existing_names(monkeypatch):
+    # perfbench/bench_trace.py wraps layer entry points by name, in
+    # splitkit, in splitkit.cli and on the instance classes; a name that
+    # is gone makes install() raise AttributeError.
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import bench_trace
+    before = dict(vars(splitkit.cli))
+    tracer = bench_trace.Tracer(splitkit)
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert dict(vars(splitkit.cli)) == before

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from splitkit import (AffineOperator, AlignmentError, BoxNormalCone,
-                      InnerSolveError, ProblemTriple, ScaledL1, SolverConfig,
-                      ZeroOperator, discretization_gap, make_affine_instance,
+                      InnerSolveError, OperatorError, ProblemTriple, ScaledL1,
+                      SolverConfig, ZeroOperator, discretization_gap,
+                      make_affine_instance, make_saddle_instance,
                       max_stepsize, omega_residual, resolvent_sum, run,
                       simulate_dr_flow, simulate_ppa)
+from splitkit.dynamics import _SumResolvent
 
 
 def scalar_identity_B():
@@ -148,6 +150,32 @@ def test_flow_parameter_validation():
         simulate_ppa(problem, 1.0, 1.5, 5.0, np.array([1.0]))
     with pytest.raises(Exception):
         simulate_ppa(problem, 1.0, 0.1, -1.0, np.array([1.0]))
+    for simulate in (simulate_ppa, simulate_dr_flow):
+        for lam, T in ((np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan),
+                       (1.0, np.inf)):
+            with pytest.raises(OperatorError, match="positive and finite"):
+                simulate(problem, lam, 0.1, T, np.array([1.0]))
+
+
+def test_flow_inner_solve_error_carries_step_time(monkeypatch):
+    # the fourth J_{lam*(B+C)} evaluation is the step from t = 3 * h_ode
+    calls = []
+    solve = _SumResolvent.__call__
+
+    def stalling(self, w):
+        calls.append(w)
+        if len(calls) == 4:
+            raise InnerSolveError("inner solver stalled", residual=0.5)
+        return solve(self, w)
+
+    monkeypatch.setattr(_SumResolvent, "__call__", stalling)
+    problem = make_saddle_instance(4, 6, 2, 0.5, 1.0).triple()
+    for simulate in (simulate_ppa, simulate_dr_flow):
+        calls.clear()
+        with pytest.raises(InnerSolveError, match="at t=0.75") as exc:
+            simulate(problem, 0.1, 0.25, 5.0, np.ones(problem.dim))
+        assert exc.value.t == 0.75
+        assert exc.value.residual == 0.5
 
 
 # -------------------------------------------------------- discretization gap
