@@ -1,9 +1,9 @@
 """Config-driven experiment runner.
 
 Verbs: ``run`` (methods on an instance, traces + summaries), ``sweep``
-(stepsize grid), ``certify`` (inequality certificates along recorded runs)
-and ``flow`` (continuous-time simulation).  Configs are flat key-value text
-with ``[section]`` headers; unknown keys are rejected with line references.
+(stepsize grid), ``certify`` (``run`` with certificate gates) and ``flow``
+(continuous-time simulation).  Configs are flat key-value text with
+``[section]`` headers; unknown keys are rejected with line references.
 All artifacts are written with fixed 17-significant-digit formatting, so
 re-running a config byte-reproduces them.
 """
@@ -11,6 +11,7 @@ re-running a config byte-reproduces them.
 import argparse
 import concurrent.futures
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -64,14 +65,31 @@ class ExperimentConfig:
     ode: dict = None
 
 
-_PROBLEM_KEYS = {
-    "affine": {"kind", "dim", "seed", "skew_fraction"},
-    "saddle": {"kind", "m", "n", "seed", "alpha", "radius"},
-    "file": {"kind", "path"},
+def _bool(s):
+    return {"true": True, "yes": True, "1": True,
+            "false": False, "no": False, "0": False}[s.lower()]
+
+
+#: Every config key, ``{section: {key: (conv, default, required)}}``, with
+#: one ``[problem]`` sub-table per kind.
+_SCHEMA = {
+    "problem": {
+        "affine": {"dim": (int, None, True), "seed": (int, None, True),
+                   "skew_fraction": (float, 0.8, False)},
+        "saddle": {"m": (int, None, True), "n": (int, None, True),
+                   "seed": (int, None, True), "alpha": (float, None, True),
+                   "radius": (float, None, True)},
+        "file": {"path": (str, None, True)},
+    },
+    "run": {"methods": (str, None, True), "lambda": (float, None, False),
+            "lambda_fraction": (float, None, False),
+            "gamma": (float, None, False), "h": (float, 1.0, False),
+            "max_iters": (int, 100000, False), "tol": (float, 1e-9, False),
+            "certify": (_bool, False, False), "out": (str, None, False),
+            "z0": (str, "ones", False)},
+    "ode": {"lambda": (float, None, True), "h_ode": (float, None, True),
+            "T": (float, None, True), "flow": (str, "dr", False)},
 }
-_RUN_KEYS = {"methods", "lambda", "lambda_fraction", "gamma", "h",
-             "max_iters", "tol", "certify", "out", "z0"}
-_ODE_KEYS = {"lambda", "h_ode", "T", "flow"}
 
 #: Methods for which a stepsize fraction is meaningful.
 _BOUNDED = {Method.BFORB, Method.BRFOB, Method.FORB, Method.FRDR}
@@ -87,11 +105,9 @@ def _parse_sections(text, errors):
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name not in ("problem", "run", "ode"):
+            current = sections.setdefault(name, {}) if name in _SCHEMA else None
+            if current is None:
                 errors.append((lineno, f"unknown section [{name}]"))
-                current = None
-            else:
-                current = sections.setdefault(name, {})
             continue
         if "=" not in line:
             errors.append((lineno, f"expected 'key = value', got {line!r}"))
@@ -107,142 +123,93 @@ def _parse_sections(text, errors):
     return sections
 
 
-def _take(section, key, conv, errors, default=None, required=False):
-    if key not in section:
-        if required:
+def _convert(section, table, where, errors):
+    """Check ``section`` against ``table``; return each key of the table
+    converted, or its default when absent or unparsable."""
+    for key, (_, lineno) in section.items():
+        if key not in table:
+            errors.append((lineno, f"unknown key {key!r} {where}"))
+    values = {}
+    for key, (conv, default, required) in table.items():
+        values[key] = default
+        if key in section:
+            raw, lineno = section[key]
+            try:
+                values[key] = conv(raw)
+            except (TypeError, ValueError, KeyError):
+                errors.append((lineno, f"cannot parse {key} = {raw!r}"))
+        elif required:
             errors.append((None, f"missing required key {key!r}"))
-        return default
-    value, lineno = section[key]
-    try:
-        return conv(value)
-    except (TypeError, ValueError):
-        errors.append((lineno, f"cannot parse {key} = {value!r}"))
-        return default
-
-
-def _bool(s):
-    if s.lower() in ("true", "yes", "1"):
-        return True
-    if s.lower() in ("false", "no", "0"):
-        return False
-    raise ValueError(s)
+    return values
 
 
 def parse_config(text):
-    """Parse and validate config text; raises :class:`ConfigError` on failure."""
+    """Parse and validate config text; raises :class:`ConfigError` on failure.
+
+    ``max_iters`` and ``tol`` are checked by ``SolverConfig``.
+    """
     errors = []
     sections = _parse_sections(text, errors)
-
-    if "problem" not in sections:
-        errors.append((None, "missing [problem] section"))
-    if "run" not in sections:
-        errors.append((None, "missing [run] section"))
+    errors += [(None, f"missing [{name}] section")
+               for name in ("problem", "run") if name not in sections]
     if errors:
         raise ConfigError(errors)
 
-    prob = sections["problem"]
-    kind = _take(prob, "kind", str, errors, required=True)
+    prob = dict(sections["problem"])
+    kind, kind_line = prob.pop("kind", (None, None))
+    if kind is None:
+        errors.append((None, "missing required key 'kind'"))
     params = {}
-    if kind not in _PROBLEM_KEYS:
-        errors.append((prob["kind"][1] if "kind" in prob else None,
-                       f"unknown problem kind {kind!r}"))
+    if kind in _SCHEMA["problem"]:
+        params = _convert(prob, _SCHEMA["problem"][kind],
+                          f"for {kind} problem", errors)
     else:
-        allowed = _PROBLEM_KEYS[kind]
-        for key, (value, lineno) in prob.items():
-            if key not in allowed:
-                errors.append((lineno, f"unknown key {key!r} for {kind} problem"))
-        if kind == "affine":
-            params["dim"] = _take(prob, "dim", int, errors, required=True)
-            params["seed"] = _take(prob, "seed", int, errors, required=True)
-            params["skew_fraction"] = _take(prob, "skew_fraction", float,
-                                            errors, default=0.8)
-        elif kind == "saddle":
-            params["m"] = _take(prob, "m", int, errors, required=True)
-            params["n"] = _take(prob, "n", int, errors, required=True)
-            params["seed"] = _take(prob, "seed", int, errors, required=True)
-            params["alpha"] = _take(prob, "alpha", float, errors, required=True)
-            params["radius"] = _take(prob, "radius", float, errors,
-                                     required=True)
-        else:
-            params["path"] = _take(prob, "path", str, errors, required=True)
+        errors.append((kind_line, f"unknown problem kind {kind!r}"))
 
-    runsec = sections["run"]
-    for key, (value, lineno) in runsec.items():
-        if key not in _RUN_KEYS:
-            errors.append((lineno, f"unknown key {key!r} in [run]"))
+    line = {key: lineno for key, (_, lineno) in sections["run"].items()}
+    fields = _convert(sections["run"], _SCHEMA["run"], "in [run]", errors)
+    tokens = (fields.pop("methods") or "").replace(",", " ").split()
+    known = {m.value for m in Method}
+    errors += [(line["methods"], f"unknown method {token!r}")
+               for token in tokens if token not in known]
+    methods = [Method(token) for token in tokens if token in known]
 
-    methods = []
-    raw_methods = _take(runsec, "methods", str, errors, required=True)
-    if raw_methods:
-        for token in raw_methods.replace(",", " ").split():
-            try:
-                methods.append(Method(token))
-            except ValueError:
-                errors.append((runsec["methods"][1],
-                               f"unknown method {token!r}"))
-
-    has_abs = "lambda" in runsec
-    has_frac = "lambda_fraction" in runsec
-    if has_abs == has_frac:
+    lam = {key: fields.pop(key) for key in ("lambda", "lambda_fraction")}
+    if ("lambda" in line) == ("lambda_fraction" in line):
         errors.append((None,
                        "exactly one of 'lambda' and 'lambda_fraction' required"))
-    lam_policy = "absolute" if has_abs else "fraction"
-    lam_value = _take(runsec, "lambda" if has_abs else "lambda_fraction",
-                      float, errors, default=0.0)
-    if lam_value is not None and lam_value <= 0:
-        errors.append((None, "the stepsize value must be positive"))
-    if lam_policy == "fraction":
-        for m in methods:
-            if m not in _BOUNDED:
-                errors.append((None,
-                               f"lambda_fraction is undefined for {m.value}: "
-                               "no guaranteed stepsize interval"))
+    key = "lambda" if "lambda" in line else "lambda_fraction"
+    if lam[key] is not None and not 0.0 < lam[key] < math.inf:
+        errors.append((line.get(key),
+                       "the stepsize value must be positive and finite"))
+    if key == "lambda_fraction":
+        errors += [(None, f"lambda_fraction is undefined for {m.value}: "
+                          "no guaranteed stepsize interval")
+                   for m in methods if m not in _BOUNDED]
 
-    gamma = _take(runsec, "gamma", float, errors)
-    if Method.FRDR in methods and gamma is None:
+    if Method.FRDR in methods and "gamma" not in line:
         errors.append((None, "method FRDR requires key 'gamma'"))
-    if gamma is not None and Method.FRDR not in methods:
-        errors.append((runsec["gamma"][1], "gamma is only used by FRDR"))
+    if "gamma" in line and Method.FRDR not in methods:
+        errors.append((line["gamma"], "gamma is only used by FRDR"))
+    if not 0.0 < fields["h"] <= 1.0:
+        errors.append((line.get("h"), "h must lie in (0, 1]"))
+    fields["z0_kind"] = fields.pop("z0")
+    if fields["z0_kind"] not in ("ones", "zeros"):
+        errors.append((line.get("z0"), "z0 must be 'ones' or 'zeros', "
+                                       f"got {fields['z0_kind']!r}"))
 
-    h = _take(runsec, "h", float, errors, default=1.0)
-    if h is not None and not 0.0 < h <= 1.0:
-        errors.append((runsec["h"][1] if "h" in runsec else None,
-                       "h must lie in (0, 1]"))
-
-    cfg = ExperimentConfig(
-        problem_kind=kind, problem_params=params, methods=methods,
-        lam_policy=lam_policy, lam_value=lam_value, gamma=gamma, h=h,
-        max_iters=_take(runsec, "max_iters", int, errors, default=100000),
-        tol=_take(runsec, "tol", float, errors, default=1e-9),
-        certify=_take(runsec, "certify", _bool, errors, default=False),
-        out=_take(runsec, "out", str, errors),
-        z0_kind=_take(runsec, "z0", str, errors, default="ones"))
-    if cfg.z0_kind not in ("ones", "zeros"):
-        errors.append((runsec["z0"][1] if "z0" in runsec else None,
-                       f"z0 must be 'ones' or 'zeros', got {cfg.z0_kind!r}"))
-    if cfg.max_iters is not None and cfg.max_iters < 1:
-        errors.append((None, "max_iters must be positive"))
-    if cfg.tol is not None and cfg.tol <= 0:
-        errors.append((None, "tol must be positive"))
-
+    ode = None
     if "ode" in sections:
-        ode = sections["ode"]
-        for key, (value, lineno) in ode.items():
-            if key not in _ODE_KEYS:
-                errors.append((lineno, f"unknown key {key!r} in [ode]"))
-        cfg.ode = {
-            "lambda": _take(ode, "lambda", float, errors, required=True),
-            "h_ode": _take(ode, "h_ode", float, errors, required=True),
-            "T": _take(ode, "T", float, errors, required=True),
-            "flow": _take(ode, "flow", str, errors, default="dr"),
-        }
-        if cfg.ode["flow"] not in ("dr", "ppa"):
-            errors.append((ode["flow"][1] if "flow" in ode else None,
+        ode = _convert(sections["ode"], _SCHEMA["ode"], "in [ode]", errors)
+        if ode["flow"] not in ("dr", "ppa"):
+            errors.append((sections["ode"].get("flow", (None, None))[1],
                            "flow must be 'dr' or 'ppa'"))
 
     if errors:
         raise ConfigError(errors)
-    return cfg
+    policy = "absolute" if key == "lambda" else "fraction"
+    return ExperimentConfig(kind, params, methods, policy, lam[key], ode=ode,
+                            **fields)
 
 
 def build_problem(cfg, seed_override=None):
@@ -250,28 +217,22 @@ def build_problem(cfg, seed_override=None):
     kind, p = cfg.problem_kind, dict(cfg.problem_params)
     if seed_override is not None and "seed" in p:
         p["seed"] = seed_override
-    if kind == "affine":
-        inst = make_affine_instance(p["dim"], p["seed"], p["skew_fraction"])
-        pid = f"affine-d{p['dim']}-s{p['seed']}"
-    elif kind == "saddle":
-        inst = make_saddle_instance(p["m"], p["n"], p["seed"], p["alpha"],
-                                    p["radius"])
-        pid = f"saddle-m{p['m']}-n{p['n']}-s{p['seed']}"
-    else:
+    if kind == "file":
         inst = load_instance(p["path"])
         pid = os.path.splitext(os.path.basename(p["path"]))[0]
-    return pid, inst.triple(), inst
+    elif kind == "affine":
+        inst, pid = make_affine_instance(**p), "affine-d{dim}-s{seed}"
+    else:
+        inst, pid = make_saddle_instance(**p), "saddle-m{m}-n{n}-s{seed}"
+    return pid.format(**p), inst.triple(), inst
 
 
-def _resolve_lambda(cfg, method, L):
-    if cfg.lam_policy == "absolute":
-        return cfg.lam_value
-    gamma = cfg.gamma if method is Method.FRDR else None
-    bound = max_stepsize(method, L, gamma)
+def _bound(cfg, method, L, otherwise):
+    """The method's stepsize bound; ``otherwise`` ends the error if none."""
+    bound = max_stepsize(method, L, cfg.gamma if method is Method.FRDR else None)
     if bound is NOT_GUARANTEED:
-        raise SolverError(
-            f"no stepsize bound for {method.value}; use an absolute lambda")
-    return cfg.lam_value * bound
+        raise SolverError(f"no stepsize bound for {method.value}; {otherwise}")
+    return bound
 
 
 def _initial_point(cfg, dim):
@@ -286,26 +247,15 @@ def _solver_config(cfg, method, lam, dim):
         h=cfg.h if method in (Method.FORB, Method.RFOB) else 1.0)
 
 
-def _artifact_stem(pid, method, lam):
-    return f"{pid}__{method.value}__lam{lam:.10g}"
-
-
-def _write_csv(path, key, keys, columns):
-    """Write a CSV: a ``key`` column of ``keys``, then one column per entry
-    of ``columns`` (name -> floats, in order), all formatted with ``_FMT``
-    (which prints an integer key as ``str`` does)."""
+def _write_csv(path, key, keys, **columns):
+    """Write a CSV: a ``key`` column of ``keys``, then one column per
+    keyword whose value is not None (name=floats, in order), all formatted
+    with ``_FMT`` (which prints an integer key as ``str`` does)."""
+    columns = {name: col for name, col in columns.items() if col is not None}
     row = ",".join([_FMT] * (1 + len(columns))) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join([key, *columns]) + "\n")
         fh.writelines(row % values for values in zip(keys, *columns.values()))
-
-
-def _series(step_norms, residuals, dists=None):
-    """Columns of a trace or flow CSV; ``dist_to_xstar`` only when given."""
-    columns = {"step_norm": step_norms, "omega_residual": residuals}
-    if dists is not None:
-        columns["dist_to_xstar"] = dists
-    return columns
 
 
 def _write_json(path, payload):
@@ -314,42 +264,31 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _finite_or_none(x):
-    return float(x) if x is not None and np.isfinite(x) else None
+def _last_finite(series):
+    last = series[-1] if len(series) else math.nan
+    return float(last) if np.isfinite(last) else None
 
 
 def _trace_summary(trace):
-    return {
-        "method": trace.method.value,
-        "lambda": trace.lam,
-        "gamma": trace.gamma,
-        "h": trace.h,
-        "status": trace.status,
-        "iterations": trace.iterations,
-        "forward_evals": trace.forward_evals,
-        "resolvent_evals": trace.resolvent_evals,
-        "warnings": trace.warnings,
-        "terminal_step_norm":
-            _finite_or_none(trace.step_norms[-1] if trace.step_norms else None),
-        "terminal_residual":
-            _finite_or_none(trace.residuals[-1] if trace.residuals else None),
-    }
+    summary = {key: getattr(trace, key) for key in (
+        "gamma", "h", "status", "iterations", "forward_evals",
+        "resolvent_evals", "warnings")}
+    summary.update({"method": trace.method.value, "lambda": trace.lam,
+                    "terminal_step_norm": _last_finite(trace.step_norms),
+                    "terminal_residual": _last_finite(trace.residuals)})
+    return summary
 
 
-def _certify(problem, trace, cfg, out_dir, stem):
-    """Certify ``trace``, write its certificate CSV, return summary + gates.
-
-    The gates are pass/fail booleans at the documented tolerances.
-    """
+def _certify(problem, trace, cfg, stem):
+    """Certify ``trace``, write its certificate CSV, return the summary
+    plus gates: pass/fail booleans at the documented tolerances."""
     report = certify_trace(problem, trace)
-    n = report.lemma_slacks.shape[0]
-    _write_csv(os.path.join(out_dir, stem + "__certificate.csv"), "k",
-               range(n), {
-                   "lemma_slack": report.lemma_slacks,
-                   "phi": report.phi,
-                   "descent_violation": report.descent_violations,
-                   "telescope_violation": report.telescope_violations,
-                   "lower_bound_violation": report.lower_bound_violations})
+    _write_csv(stem + "__certificate.csv", "k",
+               range(report.lemma_slacks.shape[0]),
+               lemma_slack=report.lemma_slacks, phi=report.phi,
+               descent_violation=report.descent_violations,
+               telescope_violation=report.telescope_violations,
+               lower_bound_violation=report.lower_bound_violations)
     s = dict(report.summary)
     z0 = _initial_point(cfg, problem.dim)
     s["lemma_tol"] = 1e-9 * (1.0 + float(np.dot(z0, z0)))
@@ -378,113 +317,96 @@ def _say(quiet, msg):
         print(msg)
 
 
-def cmd_run(cfg, out_dir, quiet=False, seed_override=None):
-    """Run every configured method; write traces, summaries, certificates."""
-    pool = _threads()
+def _solve(cfg, out_dir, seed_override, jobs, certificates=False):
+    """Validate every ``(method, lam)`` job of ``jobs(L)``, then create
+    ``out_dir`` and run them; returns ``(pid, problem, traces)``, the
+    traces in job order (run as they are read when serial)."""
+    workers = _threads()
     pid, problem, _ = build_problem(cfg, seed_override)
+    if certificates and problem.x_star is None and problem.z_star is None:
+        raise GroundTruthError(
+            f"problem {pid} has no ground truth; certificates need an "
+            "affine instance (or a stored reference point)")
+    configs = [_solver_config(cfg, m, lam, problem.dim)
+               for m, lam in jobs(problem.B.lipschitz)]
     os.makedirs(out_dir, exist_ok=True)
-    L = problem.B.lipschitz
 
-    def one(method):
-        lam = _resolve_lambda(cfg, method, L)
-        sc = _solver_config(cfg, method, lam, problem.dim)
-        trace = run(problem, sc, record_history=cfg.certify)
-        return method, lam, trace
+    def one(sc):
+        return run(problem, sc, record_history=certificates)
 
-    if pool > 1 and len(cfg.methods) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=pool) as ex:
-            results = list(ex.map(one, cfg.methods))
-    else:
-        results = [one(m) for m in cfg.methods]
+    if workers > 1 and len(configs) > 1:
+        with concurrent.futures.ThreadPoolExecutor(workers) as ex:
+            return pid, problem, list(ex.map(one, configs))
+    return pid, problem, map(one, configs)
 
-    all_converged = True
-    for method, lam, trace in results:
-        stem = _artifact_stem(pid, method, lam)
-        _write_csv(os.path.join(out_dir, stem + ".csv"), "k",
-                   range(trace.iterations),
-                   _series(trace.step_norms, trace.residuals,
-                           trace.dist_to_xstar))
-        summary = _trace_summary(trace)
-        if cfg.certify:
-            summary["certificate"] = _certify(problem, trace, cfg, out_dir,
-                                              stem)
-        _write_json(os.path.join(out_dir, stem + "__summary.json"), summary)
-        res = summary["terminal_residual"]
-        _say(quiet, f"{pid} {method.value}: {trace.status} "
-                    f"after {trace.iterations} iterations "
-                    f"(residual {'n/a' if res is None else format(res, '.3e')})")
-        if trace.status != "converged":
-            all_converged = False
-    return EXIT_OK if all_converged else EXIT_NOT_CONVERGED
+
+def cmd_run(cfg, out_dir, quiet=False, seed_override=None, gates=False):
+    """Run every configured method; write traces, summaries, certificates.
+    With ``gates`` (certify) write only the certificates; exit 0 if and
+    only if every gate holds."""
+    certificates = gates or cfg.certify
+    pid, problem, traces = _solve(cfg, out_dir, seed_override, lambda L: [
+        (m, cfg.lam_value if cfg.lam_policy == "absolute" else
+         cfg.lam_value * _bound(cfg, m, L, "use an absolute lambda"))
+        for m in cfg.methods], certificates)
+    ok = True
+    for trace in traces:
+        method = trace.method.value
+        stem = os.path.join(out_dir, f"{pid}__{method}__lam{trace.lam:.10g}")
+        cert = _certify(problem, trace, cfg, stem) if certificates else None
+        if gates:
+            cert.update(status=trace.status, iterations=trace.iterations)
+            _write_json(stem + "__certificate.json", cert)
+            good = (cert["lemma_ok"] and cert["descent_ok"]
+                    and cert["lower_bound_ok"])
+            msg = (f"certificate {'ok' if good else 'VIOLATED'} (min slack "
+                   f"{cert['min_lemma_slack']:.3e}, max descent violation "
+                   f"{cert['max_descent_violation']:.3e})")
+        else:
+            _write_csv(stem + ".csv", "k", range(trace.iterations),
+                       step_norm=trace.step_norms,
+                       omega_residual=trace.residuals,
+                       dist_to_xstar=trace.dist_to_xstar)
+            summary = _trace_summary(trace)
+            if cert is not None:
+                summary["certificate"] = cert
+            _write_json(stem + "__summary.json", summary)
+            good = trace.status == "converged"
+            res = summary["terminal_residual"]
+            msg = (f"{trace.status} after {trace.iterations} iterations "
+                   f"(residual {'n/a' if res is None else format(res, '.3e')})")
+        ok = ok and good
+        _say(quiet, f"{pid} {method}: {msg}")
+    return EXIT_OK if ok else EXIT_NOT_CONVERGED
 
 
 def cmd_sweep(cfg, grid, out_dir, quiet=False, seed_override=None):
     """One run per (method, stepsize fraction); writes a sweep table."""
     if not grid:
         raise ConfigError([(None, "sweep requires a non-empty --grid")])
-    pid, problem, _ = build_problem(cfg, seed_override)
-    os.makedirs(out_dir, exist_ok=True)
-    L = problem.B.lipschitz
-
-    rows = []
-    all_converged = True
-    for method in cfg.methods:
-        gamma = cfg.gamma if method is Method.FRDR else None
-        bound = max_stepsize(method, L, gamma)
-        if bound is NOT_GUARANTEED:
-            raise SolverError(
-                f"no stepsize bound for {method.value}; sweep is undefined")
-        for frac in grid:
-            lam = frac * bound
-            sc = _solver_config(cfg, method, lam, problem.dim)
-            trace = run(problem, sc)
-            marker = (str(trace.iterations) if trace.status == "converged"
-                      else trace.status)
-            rows.append((method.value, frac, lam, trace.status,
-                         trace.iterations, marker))
-            if trace.status != "converged":
-                all_converged = False
-            _say(quiet, f"{pid} {method.value} frac={frac:g}: {marker}")
-
-    path = os.path.join(out_dir, f"{pid}__sweep.csv")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("method,fraction,lambda,status,iterations,iters_to_tol\n")
-        for m, frac, lam, status, iters, marker in rows:
-            fh.write(f"{m},{_FMT % frac},{_FMT % lam},{status},{iters},"
-                     f"{marker}\n")
-    return EXIT_OK if all_converged else EXIT_NOT_CONVERGED
+    pid, _, traces = _solve(
+        cfg, out_dir, seed_override,
+        lambda L: [(m, frac * _bound(cfg, m, L, "sweep is undefined"))
+                   for m in cfg.methods for frac in grid])
+    rows = ["method,fraction,lambda,status,iterations,iters_to_tol\n"]
+    ok = True
+    for trace, frac in zip(traces, list(grid) * len(cfg.methods)):
+        method = trace.method.value
+        marker = (str(trace.iterations) if trace.status == "converged"
+                  else trace.status)
+        rows.append(f"{method},{_FMT % frac},{_FMT % trace.lam},"
+                    f"{trace.status},{trace.iterations},{marker}\n")
+        ok = ok and trace.status == "converged"
+        _say(quiet, f"{pid} {method} frac={frac:g}: {marker}")
+    with open(os.path.join(out_dir, f"{pid}__sweep.csv"), "w",
+              newline="\n") as fh:
+        fh.writelines(rows)
+    return EXIT_OK if ok else EXIT_NOT_CONVERGED
 
 
 def cmd_certify(cfg, out_dir, quiet=False, seed_override=None):
     """Certificate runs: inequality slacks, Lyapunov descent, lower bounds."""
-    pid, problem, _ = build_problem(cfg, seed_override)
-    if problem.x_star is None and problem.z_star is None:
-        raise GroundTruthError(
-            f"problem {pid} has no ground truth; certificates need an "
-            "affine instance (or a stored reference point)")
-    os.makedirs(out_dir, exist_ok=True)
-    L = problem.B.lipschitz
-
-    ok = True
-    for method in cfg.methods:
-        lam = _resolve_lambda(cfg, method, L)
-        sc = _solver_config(cfg, method, lam, problem.dim)
-        trace = run(problem, sc, record_history=True)
-        stem = _artifact_stem(pid, method, lam)
-        payload = _certify(problem, trace, cfg, out_dir, stem)
-        payload["status"] = trace.status
-        payload["iterations"] = trace.iterations
-        _write_json(os.path.join(out_dir, stem + "__certificate.json"),
-                    payload)
-        good = (payload["lemma_ok"] and payload["descent_ok"]
-                and payload["lower_bound_ok"])
-        ok = ok and good
-        _say(quiet, f"{pid} {method.value}: certificate "
-                    f"{'ok' if good else 'VIOLATED'} "
-                    f"(min slack {payload['min_lemma_slack']:.3e}, "
-                    f"max descent violation "
-                    f"{payload['max_descent_violation']:.3e})")
-    return EXIT_OK if ok else EXIT_NOT_CONVERGED
+    return cmd_run(cfg, out_dir, quiet, seed_override, gates=True)
 
 
 def cmd_flow(cfg, out_dir, quiet=False, seed_override=None):
@@ -498,8 +420,8 @@ def cmd_flow(cfg, out_dir, quiet=False, seed_override=None):
                     cfg.ode["T"], _initial_point(cfg, problem.dim))
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, f"{pid}__{kind}-flow.csv"), "t",
-               flow.times, _series(flow.step_norms, flow.residuals,
-                                   flow.dist_to_xstar))
+               flow.times, step_norm=flow.step_norms,
+               omega_residual=flow.residuals, dist_to_xstar=flow.dist_to_xstar)
     _say(quiet, f"{pid} {kind}-flow: terminal residual "
                 f"{flow.residuals[-1]:.3e}")
     return EXIT_OK
@@ -530,16 +452,13 @@ def main(argv=None):
 
     try:
         cfg = parse_config(text)
-        out_dir = args.out or cfg.out or "."
-        if args.verb == "run":
-            return cmd_run(cfg, out_dir, args.quiet, args.seed_override)
+        rest = (args.out or cfg.out or ".", args.quiet, args.seed_override)
         if args.verb == "sweep":
             grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
-            return cmd_sweep(cfg, grid, out_dir, args.quiet,
-                             args.seed_override)
-        if args.verb == "certify":
-            return cmd_certify(cfg, out_dir, args.quiet, args.seed_override)
-        return cmd_flow(cfg, out_dir, args.quiet, args.seed_override)
+            return cmd_sweep(cfg, grid, *rest)
+        # built per call, so that it reaches patched module globals
+        verbs = {"run": cmd_run, "certify": cmd_certify, "flow": cmd_flow}
+        return verbs[args.verb](cfg, *rest)
     except ConfigError as exc:
         for ln, msg in exc.errors:
             where = f"line {ln}: " if ln else ""

@@ -69,7 +69,8 @@ def max_stepsize(method, L, gamma=None):
     L : float
         Lipschitz constant of the single-valued operator.
     gamma : float, optional
-        Second stepsize; required for (and only for) ``FRDR``.
+        Second stepsize, positive and finite; required for (and only for)
+        ``FRDR``.
 
     Returns
     -------
@@ -81,11 +82,13 @@ def max_stepsize(method, L, gamma=None):
         the sentinel :data:`NOT_GUARANTEED` is returned.
     """
     method = Method(method)
-    if L <= 0:
+    if not L > 0:
         raise SolverError("L must be positive")
     if method is Method.FRDR:
         if gamma is None:
             raise SolverError("FRDR requires gamma")
+        if not 0.0 < gamma < math.inf:
+            raise SolverError("gamma must be positive and finite")
         return gamma / (1.0 + 2.0 * L * gamma)
     if gamma is not None:
         raise SolverError(f"gamma is only meaningful for FRDR, not {method.value}")
@@ -118,7 +121,7 @@ class SolverConfig:
             raise SolverError("lam must be positive and finite")
         if self.max_iters < 1:
             raise SolverError("max_iters must be a positive integer")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise SolverError("tol must be positive")
         self.z0 = as_vector(self.z0, name="z0")
         if self.method is Method.FRDR:

@@ -248,6 +248,25 @@ def test_run_threaded_matches_serial(tmp_path, monkeypatch):
             (tmp_path / "threaded" / f).read_bytes()
 
 
+@pytest.mark.parametrize("verb, extra", [
+    ("sweep", ["--grid", "0.3,0.5,0.9"]), ("certify", [])])
+def test_sweep_and_certify_threaded_match_serial(tmp_path, monkeypatch, verb,
+                                                 extra):
+    cfg = write(tmp_path, "exp.cfg",
+                AFFINE_CFG.replace("methods = BFoRB",
+                                   "methods = BFoRB, BRFoB"))
+    out1, out2 = tmp_path / "serial", tmp_path / "threaded"
+    assert main([verb, "--config", cfg, "--out", str(out1), "--quiet",
+                 *extra]) == EXIT_OK
+    monkeypatch.setenv("SPLITKIT_THREADS", "3")
+    assert main([verb, "--config", cfg, "--out", str(out2), "--quiet",
+                 *extra]) == EXIT_OK
+    files = sorted(os.listdir(out1))
+    assert files == sorted(os.listdir(out2)) and files
+    for f in files:
+        assert (out1 / f).read_bytes() == (out2 / f).read_bytes()
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
 def test_run_bad_threads_value_exits_1(tmp_path, monkeypatch, capsys, value):
     cfg = write(tmp_path, "exp.cfg", AFFINE_CFG)
@@ -467,6 +486,37 @@ def test_flow_csv_matches_rowwise_computation(tmp_path, problem_kind, kind):
         A=ZeroOperator(problem.dim), B=problem.B, C=problem.C)
     assert flow.residuals[-1] == omega_residual(res_problem, 0.1,
                                                 flow.terminal)
+
+
+FRDR_CFG = AFFINE_CFG.replace("methods = BFoRB", "methods = FRDR")
+FB_CFG = AFFINE_CFG.replace("methods = BFoRB", "methods = FB") \
+                   .replace("lambda_fraction = 0.9", "lambda = 0.1")
+
+
+@pytest.mark.parametrize("verb, text, extra", [
+    ("run", AFFINE_CFG.replace("lambda_fraction = 0.9", "lambda = nan"), []),
+    ("certify", AFFINE_CFG.replace("lambda_fraction = 0.9", "lambda = nan"),
+     []),
+    ("run", AFFINE_CFG.replace("lambda_fraction = 0.9",
+                               "lambda_fraction = inf"), []),
+    ("run", FRDR_CFG + "gamma = nan\n", []),
+    ("run", AFFINE_CFG.replace("tol = 1e-10", "tol = nan"), []),
+    ("sweep", AFFINE_CFG, ["--grid", "nan"]),
+    ("sweep", FB_CFG, ["--grid", "0.5"]),
+    ("run", SADDLE_CFG + "certify = true\n", []),
+], ids=["lambda-nan", "certify-lambda-nan", "fraction-inf", "frdr-gamma-nan",
+        "tol-nan", "sweep-grid-nan", "sweep-fb", "saddle-certify-true"])
+def test_rejected_value_exits_1_without_output(tmp_path, capsys, verb, text,
+                                               extra):
+    # every value is checked before --out is created, so a verb that
+    # exits 1 leaves no directory behind, empty or partly written
+    out = tmp_path / "o"
+    assert main([verb, "--config", write(tmp_path, "exp.cfg", text),
+                 "--out", str(out), "--quiet", *extra]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(("error: ", "config error: ")), \
+        err
+    assert not out.exists()
 
 
 def test_benchmark_tracer_patches_existing_names(monkeypatch):

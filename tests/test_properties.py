@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 from splitkit import (AffineOperator, ProblemTriple, SolverConfig,
                       ZeroOperator, certify_trace, make_affine_instance,
                       max_stepsize, reference_point, run)
+from splitkit.cli import ConfigError, ExperimentConfig, parse_config
 
 PROPERTY = settings(max_examples=50, deadline=None)
 
@@ -72,3 +73,53 @@ def test_lemma_slacks_nonnegative_at_any_stepsize(dim, seed, skew, frac,
     # hypotheses start to hold only after them (a run that diverges sooner
     # has nothing to check)
     assert np.all(report.lemma_slacks[report.warmup:] >= -1e-9 * (1.0 + scale))
+
+
+_SECTIONS = ["problem", "run", "ode", "rust", ""]
+_KEYS = ["kind", "dim", "seed", "skew_fraction", "m", "n", "alpha", "radius",
+         "path", "methods", "lambda", "lambda_fraction", "gamma", "h",
+         "max_iters", "tol", "certify", "out", "z0", "h_ode", "T", "flow",
+         "frobnicate", ""]
+_VALUES = ["nan", "inf", "-inf", "1e400", "-1e400", "", "abc", "0", "-1", "1",
+           "0.5", "1.5", "10", "1e5", "true", "maybe", "affine", "saddle",
+           "file", "cube", "BFoRB, BRFoB", "FRDR", "FB", "Bforb", "ones",
+           "zeros", "dr", "ppa", "0x10", "1_0", "# comment"]
+
+
+_VALID = ["[problem]", "kind = affine", "dim = 4", "seed = 1", "[run]",
+          "methods = BFoRB", "lambda_fraction = 0.9", "[ode]", "lambda = 0.1",
+          "h_ode = 0.1", "T = 1"]
+
+
+@st.composite
+def config_text(draw):
+    """A valid config with up to 8 lines replaced, inserted or deleted;
+    new lines use known and unknown sections, keys and values."""
+    junk = st.text(max_size=8)
+    line = st.one_of(
+        st.builds("[{}]".format, st.sampled_from(_SECTIONS) | junk),
+        st.builds("{} = {}".format, st.sampled_from(_KEYS) | junk,
+                  st.sampled_from(_VALUES) | junk),
+        junk)
+    lines = list(_VALID)
+    for _ in range(draw(st.integers(0, 8))):
+        i = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "insert" or i == len(lines):
+            lines.insert(i, draw(line))
+        elif edit == "replace":
+            lines[i] = draw(line)
+        else:
+            del lines[i]
+    return "\n".join(lines)
+
+
+@PROPERTY
+@given(config_text())
+def test_parse_config_raises_only_config_error(text):
+    try:
+        cfg = parse_config(text)
+    except ConfigError as exc:
+        assert exc.errors
+    else:
+        assert isinstance(cfg, ExperimentConfig)

@@ -61,6 +61,11 @@ def test_max_stepsize_errors():
         max_stepsize("BFoRB", 1.0, gamma=2.0)
     with pytest.raises(SolverError):
         max_stepsize("BFoRB", 0.0)
+    with pytest.raises(SolverError):
+        max_stepsize("BFoRB", float("nan"))
+    for gamma in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(SolverError, match="gamma"):
+            max_stepsize("FRDR", 1.0, gamma=gamma)
 
 
 # ------------------------------------------------------------ single steps
@@ -472,6 +477,8 @@ def test_config_validation():
         SolverConfig(method="FB", lam=0.1, z0=[1.0], y_init=([1.0], [1.0]))
     with pytest.raises(SolverError):
         SolverConfig(method="BFoRB", lam=-0.1, z0=[1.0])
+    with pytest.raises(SolverError, match="tol"):
+        SolverConfig(method="BFoRB", lam=0.1, z0=[1.0], tol=float("nan"))
     cfg = SolverConfig(method="FoRB", lam=0.1, z0=[1.0],
                        y_init=([2.0], [0.5]))
     with pytest.raises(SolverError):
