@@ -9,7 +9,6 @@ re-running a config byte-reproduces them.
 """
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -215,7 +214,11 @@ def parse_config(text):
 def build_problem(cfg, seed_override=None):
     """Instantiate the configured problem; returns (problem_id, triple, inst)."""
     kind, p = cfg.problem_kind, dict(cfg.problem_params)
-    if seed_override is not None and "seed" in p:
+    if seed_override is not None:
+        if kind == "file":
+            raise ConfigError([(None, "--seed-override does not apply to "
+                                      "kind = file: an instance file has no "
+                                      "seed to override")])
         p["seed"] = seed_override
     if kind == "file":
         inst = load_instance(p["path"])
@@ -299,19 +302,6 @@ def _certify(problem, trace, cfg, stem):
     return s
 
 
-def _threads():
-    """Worker count from ``SPLITKIT_THREADS`` (default 1)."""
-    raw = os.environ.get("SPLITKIT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ConfigError([(None, "SPLITKIT_THREADS must be a positive "
-                                  f"integer, got {raw!r}")])
-    return n
-
-
 def _say(quiet, msg):
     if not quiet:
         print(msg)
@@ -319,9 +309,8 @@ def _say(quiet, msg):
 
 def _solve(cfg, out_dir, seed_override, jobs, certificates=False):
     """Validate every ``(method, lam)`` job of ``jobs(L)``, then create
-    ``out_dir`` and run them; returns ``(pid, problem, traces)``, the
-    traces in job order (run as they are read when serial)."""
-    workers = _threads()
+    ``out_dir``; returns ``(pid, problem, traces)``, the traces in job
+    order, each run as it is read."""
     pid, problem, _ = build_problem(cfg, seed_override)
     if certificates and problem.x_star is None and problem.z_star is None:
         raise GroundTruthError(
@@ -330,14 +319,8 @@ def _solve(cfg, out_dir, seed_override, jobs, certificates=False):
     configs = [_solver_config(cfg, m, lam, problem.dim)
                for m, lam in jobs(problem.B.lipschitz)]
     os.makedirs(out_dir, exist_ok=True)
-
-    def one(sc):
-        return run(problem, sc, record_history=certificates)
-
-    if workers > 1 and len(configs) > 1:
-        with concurrent.futures.ThreadPoolExecutor(workers) as ex:
-            return pid, problem, list(ex.map(one, configs))
-    return pid, problem, map(one, configs)
+    return pid, problem, (run(problem, sc, record_history=certificates)
+                          for sc in configs)
 
 
 def cmd_run(cfg, out_dir, quiet=False, seed_override=None, gates=False):

@@ -177,9 +177,14 @@ def _euler(problem, lam, h_ode, T, v0, inner_tol, kind):
     if dr:
         A.prepare(lam)
     n = int(round(T / h_ode))
-    states = np.empty((n + 1, v0.shape[0]))
-    step_norms, residuals = np.zeros(n + 1), np.empty(n + 1)
-    dists = None if x_star is None else np.empty(n + 1)
+    try:
+        states = np.empty((n + 1, v0.shape[0]))
+        step_norms, residuals = np.zeros(n + 1), np.empty(n + 1)
+        dists = None if x_star is None else np.empty(n + 1)
+    except (ValueError, MemoryError):
+        raise OperatorError(
+            f"T = {T:g} with h_ode = {h_ode:g} gives {T / h_ode:.3g} Euler "
+            "steps, too many states to store") from None
     states[0] = v = v0
     # math.sqrt(d @ d) has the bits of np.linalg.norm: sqrt(d.dot(d)).
     for j in range(n + 1):

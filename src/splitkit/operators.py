@@ -6,8 +6,12 @@ standard inner product.  An operator advertises two capabilities:
 * ``has_forward``  -- pointwise evaluation ``F(v)`` (single-valued operators),
 * ``has_resolvent`` -- evaluation of ``(I + lam*T)^{-1}(v)`` for ``lam > 0``.
 
-Operators are immutable after construction and all oracle evaluations are
-pure functions, so instances can be shared freely across concurrent runs.
+An operator's data does not change after construction, and each oracle
+returns a pure function of its arguments.  Affine and bilinear operators
+do hold mutable state: a cache of LU resp. Cholesky factors per stepsize,
+filled on first use, and scipy's ``getrs`` wrapper shifts the cached LU
+pivots in place (to 1-based and back) during every solve.  So one problem
+must not be used by two threads at once; give each thread its own.
 
 Oracle contract: the methods ``forward``, ``resolve`` and ``prepare`` are
 the trusted inner oracles of the solvers.  They assume a finite 1-D float64

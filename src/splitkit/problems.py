@@ -257,80 +257,95 @@ def save_instance(inst, path):
 
 
 class _Reader:
-    def __init__(self, lines):
-        self.lines = lines
+    """Cursor over the lines of an instance file; errors name the line."""
+
+    def __init__(self, path):
+        with open(path) as fh:
+            self.lines = fh.read().splitlines()
+        self.path = path
         self.pos = 0
 
-    def next(self):
-        if self.pos >= len(self.lines):
-            raise OperatorError("unexpected end of instance file")
-        line = self.lines[self.pos]
+    def error(self, msg):
+        return OperatorError(f"{self.path}, line {self.pos}: {msg}")
+
+    def words(self, head, count):
+        """The ``count`` words after the words ``head`` on the next line."""
         self.pos += 1
-        return line
+        if self.pos > len(self.lines):
+            raise self.error("unexpected end of instance file")
+        words = self.lines[self.pos - 1].split()
+        if words[:len(head)] != head or len(words) != len(head) + count:
+            want = [repr(" ".join(head))] * bool(head)
+            want += [f"{count} value(s)"] * bool(count)
+            raise self.error("expected " + " then ".join(want))
+        return words[len(head):]
 
-    def scalar(self, key, conv=float):
-        parts = self.next().split()
-        if len(parts) != 2 or parts[0] != key:
-            raise OperatorError(f"expected '{key} <value>' at line {self.pos}")
-        return conv(parts[1])
+    def floats(self, head, count):
+        try:
+            values = np.array(self.words(head, count), dtype=float)
+        except ValueError:
+            raise self.error("entries must be numbers") from None
+        if not np.isfinite(values).all():
+            raise self.error("entries must be finite")
+        return values
 
-    def matrix(self, name):
-        head = self.next().split()
-        if head[:2] != ["matrix", name]:
-            raise OperatorError(f"expected matrix {name} at line {self.pos}")
-        rows, cols = int(head[2]), int(head[3])
-        M = np.empty((rows, cols))
-        for i in range(rows):
-            row = np.array(self.next().split(), dtype=float)
-            if row.shape[0] != cols:
-                raise OperatorError(f"bad row length in matrix {name}")
-            M[i] = row
-        return M
+    def scalar(self, key):
+        return float(self.floats([key], 1)[0])
 
-    def vector(self, name):
-        head = self.next().split()
-        if head[:2] != ["vector", name]:
-            raise OperatorError(f"expected vector {name} at line {self.pos}")
-        v = np.array(self.next().split(), dtype=float)
-        if v.shape[0] != int(head[2]):
-            raise OperatorError(f"bad length in vector {name}")
-        return v
+    def integer(self, key, least):
+        word, = self.words([key], 1)
+        try:
+            value = int(word)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise self.error(f"{key} must be an integer >= {least}")
+        return value
+
+    def matrix(self, name, rows, cols):
+        self.words(["matrix", name, str(rows), str(cols)], 0)
+        return np.array([self.floats([], cols) for _ in range(rows)])
+
+    def vector(self, name, length):
+        self.words(["vector", name, str(length)], 0)
+        return self.floats([], length)
 
 
 def load_instance(path):
-    """Read back an instance written by :func:`save_instance`."""
-    with open(path) as fh:
-        rd = _Reader(fh.read().splitlines())
-    if rd.next() != "splitkit-instance v1":
-        raise OperatorError(f"{path} is not a splitkit instance file")
-    kind = rd.next().split()
-    if kind[0] != "kind":
-        raise OperatorError("missing kind line")
-    if kind[1] == "affine":
-        dim = rd.scalar("dim", int)
-        seed = rd.scalar("seed", int)
+    """Read back an instance written by :func:`save_instance`.
+
+    Raises
+    ------
+    OperatorError
+        Naming the line, if the file is malformed: a short or unknown line,
+        an array whose size disagrees with the header, or an entry that is
+        not a finite number.
+    """
+    rd = _Reader(path)
+    rd.words(["splitkit-instance", "v1"], 0)
+    kind, = rd.words(["kind"], 1)
+    if kind == "affine":
+        dim = rd.integer("dim", 1)
+        seed = rd.integer("seed", 0)
         skew = rd.scalar("skew_fraction")
         shift = rd.scalar("shift")
-        M_A = rd.matrix("M_A")
-        M_B = rd.matrix("M_B")
-        M_C = rd.matrix("M_C")
-        b_A = rd.vector("b_A")
-        b_B = rd.vector("b_B")
-        b_C = rd.vector("b_C")
-        x_star = rd.vector("x_star")
+        M_A, M_B, M_C = (rd.matrix(name, dim, dim)
+                         for name in ("M_A", "M_B", "M_C"))
+        b_A, b_B, b_C, x_star = (rd.vector(name, dim)
+                                 for name in ("b_A", "b_B", "b_C", "x_star"))
         return AffineInstance(
             M_A=M_A, M_B=M_B, M_C=M_C, b_A=b_A, b_B=b_B, b_C=b_C,
             L=float(np.linalg.norm(M_B, 2)), x_star=x_star, seed=seed,
             dim=dim, skew_fraction=skew, shift=shift)
-    if kind[1] == "saddle":
-        m = rd.scalar("m", int)
-        n = rd.scalar("n", int)
-        seed = rd.scalar("seed", int)
+    if kind == "saddle":
+        m = rd.integer("m", 1)
+        n = rd.integer("n", 1)
+        seed = rd.integer("seed", 0)
         alpha = rd.scalar("alpha")
         radius = rd.scalar("radius")
-        K = rd.matrix("K")
-        c = rd.vector("c")
+        K = rd.matrix("K", m, n)
+        c = rd.vector("c", m)
         return SaddleInstance(K=K, c=c, alpha=alpha, radius=radius,
                               m=m, n=n, seed=seed,
                               L=operator_norm(K, tol=1e-8))
-    raise OperatorError(f"unknown instance kind {kind[1]!r}")
+    raise rd.error(f"unknown instance kind {kind!r}")

@@ -16,8 +16,10 @@ and DR, which differ only in the forward term (DR is the template with
 ``F = 0``); :func:`_two_op` runs FB, FoRB and RFoB, which ignore ``A`` and
 iterate ``x_k`` directly; :func:`_frdr` runs FRDR.  :func:`run` consumes
 the records and owns the stopping rule, the divergence test, the residual
-and the history.  A run never mutates the problem's data, so runs may
-proceed concurrently.
+and the history.  A run never changes the problem's data, but it fills the
+factor caches of affine and bilinear operators (see
+:mod:`splitkit.operators`), so one problem must not be used by two threads
+at once.
 """
 
 import enum
@@ -352,7 +354,6 @@ def run(problem, config, record_history=False):
     kept so certificates can be evaluated afterwards; the hot loop itself
     performs exactly the oracle calls of the method plus this bookkeeping.
     """
-    config = config if isinstance(config, SolverConfig) else SolverConfig(**config)
     method, lam = config.method, config.lam
     if config.z0.shape[0] != problem.dim:
         raise SolverError(

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -235,30 +236,24 @@ def test_run_byte_identical_reruns(tmp_path):
         assert b1 == b2, f
 
 
-def test_run_threaded_matches_serial(tmp_path, monkeypatch):
-    cfg = write(tmp_path, "exp.cfg",
-                AFFINE_CFG.replace("methods = BFoRB",
-                                   "methods = BFoRB, BRFoB, FoRB"))
-    out1, out2 = str(tmp_path / "serial"), str(tmp_path / "threaded")
-    main(["run", "--config", cfg, "--out", out1, "--quiet"])
-    monkeypatch.setenv("SPLITKIT_THREADS", "3")
-    main(["run", "--config", cfg, "--out", out2, "--quiet"])
-    for f in sorted(os.listdir(out1)):
-        assert (tmp_path / "serial" / f).read_bytes() == \
-            (tmp_path / "threaded" / f).read_bytes()
-
-
 @pytest.mark.parametrize("verb, extra", [
-    ("sweep", ["--grid", "0.3,0.5,0.9"]), ("certify", [])])
-def test_sweep_and_certify_threaded_match_serial(tmp_path, monkeypatch, verb,
-                                                 extra):
+    ("run", []), ("sweep", ["--grid", "0.3,0.5,0.9"]), ("certify", [])])
+def test_verbs_run_serially_whatever_splitkit_threads(tmp_path, monkeypatch,
+                                                      verb, extra):
+    # jobs share one problem, whose factor caches are not thread-safe, so
+    # no verb starts a thread, and SPLITKIT_THREADS changes nothing
     cfg = write(tmp_path, "exp.cfg",
                 AFFINE_CFG.replace("methods = BFoRB",
                                    "methods = BFoRB, BRFoB"))
-    out1, out2 = tmp_path / "serial", tmp_path / "threaded"
+    out1, out2 = tmp_path / "plain", tmp_path / "with-threads-var"
     assert main([verb, "--config", cfg, "--out", str(out1), "--quiet",
                  *extra]) == EXIT_OK
+
+    def no_threads(self):
+        raise AssertionError("a verb started a thread")
+
     monkeypatch.setenv("SPLITKIT_THREADS", "3")
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
     assert main([verb, "--config", cfg, "--out", str(out2), "--quiet",
                  *extra]) == EXIT_OK
     files = sorted(os.listdir(out1))
@@ -267,23 +262,66 @@ def test_sweep_and_certify_threaded_match_serial(tmp_path, monkeypatch, verb,
         assert (out1 / f).read_bytes() == (out2 / f).read_bytes()
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
-def test_run_bad_threads_value_exits_1(tmp_path, monkeypatch, capsys, value):
-    cfg = write(tmp_path, "exp.cfg", AFFINE_CFG)
-    monkeypatch.setenv("SPLITKIT_THREADS", value)
-    out = tmp_path / "o"
-    assert main(["run", "--config", cfg, "--out", str(out),
-                 "--quiet"]) == EXIT_CONFIG
-    assert "SPLITKIT_THREADS" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_run_seed_override_changes_artifacts(tmp_path):
     cfg = write(tmp_path, "exp.cfg", AFFINE_CFG)
     out = str(tmp_path / "o")
     main(["run", "--config", cfg, "--out", out, "--quiet",
           "--seed-override", "5"])
     assert any("affine-d10-s5" in f for f in os.listdir(out))
+
+
+def _file_config(tmp_path, corrupt=None):
+    """A ``kind = file`` config over a saved affine d=4 instance, with
+    ``corrupt(lines)`` applied to the file's lines."""
+    path = tmp_path / "inst4.inst"
+    save_instance(make_affine_instance(4, 1, 0.8), path)
+    if corrupt is not None:
+        lines = path.read_text().splitlines()
+        corrupt(lines)
+        path.write_text("\n".join(lines) + "\n")
+    return write(tmp_path, "exp.cfg", f"""\
+[problem]
+kind = file
+path = {path}
+
+[run]
+methods = BFoRB
+lambda_fraction = 0.9
+
+[ode]
+lambda = 0.1
+h_ode = 0.1
+T = 2.0
+""")
+
+
+@pytest.mark.parametrize("verb, extra", [
+    ("run", []), ("sweep", ["--grid", "0.5"]), ("certify", []),
+    ("flow", [])])
+def test_seed_override_on_file_problem_exits_1(tmp_path, capsys, verb,
+                                               extra):
+    # an instance file has no seed, so an override could not be applied
+    out = tmp_path / "o"
+    assert main([verb, "--config", _file_config(tmp_path), "--out",
+                 str(out), "--quiet", "--seed-override", "7",
+                 *extra]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
+    assert "--seed-override" in err[0] and "kind = file" in err[0]
+    assert not out.exists()
+
+
+def test_run_malformed_instance_file_exits_1(tmp_path, capsys):
+    def short_header(lines):
+        lines[10] = "matrix M_B 4"
+
+    out = tmp_path / "o"
+    assert main(["run", "--config", _file_config(tmp_path, short_header),
+                 "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "line 11" in err[0]
+    assert not out.exists()
 
 
 # --------------------------------------------------------------- sweep verb
@@ -416,9 +454,9 @@ def test_flow_requires_ode_block(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("T", "inf"), ("T", "nan"), ("T", "0"), ("lambda", "nan"),
-    ("lambda", "inf"), ("lambda", "-0.1"), ("h_ode", "nan"),
-    ("h_ode", "1.5")])
+    ("T", "inf"), ("T", "nan"), ("T", "0"), ("T", "1e300"),
+    ("lambda", "nan"), ("lambda", "inf"), ("lambda", "-0.1"),
+    ("h_ode", "nan"), ("h_ode", "1.5")])
 def test_flow_bad_ode_value_exits_1(tmp_path, capsys, key, value):
     ode = {"lambda": "0.1", "h_ode": "0.1", "T": "2.0", key: value}
     cfg = write(tmp_path, "exp.cfg", AFFINE_CFG + "\n[ode]\n" + "".join(
@@ -428,6 +466,8 @@ def test_flow_bad_ode_value_exits_1(tmp_path, capsys, key, value):
                  "--quiet"]) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+    # the message names the offending value (the simulators call it lam)
+    assert {"lambda": "lam"}.get(key, key) in err[0], err
     assert not out.exists()
 
 

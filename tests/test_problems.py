@@ -226,3 +226,45 @@ def test_load_rejects_garbage(tmp_path):
     path.write_text("not an instance\n")
     with pytest.raises(OperatorError):
         load_instance(path)
+
+
+def _corrupt(tmp_path, inst, lineno, text):
+    """``inst`` saved, then line ``lineno`` replaced by ``text`` (deleted,
+    with everything after it, when ``text`` is None)."""
+    path = tmp_path / "inst.txt"
+    save_instance(inst, path)
+    lines = path.read_text().splitlines()
+    lines[lineno - 1:] = [] if text is None else [text, *lines[lineno:]]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+# Affine d=3: header on lines 1-6, M_A/M_B/M_C headers on 7/11/15, vector
+# headers on 19/21/23/25.  Saddle 2x3: header on 1-7, K on 8, c on 11.
+@pytest.mark.parametrize("kind, lineno, text, named", [
+    ("affine", 11, "matrix M_B 3", 11),          # short matrix header
+    ("affine", 19, "vector b_A", 19),            # short vector header
+    ("affine", 2, "kind", 2),                    # bare kind line
+    ("affine", 2, "kind cube", 2),               # unknown kind
+    ("affine", 3, "dim 5", 7),                   # header disagrees with arrays
+    ("affine", 3, "dim 0", 3),
+    ("affine", 4, "seed x", 4),
+    ("affine", 9, "1 2", 9),                     # short row
+    ("affine", 12, "foo 1 2", 12),               # non-numeric entry
+    ("affine", 16, "nan 1 2", 16),               # non-finite entries
+    ("affine", 20, "1 inf 2", 20),
+    ("affine", 5, "skew_fraction nan", 5),
+    ("affine", 14, None, 14),                    # truncated file
+    ("saddle", 3, "m 7", 8),
+    ("saddle", 4, "n 2", 8),
+    ("saddle", 8, "matrix K 2", 8),
+    ("saddle", 10, "1 2 bar", 10),
+    ("saddle", 12, "-inf 0", 12),
+    ("saddle", 7, "radius", 7),
+], ids=lambda v: str(v).replace(" ", "_"))
+def test_load_malformed_file_names_the_line(tmp_path, kind, lineno, text,
+                                            named):
+    inst = (make_affine_instance(3, 4, 0.8) if kind == "affine"
+            else make_saddle_instance(2, 3, 5, 0.25, 1.0))
+    with pytest.raises(OperatorError, match=rf", line {named}: "):
+        load_instance(_corrupt(tmp_path, inst, lineno, text))

@@ -1,13 +1,16 @@
 """Property tests over random monotone instances (d <= 8)."""
 
+import dataclasses
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from splitkit import (AffineOperator, ProblemTriple, SolverConfig,
-                      ZeroOperator, certify_trace, make_affine_instance,
-                      max_stepsize, reference_point, run)
+                      ZeroOperator, certify_trace, load_instance,
+                      make_affine_instance, make_saddle_instance,
+                      max_stepsize, reference_point, run, save_instance)
 from splitkit.cli import ConfigError, ExperimentConfig, parse_config
 
 PROPERTY = settings(max_examples=50, deadline=None)
@@ -73,6 +76,34 @@ def test_lemma_slacks_nonnegative_at_any_stepsize(dim, seed, skew, frac,
     # hypotheses start to hold only after them (a run that diverges sooner
     # has nothing to check)
     assert np.all(report.lemma_slacks[report.warmup:] >= -1e-9 * (1.0 + scale))
+
+
+instances = st.one_of(
+    st.builds(make_affine_instance, dim=st.integers(1, 8),
+              seed=st.integers(min_value=0),
+              skew_fraction=st.floats(0.0, 1.0)),
+    st.builds(make_saddle_instance, m=st.integers(1, 6), n=st.integers(1, 6),
+              seed=st.integers(min_value=0), alpha=st.floats(0.0, 1e6),
+              radius=st.floats(0.0, 1e6, exclude_min=True)))
+
+
+@PROPERTY
+@given(instances)
+def test_instance_file_round_trips(tmp_path_factory, inst):
+    # every array and scalar comes back unchanged, and saving what was
+    # loaded writes the same bytes
+    path = tmp_path_factory.mktemp("inst") / "inst.txt"
+    save_instance(inst, path)
+    back = load_instance(path)
+    for f in dataclasses.fields(inst):
+        a, b = getattr(inst, f.name), getattr(back, f.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+    again = path.with_name("again.txt")
+    save_instance(back, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 _SECTIONS = ["problem", "run", "ode", "rust", ""]
