@@ -60,15 +60,16 @@ def omega_residual(problem, lam, z, x=None):
     z = as_vector(z, problem.dim, "z")
     if x is None:
         x = problem.A.resolve(lam, z)
-    return _residual(problem, lam, z, x)
+    return _residual(problem.C.prepare(lam), problem.B.forward, lam, z, x)
 
 
-def _residual(problem, lam, z, x):
-    """:func:`omega_residual` on checked inputs, with ``x = J_{lam*A}(z)``.
+def _residual(C_res, B_fwd, lam, z, x):
+    """:func:`omega_residual` on checked inputs, with ``x = J_{lam*A}(z)``
+    and ``C_res = J_{lam*C}`` prepared by the caller.
 
     ``math.sqrt(r @ r)`` has the bits of ``np.linalg.norm(r)``.
     """
-    r = problem.C.resolve(lam, 2.0 * x - z - lam * problem.B.forward(x)) - x
+    r = C_res(2.0 * x - z - lam * B_fwd(x)) - x
     return math.sqrt(r @ r)
 
 
@@ -103,6 +104,7 @@ def reference_point(problem, lam):
     if lam <= 0:
         raise CertificateError("lam must be positive")
     A, B, C = problem.A, problem.B, problem.C
+    A_res = A.prepare(lam)
     if problem.x_star is not None and A.has_forward:
         x = problem.x_star
         z = x + lam * A.forward(x)
@@ -111,12 +113,12 @@ def reference_point(problem, lam):
             raise GroundTruthError(
                 f"stored z_star is for lam={problem.lam_ref}, requested {lam}")
         z = problem.z_star
-        x = A.resolve(lam, z)
+        x = A_res(z)
     else:
         raise GroundTruthError(
             "problem has neither x_star (with single-valued A) nor z_star")
 
-    xr = A.resolve(lam, z)
+    xr = A_res(z)
     if np.linalg.norm(xr - x) > 1e-10 * (1.0 + np.linalg.norm(x)):
         raise CertificateError("reference point fails x = J_{lam*A}(z)")
     b_x = B.forward(x)

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Unused here; kept because perfbench/bench_trace.py patches it in this module.
-from .certificates import (CertificateError, GroundTruthError, certify_trace,
-                           omega_residual)  # noqa: F401
+# omega_residual is unused here; kept because perfbench/bench_trace.py
+# patches it in this module.
+from .certificates import (CertificateError, certify_trace,  # noqa: F401
+                           omega_residual, reference_point)
 from .dynamics import simulate_dr_flow, simulate_ppa
 from .operators import OperatorError
 from .problems import (load_instance, make_affine_instance,
@@ -52,7 +53,7 @@ class ExperimentConfig:
     problem_kind: str
     problem_params: dict
     methods: list
-    lam_policy: str            # "absolute" or "fraction"
+    lam_policy: str            # "absolute", "fraction", or None if unset
     lam_value: float
     gamma: float = None
     h: float = 1.0
@@ -92,6 +93,8 @@ _SCHEMA = {
 
 #: Methods for which a stepsize fraction is meaningful.
 _BOUNDED = {Method.BFORB, Method.BRFOB, Method.FORB, Method.FRDR}
+
+_ONE_LAMBDA = "exactly one of 'lambda' and 'lambda_fraction' required"
 
 
 def _parse_sections(text, errors):
@@ -145,7 +148,9 @@ def _convert(section, table, where, errors):
 def parse_config(text):
     """Parse and validate config text; raises :class:`ConfigError` on failure.
 
-    ``max_iters`` and ``tol`` are checked by ``SolverConfig``.
+    ``max_iters`` and ``tol`` are checked by ``SolverConfig``.  ``lambda``
+    and ``lambda_fraction`` exclude each other; ``run`` and ``certify``
+    require one of them.
     """
     errors = []
     sections = _parse_sections(text, errors)
@@ -174,11 +179,10 @@ def parse_config(text):
     methods = [Method(token) for token in tokens if token in known]
 
     lam = {key: fields.pop(key) for key in ("lambda", "lambda_fraction")}
-    if ("lambda" in line) == ("lambda_fraction" in line):
-        errors.append((None,
-                       "exactly one of 'lambda' and 'lambda_fraction' required"))
-    key = "lambda" if "lambda" in line else "lambda_fraction"
-    if lam[key] is not None and not 0.0 < lam[key] < math.inf:
+    if "lambda" in line and "lambda_fraction" in line:
+        errors.append((None, _ONE_LAMBDA))
+    key = next((key for key in lam if key in line), None)
+    if lam.get(key) is not None and not 0.0 < lam[key] < math.inf:
         errors.append((line.get(key),
                        "the stepsize value must be positive and finite"))
     if key == "lambda_fraction":
@@ -203,12 +207,20 @@ def parse_config(text):
         if ode["flow"] not in ("dr", "ppa"):
             errors.append((sections["ode"].get("flow", (None, None))[1],
                            "flow must be 'dr' or 'ppa'"))
+        for name, top, what in (("lambda", math.inf, "be positive and finite"),
+                                ("h_ode", 1.0, "lie in (0, 1]"),
+                                ("T", math.inf, "be positive and finite")):
+            value = ode[name]
+            if value is not None and (not 0.0 < value <= top
+                                      or value == math.inf):
+                errors.append((sections["ode"][name][1],
+                               f"[ode] {name} must {what}"))
 
     if errors:
         raise ConfigError(errors)
-    policy = "absolute" if key == "lambda" else "fraction"
-    return ExperimentConfig(kind, params, methods, policy, lam[key], ode=ode,
-                            **fields)
+    policy = {"lambda": "absolute", "lambda_fraction": "fraction"}.get(key)
+    return ExperimentConfig(kind, params, methods, policy, lam.get(key),
+                            ode=ode, **fields)
 
 
 def build_problem(cfg, seed_override=None):
@@ -308,16 +320,15 @@ def _say(quiet, msg):
 
 
 def _solve(cfg, out_dir, seed_override, jobs, certificates=False):
-    """Validate every ``(method, lam)`` job of ``jobs(L)``, then create
-    ``out_dir``; returns ``(pid, problem, traces)``, the traces in job
-    order, each run as it is read."""
+    """Validate every ``(method, lam)`` job of ``jobs(L)`` (with
+    ``certificates``, also its reference point), then create ``out_dir``;
+    returns ``(pid, problem, traces)``, the traces in job order, each run
+    as it is read."""
     pid, problem, _ = build_problem(cfg, seed_override)
-    if certificates and problem.x_star is None and problem.z_star is None:
-        raise GroundTruthError(
-            f"problem {pid} has no ground truth; certificates need an "
-            "affine instance (or a stored reference point)")
     configs = [_solver_config(cfg, m, lam, problem.dim)
                for m, lam in jobs(problem.B.lipschitz)]
+    for sc in configs if certificates else ():
+        reference_point(problem, sc.lam)
     os.makedirs(out_dir, exist_ok=True)
     return pid, problem, (run(problem, sc, record_history=certificates)
                           for sc in configs)
@@ -327,6 +338,8 @@ def cmd_run(cfg, out_dir, quiet=False, seed_override=None, gates=False):
     """Run every configured method; write traces, summaries, certificates.
     With ``gates`` (certify) write only the certificates; exit 0 if and
     only if every gate holds."""
+    if cfg.lam_policy is None:
+        raise ConfigError([(None, _ONE_LAMBDA)])
     certificates = gates or cfg.certify
     pid, problem, traces = _solve(cfg, out_dir, seed_override, lambda L: [
         (m, cfg.lam_value if cfg.lam_policy == "absolute" else

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import _residual
-from .operators import (AffineOperator, BilinearCoupling, OperatorError,
-                        ZeroOperator, as_vector)
+from .operators import AffineOperator, OperatorError, as_vector
 
 
 class InnerSolveError(OperatorError):
@@ -75,95 +74,66 @@ class FlowTrajectory:
         return self.states[-1]
 
 
-def _linear_parts(op):
-    """(M, b) of an affine-representable operator, or None."""
-    if isinstance(op, ZeroOperator):
-        return np.zeros((op.dim, op.dim)), np.zeros(op.dim)
-    if isinstance(op, AffineOperator):
-        return op.M, op.b
-    if isinstance(op, BilinearCoupling):
-        M = np.zeros((op.dim, op.dim))
-        M[:op.n, op.n:] = op.K.T
-        M[op.n:, :op.n] = -op.K
-        b = np.zeros(op.dim)
-        b[op.n:] = op.c
-        return M, b
-    return None
+def _sum_resolvent(problem, lam, inner_tol=1e-10, max_inner=100000):
+    """The callable ``w -> J_{lam*(B+C)}(w)``, direct where possible.
 
-
-class _SumResolvent:
-    """Evaluator for ``J_{lam*(B+C)}``, direct where possible.
-
-    When both ``B`` and ``C`` are affine-representable it is the resolvent
-    of their affine sum: one solve on cached LU factors.  Otherwise it is
-    computed iteratively with the forward-reflected-backward method applied
-    to the shifted inclusion ``0 in (lam*B + I - w)(u) + lam*C(u)``, whose
-    forward part is strongly monotone with modulus one and Lipschitz with
-    constant ``lam*L + 1``; the iteration needs no cocoercivity and
-    converges linearly.  Stops at fixed-point residual
-    ``|J_{lam*C}(w - lam*B(u)) - u| <= inner_tol``.
+    When both ``B`` and ``C`` have ``affine_parts`` it is the prepared
+    resolvent of their affine sum: one solve on LU factors made here.
+    Otherwise it is computed iteratively with the forward-reflected-backward
+    method applied to the shifted inclusion
+    ``0 in (lam*B + I - w)(u) + lam*C(u)``, whose forward part is strongly
+    monotone with modulus one and Lipschitz with constant ``lam*L + 1``; the
+    iteration needs no cocoercivity and converges linearly.  Stops at
+    fixed-point residual ``|J_{lam*C}(w - lam*B(u)) - u| <= inner_tol``.
     """
+    if not 0.0 < lam < math.inf:
+        raise OperatorError("lam must be positive and finite")
+    pb, pc = problem.B.affine_parts(), problem.C.affine_parts()
+    if pb is not None and pc is not None:
+        return AffineOperator(pb[0] + pc[0], pb[1] + pc[1],
+                              validate=False).prepare(lam)
+    B_fwd = problem.B.forward
+    tau = 0.9 / (2.0 * (lam * (problem.B.lipschitz or 0.0) + 1.0))
+    C_res, C_tau = problem.C.prepare(lam), problem.C.prepare(tau * lam)
 
-    def __init__(self, problem, lam, inner_tol=1e-10, max_inner=100000):
-        if not 0.0 < lam < math.inf:
-            raise OperatorError("lam must be positive and finite")
-        self.problem = problem
-        self.lam = lam
-        self.inner_tol = inner_tol
-        self.max_inner = max_inner
-        pb = _linear_parts(problem.B)
-        pc = _linear_parts(problem.C)
-        if pb is not None and pc is not None:
-            self._sum = AffineOperator(pb[0] + pc[0], pb[1] + pc[1],
-                                       validate=False)
-            self._sum.prepare(lam)
-        else:
-            self._sum = None
-            L = problem.B.lipschitz or 0.0
-            self._tau = 0.9 / (2.0 * (lam * L + 1.0))
-
-    def __call__(self, w):
-        lam = self.lam
-        if self._sum is not None:
-            return self._sum.resolve(lam, w)
-        B, C = self.problem.B, self.problem.C
-        tau = self._tau
-
+    def resolve(w):
         def F(u):
-            return lam * B.forward(u) + u - w
+            return lam * B_fwd(u) + u - w
 
-        u = C.resolve(lam, w)          # exact answer for B = 0
+        u = C_res(w)                   # exact answer for B = 0
         f_prev = F(u)
         f = f_prev
-        for _ in range(self.max_inner):
-            resid = np.linalg.norm(C.resolve(lam, w - lam * B.forward(u)) - u)
-            if resid <= self.inner_tol:
+        for _ in range(max_inner):
+            resid = np.linalg.norm(C_res(w - lam * B_fwd(u)) - u)
+            if resid <= inner_tol:
                 return u
-            u = C.resolve(tau * lam, u - tau * (2.0 * f - f_prev))
+            u = C_tau(u - tau * (2.0 * f - f_prev))
             f_prev, f = f, F(u)
-        resid = float(np.linalg.norm(
-            C.resolve(lam, w - lam * B.forward(u)) - u))
+        resid = float(np.linalg.norm(C_res(w - lam * B_fwd(u)) - u))
         raise InnerSolveError(
             f"inner solver stalled at residual {resid:.3e} "
-            f"(tol {self.inner_tol:g})", residual=resid)
+            f"(tol {inner_tol:g})", residual=resid)
+
+    return resolve
 
 
 def resolvent_sum(problem, lam, w, inner_tol=1e-10, max_inner=100000):
     """Evaluate ``u = J_{lam*(B+C)}(w)``, i.e. ``0 in lam*(B+C)(u) + u - w``.
 
     Affine problems use one direct linear solve; otherwise an inner
-    fixed-point iteration is run to ``inner_tol`` (see :class:`_SumResolvent`).
+    fixed-point iteration is run to ``inner_tol`` (see :func:`_sum_resolvent`).
     """
     w = as_vector(w, problem.dim, "w")
-    return _SumResolvent(problem, lam, inner_tol, max_inner)(w)
+    return _sum_resolvent(problem, lam, inner_tol, max_inner)(w)
 
 
 def _euler(problem, lam, h_ode, T, v0, inner_tol, kind):
     """Explicit Euler on the ``kind`` flow, recording its series per state.
 
     ``x_j = J_{lam*A}(v_j)`` (``v_j`` itself for PPA) is computed once per
-    state and serves both the step and the residual.  States are kept,
-    ``x_j`` is not: at d=50 it would add 8 MB per 20,000 steps.
+    state and serves both the step and the residual; every resolvent is
+    prepared once, before the loop.  States are kept, ``x_j`` is not: at
+    d=50 it would add 8 MB per 20,000 steps.
     """
     dr = kind == "dr"
     v0 = as_vector(v0, problem.dim, "z0" if dr else "x0")
@@ -171,11 +141,10 @@ def _euler(problem, lam, h_ode, T, v0, inner_tol, kind):
         raise OperatorError("h_ode must lie in (0, 1]")
     if not 0.0 < T < math.inf:
         raise OperatorError("T must be positive and finite")
-    rs = _SumResolvent(problem, lam, inner_tol)
-    A = problem.A
+    rs = _sum_resolvent(problem, lam, inner_tol)
+    A_res = problem.A.prepare(lam) if dr else None
+    B_fwd, C_res = problem.B.forward, problem.C.prepare(lam)
     x_star = problem.x_star if dr else None
-    if dr:
-        A.prepare(lam)
     n = int(round(T / h_ode))
     try:
         states = np.empty((n + 1, v0.shape[0]))
@@ -188,8 +157,8 @@ def _euler(problem, lam, h_ode, T, v0, inner_tol, kind):
     states[0] = v = v0
     # math.sqrt(d @ d) has the bits of np.linalg.norm: sqrt(d.dot(d)).
     for j in range(n + 1):
-        x = A.resolve(lam, v) if dr else v
-        residuals[j] = _residual(problem, lam, v, x)
+        x = A_res(v) if dr else v
+        residuals[j] = _residual(C_res, B_fwd, lam, v, x)
         if dists is not None:
             e = x - x_star
             dists[j] = math.sqrt(e @ e)

@@ -6,12 +6,17 @@ standard inner product.  An operator advertises two capabilities:
 * ``has_forward``  -- pointwise evaluation ``F(v)`` (single-valued operators),
 * ``has_resolvent`` -- evaluation of ``(I + lam*T)^{-1}(v)`` for ``lam > 0``.
 
-An operator's data does not change after construction, and each oracle
-returns a pure function of its arguments.  Affine and bilinear operators
-do hold mutable state: a cache of LU resp. Cholesky factors per stepsize,
-filled on first use, and scipy's ``getrs`` wrapper shifts the cached LU
-pivots in place (to 1-based and back) during every solve.  So one problem
-must not be used by two threads at once; give each thread its own.
+Operators hold no mutable state: their data does not change after
+construction (``AffineOperator.lipschitz`` is computed once, on first
+use), and each oracle returns a pure function of its arguments.
+``prepare(lam)`` returns the resolvent at ``lam`` as a one-argument
+callable that the caller owns.  Affine and bilinear operators factor their
+matrix there, once, and the callable closes over the factors; nothing is
+cached on the operator.  So one problem may serve several threads, as long
+as each thread prepares its own callables: scipy's ``getrs`` wrapper
+shifts the LU pivots in place during every solve, so a prepared callable
+belongs to one thread.  :class:`CustomOperator` callables must be
+thread-safe themselves.
 
 Oracle contract: the methods ``forward``, ``resolve`` and ``prepare`` are
 the trusted inner oracles of the solvers.  They assume a finite 1-D float64
@@ -25,13 +30,13 @@ user's callables return.  A non-finite vector raises :class:`NonFiniteError`
 ``"diverged"`` run.
 """
 
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.linalg import cho_factor, get_lapack_funcs, lu_factor
 
 # The LAPACK routines behind scipy.linalg.lu_solve and cho_solve, called
-# directly on cached factors: the scipy wrappers re-check their arguments
+# directly on prepared factors: the scipy wrappers re-check their arguments
 # on every call, which at d=50 costs several times the solve itself.
 _getrs, _potrs = get_lapack_funcs(("getrs", "potrs"), (np.empty((1, 1)),))
 
@@ -211,7 +216,12 @@ class MonotoneOperator:
         raise CapabilityError(f"{self.kind} operator has no resolvent")
 
     def prepare(self, lam):
-        """Populate any factorization cache for stepsize ``lam``."""
+        """The resolvent at ``lam``, a callable ``v -> J_{lam*T}(v)``."""
+        return partial(self.resolve, lam)
+
+    def affine_parts(self):
+        """``(M, b)`` with ``T(v) = M v + b``, or None if T is not affine."""
+        return None
 
     def __repr__(self):
         return f"<{type(self).__name__} kind={self.kind} dim={self.dim}>"
@@ -231,14 +241,17 @@ class ZeroOperator(MonotoneOperator):
     def resolve(self, lam, v):
         return v
 
+    def affine_parts(self):
+        return np.zeros((self.dim, self.dim)), np.zeros(self.dim)
+
 
 class AffineOperator(MonotoneOperator):
     """``F(v) = M v + b`` with positive-semidefinite symmetric part.
 
     Monotonicity is validated eagerly at construction by an eigenvalue test
     on the symmetric part.  Resolvents solve ``(I + lam*M) u = v - lam*b``
-    with a dense LU factorization and ``lam*b`` cached per stepsize (``lam``
-    is constant within a run, so each factorization happens once).
+    with a dense LU factorization; ``prepare(lam)`` factors once (``lam``
+    is constant within a run) and ``resolve`` prepares on every call.
     """
 
     kind = "affine"
@@ -259,7 +272,6 @@ class AffineOperator(MonotoneOperator):
             if lo < -MONOTONE_EIG_TOL * scale:
                 raise NotMonotoneError(
                     f"symmetric part has eigenvalue {lo:.3e} < 0")
-        self._lu = {}
 
     @cached_property
     def lipschitz(self):
@@ -269,24 +281,27 @@ class AffineOperator(MonotoneOperator):
     def forward(self, v):
         return self.M @ v + self.b
 
+    def affine_parts(self):
+        return self.M, self.b
+
     def prepare(self, lam):
-        if lam not in self._lu:
-            try:
-                lu, piv = lu_factor(np.eye(self.dim) + lam * self.M)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover
-                raise NotMonotoneError(f"(I + lam*M) is singular: {exc}")
-            self._lu[lam] = (lu, piv, lam * self.b)
+        try:
+            lu, piv = lu_factor(np.eye(self.dim) + lam * self.M)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise NotMonotoneError(f"(I + lam*M) is singular: {exc}")
+        lam_b = lam * self.b
+
+        def resolve(v):
+            u = _getrs(lu, piv, v - lam_b, overwrite_b=True)[0]
+            if not np.isfinite(u).all():
+                raise NonFiniteError(
+                    "affine resolvent produced non-finite values")
+            return u
+
+        return resolve
 
     def resolve(self, lam, v):
-        factors = self._lu.get(lam)
-        if factors is None:
-            self.prepare(lam)
-            factors = self._lu[lam]
-        lu, piv, lam_b = factors
-        u = _getrs(lu, piv, v - lam_b, overwrite_b=True)[0]
-        if not np.isfinite(u).all():
-            raise NonFiniteError("affine resolvent produced non-finite values")
-        return u
+        return self.prepare(lam)(v)
 
 
 class ScaledL1(MonotoneOperator):
@@ -334,7 +349,7 @@ class BilinearCoupling(MonotoneOperator):
     and Lipschitz with constant ``|K|`` computed by power iteration at
     construction.  Only ``K`` is stored; ``K'`` is applied on the fly.
     The resolvent is evaluated by block elimination with a Cholesky
-    factorization of ``I + lam^2 K'K`` and ``lam*c`` cached per stepsize.
+    factorization of ``I + lam^2 K'K``, made once by ``prepare(lam)``.
     """
 
     kind = "bilinear_coupling"
@@ -351,31 +366,33 @@ class BilinearCoupling(MonotoneOperator):
         self.c = np.zeros(self.m) if c is None else as_vector(c, self.m, "c")
         self.lipschitz = (operator_norm(K, tol=BILINEAR_NORM_TOL)
                           if np.any(K) else 0.0)
-        self._cho = {}
 
     def forward(self, v):
         x, y = v[:self.n], v[self.n:]
         return np.concatenate([self.K.T @ y, -(self.K @ x) + self.c])
 
-    def prepare(self, lam):
-        if lam not in self._cho:
-            c, lower = cho_factor(
-                np.eye(self.n) + (lam * lam) * (self.K.T @ self.K))
-            self._cho[lam] = (c, lower, lam * self.c)
+    def affine_parts(self):
+        n, M, b = self.n, np.zeros((self.dim, self.dim)), np.zeros(self.dim)
+        M[:n, n:], M[n:, :n], b[n:] = self.K.T, -self.K, self.c
+        return M, b
 
-    def resolve(self, lam, v):
+    def prepare(self, lam):
         # Solve (I + lam*M) u = v - lam*(0, c) with M = [[0, K'], [-K, 0]]:
         # eliminating the y block leaves (I + lam^2 K'K) u_x = w_x - lam*K' w_y.
-        factors = self._cho.get(lam)
-        if factors is None:
-            self.prepare(lam)
-            factors = self._cho[lam]
-        c, lower, lam_c = factors
-        wx, wy = v[:self.n], v[self.n:] - lam_c
-        ux = _potrs(c, wx - lam * (self.K.T @ wy), lower=lower,
-                    overwrite_b=True)[0]
-        uy = wy + lam * (self.K @ ux)
-        return np.concatenate([ux, uy])
+        K, n = self.K, self.n
+        c, lower = cho_factor(np.eye(n) + (lam * lam) * (K.T @ K))
+        lam_c = lam * self.c
+
+        def resolve(v):
+            wx, wy = v[:n], v[n:] - lam_c
+            ux = _potrs(c, wx - lam * (K.T @ wy), lower=lower,
+                        overwrite_b=True)[0]
+            return np.concatenate([ux, wy + lam * (K @ ux)])
+
+        return resolve
+
+    def resolve(self, lam, v):
+        return self.prepare(lam)(v)
 
 
 class CustomOperator(MonotoneOperator):
@@ -461,11 +478,9 @@ class ProblemTriple:
                         1.0 + np.linalg.norm(self.x_star)):
                     raise OperatorError("z_star inconsistent with x_star")
 
-    def prepare(self, *lams):
-        """Prefactor the resolvent caches of A and C for the given stepsizes."""
-        for lam in lams:
-            self.A.prepare(lam)
-            self.C.prepare(lam)
+    def prepare(self, lam):
+        """The resolvents ``(A_res, C_res)`` of A and C at ``lam``."""
+        return self.A.prepare(lam), self.C.prepare(lam)
 
     def __repr__(self):
         return (f"<ProblemTriple dim={self.dim} A={self.A.kind} "

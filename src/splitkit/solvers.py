@@ -16,10 +16,10 @@ and DR, which differ only in the forward term (DR is the template with
 ``F = 0``); :func:`_two_op` runs FB, FoRB and RFoB, which ignore ``A`` and
 iterate ``x_k`` directly; :func:`_frdr` runs FRDR.  :func:`run` consumes
 the records and owns the stopping rule, the divergence test, the residual
-and the history.  A run never changes the problem's data, but it fills the
-factor caches of affine and bilinear operators (see
-:mod:`splitkit.operators`), so one problem must not be used by two threads
-at once.
+and the history.  The generators receive the run's prepared resolvents
+(``prepare(lam)``, see :mod:`splitkit.operators`): each run owns its
+factorizations and frees them when it ends, and it never changes the
+problem, so one problem may serve several threads at once.
 """
 
 import enum
@@ -180,7 +180,7 @@ class Trace:
         return self.zs[max(j, 0)]
 
 
-def _shadow(problem, config):
+def _shadow(config, A_res, B_fwd, C_res):
     """BFoRB, BRFoB, Davis-Yin and DR: the three-operator template.
 
     x_k = J_{lam*A}(z_k);  y_k = J_{lam*C}(2 x_k - z_k - lam*F_k);
@@ -192,7 +192,6 @@ def _shadow(problem, config):
     which never evaluates B.  The history (y_{-2}, y_{-1}) defaults to
     (x_0, x_0) with x_0 = J_{lam*A}(z_0).
     """
-    A_res, B_fwd, C_res = problem.A.resolve, problem.B.forward, problem.C.resolve
     lam, method = config.lam, config.method
     bforb, brfob = method is Method.BFORB, method is Method.BRFOB
     dr = method is Method.DR
@@ -200,7 +199,7 @@ def _shadow(problem, config):
     fe = re = 0
     if bforb or brfob:
         if config.y_init is None:
-            y1 = y2 = A_res(lam, z)
+            y1 = y2 = A_res(z)
             re = 1
         else:
             y1, y2 = config.y_init
@@ -213,7 +212,7 @@ def _shadow(problem, config):
         yield ()
     fe_step = 0 if dr else 1
     while True:
-        x = A_res(lam, z)
+        x = A_res(z)
         if bforb:
             F = 2.0 * By1 - By2
         elif brfob:
@@ -221,7 +220,7 @@ def _shadow(problem, config):
         elif not dr:                    # Davis-Yin
             F = B_fwd(x)
         w = 2.0 * x - z
-        y = C_res(lam, w if dr else w - lam * F)
+        y = C_res(w if dr else w - lam * F)
         z_next = z + y - x
         fe += fe_step
         re += 2
@@ -235,7 +234,7 @@ def _shadow(problem, config):
         z = z_next
 
 
-def _two_op(problem, config):
+def _two_op(config, A_res, B_fwd, C_res):
     """FB, FoRB and RFoB on x_k; A is ignored.
 
     FB:    x_{k+1} = J_{lam*C}(x_k - lam*B(x_k)), the baseline that may fail
@@ -247,7 +246,6 @@ def _two_op(problem, config):
 
     The history x_{-1} defaults to x_0 = z_0.
     """
-    B_fwd, C_res = problem.B.forward, problem.C.resolve
     lam, h, method = config.lam, config.h, config.method
     fb, forb = method is Method.FB, method is Method.FORB
     x = x_prev = config.z0.copy()
@@ -266,14 +264,14 @@ def _two_op(problem, config):
     yield ()
     while True:
         if fb:
-            x_next = C_res(lam, x - lam * B_fwd(x))
+            x_next = C_res(x - lam * B_fwd(x))
         elif forb:
             x_next = (1.0 - h) * x + h * C_res(
-                lam, x - lam * Bx - (lam / h) * (Bx - Bx_prev))
+                x - lam * Bx - (lam / h) * (Bx - Bx_prev))
             Bx_prev, Bx = Bx, B_fwd(x_next)
         else:
             x_next = (1.0 - h) * x + h * C_res(
-                lam, x - lam * B_fwd(x + (x - x_prev) / h))
+                x - lam * B_fwd(x + (x - x_prev) / h))
         fe += 1
         re += 1
         d = x_next - x
@@ -281,7 +279,7 @@ def _two_op(problem, config):
         yield math.sqrt(d @ d), math.sqrt(x @ x), x, x, None, x, Bx, fe, re
 
 
-def _frdr(problem, config):
+def _frdr(config, A_res, B_fwd, C_res):
     """Forward-reflected-Douglas-Rachford with stepsizes lam < gamma.
 
     w_k = x_k - lam*u_k - lam*(2 B(x_k) - B(x_{k-1}));  x_{k+1} = J_{lam*A}(w_k);
@@ -290,19 +288,18 @@ def _frdr(problem, config):
     which keeps u_{k+1} an element of C(y_{k+1}), so fixed points solve
     0 in (A + B + C)(x).  The record's z is w_k, the point whose resolvent
     is x_{k+1}.  u moves even when x stalls, so the step norm adds
-    lam*|u_{k+1} - u_k|.
+    lam*|u_{k+1} - u_k|.  ``C_res`` is ``J_{gamma*C}``.
     """
-    A_res, B_fwd, C_res = problem.A.resolve, problem.B.forward, problem.C.resolve
     lam, gamma = config.lam, config.gamma
     x = config.z0.copy()
     Bx = Bx_prev = B_fwd(x)
-    u = np.zeros(problem.dim)
+    u = np.zeros(x.shape[0])
     fe, re = 1, 0
     yield ()
     while True:
         w = x - lam * u - lam * (2.0 * Bx - Bx_prev)
-        x_next = A_res(lam, w)
-        y = C_res(gamma, 2.0 * x_next - x + gamma * u)
+        x_next = A_res(w)
+        y = C_res(2.0 * x_next - x + gamma * u)
         u_next = u + (2.0 * x_next - x - y) / gamma
         Bx_prev, Bx = Bx, B_fwd(x_next)
         fe += 1
@@ -361,9 +358,8 @@ def run(problem, config, record_history=False):
     two_op = method in TWO_OPERATOR_METHODS
     frdr = method is Method.FRDR
 
-    problem.prepare(lam)
-    if frdr:
-        problem.C.prepare(config.gamma)
+    A_res, C_res = problem.prepare(lam)
+    B_fwd = problem.B.forward
 
     trace = Trace(method=method, lam=lam, gamma=config.gamma, h=config.h)
     trace.warnings.extend(_stepsize_warnings(config, problem.B.lipschitz))
@@ -382,8 +378,9 @@ def run(problem, config, record_history=False):
             trace.zs, trace.ys = [z], []
     xs, zs, ys = trace.xs, trace.zs, trace.ys
 
-    steps = (_two_op if two_op else _frdr if frdr else _shadow)(problem, config)
-    B_fwd, C_res = problem.B.forward, problem.C.resolve
+    steps = (_two_op if two_op else _frdr if frdr else _shadow)(
+        config, A_res, B_fwd,
+        problem.C.prepare(config.gamma) if frdr else C_res)
     residual_is_step = method is Method.DR or method is Method.DAVIS_YIN
     z0_norm = math.sqrt(config.z0 @ config.z0)
     big = DIVERGE_FACTOR * (1.0 + z0_norm)
@@ -419,7 +416,7 @@ def run(problem, config, record_history=False):
             if residual_is_step:
                 res = step_norm
             else:
-                r = C_res(lam, 2.0 * x - p - lam * (
+                r = C_res(2.0 * x - p - lam * (
                     B_fwd(x) if bx is None else bx)) - x
                 res = math.sqrt(r @ r)
             residuals.append(res)
@@ -438,7 +435,7 @@ def run(problem, config, record_history=False):
             if dists is not None:
                 dists.append(math.nan)
     if not (two_op or frdr):
-        x = problem.A.resolve(lam, z)
+        x = A_res(z)
 
     trace.status = status
     trace.iterations = len(step_norms)

@@ -79,8 +79,29 @@ def test_parse_frdr_requires_gamma():
 def test_parse_lambda_policy_exclusive():
     with pytest.raises(ConfigError):
         parse_config(AFFINE_CFG + "lambda = 0.1\n")
-    with pytest.raises(ConfigError):
-        parse_config(AFFINE_CFG.replace("lambda_fraction = 0.9\n", ""))
+    # neither key parses: only run and certify need a stepsize
+    cfg = parse_config(AFFINE_CFG.replace("lambda_fraction = 0.9\n", ""))
+    assert cfg.lam_policy is None and cfg.lam_value is None
+
+
+@pytest.mark.parametrize("verb, extra, code", [
+    ("sweep", ["--grid", "0.5"], EXIT_OK), ("flow", [], EXIT_OK),
+    ("run", [], EXIT_CONFIG), ("certify", [], EXIT_CONFIG)])
+def test_only_run_and_certify_require_lambda(tmp_path, capsys, verb, extra,
+                                            code):
+    # sweep takes its stepsizes from --grid and flow from [ode]
+    text = (AFFINE_CFG.replace("lambda_fraction = 0.9\n", "")
+            + "\n[ode]\nlambda = 0.1\nh_ode = 0.1\nT = 2.0\n")
+    out = tmp_path / "o"
+    assert main([verb, "--config", write(tmp_path, "exp.cfg", text),
+                 "--out", str(out), "--quiet", *extra]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_OK:
+        assert err == "" and os.listdir(out)
+    else:
+        assert err == ("config error: exactly one of 'lambda' and "
+                       "'lambda_fraction' required\n")
+        assert not out.exists()
 
 
 def test_parse_fraction_rejected_for_unbounded_methods():
@@ -240,8 +261,8 @@ def test_run_byte_identical_reruns(tmp_path):
     ("run", []), ("sweep", ["--grid", "0.3,0.5,0.9"]), ("certify", [])])
 def test_verbs_run_serially_whatever_splitkit_threads(tmp_path, monkeypatch,
                                                       verb, extra):
-    # jobs share one problem, whose factor caches are not thread-safe, so
-    # no verb starts a thread, and SPLITKIT_THREADS changes nothing
+    # every verb runs its jobs one after another: none starts a thread,
+    # and SPLITKIT_THREADS, which nothing reads, changes nothing
     cfg = write(tmp_path, "exp.cfg",
                 AFFINE_CFG.replace("methods = BFoRB",
                                    "methods = BFoRB, BRFoB"))
@@ -459,15 +480,21 @@ def test_flow_requires_ode_block(tmp_path):
     ("h_ode", "nan"), ("h_ode", "1.5")])
 def test_flow_bad_ode_value_exits_1(tmp_path, capsys, key, value):
     ode = {"lambda": "0.1", "h_ode": "0.1", "T": "2.0", key: value}
-    cfg = write(tmp_path, "exp.cfg", AFFINE_CFG + "\n[ode]\n" + "".join(
-        f"{k} = {v}\n" for k, v in ode.items()))
+    text = AFFINE_CFG + "\n[ode]\n" + "".join(
+        f"{k} = {v}\n" for k, v in ode.items())
     out = tmp_path / "o"
-    assert main(["flow", "--config", cfg, "--out", str(out),
-                 "--quiet"]) == EXIT_CONFIG
+    assert main(["flow", "--config", write(tmp_path, "exp.cfg", text),
+                 "--out", str(out), "--quiet"]) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: "), err
-    # the message names the offending value (the simulators call it lam)
-    assert {"lambda": "lam"}.get(key, key) in err[0], err
+    assert len(err) == 1, err
+    if value == "1e300":
+        # a finite T passes the config; the Euler loop cannot store its states
+        assert err[0].startswith("error: "), err
+    else:
+        # parse_config checks the range and names the key and its line
+        line = text.splitlines().index(f"{key} = {value}") + 1
+        assert err[0].startswith(f"config error: line {line}: "), err
+    assert key in err[0], err
     assert not out.exists()
 
 
@@ -529,6 +556,19 @@ def test_flow_csv_matches_rowwise_computation(tmp_path, problem_kind, kind):
 
 
 FRDR_CFG = AFFINE_CFG.replace("methods = BFoRB", "methods = FRDR")
+# x_star = 0 here, but J_{lam*A}(z_star) misses it by more than the
+# reference point's 1e-10 check allows
+NO_REFERENCE_CFG = """\
+[problem]
+kind = affine
+dim = 1
+seed = 61
+skew_fraction = 0.9999999999999999
+
+[run]
+methods = BFoRB
+lambda_fraction = 1.0
+"""
 FB_CFG = AFFINE_CFG.replace("methods = BFoRB", "methods = FB") \
                    .replace("lambda_fraction = 0.9", "lambda = 0.1")
 
@@ -544,8 +584,11 @@ FB_CFG = AFFINE_CFG.replace("methods = BFoRB", "methods = FB") \
     ("sweep", AFFINE_CFG, ["--grid", "nan"]),
     ("sweep", FB_CFG, ["--grid", "0.5"]),
     ("run", SADDLE_CFG + "certify = true\n", []),
+    ("certify", NO_REFERENCE_CFG, []),
+    ("run", NO_REFERENCE_CFG + "certify = true\n", []),
 ], ids=["lambda-nan", "certify-lambda-nan", "fraction-inf", "frdr-gamma-nan",
-        "tol-nan", "sweep-grid-nan", "sweep-fb", "saddle-certify-true"])
+        "tol-nan", "sweep-grid-nan", "sweep-fb", "saddle-certify-true",
+        "certify-no-reference-point", "certify-true-no-reference-point"])
 def test_rejected_value_exits_1_without_output(tmp_path, capsys, verb, text,
                                                extra):
     # every value is checked before --out is created, so a verb that
@@ -564,6 +607,7 @@ def test_benchmark_tracer_patches_existing_names(monkeypatch):
     # splitkit, in splitkit.cli and on the instance classes; a name that
     # is gone makes install() raise AttributeError.
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import bench_checks
     import bench_trace
     before = dict(vars(splitkit.cli))
     tracer = bench_trace.Tracer(splitkit)
@@ -572,3 +616,27 @@ def test_benchmark_tracer_patches_existing_names(monkeypatch):
     finally:
         tracer.uninstall()
     assert dict(vars(splitkit.cli)) == before
+    # --trace 1 wraps live operators: a traced run keeps its bits and exact
+    # counters, and uninstall() leaves every operator as it was
+    problem = make_affine_instance(10, 1, 0.8).triple()
+    ops = (problem.A, problem.B, problem.C)
+    op_vars = [dict(vars(op)) for op in ops]
+    config = splitkit.SolverConfig(
+        method="BFoRB", lam=0.9 / (8.0 * problem.B.lipschitz),
+        z0=np.ones(10), max_iters=20000, tol=1e-10)
+    plain = splitkit.run(problem, config)
+    try:
+        tracer.install([problem])
+        traced = splitkit.run(problem, config)
+    finally:
+        tracer.uninstall()
+    _, counts = tracer.take()
+    assert traced.status == "converged"
+    assert traced.step_norms == plain.step_norms
+    assert counts["iterations"] == traced.iterations
+    assert not bench_checks.check_counters(
+        "traced", "BFoRB", counts["iterations"], counts["forward_evals"],
+        counts["resolvent_evals"])
+    for op, saved in zip(ops, op_vars):
+        assert vars(op).keys() == saved.keys()
+        assert all(vars(op)[k] is v for k, v in saved.items())

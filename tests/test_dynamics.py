@@ -7,7 +7,7 @@ from splitkit import (AffineOperator, AlignmentError, BoxNormalCone,
                       make_affine_instance, make_saddle_instance,
                       max_stepsize, omega_residual, resolvent_sum, run,
                       simulate_dr_flow, simulate_ppa)
-from splitkit.dynamics import _SumResolvent
+import splitkit.dynamics
 
 
 def scalar_identity_B():
@@ -160,15 +160,20 @@ def test_flow_parameter_validation():
 def test_flow_inner_solve_error_carries_step_time(monkeypatch):
     # the fourth J_{lam*(B+C)} evaluation is the step from t = 3 * h_ode
     calls = []
-    solve = _SumResolvent.__call__
+    make = splitkit.dynamics._sum_resolvent
 
-    def stalling(self, w):
-        calls.append(w)
-        if len(calls) == 4:
-            raise InnerSolveError("inner solver stalled", residual=0.5)
-        return solve(self, w)
+    def stalling(*args):
+        solve = make(*args)
 
-    monkeypatch.setattr(_SumResolvent, "__call__", stalling)
+        def resolve(w):
+            calls.append(w)
+            if len(calls) == 4:
+                raise InnerSolveError("inner solver stalled", residual=0.5)
+            return solve(w)
+
+        return resolve
+
+    monkeypatch.setattr(splitkit.dynamics, "_sum_resolvent", stalling)
     problem = make_saddle_instance(4, 6, 2, 0.5, 1.0).triple()
     for simulate in (simulate_ppa, simulate_dr_flow):
         calls.clear()

@@ -320,7 +320,7 @@ def test_triple_z_star_consistency():
 # ------------------------------------------- lean oracles vs scipy reference
 #
 # The affine and bilinear resolvents call LAPACK getrs/potrs directly on
-# cached factors; scipy.linalg.lu_solve/cho_solve, the reference kept here,
+# prepared factors; scipy.linalg.lu_solve/cho_solve, the reference kept here,
 # call the same routines, so the results must agree bit for bit.
 
 _lams = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
@@ -338,7 +338,7 @@ def test_affine_resolve_bit_identical_to_lu_solve(seed, d, lam):
     M, b = _monotone_matrix(r, d), r.uniform(-1, 1, d)
     op = AffineOperator(M, b)
     ref_lu = lu_factor(np.eye(d) + lam * M)
-    for _ in range(3):                       # the first call fills the cache
+    for _ in range(3):
         v = r.uniform(-5, 5, d)
         v_in = v.copy()
         u = op.resolve(lam, v)
@@ -372,16 +372,18 @@ def _factored_ops():
 
 
 @pytest.mark.parametrize("op", _factored_ops(), ids=lambda op: op.kind)
-def test_resolve_prepares_only_on_a_cache_miss(op):
-    calls = []
-    prepare = op.prepare
-    op.prepare = lambda lam: (calls.append(lam), prepare(lam))
+def test_prepare_returns_the_resolvent_and_stores_nothing(op):
+    # the factors belong to the prepared callable, not to the operator
+    before = dict(vars(op))
     v = np.array([1.0, 2.0])
-    first = op.resolve(0.5, v)
+    res = op.prepare(0.5)
+    first = res(v)
     for _ in range(3):
-        assert np.array_equal(op.resolve(0.5, v), first)
-    op.resolve(0.25, v)
-    assert calls == [0.5, 0.25]
+        assert np.array_equal(res(v), first)
+    assert np.array_equal(op.resolve(0.5, v), first)
+    assert not np.array_equal(op.prepare(0.25)(v), first)
+    assert vars(op).keys() == before.keys()
+    assert all(vars(op)[k] is val for k, val in before.items())
 
 
 @pytest.mark.parametrize("op", _factored_ops(), ids=lambda op: op.kind)

@@ -7,10 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from splitkit import (AffineOperator, ProblemTriple, SolverConfig,
-                      ZeroOperator, certify_trace, load_instance,
-                      make_affine_instance, make_saddle_instance,
-                      max_stepsize, reference_point, run, save_instance)
+from splitkit import (AffineOperator, CustomOperator, Method, ProblemTriple,
+                      SolverConfig, ZeroOperator, certify_trace,
+                      load_instance, make_affine_instance,
+                      make_saddle_instance, max_stepsize, reference_point,
+                      run, save_instance)
 from splitkit.cli import ConfigError, ExperimentConfig, parse_config
 
 PROPERTY = settings(max_examples=50, deadline=None)
@@ -50,6 +51,34 @@ def test_b_zero_collapses_the_template_to_dr(case, lam):
         assert len(zs[method]) == len(zs["DR"])
         for a, b in zip(zs["DR"], zs[method]):
             assert np.array_equal(a, b)
+
+
+@PROPERTY
+@given(st.sampled_from(list(Method)), st.floats(0.1, 10.0),
+       st.floats(0.01, 10.0),
+       st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3))
+def test_overflowing_oracle_ends_the_run_diverged(method, scale, lam, z0):
+    # B(v) = sinh(scale*v) overflows long before the iterates pass the
+    # divergence bound: the oracle's NonFiniteError ends the run, and run()
+    # never raises
+    overflowed = []
+
+    def sinh(v):
+        out = np.sinh(scale * v)
+        overflowed.append(not np.isfinite(out).all())
+        return out
+
+    dim = len(z0)
+    problem = ProblemTriple(
+        A=ZeroOperator(dim), C=ZeroOperator(dim),
+        B=CustomOperator(dim, forward=sinh, lipschitz=scale))
+    gamma = 2.0 * lam if method is Method.FRDR else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = run(problem, SolverConfig(method=method, lam=lam, z0=z0,
+                                          max_iters=100, gamma=gamma))
+    assert len(trace.step_norms) == len(trace.residuals) == trace.iterations
+    if any(overflowed):
+        assert trace.status == "diverged"
 
 
 @PROPERTY

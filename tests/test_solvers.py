@@ -1,3 +1,7 @@
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -313,6 +317,68 @@ def test_run_oracle_overflow_ends_diverged():
                                           z0=np.ones(10), max_iters=50,
                                           **kwargs))
         assert len(t.residuals) == len(t.dist_to_xstar) == t.iterations
+
+
+def _same_trace(a, b):
+    return (a.status == b.status and a.iterations == b.iterations
+            and np.array_equal(a.step_norms, b.step_norms)
+            and np.array_equal(a.residuals, b.residuals)
+            and np.array_equal(a.z_final, b.z_final)
+            and np.array_equal(a.x_final, b.x_final))
+
+
+@pytest.mark.parametrize("dim, max_iters, rounds", [(50, 20000, 4),
+                                                    (400, 150, 2)])
+def test_threads_share_one_problem(dim, max_iters, rounds):
+    # each run prepares its own factors, so threads running on one problem
+    # give the serial traces bit for bit (factor caches shared by the
+    # threads gave wrong traces and aborts at d=400)
+    problem = make_affine_instance(dim, 1, 0.8).triple()
+    L = problem.B.lipschitz
+    configs = [SolverConfig(method=m, lam=0.9 * max_stepsize(m, L, g),
+                            z0=np.ones(dim), max_iters=max_iters, tol=1e-10,
+                            gamma=g)
+               for m, g in (("BFoRB", None), ("BRFoB", None),
+                            ("FRDR", 1.0 / L))]
+    serial = [run(problem, c) for c in configs]
+    threaded = {}
+
+    def work(i):
+        threaded[i] = [run(problem, c) for c in configs * rounds]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(3):
+        assert len(threaded[i]) == len(serial) * rounds
+        assert all(_same_trace(a, b)
+                   for a, b in zip(threaded[i], serial * rounds))
+
+
+def test_runs_leave_the_operators_unchanged():
+    # the factorizations belong to the run: 200 stepsizes add nothing to A,
+    # B or C and change none of their data
+    problem = make_affine_instance(50, 1, 0.8).triple()
+    L = problem.B.lipschitz
+    ops = (problem.A, problem.B, problem.C)
+
+    def bforb(lam):
+        run(problem, SolverConfig(method="BFoRB", lam=lam, z0=np.ones(50),
+                                  max_iters=3))
+
+    bforb(0.5 / (8.0 * L))
+    saved = [pickle.dumps(vars(op)) for op in ops]
+    for i in range(200):
+        bforb((0.1 + i / 250.0) / (8.0 * L))
+    assert [pickle.dumps(vars(op)) for op in ops] == saved
 
 
 def test_run_records_residual_and_dist():
