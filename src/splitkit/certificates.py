@@ -53,7 +53,9 @@ def omega_residual(problem, lam, z, x=None):
     ``| J_{lam*C}(2x - z - lam*B(x)) - x |``, which vanishes exactly on the
     shadow set of the inclusion (for single-valued ``B``).  Used as the
     solution-quality metric of solver traces.  A caller that already holds
-    ``J_{lam*A}(z)`` passes it as ``x`` to save that resolvent.
+    ``J_{lam*A}(z)`` passes it as ``x`` to save that resolvent.  Each call
+    factors affine and bilinear ``A`` and ``C`` anew; for many points at one
+    ``lam``, evaluate the formula on ``problem.prepare(lam)`` instead.
     """
     if lam <= 0:
         raise CertificateError("lam must be positive")

@@ -52,7 +52,7 @@ class ExperimentConfig:
 
     problem_kind: str
     problem_params: dict
-    methods: list
+    methods: list              # None if the config has no [run] section
     lam_policy: str            # "absolute", "fraction", or None if unset
     lam_value: float
     gamma: float = None
@@ -150,12 +150,12 @@ def parse_config(text):
 
     ``max_iters`` and ``tol`` are checked by ``SolverConfig``.  ``lambda``
     and ``lambda_fraction`` exclude each other; ``run`` and ``certify``
-    require one of them.
+    require one of them.  Only ``flow`` runs without a ``[run]`` section.
     """
     errors = []
     sections = _parse_sections(text, errors)
-    errors += [(None, f"missing [{name}] section")
-               for name in ("problem", "run") if name not in sections]
+    if "problem" not in sections:
+        errors.append((None, "missing [problem] section"))
     if errors:
         raise ConfigError(errors)
 
@@ -170,12 +170,18 @@ def parse_config(text):
     else:
         errors.append((kind_line, f"unknown problem kind {kind!r}"))
 
-    line = {key: lineno for key, (_, lineno) in sections["run"].items()}
-    fields = _convert(sections["run"], _SCHEMA["run"], "in [run]", errors)
+    # Without [run] every key takes its default and no method is named,
+    # which only flow accepts: its missing 'methods' is no error.
+    has_run, run_keys = "run" in sections, sections.get("run", {})
+    line = {key: lineno for key, (_, lineno) in run_keys.items()}
+    fields = _convert(run_keys, _SCHEMA["run"], "in [run]",
+                      errors if has_run else [])
     tokens = (fields.pop("methods") or "").replace(",", " ").split()
     known = {m.value for m in Method}
     errors += [(line["methods"], f"unknown method {token!r}")
                for token in tokens if token not in known]
+    if "methods" in line and not tokens:
+        errors.append((line["methods"], "methods must name a method"))
     methods = [Method(token) for token in tokens if token in known]
 
     lam = {key: fields.pop(key) for key in ("lambda", "lambda_fraction")}
@@ -196,6 +202,8 @@ def parse_config(text):
         errors.append((line["gamma"], "gamma is only used by FRDR"))
     if not 0.0 < fields["h"] <= 1.0:
         errors.append((line.get("h"), "h must lie in (0, 1]"))
+    if "h" in line and not {Method.FORB, Method.RFOB} & set(methods):
+        errors.append((line["h"], "h is only used by FoRB and RFoB"))
     fields["z0_kind"] = fields.pop("z0")
     if fields["z0_kind"] not in ("ones", "zeros"):
         errors.append((line.get("z0"), "z0 must be 'ones' or 'zeros', "
@@ -219,8 +227,8 @@ def parse_config(text):
     if errors:
         raise ConfigError(errors)
     policy = {"lambda": "absolute", "lambda_fraction": "fraction"}.get(key)
-    return ExperimentConfig(kind, params, methods, policy, lam.get(key),
-                            ode=ode, **fields)
+    return ExperimentConfig(kind, params, methods if has_run else None,
+                            policy, lam.get(key), ode=ode, **fields)
 
 
 def build_problem(cfg, seed_override=None):
@@ -448,6 +456,8 @@ def main(argv=None):
 
     try:
         cfg = parse_config(text)
+        if cfg.methods is None and args.verb != "flow":
+            raise ConfigError([(None, "missing [run] section")])
         rest = (args.out or cfg.out or ".", args.quiet, args.seed_override)
         if args.verb == "sweep":
             grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]

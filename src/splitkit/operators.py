@@ -190,7 +190,9 @@ def forward_eval(op, v):
 
 
 def resolvent(op, lam, v):
-    """Evaluate ``(I + lam*op)^{-1}(v)`` for ``lam > 0``."""
+    """Evaluate ``(I + lam*op)^{-1}(v)`` for ``lam > 0``; each call factors
+    an affine or bilinear ``op`` anew, so at one ``lam`` reuse
+    ``op.prepare(lam)`` instead."""
     if lam <= 0:
         raise OperatorError("lam must be positive")
     return op.resolve(lam, as_vector(v, op.dim))

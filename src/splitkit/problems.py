@@ -8,7 +8,6 @@ primal-dual pair, but solvers are validated against cross-method agreement
 and the fixed-point residual, not against stored coordinates.
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,45 +214,45 @@ def make_saddle_instance(m, n, seed, alpha, radius):
 _FMT = "%.17g"
 
 
-def _write_matrix(out, name, M):
-    out.write(f"matrix {name} {M.shape[0]} {M.shape[1]}\n")
-    for row in M:
-        out.write(" ".join(_FMT % v for v in row) + "\n")
-
-
-def _write_vector(out, name, v):
-    out.write(f"vector {name} {v.shape[0]}\n")
-    out.write(" ".join(_FMT % x for x in v) + "\n")
+#: Each kind's file layout: the instance class, the header fields in file
+#: order (an integer with its least value, or a float where that is None),
+#: the arrays with the header fields that give their shapes, and the
+#: Lipschitz constant of B, which the file does not store.
+_LAYOUT = {
+    "affine": (AffineInstance,
+               [("dim", 1), ("seed", 0), ("skew_fraction", None),
+                ("shift", None)],
+               [("M_A", "dim", "dim"), ("M_B", "dim", "dim"),
+                ("M_C", "dim", "dim"), ("b_A", "dim"), ("b_B", "dim"),
+                ("b_C", "dim"), ("x_star", "dim")],
+               lambda f: float(np.linalg.norm(f["M_B"], 2))),
+    "saddle": (SaddleInstance,
+               [("m", 1), ("n", 1), ("seed", 0), ("alpha", None),
+                ("radius", None)],
+               [("K", "m", "n"), ("c", "m")],
+               lambda f: operator_norm(f["K"], tol=1e-8)),
+}
 
 
 def save_instance(inst, path):
     """Write an instance to ``path`` in the replayable text format."""
-    out = io.StringIO()
-    out.write("splitkit-instance v1\n")
-    if isinstance(inst, AffineInstance):
-        out.write("kind affine\n")
-        out.write(f"dim {inst.dim}\n")
-        out.write(f"seed {inst.seed}\n")
-        out.write(f"skew_fraction {_FMT % inst.skew_fraction}\n")
-        out.write(f"shift {_FMT % inst.shift}\n")
-        for name in ("M_A", "M_B", "M_C"):
-            _write_matrix(out, name, getattr(inst, name))
-        for name in ("b_A", "b_B", "b_C", "x_star"):
-            _write_vector(out, name, getattr(inst, name))
-    elif isinstance(inst, SaddleInstance):
-        out.write("kind saddle\n")
-        out.write(f"m {inst.m}\n")
-        out.write(f"n {inst.n}\n")
-        out.write(f"seed {inst.seed}\n")
-        out.write(f"alpha {_FMT % inst.alpha}\n")
-        out.write(f"radius {_FMT % inst.radius}\n")
-        _write_matrix(out, "K", inst.K)
-        _write_vector(out, "c", inst.c)
-    else:
+    kind = next((kind for kind, (cls, *_) in _LAYOUT.items()
+                 if isinstance(inst, cls)), None)
+    if kind is None:
         raise OperatorError(f"cannot serialize {type(inst).__name__}")
-    out.write("end\n")
+    _, header, arrays, _ = _LAYOUT[kind]
+    lines = ["splitkit-instance v1", f"kind {kind}"]
+    for name, least in header:
+        value = getattr(inst, name)
+        lines.append(f"{name} {value if least is not None else _FMT % value}")
+    for name, *_ in arrays:
+        a = getattr(inst, name)
+        lines.append(f"{'matrix' if a.ndim == 2 else 'vector'} {name} "
+                     + " ".join(map(str, a.shape)))
+        lines += (" ".join(_FMT % v for v in row) for row in np.atleast_2d(a))
+    lines.append("end\n")
     with open(path, "w", newline="\n") as fh:
-        fh.write(out.getvalue())
+        fh.write("\n".join(lines))
 
 
 class _Reader:
@@ -302,13 +301,13 @@ class _Reader:
             raise self.error(f"{key} must be an integer >= {least}")
         return value
 
-    def matrix(self, name, rows, cols):
-        self.words(["matrix", name, str(rows), str(cols)], 0)
-        return np.array([self.floats([], cols) for _ in range(rows)])
-
-    def vector(self, name, length):
-        self.words(["vector", name, str(length)], 0)
-        return self.floats([], length)
+    def array(self, name, *shape):
+        """A vector or matrix: its header, then one line per row."""
+        kind = "matrix" if len(shape) == 2 else "vector"
+        self.words([kind, name, *map(str, shape)], 0)
+        rows = shape[0] if len(shape) == 2 else 1
+        return np.array([self.floats([], shape[-1])
+                         for _ in range(rows)]).reshape(shape)
 
 
 def load_instance(path):
@@ -324,28 +323,11 @@ def load_instance(path):
     rd = _Reader(path)
     rd.words(["splitkit-instance", "v1"], 0)
     kind, = rd.words(["kind"], 1)
-    if kind == "affine":
-        dim = rd.integer("dim", 1)
-        seed = rd.integer("seed", 0)
-        skew = rd.scalar("skew_fraction")
-        shift = rd.scalar("shift")
-        M_A, M_B, M_C = (rd.matrix(name, dim, dim)
-                         for name in ("M_A", "M_B", "M_C"))
-        b_A, b_B, b_C, x_star = (rd.vector(name, dim)
-                                 for name in ("b_A", "b_B", "b_C", "x_star"))
-        return AffineInstance(
-            M_A=M_A, M_B=M_B, M_C=M_C, b_A=b_A, b_B=b_B, b_C=b_C,
-            L=float(np.linalg.norm(M_B, 2)), x_star=x_star, seed=seed,
-            dim=dim, skew_fraction=skew, shift=shift)
-    if kind == "saddle":
-        m = rd.integer("m", 1)
-        n = rd.integer("n", 1)
-        seed = rd.integer("seed", 0)
-        alpha = rd.scalar("alpha")
-        radius = rd.scalar("radius")
-        K = rd.matrix("K", m, n)
-        c = rd.vector("c", m)
-        return SaddleInstance(K=K, c=c, alpha=alpha, radius=radius,
-                              m=m, n=n, seed=seed,
-                              L=operator_norm(K, tol=1e-8))
-    raise rd.error(f"unknown instance kind {kind!r}")
+    if kind not in _LAYOUT:
+        raise rd.error(f"unknown instance kind {kind!r}")
+    cls, header, arrays, lipschitz = _LAYOUT[kind]
+    fields = {name: rd.scalar(name) if least is None
+              else rd.integer(name, least) for name, least in header}
+    for name, *shape in arrays:
+        fields[name] = rd.array(name, *(fields[dim] for dim in shape))
+    return cls(L=lipschitz(fields), **fields)

@@ -24,6 +24,7 @@ problem, so one problem may serve several threads at once.
 
 import enum
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -312,16 +313,14 @@ def _frdr(config, A_res, B_fwd, C_res):
 
 def _stepsize_warnings(config, L):
     notes = []
-    if not config.enforce_bound or L is None:
+    if not config.enforce_bound:
         return notes
-    if config.method is Method.FRDR:
-        if config.gamma <= config.lam:
-            notes.append(
-                f"FRDR expects gamma > lam (lam={config.lam:g}, "
-                f"gamma={config.gamma:g})")
-        bound = max_stepsize(Method.FRDR, L, config.gamma) if L > 0 else None
-    else:
-        bound = max_stepsize(config.method, L) if L > 0 else None
+    if config.method is Method.FRDR and config.gamma <= config.lam:
+        notes.append(
+            f"FRDR expects gamma > lam (lam={config.lam:g}, "
+            f"gamma={config.gamma:g})")
+    bound = (max_stepsize(config.method, L, config.gamma) if L > 0
+             else NOT_GUARANTEED)
     if bound is not NOT_GUARANTEED and config.lam >= bound:
         notes.append(
             f"lam={config.lam:g} is outside the guaranteed interval "
@@ -344,8 +343,10 @@ def run(problem, config, record_history=False):
 
     Per-iteration records hold the step norm, the solution residual
     ``|J_{lam*C}(2x - p - lam*B(x)) - x|`` with ``x = J_{lam*A}(p)`` (the
-    form of :func:`splitkit.certificates.omega_residual`; for DR and
-    Davis-Yin the step computes exactly this, so it is the step norm), and,
+    form of :func:`splitkit.certificates.omega_residual`: the step norm for
+    Davis-Yin and, when ``B = 0``, DR, whose steps compute exactly this;
+    other DR runs pay one ``B`` forward and one ``C`` resolve per step for
+    it, outside the counters), and,
     when the problem carries ``x_star``, the distance of ``x_k`` to it.
     With ``record_history=True`` the full ``z``/``y``/``x`` histories are
     kept so certificates can be evaluated afterwards; the hot loop itself
@@ -381,7 +382,9 @@ def run(problem, config, record_history=False):
     steps = (_two_op if two_op else _frdr if frdr else _shadow)(
         config, A_res, B_fwd,
         problem.C.prepare(config.gamma) if frdr else C_res)
-    residual_is_step = method is Method.DR or method is Method.DAVIS_YIN
+    B_parts = problem.B.affine_parts() if method is Method.DR else None
+    residual_is_step = method is Method.DAVIS_YIN or (
+        B_parts is not None and not any(map(np.any, B_parts)))
     z0_norm = math.sqrt(config.z0 @ config.z0)
     big = DIVERGE_FACTOR * (1.0 + z0_norm)
     tol, inf = config.tol, math.inf
@@ -407,9 +410,6 @@ def run(problem, config, record_history=False):
             # NaN and inf fail these comparisons, so this is also the
             # finiteness test (FRDR's dual variable enters the step norm).
             if not (norm <= big and step_norm < inf):
-                residuals.append(math.nan)
-                if dists is not None:
-                    dists.append(math.nan)
                 status = "diverged"
                 break
 
@@ -430,12 +430,13 @@ def run(problem, config, record_history=False):
             prev_norm = norm
     except NonFiniteError:
         status = "diverged"
-        if len(residuals) < len(step_norms):
-            residuals.append(math.nan)
-            if dists is not None:
-                dists.append(math.nan)
+    # A diverged step has no residual or distance: NaN stands in for them.
+    for series in (residuals, dists):
+        if series is not None:
+            series.extend([math.nan] * (len(step_norms) - len(series)))
     if not (two_op or frdr):
-        x = A_res(z)
+        with suppress(NonFiniteError):   # a diverged z keeps the last x
+            x = A_res(z)
 
     trace.status = status
     trace.iterations = len(step_norms)

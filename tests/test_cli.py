@@ -104,6 +104,45 @@ def test_only_run_and_certify_require_lambda(tmp_path, capsys, verb, extra,
         assert not out.exists()
 
 
+def test_parse_h_only_with_relaxed_methods():
+    text = AFFINE_CFG + "h = 0.5\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.errors == [(len(text.splitlines()),
+                                 "h is only used by FoRB and RFoB")]
+    cfg = parse_config(text.replace("methods = BFoRB",
+                                    "methods = FoRB, BFoRB"))
+    assert cfg.h == 0.5
+
+
+@pytest.mark.parametrize("methods", ["", ","])
+def test_parse_methods_must_name_a_method(methods):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(AFFINE_CFG.replace("methods = BFoRB",
+                                        f"methods = {methods}"))
+    assert exc.value.errors == [(8, "methods must name a method")]
+
+
+@pytest.mark.parametrize("verb, extra", [
+    ("flow", []), ("run", []), ("sweep", ["--grid", "0.5"]),
+    ("certify", [])])
+def test_only_method_verbs_need_run_section(tmp_path, capsys, verb, extra):
+    text = (AFFINE_CFG[:AFFINE_CFG.index("[run]")]
+            + "[ode]\nlambda = 0.1\nh_ode = 0.1\nT = 2.0\n")
+    assert parse_config(text).methods is None
+    out = tmp_path / "o"
+    code = main([verb, "--config", write(tmp_path, "exp.cfg", text),
+                 "--out", str(out), "--quiet", *extra])
+    err = capsys.readouterr().err
+    if verb == "flow":
+        assert code == EXIT_OK and err == ""
+        assert os.listdir(out) == ["affine-d10-s1__dr-flow.csv"]
+    else:
+        assert code == EXIT_CONFIG
+        assert err == "config error: missing [run] section\n"
+        assert not out.exists()
+
+
 def test_parse_fraction_rejected_for_unbounded_methods():
     with pytest.raises(ConfigError) as exc:
         parse_config(AFFINE_CFG.replace("methods = BFoRB", "methods = FB"))
@@ -586,9 +625,16 @@ FB_CFG = AFFINE_CFG.replace("methods = BFoRB", "methods = FB") \
     ("run", SADDLE_CFG + "certify = true\n", []),
     ("certify", NO_REFERENCE_CFG, []),
     ("run", NO_REFERENCE_CFG + "certify = true\n", []),
+    ("run", AFFINE_CFG + "h = 0.5\n", []),
+    ("run", AFFINE_CFG.replace("methods = BFoRB", "methods ="), []),
+    ("sweep", AFFINE_CFG.replace("methods = BFoRB", "methods ="),
+     ["--grid", "0.5"]),
+    ("certify", AFFINE_CFG.replace("methods = BFoRB", "methods ="), []),
 ], ids=["lambda-nan", "certify-lambda-nan", "fraction-inf", "frdr-gamma-nan",
         "tol-nan", "sweep-grid-nan", "sweep-fb", "saddle-certify-true",
-        "certify-no-reference-point", "certify-true-no-reference-point"])
+        "certify-no-reference-point", "certify-true-no-reference-point",
+        "h-without-relaxed-method", "run-no-methods", "sweep-no-methods",
+        "certify-no-methods"])
 def test_rejected_value_exits_1_without_output(tmp_path, capsys, verb, text,
                                                extra):
     # every value is checked before --out is created, so a verb that

@@ -81,6 +81,21 @@ def test_overflowing_oracle_ends_the_run_diverged(method, scale, lam, z0):
         assert trace.status == "diverged"
 
 
+def _assert_lemma_slacks_nonnegative(problem, method, lam):
+    trace = run(problem, SolverConfig(method=method, lam=lam,
+                                      z0=np.ones(problem.dim), max_iters=40,
+                                      tol=1e-300, enforce_bound=False),
+                record_history=True)
+    report = certify_trace(problem, trace)
+    z_ref = reference_point(problem, lam).z
+    scale = max(float(np.dot(z - z_ref, z - z_ref)) for z in trace.zs)
+    # the first report.warmup steps read the warm-start history (y_-1 =
+    # y_-2 = x_0), which no resolvent of C produced, so the lemma's
+    # hypotheses start to hold only after them (a run that diverges sooner
+    # has nothing to check)
+    assert np.all(report.lemma_slacks[report.warmup:] >= -1e-9 * (1.0 + scale))
+
+
 @PROPERTY
 @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0),
        st.floats(0.1, 3.0), st.sampled_from(["BFoRB", "BRFoB"]))
@@ -93,18 +108,69 @@ def test_lemma_slacks_nonnegative_at_any_stepsize(dim, seed, skew, frac,
     # stepsize overflows, which says nothing about the inequality
     assume(problem.B.lipschitz > 1e-6)
     lam = frac * max_stepsize(method, problem.B.lipschitz)
-    trace = run(problem, SolverConfig(method=method, lam=lam,
-                                      z0=np.ones(dim), max_iters=40,
-                                      tol=1e-300, enforce_bound=False),
-                record_history=True)
-    report = certify_trace(problem, trace)
-    z_ref = reference_point(problem, lam).z
-    scale = max(float(np.dot(z - z_ref, z - z_ref)) for z in trace.zs)
-    # the first report.warmup steps read the warm-start history (y_-1 =
-    # y_-2 = x_0), which no resolvent of C produced, so the lemma's
-    # hypotheses start to hold only after them (a run that diverges sooner
-    # has nothing to check)
-    assert np.all(report.lemma_slacks[report.warmup:] >= -1e-9 * (1.0 + scale))
+    _assert_lemma_slacks_nonnegative(problem, method, lam)
+
+
+@st.composite
+def planted_saddle(draw):
+    """A generated saddle instance with ``c`` planted anew at a drawn zero
+    ``(x, y)``, the way :func:`make_saddle_instance` plants the zero it does
+    not store; returns the triple, ``(x, y)`` and the ``a`` in ``A(x, y)``
+    with ``0 in a + (B + C)(x, y)``."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    alpha, radius = draw(st.floats(0.0, 2.0)), draw(st.floats(0.1, 10.0))
+    inst = make_saddle_instance(m, n, draw(st.integers(0, 2**32 - 1)),
+                                alpha, radius)
+    y = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m,
+                               max_size=m)))
+    g = inst.K.T @ y
+    x = np.where(np.abs(g) > alpha, -np.sign(g) * radius, 0.0)
+    a = np.r_[np.where(x != 0.0, alpha * np.sign(x), -g), 0.5 * radius * y]
+    inst = dataclasses.replace(inst, c=inst.K @ x - 0.5 * radius * y)
+    return inst.triple(), np.r_[x, y], a
+
+
+@PROPERTY
+@given(planted_saddle(), st.floats(0.1, 3.0),
+       st.sampled_from(["BFoRB", "BRFoB"]))
+def test_lemma_slacks_nonnegative_on_saddle_instances(case, frac, method):
+    # the planted zero x* and a in A(x*) give the shadow point at any
+    # stepsize exactly: z* = x* + lam*a
+    problem, x_star, a = case
+    lam = frac * max_stepsize(method, problem.B.lipschitz)
+    problem = ProblemTriple(problem.A, problem.B, problem.C, x_star=x_star,
+                            z_star=x_star + lam * a, lam_ref=lam)
+    _assert_lemma_slacks_nonnegative(problem, method, lam)
+
+
+@st.composite
+def a_zero_problem(draw):
+    """A = 0 with random monotone affine B and C, a stepsize below 1/L, a
+    start and a history point."""
+    dim = draw(st.integers(1, 8))
+    B, C = draw(monotone_affine(dim)), draw(monotone_affine(dim))
+    lam = draw(st.floats(0.01, 1.0)) / (1.0 + B.lipschitz)
+    point = arrays(float, dim, elements=st.floats(-10.0, 10.0))
+    return (ProblemTriple(A=ZeroOperator(dim), B=B, C=C), lam, draw(point),
+            draw(point))
+
+
+@PROPERTY
+@given(a_zero_problem())
+def test_a_zero_reduces_the_template_to_two_operator_methods(case):
+    # with J_{lam*A} the identity, z_{k+1} = y_k = x_{k+1}: BFoRB is FoRB
+    # (h = 1), BRFoB is RFoB and Davis-Yin is FB, up to rounding
+    problem, lam, z0, x_prev = case
+    for three, two in (("BFoRB", "FoRB"), ("BRFoB", "RFoB"),
+                       ("DavisYin", "FB")):
+        history = None if three == "DavisYin" else (z0, x_prev)
+        t3, t2 = (run(problem, SolverConfig(
+            method=method, lam=lam, z0=z0, y_init=history, max_iters=30,
+            tol=1e-300, enforce_bound=False), record_history=True)
+            for method in (three, two))
+        assert len(t3.zs) == len(t2.xs)
+        drift = max(np.linalg.norm(z - x) for z, x in zip(t3.zs, t2.xs))
+        assert drift <= 1e-12 * (1.0 + max(np.linalg.norm(x) for x in t2.xs))
 
 
 instances = st.one_of(

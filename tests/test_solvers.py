@@ -7,7 +7,7 @@ import pytest
 
 from splitkit import (AffineOperator, CustomOperator, Method, NOT_GUARANTEED,
                       ProblemTriple, SolverConfig, SolverError, ZeroOperator,
-                      make_affine_instance, max_stepsize, run,
+                      make_affine_instance, max_stepsize, omega_residual, run,
                       solve_affine_direct)
 
 SKEW2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -317,6 +317,18 @@ def test_run_oracle_overflow_ends_diverged():
                                           z0=np.ones(10), max_iters=50,
                                           **kwargs))
         assert len(t.residuals) == len(t.dist_to_xstar) == t.iterations
+    # B = 1e308 overflows the step, so z reaches inf: the final
+    # x = J_{lam*A}(z) cannot be formed, and x_final stays the last x
+    problem = ProblemTriple(
+        A=AffineOperator(np.eye(2)), C=ZeroOperator(2),
+        B=CustomOperator(2, forward=lambda v: np.full(2, 1e308),
+                         lipschitz=1.0))
+    for method in ("BFoRB", "BRFoB", "DavisYin"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = run(problem, SolverConfig(method=method, lam=10.0,
+                                          z0=np.ones(2), max_iters=5))
+        assert t.status == "diverged" and not np.isfinite(t.z_final).all()
+        assert np.isfinite(t.x_final).all()
 
 
 def _same_trace(a, b):
@@ -392,6 +404,24 @@ def test_run_records_residual_and_dist():
     assert trace.dist_to_xstar[-1] <= 1e-8
     # residual decays along the run on the whole (allow local wiggle)
     assert trace.residuals[-1] < trace.residuals[0]
+
+
+def test_dr_residual_is_omega_residual():
+    # DR's step omits B, so its step norm is the residual only when B = 0;
+    # otherwise run() evaluates the residual as omega_residual does
+    problem = make_affine_instance(10, 1, 0.8).triple()
+    lam = 0.05
+    trace = run(problem, SolverConfig(method="DR", lam=lam, z0=np.ones(10),
+                                      max_iters=300, tol=1e-12),
+                record_history=True)
+    assert trace.forward_evals == 0 and trace.resolvent_evals == 600
+    for k, res in enumerate(trace.residuals):
+        assert res == omega_residual(problem, lam, trace.zs[k])
+    assert trace.residuals[-1] > 0.1 > trace.step_norms[-1]
+    zero_B = ProblemTriple(A=problem.A, B=ZeroOperator(10), C=problem.C)
+    trace = run(zero_B, SolverConfig(method="DR", lam=lam, z0=np.ones(10),
+                                     max_iters=300, tol=1e-12))
+    assert trace.residuals == trace.step_norms
 
 
 # ----------------------------------------------------- reduction invariants
