@@ -32,7 +32,8 @@ class CertificateError(Exception):
 
 
 class GroundTruthError(CertificateError):
-    """The problem carries neither ``x_star`` nor a usable ``z_star``."""
+    """The problem carries no ``a_star``: no known zero ``x_star`` with an
+    element of ``A(x_star)`` to build a reference point from."""
 
 
 #: Rows per kernel call in ``certify_trace``.  Stacking a whole 5,000-step
@@ -85,42 +86,32 @@ class ReferencePoint:
 
     z: np.ndarray
     x: np.ndarray
-    lam_ref: float
+    lam: float
     b_x: np.ndarray = None
 
 
 def reference_point(problem, lam):
     """Construct and validate a shadow point for the stepsize ``lam``.
 
-    For problems with a known solution and single-valued ``A`` this is
-    ``z = x_star + lam * A(x_star)``, ``x = x_star``.  Alternatively a stored
-    ``z_star`` is used when its ``lam_ref`` matches.
+    With the problem's zero ``x_star`` and ``a_star`` in ``A(x_star)``
+    this is ``z = x_star + lam * a_star``, ``x = x_star``, exact at every
+    stepsize.
 
     Raises
     ------
     GroundTruthError
-        When neither route is available.
+        When the problem carries no ``a_star``.
     CertificateError
         When the constructed pair fails its validity checks.
     """
     if lam <= 0:
         raise CertificateError("lam must be positive")
-    A, B, C = problem.A, problem.B, problem.C
-    A_res = A.prepare(lam)
-    if problem.x_star is not None and A.has_forward:
-        x = problem.x_star
-        z = x + lam * A.forward(x)
-    elif problem.z_star is not None:
-        if abs(problem.lam_ref - lam) > 1e-12 * max(1.0, lam):
-            raise GroundTruthError(
-                f"stored z_star is for lam={problem.lam_ref}, requested {lam}")
-        z = problem.z_star
-        x = A_res(z)
-    else:
+    if problem.a_star is None:
         raise GroundTruthError(
-            "problem has neither x_star (with single-valued A) nor z_star")
-
-    xr = A_res(z)
+            "problem carries no zero x_star with a_star in A(x_star)")
+    x, B, C = problem.x_star, problem.B, problem.C
+    z = x + lam * problem.a_star
+    xr = problem.A.prepare(lam)(z)
     if np.linalg.norm(xr - x) > 1e-10 * (1.0 + np.linalg.norm(x)):
         raise CertificateError("reference point fails x = J_{lam*A}(z)")
     b_x = B.forward(x)
@@ -129,7 +120,7 @@ def reference_point(problem, lam):
         if np.linalg.norm(r) > 1e-10 * (1.0 + np.linalg.norm(z)):
             raise CertificateError(
                 "reference point fails x - z = lam*(B+C)(x)")
-    return ReferencePoint(z=z, x=x, lam_ref=lam, b_x=b_x)
+    return ReferencePoint(z=z, x=x, lam=lam, b_x=b_x)
 
 
 def _reflect(u, u_prev):
@@ -153,7 +144,7 @@ def _kernel(flavor, ref, lam, L, Z, Y, F, b_x=None):
     slices.  Also returns ``|z_{k+1} - z_k|^2`` per step and ``|z_k - z|^2``
     per iterate.
     """
-    if ref.lam_ref != lam:
+    if ref.lam != lam:
         raise CertificateError("reference point was built for a different lam")
 
     def sq(u):
@@ -301,28 +292,25 @@ def descent_report(phis, z_steps, eps, lemma_slacks=None,
     sq_steps = z_steps ** 2
     descent = np.maximum(0.0, phis[1:] + eps * sq_steps - phis[:-1])
     telescope = np.maximum(0.0, phis[1:] + eps * np.cumsum(sq_steps) - phis[0])
-    if lemma_slacks is None:
-        lemma_slacks = np.zeros(0)
-    lemma_slacks = np.asarray(lemma_slacks, dtype=float)
+    lemma_slacks = np.asarray(() if lemma_slacks is None else lemma_slacks,
+                              dtype=float)
     if lower_bound_violations is None:
         lower_bound_violations = np.zeros(phis.shape[0])
     lower_bound_violations = np.asarray(lower_bound_violations, dtype=float)
 
+    def worst(pick, series):
+        return float(pick(series)) if series.size else 0.0
+
     w = warmup
-    lb_start = max(1, w)
     summary = {
         "k_evaluated": int(z_steps.shape[0]),
-        "phi0": float(phis[0]) if phis.size else 0.0,
+        "phi0": float(phis[0]),
         "epsilon": float(eps),
-        "min_lemma_slack": float(np.min(lemma_slacks[w:]))
-        if lemma_slacks[w:].size else 0.0,
-        "max_descent_violation": float(np.max(descent[w:]))
-        if descent[w:].size else 0.0,
-        "max_telescope_violation": float(np.max(telescope[w:]))
-        if telescope[w:].size else 0.0,
+        "min_lemma_slack": worst(np.min, lemma_slacks[w:]),
+        "max_descent_violation": worst(np.max, descent[w:]),
+        "max_telescope_violation": worst(np.max, telescope[w:]),
         "max_lower_bound_violation":
-            float(np.max(lower_bound_violations[lb_start:]))
-            if lower_bound_violations[lb_start:].size else 0.0,
+            worst(np.max, lower_bound_violations[max(1, w):]),
     }
     return CertificateReport(
         lemma_slacks=lemma_slacks, phi=phis, epsilon=float(eps),

@@ -302,9 +302,17 @@ def _trace_summary(trace):
     return summary
 
 
+#: Each certificate gate: ``(value, tol, sign)``, holding when
+#: ``sign * summary[value] <= summary[tol]``.
+_GATES = {"lemma_ok": ("min_lemma_slack", "lemma_tol", -1.0),
+          "descent_ok": ("max_descent_violation", "phi_tol", 1.0),
+          "lower_bound_ok": ("max_lower_bound_violation", "phi_tol", 1.0)}
+
+
 def _certify(problem, trace, cfg, stem):
     """Certify ``trace``, write its certificate CSV, return the summary
-    plus gates: pass/fail booleans at the documented tolerances."""
+    plus gates: pass/fail booleans at the documented tolerances, or null
+    when a compared value is not finite (every such value is null too)."""
     report = certify_trace(problem, trace)
     _write_csv(stem + "__certificate.csv", "k",
                range(report.lemma_slacks.shape[0]),
@@ -316,10 +324,16 @@ def _certify(problem, trace, cfg, stem):
     z0 = _initial_point(cfg, problem.dim)
     s["lemma_tol"] = 1e-9 * (1.0 + float(np.dot(z0, z0)))
     s["phi_tol"] = 1e-9 * (1.0 + max(s["phi0"], 0.0))
-    s["lemma_ok"] = s["min_lemma_slack"] >= -s["lemma_tol"]
-    s["descent_ok"] = s["max_descent_violation"] <= s["phi_tol"]
-    s["lower_bound_ok"] = s["max_lower_bound_violation"] <= s["phi_tol"]
+    s = {key: value if not isinstance(value, float) or math.isfinite(value)
+         else None for key, value in s.items()}
+    for gate, (key, tol, sign) in _GATES.items():
+        s[gate] = (None if s[key] is None or s[tol] is None
+                   else sign * s[key] <= s[tol])
     return s
+
+
+def _num(value):
+    return "n/a" if value is None else format(value, ".3e")
 
 
 def _say(quiet, msg):
@@ -361,11 +375,13 @@ def cmd_run(cfg, out_dir, quiet=False, seed_override=None, gates=False):
         if gates:
             cert.update(status=trace.status, iterations=trace.iterations)
             _write_json(stem + "__certificate.json", cert)
-            good = (cert["lemma_ok"] and cert["descent_ok"]
-                    and cert["lower_bound_ok"])
-            msg = (f"certificate {'ok' if good else 'VIOLATED'} (min slack "
-                   f"{cert['min_lemma_slack']:.3e}, max descent violation "
-                   f"{cert['max_descent_violation']:.3e})")
+            held = [cert[gate] for gate in _GATES]
+            good = all(held)
+            verdict = ("ok" if good else "VIOLATED" if False in held
+                       else "not evaluated")
+            msg = (f"certificate {verdict} (min slack "
+                   f"{_num(cert['min_lemma_slack'])}, max descent violation "
+                   f"{_num(cert['max_descent_violation'])})")
         else:
             _write_csv(stem + ".csv", "k", range(trace.iterations),
                        step_norm=trace.step_norms,
@@ -376,9 +392,8 @@ def cmd_run(cfg, out_dir, quiet=False, seed_override=None, gates=False):
                 summary["certificate"] = cert
             _write_json(stem + "__summary.json", summary)
             good = trace.status == "converged"
-            res = summary["terminal_residual"]
             msg = (f"{trace.status} after {trace.iterations} iterations "
-                   f"(residual {'n/a' if res is None else format(res, '.3e')})")
+                   f"(residual {_num(summary['terminal_residual'])})")
         ok = ok and good
         _say(quiet, f"{pid} {method}: {msg}")
     return EXIT_OK if ok else EXIT_NOT_CONVERGED
@@ -406,11 +421,6 @@ def cmd_sweep(cfg, grid, out_dir, quiet=False, seed_override=None):
               newline="\n") as fh:
         fh.writelines(rows)
     return EXIT_OK if ok else EXIT_NOT_CONVERGED
-
-
-def cmd_certify(cfg, out_dir, quiet=False, seed_override=None):
-    """Certificate runs: inequality slacks, Lyapunov descent, lower bounds."""
-    return cmd_run(cfg, out_dir, quiet, seed_override, gates=True)
 
 
 def cmd_flow(cfg, out_dir, quiet=False, seed_override=None):
@@ -462,9 +472,9 @@ def main(argv=None):
         if args.verb == "sweep":
             grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
             return cmd_sweep(cfg, grid, *rest)
-        # built per call, so that it reaches patched module globals
-        verbs = {"run": cmd_run, "certify": cmd_certify, "flow": cmd_flow}
-        return verbs[args.verb](cfg, *rest)
+        if args.verb == "flow":
+            return cmd_flow(cfg, *rest)
+        return cmd_run(cfg, *rest, gates=args.verb == "certify")
     except ConfigError as exc:
         for ln, msg in exc.errors:
             where = f"line {ln}: " if ln else ""

@@ -99,22 +99,17 @@ def soft_threshold(w, lam, v):
     This is the resolvent of ``lam * w * subdifferential(l1-norm)``; it is
     nonexpansive and reduces to the identity when ``w == 0``.
     """
-    if w < 0:
-        raise OperatorError("l1 weight must be nonnegative")
     if lam <= 0:
         raise OperatorError("lam must be positive")
     v = as_vector(v)
-    return np.sign(v) * np.maximum(np.abs(v) - lam * w, 0.0)
+    return ScaledL1(v.shape[0], w).resolve(lam, v)
 
 
 def box_project(lo, hi, v):
     """Clamp ``v`` componentwise to ``[lo, hi]``; idempotent."""
     v = as_vector(v)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), v.shape)
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), v.shape)
-    if np.any(lo > hi):
-        raise InvalidBoxError("box has lo[i] > hi[i]")
-    return np.minimum(np.maximum(v, lo), hi)
+    return BoxNormalCone(np.broadcast_to(lo, v.shape),
+                         np.broadcast_to(hi, v.shape)).resolve(1.0, v)
 
 
 def operator_norm(K, tol=1e-8, max_iters=10000):
@@ -313,8 +308,8 @@ class ScaledL1(MonotoneOperator):
     has_resolvent = True
 
     def __init__(self, dim, weight):
-        if weight < 0:
-            raise OperatorError("l1 weight must be nonnegative")
+        if not 0.0 <= weight < np.inf:
+            raise OperatorError("l1 weight must be nonnegative and finite")
         super().__init__(dim)
         self.weight = float(weight)
 
@@ -442,11 +437,15 @@ class ProblemTriple:
 
     ``A`` and ``C`` must be resolvent-capable, ``B`` must be single-valued
     with a declared Lipschitz constant.  ``x_star`` optionally carries a
-    known solution and ``z_star`` a matching shadow point for the stepsize
-    ``lam_ref`` (i.e. ``x_star = resolvent(A, lam_ref, z_star)``).
+    known solution and ``a_star`` an element of ``A(x_star)``; the pair
+    gives the shadow point ``x_star + lam*a_star`` at every stepsize.
+    ``a_star`` defaults to ``A(x_star)`` when ``A`` is single-valued.
+    Construction checks, to ``1e-8*(1 + |x_star|)``, that a given
+    ``a_star`` satisfies ``J_{1*A}(x_star + a_star) = x_star`` and that
+    ``0 in a_star + B(x_star) + C(x_star)``.
     """
 
-    def __init__(self, A, B, C, x_star=None, z_star=None, lam_ref=None):
+    def __init__(self, A, B, C, x_star=None, a_star=None):
         if not (A.dim == B.dim == C.dim):
             raise DimensionMismatchError(
                 f"operator dims differ: {A.dim}, {B.dim}, {C.dim}")
@@ -461,24 +460,24 @@ class ProblemTriple:
         self.A, self.B, self.C = A, B, C
         self.dim = A.dim
         self.x_star = None if x_star is None else as_vector(x_star, self.dim)
-        self.z_star = None if z_star is None else as_vector(z_star, self.dim)
-        self.lam_ref = lam_ref
-        if self.x_star is not None and all(
-                op.has_forward for op in (A, B, C)):
-            r = A.forward(self.x_star) + B.forward(self.x_star) \
-                + C.forward(self.x_star)
-            bound = 1e-8 * (1.0 + np.linalg.norm(self.x_star))
+        self.a_star = None if a_star is None else as_vector(a_star, self.dim)
+        if self.x_star is None:
+            if self.a_star is not None:
+                raise OperatorError("a_star requires x_star")
+            return
+        x = self.x_star
+        bound = 1e-8 * (1.0 + np.linalg.norm(x))
+        if self.a_star is None:
+            self.a_star = A.forward(x) if A.has_forward else None
+        elif np.linalg.norm(A.resolve(1.0, x + self.a_star) - x) > bound:
+            raise OperatorError("a_star is not an element of A(x_star)")
+        if self.a_star is not None:
+            # 0 in a_star + B(x_star) + C(x_star), through J_{1*C} if need be
+            w = self.a_star + B.forward(x)
+            r = w + C.forward(x) if C.has_forward else C.resolve(1.0, x - w) - x
             if np.linalg.norm(r) > bound:
                 raise OperatorError(
                     f"x_star residual {np.linalg.norm(r):.3e} exceeds {bound:.3e}")
-        if self.z_star is not None:
-            if lam_ref is None or lam_ref <= 0:
-                raise OperatorError("z_star requires a positive lam_ref")
-            if self.x_star is not None:
-                xs = A.resolve(lam_ref, self.z_star)
-                if np.linalg.norm(xs - self.x_star) > 1e-8 * (
-                        1.0 + np.linalg.norm(self.x_star)):
-                    raise OperatorError("z_star inconsistent with x_star")
 
     def prepare(self, lam):
         """The resolvents ``(A_res, C_res)`` of A and C at ``lam``."""

@@ -1,11 +1,10 @@
-"""Reproducible test instances with ground truth where computable.
+"""Reproducible test instances whose triples carry their ground truth.
 
 Randomness comes from a counter-based generator (Philox) keyed on the
 instance seed, so equal parameters give bit-identical instances on every
-platform.  Affine instances carry an exact solution from a direct linear
-solve; saddle instances are built around a strictly complementary
-primal-dual pair, but solvers are validated against cross-method agreement
-and the fixed-point residual, not against stored coordinates.
+platform.  Each triple carries a zero ``x_star`` and ``a_star`` in
+``A(x_star)``: affine instances solve for ``x_star`` directly, and saddle
+instances keep the dual corner ``y_plant`` that their ``c`` was planted at.
 """
 
 from dataclasses import dataclass
@@ -157,10 +156,12 @@ class SaddleInstance:
     n: int
     seed: int
     L: float
+    y_plant: np.ndarray = None
 
     def triple(self):
+        """The ProblemTriple; with ``y_plant`` it carries the planted zero."""
         n, m, R = self.n, self.m, self.radius
-        shrink = (ScaledL1(n, self.alpha).resolve if self.alpha > 0
+        shrink = (ScaledL1(n, self.alpha).resolve if self.alpha != 0
                   else lambda lam, v: v)
         clip = BoxNormalCone(-1.0, 1.0).resolve
 
@@ -171,7 +172,17 @@ class SaddleInstance:
         C = BoxNormalCone(np.r_[np.full(n, -R), np.full(m, -np.inf)],
                           np.r_[np.full(n, R), np.full(m, np.inf)])
         B = BilinearCoupling(self.K, self.c)
-        return ProblemTriple(A=A, B=B, C=C)
+        plant = (() if self.y_plant is None
+                 else _plant(self.K, self.y_plant, self.alpha, R))
+        return ProblemTriple(A, B, C, *plant)
+
+
+def _plant(K, y, alpha, R):
+    """The zero ``(x, y)`` planted at the dual corner ``y`` and the ``a``
+    in ``A(x, y)`` with ``0 in a + (B + C)(x, y)`` once ``c = Kx - (R/2)y``."""
+    g = K.T @ y
+    x = np.where(np.abs(g) > alpha, -np.sign(g) * R, 0.0)
+    return np.r_[x, y], np.r_[-np.clip(g, -alpha, alpha), (0.5 * R) * y]
 
 
 def make_saddle_instance(m, n, seed, alpha, radius):
@@ -180,17 +191,17 @@ def make_saddle_instance(m, n, seed, alpha, radius):
     ``K`` gets singular values on ``[L/2, L] = [0.5, 1]`` (well conditioned,
     so the bilinear rotation modes are damped at a usable rate), and ``c``
     is chosen so that a planted pair is optimal: every dual coordinate sits
-    strictly at a corner of its box and every nonzero primal coordinate at
-    ``+-radius`` with a sign margin.  The instance itself stores only
-    ``(K, c, alpha, radius)``; no solution coordinates are kept, ground
-    truth is established by cross-method agreement.
+    at a corner ``y_plant`` of its box and every nonzero primal coordinate
+    at ``+-radius``.  The instance stores ``y_plant``; its triple carries
+    the planted zero ``(x, y_plant)`` as ``x_star`` and the matching
+    ``a_star``, the ground truth of distances and certificates.
     """
     if m < 1 or n < 1:
         raise OperatorError("m and n must be positive integers")
-    if alpha < 0:
-        raise OperatorError("alpha must be nonnegative")
-    if radius <= 0:
-        raise OperatorError("radius must be positive")
+    if not 0.0 <= alpha < np.inf:
+        raise OperatorError("alpha must be nonnegative and finite")
+    if not 0.0 < radius < np.inf:
+        raise OperatorError("radius must be positive and finite")
     rng = _rng(seed)
     r = min(m, n)
     U, _ = np.linalg.qr(rng.uniform(-1.0, 1.0, size=(m, r)))
@@ -198,13 +209,11 @@ def make_saddle_instance(m, n, seed, alpha, radius):
     K = (U * np.linspace(0.5, 1.0, r)) @ V.T
 
     y_plant = np.where(rng.uniform(-1.0, 1.0, size=m) >= 0.0, 1.0, -1.0)
-    g = K.T @ y_plant
-    x_plant = np.where(np.abs(g) > alpha, -np.sign(g) * radius, 0.0)
-    c = K @ x_plant - (0.5 * radius) * y_plant
+    c = K @ _plant(K, y_plant, alpha, radius)[0][:n] - (0.5 * radius) * y_plant
 
     return SaddleInstance(
         K=K, c=c, alpha=float(alpha), radius=float(radius),
-        m=m, n=n, seed=seed, L=operator_norm(K, tol=1e-8))
+        m=m, n=n, seed=seed, L=operator_norm(K, tol=1e-8), y_plant=y_plant)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +238,7 @@ _LAYOUT = {
     "saddle": (SaddleInstance,
                [("m", 1), ("n", 1), ("seed", 0), ("alpha", None),
                 ("radius", None)],
-               [("K", "m", "n"), ("c", "m")],
+               [("K", "m", "n"), ("c", "m"), ("y_plant", "m")],
                lambda f: operator_norm(f["K"], tol=1e-8)),
 }
 
@@ -247,6 +256,8 @@ def save_instance(inst, path):
         lines.append(f"{name} {value if least is not None else _FMT % value}")
     for name, *_ in arrays:
         a = getattr(inst, name)
+        if a is None:
+            raise OperatorError(f"cannot serialize {kind} without {name}")
         lines.append(f"{'matrix' if a.ndim == 2 else 'vector'} {name} "
                      + " ".join(map(str, a.shape)))
         lines += (" ".join(_FMT % v for v in row) for row in np.atleast_2d(a))
@@ -288,9 +299,6 @@ class _Reader:
             raise self.error("entries must be finite")
         return values
 
-    def scalar(self, key):
-        return float(self.floats([key], 1)[0])
-
     def integer(self, key, least):
         word, = self.words([key], 1)
         try:
@@ -326,7 +334,7 @@ def load_instance(path):
     if kind not in _LAYOUT:
         raise rd.error(f"unknown instance kind {kind!r}")
     cls, header, arrays, lipschitz = _LAYOUT[kind]
-    fields = {name: rd.scalar(name) if least is None
+    fields = {name: float(rd.floats([name], 1)[0]) if least is None
               else rd.integer(name, least) for name, least in header}
     for name, *shape in arrays:
         fields[name] = rd.array(name, *(fields[dim] for dim in shape))

@@ -127,13 +127,8 @@ class SolverConfig:
         if not self.tol > 0:
             raise SolverError("tol must be positive")
         self.z0 = as_vector(self.z0, name="z0")
-        if self.method is Method.FRDR:
-            if self.gamma is None:
-                raise SolverError("FRDR requires gamma")
-            if not 0.0 < self.gamma < math.inf:
-                raise SolverError("gamma must be positive and finite")
-        elif self.gamma is not None:
-            raise SolverError(f"{self.method.value} does not accept gamma")
+        if self.method is Method.FRDR or self.gamma is not None:
+            max_stepsize(self.method, 1.0, self.gamma)   # checks gamma
         if self.method in (Method.FORB, Method.RFOB):
             if not 0.0 < self.h <= 1.0:
                 raise SolverError("h must lie in (0, 1]")

@@ -295,6 +295,10 @@ def test_criterion_8_saddle_instance():
         res = omega_residual(problem, lam, trace.z_final)
         if res > 1e-6:
             failures.append(f"{method}: residual {res:.2e}")
+        # the stored plant is the ground truth
+        if trace.dist_to_xstar[-1] > 1e-8:
+            failures.append(f"{method}: {trace.dist_to_xstar[-1]:.2e} from "
+                            "the planted zero")
         finals[method] = trace.x_final[:30]
     agree = np.linalg.norm(finals["BFoRB"] - finals["BRFoB"])
     if agree > 1e-4:

@@ -3,12 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from splitkit import (AffineOperator, CertificateError, GroundTruthError,
-                      ProblemTriple, SolverConfig, ZeroOperator,
+from splitkit import (AffineOperator, CertificateError, CustomOperator,
+                      GroundTruthError, ProblemTriple, SaddleInstance,
+                      SolverConfig, ZeroOperator,
                       certify_trace, descent_report, lemma_bforb_slack,
                       lemma_brfob_slack, make_affine_instance,
-                      make_saddle_instance, max_stepsize, omega_residual,
-                      phi_bforb, phi_brfob, reference_point, run)
+                      max_stepsize, omega_residual, phi_bforb, phi_brfob,
+                      reference_point, run)
 from splitkit.certificates import _BLOCK
 
 
@@ -63,22 +64,31 @@ def test_reference_point_affine_validates():
 
 
 def test_reference_point_unavailable():
-    inst = make_saddle_instance(4, 6, 1, 0.5, 1.0)
+    # a hand-built saddle instance has no plant, so no a_star
+    inst = SaddleInstance(K=np.eye(2, 3), c=np.zeros(2), alpha=0.5,
+                          radius=1.0, m=2, n=3, seed=0, L=1.0)
     with pytest.raises(GroundTruthError):
         reference_point(inst.triple(), 0.1)
 
 
-def test_reference_point_from_z_star():
-    dim = 3
-    problem0 = dr_problem(dim=dim)
-    lam = 0.3
-    z_star = problem0.x_star + lam * problem0.A.forward(problem0.x_star)
-    problem = ProblemTriple(A=problem0.A, B=problem0.B, C=problem0.C,
-                            z_star=z_star, lam_ref=lam)
-    ref = reference_point(problem, lam)
-    assert np.allclose(ref.x, problem0.x_star, atol=1e-12)
+def test_reference_point_from_a_star():
+    # A known only through its resolvent: the same a_star in A(x_star)
+    # gives a valid reference point at every stepsize
+    problem0 = dr_problem(dim=3)
+    A = CustomOperator(3, resolvent=problem0.A.resolve)
+    a_star = problem0.A.forward(problem0.x_star)
+    problem = ProblemTriple(A=A, B=problem0.B, C=problem0.C,
+                            x_star=problem0.x_star, a_star=a_star)
+    for lam in (0.3, 2.0):
+        ref = reference_point(problem, lam)
+        assert np.array_equal(ref.x, problem0.x_star)
+        assert np.array_equal(ref.z, problem0.x_star + lam * a_star)
+        assert np.allclose(A.resolve(lam, ref.z), ref.x, atol=1e-12)
+    without = ProblemTriple(A=A, B=problem0.B, C=problem0.C,
+                            x_star=problem0.x_star)
+    assert without.a_star is None
     with pytest.raises(GroundTruthError):
-        reference_point(problem, 2 * lam)       # lam mismatch
+        reference_point(without, 0.3)
 
 
 # ----------------------------------------------------------- omega residual

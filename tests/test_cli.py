@@ -450,24 +450,61 @@ tol = 1e-11
     assert len(series) == 2
 
 
-def test_certify_saddle_exits_1(tmp_path):
-    cfg = write(tmp_path, "exp.cfg", """\
+def test_certify_saddle_ok(tmp_path):
+    # the triple of a generated saddle instance carries its planted zero,
+    # which gives the reference point at every stepsize
+    out = tmp_path / "o"
+    assert main(["certify", "--config", write(tmp_path, "exp.cfg", SADDLE_CFG),
+                 "--out", str(out), "--quiet"]) == EXIT_OK
+    report, = out.glob("*__certificate.json")
+    payload = json.loads(report.read_text())
+    assert payload["lemma_ok"] and payload["descent_ok"]
+    assert payload["lower_bound_ok"]
+
+
+def _strict_json(path):
+    def reject(name):
+        raise ValueError(f"{path.name}: non-JSON constant {name}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+# lam*L near 1e300 overflows the iterates within a few steps
+OVERFLOW_CFG = """\
 [problem]
-kind = saddle
-m = 4
-n = 6
-seed = 2
-alpha = 0.5
-radius = 1.0
+kind = affine
+dim = 5
+seed = 1
 
 [run]
-methods = BFoRB
-lambda_fraction = 0.9
-max_iters = 100
-tol = 1e-10
-""")
-    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o"),
-                 "--quiet"]) == EXIT_CONFIG
+methods = BFoRB, BRFoB
+lambda = 1e300
+max_iters = 50
+"""
+
+
+@pytest.mark.parametrize("verb", ["run", "certify"])
+def test_nonfinite_certificate_is_null_not_false(tmp_path, capsys, verb):
+    # a certificate that overflows could not be evaluated: its values and
+    # gates are null, which strict JSON parsers accept, and the exit code
+    # is that of a failed gate
+    out = tmp_path / "o"
+    cfg = write(tmp_path, "exp.cfg", OVERFLOW_CFG + "certify = true\n")
+    with np.errstate(all="ignore"):
+        code = main([verb, "--config", cfg, "--out", str(out)])
+    assert code == EXIT_NOT_CONVERGED
+    reports = sorted(out.glob("*__certificate.json" if verb == "certify"
+                              else "*__summary.json"))
+    assert len(reports) == 2
+    for path in reports:
+        payload = _strict_json(path)
+        cert = payload if verb == "certify" else payload["certificate"]
+        assert cert["min_lemma_slack"] is None and cert["phi0"] is None
+        assert cert["lemma_ok"] is None
+    if verb == "certify":
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert all("certificate not evaluated (min slack n/a" in line
+                   for line in lines), lines
 
 
 # ---------------------------------------------------------------- flow verb
@@ -595,8 +632,8 @@ def test_flow_csv_matches_rowwise_computation(tmp_path, problem_kind, kind):
 
 
 FRDR_CFG = AFFINE_CFG.replace("methods = BFoRB", "methods = FRDR")
-# x_star = 0 here, but J_{lam*A}(z_star) misses it by more than the
-# reference point's 1e-10 check allows
+# x_star = 0 here, but J_{lam*A}(x_star + lam*a_star) misses it by more
+# than the reference point's 1e-10 check allows
 NO_REFERENCE_CFG = """\
 [problem]
 kind = affine
@@ -622,7 +659,7 @@ FB_CFG = AFFINE_CFG.replace("methods = BFoRB", "methods = FB") \
     ("run", AFFINE_CFG.replace("tol = 1e-10", "tol = nan"), []),
     ("sweep", AFFINE_CFG, ["--grid", "nan"]),
     ("sweep", FB_CFG, ["--grid", "0.5"]),
-    ("run", SADDLE_CFG + "certify = true\n", []),
+    ("run", SADDLE_CFG.replace("alpha = 0.5", "alpha = nan"), []),
     ("certify", NO_REFERENCE_CFG, []),
     ("run", NO_REFERENCE_CFG + "certify = true\n", []),
     ("run", AFFINE_CFG + "h = 0.5\n", []),
@@ -631,7 +668,7 @@ FB_CFG = AFFINE_CFG.replace("methods = BFoRB", "methods = FB") \
      ["--grid", "0.5"]),
     ("certify", AFFINE_CFG.replace("methods = BFoRB", "methods ="), []),
 ], ids=["lambda-nan", "certify-lambda-nan", "fraction-inf", "frdr-gamma-nan",
-        "tol-nan", "sweep-grid-nan", "sweep-fb", "saddle-certify-true",
+        "tol-nan", "sweep-grid-nan", "sweep-fb", "saddle-alpha-nan",
         "certify-no-reference-point", "certify-true-no-reference-point",
         "h-without-relaxed-method", "run-no-methods", "sweep-no-methods",
         "certify-no-methods"])

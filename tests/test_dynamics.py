@@ -128,10 +128,10 @@ def test_dr_flow_stationary_at_reference_point():
     inst = make_affine_instance(10, 7, 0.8)
     problem = inst.triple()
     lam = 0.1
-    z_star = inst.x_star + lam * problem.A.forward(inst.x_star)
-    flow = simulate_dr_flow(problem, lam, 0.01, 5.0, z_star)
-    drift = np.linalg.norm(flow.terminal - z_star)
-    assert drift <= 1e-10 * (1 + np.linalg.norm(z_star))
+    z_ref = inst.x_star + lam * problem.A.forward(inst.x_star)
+    flow = simulate_dr_flow(problem, lam, 0.01, 5.0, z_ref)
+    drift = np.linalg.norm(flow.terminal - z_ref)
+    assert drift <= 1e-10 * (1 + np.linalg.norm(z_ref))
 
 
 def test_dr_flow_converges_toward_solution():

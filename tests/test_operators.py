@@ -305,16 +305,21 @@ def test_triple_x_star_residual_check():
         ProblemTriple(A=A, B=B, C=C, x_star=[2.0])
 
 
-def test_triple_z_star_consistency():
-    A = AffineOperator([[1.0]])
+def test_triple_a_star_consistency():
+    # A = the normal cone of [0, 1], known only through its resolvent
+    A = BoxNormalCone(0.0, 1.0)
     B = ZeroOperator(1)
-    C = AffineOperator([[1.0]])
-    # x* = 0; z* = x* + lam*A(x*) = 0
-    ProblemTriple(A=A, B=B, C=C, x_star=[0.0], z_star=[0.0], lam_ref=0.5)
+    C = AffineOperator([[1.0]], [-1.0])
+    # at x* = 1 the normal cone holds every a >= 0; B + C gives 0 there
+    ProblemTriple(A=A, B=B, C=C, x_star=[1.0], a_star=[0.0])
+    with pytest.raises(OperatorError):                  # -1 is not in A(1)
+        ProblemTriple(A=A, B=B, C=C, x_star=[1.0], a_star=[-1.0])
+    with pytest.raises(OperatorError):                  # in A(1), but no zero
+        ProblemTriple(A=A, B=B, C=C, x_star=[1.0], a_star=[2.0])
     with pytest.raises(OperatorError):
-        ProblemTriple(A=A, B=B, C=C, x_star=[0.0], z_star=[1.0], lam_ref=0.5)
-    with pytest.raises(OperatorError):
-        ProblemTriple(A=A, B=B, C=C, z_star=[1.0])      # missing lam_ref
+        ProblemTriple(A=A, B=B, C=C, a_star=[0.0])      # missing x_star
+    # without a forward oracle for A and no a_star given, none is derived
+    assert ProblemTriple(A=A, B=B, C=C, x_star=[1.0]).a_star is None
 
 
 # ------------------------------------------- lean oracles vs scipy reference

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from splitkit import (AffineInstance, OperatorError, SaddleInstance,
-                      SolverConfig, lipschitz_check, make_affine_instance,
-                      make_saddle_instance, max_stepsize, omega_residual,
-                      reference_point, run,
-                      save_instance, load_instance, solve_affine_direct)
+                      ScaledL1, SolverConfig, lipschitz_check,
+                      make_affine_instance, make_saddle_instance,
+                      max_stepsize, omega_residual, reference_point, run,
+                      save_instance, load_instance, soft_threshold,
+                      solve_affine_direct)
 
 
 def zero_like_instance(dim, M_B=None, b_B=None):
@@ -129,7 +130,16 @@ def test_saddle_instance_shapes_and_L():
     assert inst.L == pytest.approx(sigma, rel=1e-8)
     problem = inst.triple()
     assert problem.dim == 50
-    assert problem.x_star is None
+    # the planted zero: y at a corner of its box, x at 0 or +-radius
+    assert inst.y_plant.shape == (20,)
+    assert np.array_equal(np.abs(inst.y_plant), np.ones(20))
+    x, y = problem.x_star[:30], problem.x_star[30:]
+    assert np.array_equal(y, inst.y_plant)
+    assert set(np.abs(x)) <= {0.0, 1.0}
+    assert np.array_equal(inst.c, inst.K @ x - 0.5 * y)
+    lam = 0.9 * max_stepsize("BFoRB", inst.L)
+    assert omega_residual(problem, lam, reference_point(problem, lam).z) \
+        <= 1e-12
 
 
 def test_saddle_determinism():
@@ -185,6 +195,20 @@ def test_saddle_param_validation():
         make_saddle_instance(3, 3, 1, -0.5, 1.0)
     with pytest.raises(OperatorError):
         make_saddle_instance(3, 3, 1, 0.5, 0.0)
+    for alpha, radius in ((np.nan, 1.0), (np.inf, 1.0), (0.5, np.nan),
+                          (0.5, np.inf), (0.5, -1.0)):
+        with pytest.raises(OperatorError):
+            make_saddle_instance(3, 3, 1, alpha, radius)
+    # a NaN weight used to pass as 0 (NaN < 0 is false)
+    for weight in (np.nan, np.inf, -1.0):
+        with pytest.raises(OperatorError):
+            ScaledL1(3, weight)
+        with pytest.raises(OperatorError):
+            soft_threshold(weight, 1.0, np.ones(3))
+    hand_built = SaddleInstance(K=np.eye(2), c=np.zeros(2), alpha=np.nan,
+                                radius=1.0, m=2, n=2, seed=0, L=1.0)
+    with pytest.raises(OperatorError):
+        hand_built.triple()
 
 
 # ------------------------------------------------------------- serialization
@@ -208,6 +232,7 @@ def test_saddle_round_trip_bit_exact(tmp_path):
     back = load_instance(path)
     assert np.array_equal(inst.K, back.K)
     assert np.array_equal(inst.c, back.c)
+    assert np.array_equal(inst.y_plant, back.y_plant)
     assert (back.m, back.n, back.seed, back.alpha, back.radius) == \
         (inst.m, inst.n, inst.seed, inst.alpha, inst.radius)
     assert back.L == pytest.approx(inst.L, rel=1e-12)
@@ -240,7 +265,8 @@ def _corrupt(tmp_path, inst, lineno, text):
 
 
 # Affine d=3: header on lines 1-6, M_A/M_B/M_C headers on 7/11/15, vector
-# headers on 19/21/23/25.  Saddle 2x3: header on 1-7, K on 8, c on 11.
+# headers on 19/21/23/25.  Saddle 2x3: header on 1-7, K on 8, c on 11,
+# y_plant on 13.
 @pytest.mark.parametrize("kind, lineno, text, named", [
     ("affine", 11, "matrix M_B 3", 11),          # short matrix header
     ("affine", 19, "vector b_A", 19),            # short vector header
@@ -261,6 +287,8 @@ def _corrupt(tmp_path, inst, lineno, text):
     ("saddle", 10, "1 2 bar", 10),
     ("saddle", 12, "-inf 0", 12),
     ("saddle", 7, "radius", 7),
+    ("saddle", 13, None, 13),                    # no y_plant
+    ("saddle", 13, "end", 13),                   # the layout before y_plant
 ], ids=lambda v: str(v).replace(" ", "_"))
 def test_load_malformed_file_names_the_line(tmp_path, kind, lineno, text,
                                             named):
@@ -268,3 +296,17 @@ def test_load_malformed_file_names_the_line(tmp_path, kind, lineno, text,
             else make_saddle_instance(2, 3, 5, 0.25, 1.0))
     with pytest.raises(OperatorError, match=rf", line {named}: "):
         load_instance(_corrupt(tmp_path, inst, lineno, text))
+
+
+def test_saddle_file_needs_its_plant(tmp_path):
+    # every saddle file stores y_plant: one without a plant is not written
+    inst = make_saddle_instance(2, 3, 5, 0.25, 1.0)
+    bare = SaddleInstance(K=inst.K, c=inst.c, alpha=inst.alpha,
+                          radius=inst.radius, m=2, n=3, seed=5, L=inst.L)
+    with pytest.raises(OperatorError, match="y_plant"):
+        save_instance(bare, tmp_path / "bare.txt")
+    assert not (tmp_path / "bare.txt").exists()
+    # a plant that the stored c was not planted at is no zero
+    moved = _corrupt(tmp_path, inst, 14, "1 1")
+    with pytest.raises(OperatorError, match="x_star residual"):
+        load_instance(moved).triple()

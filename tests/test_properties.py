@@ -111,36 +111,54 @@ def test_lemma_slacks_nonnegative_at_any_stepsize(dim, seed, skew, frac,
     _assert_lemma_slacks_nonnegative(problem, method, lam)
 
 
-@st.composite
-def planted_saddle(draw):
-    """A generated saddle instance with ``c`` planted anew at a drawn zero
-    ``(x, y)``, the way :func:`make_saddle_instance` plants the zero it does
-    not store; returns the triple, ``(x, y)`` and the ``a`` in ``A(x, y)``
-    with ``0 in a + (B + C)(x, y)``."""
-    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    alpha, radius = draw(st.floats(0.0, 2.0)), draw(st.floats(0.1, 10.0))
-    inst = make_saddle_instance(m, n, draw(st.integers(0, 2**32 - 1)),
-                                alpha, radius)
-    y = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m,
-                               max_size=m)))
-    g = inst.K.T @ y
-    x = np.where(np.abs(g) > alpha, -np.sign(g) * radius, 0.0)
-    a = np.r_[np.where(x != 0.0, alpha * np.sign(x), -g), 0.5 * radius * y]
-    inst = dataclasses.replace(inst, c=inst.K @ x - 0.5 * radius * y)
-    return inst.triple(), np.r_[x, y], a
+def planted_saddle():
+    """A generated saddle instance's triple, which carries the planted zero
+    ``x_star`` and ``a_star`` in ``A(x_star)``."""
+    return st.builds(make_saddle_instance, m=st.integers(1, 6),
+                     n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+                     alpha=st.floats(0.0, 2.0),
+                     radius=st.floats(0.1, 10.0)).map(lambda i: i.triple())
 
 
 @PROPERTY
 @given(planted_saddle(), st.floats(0.1, 3.0),
        st.sampled_from(["BFoRB", "BRFoB"]))
-def test_lemma_slacks_nonnegative_on_saddle_instances(case, frac, method):
-    # the planted zero x* and a in A(x*) give the shadow point at any
-    # stepsize exactly: z* = x* + lam*a
-    problem, x_star, a = case
+def test_lemma_slacks_nonnegative_on_saddle_instances(problem, frac, method):
+    # x_star and a_star give the shadow point at any stepsize exactly:
+    # z* = x* + lam*a*
     lam = frac * max_stepsize(method, problem.B.lipschitz)
-    problem = ProblemTriple(problem.A, problem.B, problem.C, x_star=x_star,
-                            z_star=x_star + lam * a, lam_ref=lam)
     _assert_lemma_slacks_nonnegative(problem, method, lam)
+
+
+def _assert_descent_inside_the_bound(problem, method, frac):
+    # the gates of a certified CLI run, over 300 steps from z0 = 1
+    lam = frac * max_stepsize(method, problem.B.lipschitz)
+    trace = run(problem, SolverConfig(method=method, lam=lam,
+                                      z0=np.ones(problem.dim), max_iters=300,
+                                      tol=1e-300), record_history=True)
+    s = certify_trace(problem, trace).summary
+    phi_tol = 1e-9 * (1.0 + max(s["phi0"], 0.0))
+    assert s["max_descent_violation"] <= phi_tol
+    assert s["max_telescope_violation"] <= phi_tol
+    assert s["max_lower_bound_violation"] <= phi_tol
+
+
+@PROPERTY
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0),
+       st.floats(0.01, 0.999), st.sampled_from(["BFoRB", "BRFoB"]))
+def test_descent_inside_the_bound_on_affine_instances(dim, seed, skew, frac,
+                                                      method):
+    problem = make_affine_instance(dim, seed, skew).triple()
+    # the same degenerate generator output as in the lemma property above
+    assume(problem.B.lipschitz > 1e-6)
+    _assert_descent_inside_the_bound(problem, method, frac)
+
+
+@PROPERTY
+@given(planted_saddle(), st.floats(0.01, 0.999),
+       st.sampled_from(["BFoRB", "BRFoB"]))
+def test_descent_inside_the_bound_on_saddle_instances(problem, frac, method):
+    _assert_descent_inside_the_bound(problem, method, frac)
 
 
 @st.composite

@@ -533,13 +533,13 @@ def test_stationarity_at_reference_point():
     problem = inst.triple()
     for method, frac in (("BFoRB", 1.0 / 8.0), ("BRFoB", 1.0 / 22.0)):
         lam = 0.9 * frac / problem.B.lipschitz
-        z_star = inst.x_star + lam * problem.A.forward(inst.x_star)
-        trace = run(problem, SolverConfig(method=method, lam=lam, z0=z_star,
+        z_ref = inst.x_star + lam * problem.A.forward(inst.x_star)
+        trace = run(problem, SolverConfig(method=method, lam=lam, z0=z_ref,
                                           max_iters=200, tol=1e-300),
                     record_history=True)
         for zk in trace.zs:
-            assert np.linalg.norm(zk - z_star) <= 1e-12 * (
-                1 + np.linalg.norm(z_star))
+            assert np.linalg.norm(zk - z_ref) <= 1e-12 * (
+                1 + np.linalg.norm(z_ref))
 
 
 def test_stepsize_warning_recorded():
