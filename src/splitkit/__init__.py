@@ -20,9 +20,8 @@ from .operators import (AffineOperator, BilinearCoupling, BoxNormalCone,
                         CapabilityError, CustomOperator,
                         DimensionMismatchError, InvalidBoxError,
                         MonotoneOperator, NotMonotoneError, OperatorError,
-                        PowerIterationError, ProblemTriple, ScaledL1,
-                        ZeroOperator, box_project, forward_eval,
-                        lipschitz_check, operator_norm, resolvent,
+                        ProblemTriple, ScaledL1, ZeroOperator, box_project,
+                        forward_eval, lipschitz_check, resolvent,
                         soft_threshold)
 from .problems import (AffineInstance, SaddleInstance, SingularProblemError,
                        load_instance, make_affine_instance,

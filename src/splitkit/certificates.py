@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import as_vector
+from .operators import as_vector, vanishes
 from .solvers import Method
 
 
@@ -58,8 +58,8 @@ def omega_residual(problem, lam, z, x=None):
     factors affine and bilinear ``A`` and ``C`` anew; for many points at one
     ``lam``, evaluate the formula on ``problem.prepare(lam)`` instead.
     """
-    if lam <= 0:
-        raise CertificateError("lam must be positive")
+    if not 0.0 < lam < math.inf:
+        raise CertificateError("lam must be positive and finite")
     z = as_vector(z, problem.dim, "z")
     if x is None:
         x = problem.A.resolve(lam, z)
@@ -104,8 +104,8 @@ def reference_point(problem, lam):
     CertificateError
         When the constructed pair fails its validity checks.
     """
-    if lam <= 0:
-        raise CertificateError("lam must be positive")
+    if not 0.0 < lam < math.inf:
+        raise CertificateError("lam must be positive and finite")
     if problem.a_star is None:
         raise GroundTruthError(
             "problem carries no zero x_star with a_star in A(x_star)")
@@ -322,11 +322,12 @@ def descent_report(phis, z_steps, eps, lemma_slacks=None,
 def certify_trace(problem, trace, kmax=None):
     """Evaluate the full certificate suite along a recorded run.
 
-    Supports BFoRB and BRFoB runs on any monotone instance, plus DR and
-    Davis-Yin runs when ``B`` vanishes (they then reduce to the same
-    Douglas-Rachford sequence and satisfy the BFoRB inequalities with the
-    forward terms dropping out).  The trace must have been produced with
-    ``record_history=True`` on a problem admitting a reference point.
+    Supports BFoRB and BRFoB runs on any monotone instance, plus Davis-Yin
+    runs when ``B`` is constant and DR runs when ``B`` vanishes (DR never
+    evaluates ``B``).  Both then follow the BFoRB sequence and satisfy its
+    inequalities with the forward terms dropping out.  The trace must have
+    been produced with ``record_history=True`` on a problem admitting a
+    reference point.
     """
     if trace.zs is None or trace.ys is None:
         raise CertificateError("trace lacks history; rerun with record_history")
@@ -335,8 +336,10 @@ def certify_trace(problem, trace, kmax=None):
                       Method.DAVIS_YIN):
         raise CertificateError(
             f"no certificate is defined for method {method.value}")
-    if method in (Method.DR, Method.DAVIS_YIN) and problem.B.lipschitz != 0.0:
-        raise CertificateError(f"{method.value} certificates require B = 0")
+    if method is Method.DR and not vanishes(problem.B):
+        raise CertificateError("DR certificates require B = 0")
+    if method is Method.DAVIS_YIN and problem.B.lipschitz != 0.0:
+        raise CertificateError("DavisYin certificates require a constant B")
 
     lam, L = trace.lam, problem.B.lipschitz
     ref = reference_point(problem, lam)

@@ -91,9 +91,6 @@ _SCHEMA = {
             "T": (float, None, True), "flow": (str, "dr", False)},
 }
 
-#: Methods for which a stepsize fraction is meaningful.
-_BOUNDED = {Method.BFORB, Method.BRFOB, Method.FORB, Method.FRDR}
-
 _ONE_LAMBDA = "exactly one of 'lambda' and 'lambda_fraction' required"
 
 
@@ -194,7 +191,9 @@ def parse_config(text):
     if key == "lambda_fraction":
         errors += [(None, f"lambda_fraction is undefined for {m.value}: "
                           "no guaranteed stepsize interval")
-                   for m in methods if m not in _BOUNDED]
+                   for m in methods if max_stepsize(
+                       m, 1.0, 1.0 if m is Method.FRDR else None)
+                   is NOT_GUARANTEED]
 
     if Method.FRDR in methods and "gamma" not in line:
         errors.append((None, "method FRDR requires key 'gamma'"))

@@ -93,7 +93,7 @@ def _sum_resolvent(problem, lam, inner_tol=1e-10, max_inner=100000):
         return AffineOperator(pb[0] + pc[0], pb[1] + pc[1],
                               validate=False).prepare(lam)
     B_fwd = problem.B.forward
-    tau = 0.9 / (2.0 * (lam * (problem.B.lipschitz or 0.0) + 1.0))
+    tau = 0.9 / (2.0 * (lam * problem.B.lipschitz + 1.0))
     C_res, C_tau = problem.C.prepare(lam), problem.C.prepare(tau * lam)
 
     def resolve(w):

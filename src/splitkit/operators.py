@@ -7,8 +7,9 @@ standard inner product.  An operator advertises two capabilities:
 * ``has_resolvent`` -- evaluation of ``(I + lam*T)^{-1}(v)`` for ``lam > 0``.
 
 Operators hold no mutable state: their data does not change after
-construction (``AffineOperator.lipschitz`` is computed once, on first
-use), and each oracle returns a pure function of its arguments.
+construction, and each oracle returns a pure function of its arguments.
+The Lipschitz constant of an affine or bilinear operator is the exact
+spectral norm of its matrix, computed once, on first use.
 ``prepare(lam)`` returns the resolvent at ``lam`` as a one-argument
 callable that the caller owns.  Affine and bilinear operators factor their
 matrix there, once, and the callable closes over the factors; nothing is
@@ -65,17 +66,8 @@ class InvalidBoxError(OperatorError):
     """Box bounds with some lo[i] > hi[i]."""
 
 
-class PowerIterationError(OperatorError):
-    """Power iteration failed to converge; carries the last estimate."""
-
-    def __init__(self, message, estimate):
-        super().__init__(message)
-        self.estimate = estimate
-
-
-# Tolerances used by construction-time validation.
+# Tolerance of the construction-time monotonicity test.
 MONOTONE_EIG_TOL = 1e-10
-BILINEAR_NORM_TOL = 1e-8
 
 
 def as_vector(v, dim=None, name="v"):
@@ -99,8 +91,8 @@ def soft_threshold(w, lam, v):
     This is the resolvent of ``lam * w * subdifferential(l1-norm)``; it is
     nonexpansive and reduces to the identity when ``w == 0``.
     """
-    if lam <= 0:
-        raise OperatorError("lam must be positive")
+    if not 0.0 < lam < np.inf:
+        raise OperatorError("lam must be positive and finite")
     v = as_vector(v)
     return ScaledL1(v.shape[0], w).resolve(lam, v)
 
@@ -112,48 +104,10 @@ def box_project(lo, hi, v):
                          np.broadcast_to(hi, v.shape)).resolve(1.0, v)
 
 
-def operator_norm(K, tol=1e-8, max_iters=10000):
-    """Largest singular value of ``K`` by power iteration on ``K'K``.
-
-    Returns an estimate within ``tol`` relative error.  The start vector is
-    drawn from a fixed counter-based generator so the result is reproducible.
-
-    Raises
-    ------
-    PowerIterationError
-        If the residual criterion is not met within ``max_iters``; the
-        exception carries the last estimate.
-    """
-    K = np.asarray(K, dtype=float)
-    if K.ndim != 2:
-        raise OperatorError("K must be a matrix")
-    if tol <= 0:
-        raise OperatorError("tol must be positive")
-    if not np.any(K):
-        raise OperatorError("K must be nonzero")
-    n = K.shape[1]
-    rng = np.random.Generator(np.random.Philox(0x5EED))
-    v = rng.uniform(-1.0, 1.0, size=n)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iters):
-        w = K.T @ (K @ v)
-        rho = float(v @ w)                      # Rayleigh quotient for K'K
-        resid = np.linalg.norm(w - rho * v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:                           # v in the null space; restart
-            v = rng.uniform(-1.0, 1.0, size=n)
-            v /= np.linalg.norm(v)
-            continue
-        v = w / nw
-        sigma = np.sqrt(rho) if rho > 0 else 0.0
-        # |rho - sigma_max^2| <= resid, so the relative error of sigma is
-        # about resid / (2 rho); stop well inside the requested tolerance.
-        if rho > 0 and resid <= 0.5 * tol * rho:
-            return sigma
-    raise PowerIterationError(
-        f"power iteration did not reach tol={tol} in {max_iters} iterations",
-        estimate=sigma)
+def vanishes(op):
+    """Whether ``op`` is the zero map, as its ``affine_parts`` show."""
+    parts = op.affine_parts()
+    return parts is not None and not any(map(np.any, parts))
 
 
 def lipschitz_check(op, trials, seed):
@@ -188,8 +142,8 @@ def resolvent(op, lam, v):
     """Evaluate ``(I + lam*op)^{-1}(v)`` for ``lam > 0``; each call factors
     an affine or bilinear ``op`` anew, so at one ``lam`` reuse
     ``op.prepare(lam)`` instead."""
-    if lam <= 0:
-        raise OperatorError("lam must be positive")
+    if not 0.0 < lam < np.inf:
+        raise OperatorError("lam must be positive and finite")
     return op.resolve(lam, as_vector(v, op.dim))
 
 
@@ -273,7 +227,7 @@ class AffineOperator(MonotoneOperator):
     @cached_property
     def lipschitz(self):
         """Spectral norm of ``M``, computed on first use."""
-        return float(np.linalg.norm(self.M, 2)) if np.any(self.M) else 0.0
+        return float(np.linalg.norm(self.M, 2))
 
     def forward(self, v):
         return self.M @ v + self.b
@@ -343,10 +297,10 @@ class BilinearCoupling(MonotoneOperator):
 
     For the pairing ``<K x - c, y>`` the operator is
     ``B(x, y) = (K' y, -(K x) + c)``, which is monotone (skew linear part)
-    and Lipschitz with constant ``|K|`` computed by power iteration at
-    construction.  Only ``K`` is stored; ``K'`` is applied on the fly.
-    The resolvent is evaluated by block elimination with a Cholesky
-    factorization of ``I + lam^2 K'K``, made once by ``prepare(lam)``.
+    and Lipschitz with constant ``|K|``.  Only ``K`` is stored; ``K'`` is
+    applied on the fly.  The resolvent is evaluated by block elimination
+    with a Cholesky factorization of ``I + lam^2 K'K``, made once by
+    ``prepare(lam)``.
     """
 
     kind = "bilinear_coupling"
@@ -361,8 +315,11 @@ class BilinearCoupling(MonotoneOperator):
         super().__init__(self.m + self.n)
         self.K = K
         self.c = np.zeros(self.m) if c is None else as_vector(c, self.m, "c")
-        self.lipschitz = (operator_norm(K, tol=BILINEAR_NORM_TOL)
-                          if np.any(K) else 0.0)
+
+    @cached_property
+    def lipschitz(self):
+        """Spectral norm of ``K``, computed on first use."""
+        return float(np.linalg.norm(self.K, 2))
 
     def forward(self, v):
         x, y = v[:self.n], v[self.n:]
@@ -417,8 +374,8 @@ class CustomOperator(MonotoneOperator):
         self._resolvent = resolvent
         self.has_forward = forward is not None
         self.has_resolvent = resolvent is not None
-        if lipschitz is not None and lipschitz < 0:
-            raise OperatorError("lipschitz must be nonnegative")
+        if lipschitz is not None and not 0.0 <= lipschitz < np.inf:
+            raise OperatorError("lipschitz must be nonnegative and finite")
         self.lipschitz = lipschitz
 
     def forward(self, v):

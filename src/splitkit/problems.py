@@ -5,6 +5,7 @@ instance seed, so equal parameters give bit-identical instances on every
 platform.  Each triple carries a zero ``x_star`` and ``a_star`` in
 ``A(x_star)``: affine instances solve for ``x_star`` directly, and saddle
 instances keep the dual corner ``y_plant`` that their ``c`` was planted at.
+Instances store no Lipschitz constant; read ``triple().B.lipschitz``.
 """
 
 from dataclasses import dataclass
@@ -12,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (AffineOperator, BilinearCoupling, BoxNormalCone,
-                        CustomOperator, OperatorError, ProblemTriple, ScaledL1,
-                        operator_norm)
+                        CustomOperator, OperatorError, ProblemTriple, ScaledL1)
 
 #: Skew fraction mixed into the monotone parts M_A and M_C.
 SMALL_SKEW = 0.1
@@ -50,7 +50,6 @@ class AffineInstance:
     b_A: np.ndarray
     b_B: np.ndarray
     b_C: np.ndarray
-    L: float
     x_star: np.ndarray
     seed: int
     dim: int
@@ -123,8 +122,7 @@ def make_affine_instance(dim, seed, skew_fraction):
 
     inst = AffineInstance(
         M_A=M_A, M_B=M_B, M_C=M_C, b_A=b_A, b_B=b_B, b_C=b_C,
-        L=float(np.linalg.norm(M_B, 2)), x_star=np.zeros(dim),
-        seed=seed, dim=dim, skew_fraction=skew_fraction)
+        x_star=np.zeros(dim), seed=seed, dim=dim, skew_fraction=skew_fraction)
 
     shift = 0.0
     for _ in range(60):
@@ -155,7 +153,6 @@ class SaddleInstance:
     m: int
     n: int
     seed: int
-    L: float
     y_plant: np.ndarray = None
 
     def triple(self):
@@ -213,7 +210,7 @@ def make_saddle_instance(m, n, seed, alpha, radius):
 
     return SaddleInstance(
         K=K, c=c, alpha=float(alpha), radius=float(radius),
-        m=m, n=n, seed=seed, L=operator_norm(K, tol=1e-8), y_plant=y_plant)
+        m=m, n=n, seed=seed, y_plant=y_plant)
 
 
 # ---------------------------------------------------------------------------
@@ -225,21 +222,18 @@ _FMT = "%.17g"
 
 #: Each kind's file layout: the instance class, the header fields in file
 #: order (an integer with its least value, or a float where that is None),
-#: the arrays with the header fields that give their shapes, and the
-#: Lipschitz constant of B, which the file does not store.
+#: and the arrays with the header fields that give their shapes.
 _LAYOUT = {
     "affine": (AffineInstance,
                [("dim", 1), ("seed", 0), ("skew_fraction", None),
                 ("shift", None)],
                [("M_A", "dim", "dim"), ("M_B", "dim", "dim"),
                 ("M_C", "dim", "dim"), ("b_A", "dim"), ("b_B", "dim"),
-                ("b_C", "dim"), ("x_star", "dim")],
-               lambda f: float(np.linalg.norm(f["M_B"], 2))),
+                ("b_C", "dim"), ("x_star", "dim")]),
     "saddle": (SaddleInstance,
                [("m", 1), ("n", 1), ("seed", 0), ("alpha", None),
                 ("radius", None)],
-               [("K", "m", "n"), ("c", "m"), ("y_plant", "m")],
-               lambda f: operator_norm(f["K"], tol=1e-8)),
+               [("K", "m", "n"), ("c", "m"), ("y_plant", "m")]),
 }
 
 
@@ -249,7 +243,7 @@ def save_instance(inst, path):
                  if isinstance(inst, cls)), None)
     if kind is None:
         raise OperatorError(f"cannot serialize {type(inst).__name__}")
-    _, header, arrays, _ = _LAYOUT[kind]
+    _, header, arrays = _LAYOUT[kind]
     lines = ["splitkit-instance v1", f"kind {kind}"]
     for name, least in header:
         value = getattr(inst, name)
@@ -333,9 +327,9 @@ def load_instance(path):
     kind, = rd.words(["kind"], 1)
     if kind not in _LAYOUT:
         raise rd.error(f"unknown instance kind {kind!r}")
-    cls, header, arrays, lipschitz = _LAYOUT[kind]
+    cls, header, arrays = _LAYOUT[kind]
     fields = {name: float(rd.floats([name], 1)[0]) if least is None
               else rd.integer(name, least) for name, least in header}
     for name, *shape in arrays:
         fields[name] = rd.array(name, *(fields[dim] for dim in shape))
-    return cls(L=lipschitz(fields), **fields)
+    return cls(**fields)

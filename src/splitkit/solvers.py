@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import NonFiniteError, as_vector
+from .operators import NonFiniteError, as_vector, vanishes
 
 #: Sentinel returned by :func:`max_stepsize` for methods whose convergence
 #: is not guaranteed by a Lipschitz bound alone (they need cocoercivity).
@@ -116,7 +116,6 @@ class SolverConfig:
     gamma: float = None          # FRDR only
     h: float = 1.0               # relaxation, FoRB/RFoB only
     y_init: tuple = None         # (y_-1, y_-2), or (x_0, x_-1) for FoRB/RFoB
-    enforce_bound: bool = True   # warn (never fail) when lam >= bound
 
     def __post_init__(self):
         self.method = Method(self.method)
@@ -308,8 +307,6 @@ def _frdr(config, A_res, B_fwd, C_res):
 
 def _stepsize_warnings(config, L):
     notes = []
-    if not config.enforce_bound:
-        return notes
     if config.method is Method.FRDR and config.gamma <= config.lam:
         notes.append(
             f"FRDR expects gamma > lam (lam={config.lam:g}, "
@@ -377,9 +374,8 @@ def run(problem, config, record_history=False):
     steps = (_two_op if two_op else _frdr if frdr else _shadow)(
         config, A_res, B_fwd,
         problem.C.prepare(config.gamma) if frdr else C_res)
-    B_parts = problem.B.affine_parts() if method is Method.DR else None
     residual_is_step = method is Method.DAVIS_YIN or (
-        B_parts is not None and not any(map(np.any, B_parts)))
+        method is Method.DR and vanishes(problem.B))
     z0_norm = math.sqrt(config.z0 @ config.z0)
     big = DIVERGE_FACTOR * (1.0 + z0_norm)
     tol, inf = config.tol, math.inf

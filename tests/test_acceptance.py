@@ -64,8 +64,8 @@ def _wild_run(problem, method):
     """Stepsize far beyond any guarantee: lam = 2/L, up to 1001 iterations."""
     lam = 2.0 / problem.B.lipschitz
     return run(problem, SolverConfig(
-        method=method, lam=lam, z0=np.ones(DIM), max_iters=1001, tol=1e-300,
-        enforce_bound=False), record_history=True)
+        method=method, lam=lam, z0=np.ones(DIM), max_iters=1001, tol=1e-300),
+        record_history=True)
 
 
 # -------------------------------------------------------------- criterion 1

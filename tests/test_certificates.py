@@ -66,7 +66,7 @@ def test_reference_point_affine_validates():
 def test_reference_point_unavailable():
     # a hand-built saddle instance has no plant, so no a_star
     inst = SaddleInstance(K=np.eye(2, 3), c=np.zeros(2), alpha=0.5,
-                          radius=1.0, m=2, n=3, seed=0, L=1.0)
+                          radius=1.0, m=2, n=3, seed=0)
     with pytest.raises(GroundTruthError):
         reference_point(inst.triple(), 0.1)
 
@@ -103,6 +103,15 @@ def test_omega_residual_at_reference_point():
     lam = 0.05
     ref = reference_point(problem, lam)
     assert omega_residual(problem, lam, ref.z) <= 1e-10
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
+def test_nonfinite_lam_rejected(lam):
+    problem = make_affine_instance(3, 1, 0.8).triple()
+    with pytest.raises(CertificateError):
+        omega_residual(problem, lam, np.ones(3))
+    with pytest.raises(CertificateError):
+        reference_point(problem, lam)
 
 
 def test_omega_residual_positive_off_solution():
@@ -479,6 +488,28 @@ def test_certify_trace_guards():
                    record_history=True)
     with pytest.raises(CertificateError):
         certify_trace(problem, dr_trace)
+    # a constant B has L = 0, but DR ignores it and solves A + C instead;
+    # Davis-Yin evaluates it, so its certificates hold
+    inst = make_affine_instance(5, 1, 0.8)
+    b_B = inst.b_A + inst.b_B + inst.b_C
+    x_star = np.linalg.solve(inst.M_A + inst.M_C, -b_B)
+    shifted = ProblemTriple(A=AffineOperator(inst.M_A, inst.b_A),
+                            B=AffineOperator(np.zeros((5, 5)), inst.b_B),
+                            C=AffineOperator(inst.M_C, inst.b_C),
+                            x_star=x_star)
+    assert shifted.B.lipschitz == 0.0
+    for method in ("DR", "DavisYin"):
+        trace = run(shifted, SolverConfig(method=method, lam=0.5,
+                                          z0=np.ones(5), max_iters=5000,
+                                          tol=1e-13),
+                    record_history=True)
+        assert trace.status == "converged"
+        if method == "DR":
+            with pytest.raises(CertificateError, match="B = 0"):
+                certify_trace(shifted, trace)
+        else:
+            assert certify_trace(shifted, trace).summary[
+                "min_lemma_slack"] >= -1e-12
     two_op = ProblemTriple(A=ZeroOperator(6), B=problem.B, C=problem.C)
     forb = run(two_op, SolverConfig(method="FoRB", lam=lam, z0=np.ones(6),
                                     max_iters=10, tol=1e-300),

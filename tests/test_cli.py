@@ -227,7 +227,6 @@ def test_run_zero_problem_exits_ok(tmp_path):
         setattr(inst, name, np.zeros((4, 4)))
     for name in ("b_A", "b_B", "b_C", "x_star"):
         setattr(inst, name, np.zeros(4))
-    inst.L = 0.0
     path = tmp_path / "zero.inst"
     save_instance(inst, path)
     cfg = write(tmp_path, "exp.cfg", f"""\

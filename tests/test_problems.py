@@ -12,14 +12,11 @@ from splitkit import (AffineInstance, OperatorError, SaddleInstance,
 def zero_like_instance(dim, M_B=None, b_B=None):
     z = np.zeros((dim, dim))
     v = np.zeros(dim)
-    inst = AffineInstance(
+    return AffineInstance(
         M_A=z.copy(), M_B=z.copy() if M_B is None else np.asarray(M_B, float),
         M_C=z.copy(), b_A=v.copy(),
         b_B=v.copy() if b_B is None else np.asarray(b_B, float),
-        b_C=v.copy(), L=0.0, x_star=v.copy(), seed=0, dim=dim,
-        skew_fraction=0.0)
-    inst.L = float(np.linalg.norm(inst.M_B, 2))
-    return inst
+        b_C=v.copy(), x_star=v.copy(), seed=0, dim=dim, skew_fraction=0.0)
 
 
 # ------------------------------------------------------------ direct solve
@@ -76,7 +73,8 @@ def test_instance_symmetric_parts_psd():
 def test_instance_operators_pass_spot_checks():
     inst = make_affine_instance(15, 2, 0.8)
     problem = inst.triple()
-    assert lipschitz_check(problem.B, 500, seed=0) <= inst.L * (1 + 1e-10)
+    assert lipschitz_check(problem.B, 500, seed=0) <= \
+        problem.B.lipschitz * (1 + 1e-10)
     r = np.random.Generator(np.random.Philox(5))
     for op in (problem.A, problem.B, problem.C):
         for _ in range(200):
@@ -127,8 +125,8 @@ def test_saddle_instance_shapes_and_L():
     assert inst.K.shape == (20, 30)
     assert inst.c.shape == (20,)
     sigma = np.linalg.svd(inst.K, compute_uv=False)[0]
-    assert inst.L == pytest.approx(sigma, rel=1e-8)
     problem = inst.triple()
+    assert problem.B.lipschitz == pytest.approx(sigma, rel=1e-8)
     assert problem.dim == 50
     # the planted zero: y at a corner of its box, x at 0 or +-radius
     assert inst.y_plant.shape == (20,)
@@ -137,7 +135,7 @@ def test_saddle_instance_shapes_and_L():
     assert np.array_equal(y, inst.y_plant)
     assert set(np.abs(x)) <= {0.0, 1.0}
     assert np.array_equal(inst.c, inst.K @ x - 0.5 * y)
-    lam = 0.9 * max_stepsize("BFoRB", inst.L)
+    lam = 0.9 * max_stepsize("BFoRB", problem.B.lipschitz)
     assert omega_residual(problem, lam, reference_point(problem, lam).z) \
         <= 1e-12
 
@@ -151,7 +149,7 @@ def test_saddle_determinism():
 def test_saddle_trivial_decoupled():
     # K = 0 decouples the blocks; with alpha = 1 the x block shrinks to zero
     inst = SaddleInstance(K=np.zeros((2, 3)), c=np.zeros(2), alpha=1.0,
-                          radius=1.0, m=2, n=3, seed=0, L=0.0)
+                          radius=1.0, m=2, n=3, seed=0)
     problem = inst.triple()
     trace = run(problem, SolverConfig(method="BFoRB", lam=0.5,
                                       z0=np.ones(5), max_iters=100,
@@ -163,7 +161,7 @@ def test_saddle_trivial_decoupled():
 def test_saddle_pure_bilinear_game():
     # K = [1], c = 0, alpha = 0, R = 1: unique zero of the skew field at origin
     inst = SaddleInstance(K=np.array([[1.0]]), c=np.zeros(1), alpha=0.0,
-                          radius=1.0, m=1, n=1, seed=0, L=1.0)
+                          radius=1.0, m=1, n=1, seed=0)
     problem = inst.triple()
     lam = 0.9 * max_stepsize("BFoRB", 1.0)
     trace = run(problem, SolverConfig(method="BFoRB", lam=lam,
@@ -206,7 +204,7 @@ def test_saddle_param_validation():
         with pytest.raises(OperatorError):
             soft_threshold(weight, 1.0, np.ones(3))
     hand_built = SaddleInstance(K=np.eye(2), c=np.zeros(2), alpha=np.nan,
-                                radius=1.0, m=2, n=2, seed=0, L=1.0)
+                                radius=1.0, m=2, n=2, seed=0)
     with pytest.raises(OperatorError):
         hand_built.triple()
 
@@ -222,7 +220,7 @@ def test_affine_round_trip_bit_exact(tmp_path):
         assert np.array_equal(getattr(inst, name), getattr(back, name))
     assert (back.dim, back.seed, back.skew_fraction, back.shift) == \
         (inst.dim, inst.seed, inst.skew_fraction, inst.shift)
-    assert back.L == inst.L
+    assert back.triple().B.lipschitz == inst.triple().B.lipschitz
 
 
 def test_saddle_round_trip_bit_exact(tmp_path):
@@ -235,7 +233,7 @@ def test_saddle_round_trip_bit_exact(tmp_path):
     assert np.array_equal(inst.y_plant, back.y_plant)
     assert (back.m, back.n, back.seed, back.alpha, back.radius) == \
         (inst.m, inst.n, inst.seed, inst.alpha, inst.radius)
-    assert back.L == pytest.approx(inst.L, rel=1e-12)
+    assert back.triple().B.lipschitz == inst.triple().B.lipschitz
 
 
 def test_save_twice_identical_bytes(tmp_path):
@@ -302,7 +300,7 @@ def test_saddle_file_needs_its_plant(tmp_path):
     # every saddle file stores y_plant: one without a plant is not written
     inst = make_saddle_instance(2, 3, 5, 0.25, 1.0)
     bare = SaddleInstance(K=inst.K, c=inst.c, alpha=inst.alpha,
-                          radius=inst.radius, m=2, n=3, seed=5, L=inst.L)
+                          radius=inst.radius, m=2, n=3, seed=5)
     with pytest.raises(OperatorError, match="y_plant"):
         save_instance(bare, tmp_path / "bare.txt")
     assert not (tmp_path / "bare.txt").exists()

@@ -45,8 +45,8 @@ def test_b_zero_collapses_the_template_to_dr(case, lam):
     zs = {}
     for method in ("DR", "BFoRB", "BRFoB", "DavisYin"):
         zs[method] = run(problem, SolverConfig(
-            method=method, lam=lam, z0=z0, max_iters=30, tol=1e-300,
-            enforce_bound=False), record_history=True).zs
+            method=method, lam=lam, z0=z0, max_iters=30, tol=1e-300),
+            record_history=True).zs
     for method in ("BFoRB", "BRFoB", "DavisYin"):
         assert len(zs[method]) == len(zs["DR"])
         for a, b in zip(zs["DR"], zs[method]):
@@ -84,7 +84,7 @@ def test_overflowing_oracle_ends_the_run_diverged(method, scale, lam, z0):
 def _assert_lemma_slacks_nonnegative(problem, method, lam):
     trace = run(problem, SolverConfig(method=method, lam=lam,
                                       z0=np.ones(problem.dim), max_iters=40,
-                                      tol=1e-300, enforce_bound=False),
+                                      tol=1e-300),
                 record_history=True)
     report = certify_trace(problem, trace)
     z_ref = reference_point(problem, lam).z
@@ -184,7 +184,7 @@ def test_a_zero_reduces_the_template_to_two_operator_methods(case):
         history = None if three == "DavisYin" else (z0, x_prev)
         t3, t2 = (run(problem, SolverConfig(
             method=method, lam=lam, z0=z0, y_init=history, max_iters=30,
-            tol=1e-300, enforce_bound=False), record_history=True)
+            tol=1e-300), record_history=True)
             for method in (three, two))
         assert len(t3.zs) == len(t2.xs)
         drift = max(np.linalg.norm(z - x) for z, x in zip(t3.zs, t2.xs))

@@ -554,10 +554,6 @@ def test_stepsize_warning_recorded():
                                   z0=np.ones(problem.dim), max_iters=5,
                                   tol=1e-300))
     assert t.warnings == []
-    t = run(problem, SolverConfig(method="BFoRB", lam=2.0 * bound,
-                                  z0=np.ones(problem.dim), max_iters=5,
-                                  tol=1e-300, enforce_bound=False))
-    assert t.warnings == []
 
 
 def test_config_validation():
