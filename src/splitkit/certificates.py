@@ -16,6 +16,9 @@ rows, evaluating B once at ``x`` and once at each point the formulas read
 function (``lemma_*_slack``, ``phi_*``) is a one-row call into it.  The
 blocks bound peak memory: the stacked rows and the kernel's temporaries
 grow with the block, not with the length of the run.
+
+``reference_point`` and ``certify_trace`` ignore floating-point events: a
+value that overflows is not finite, and the CLI reports it as ``null``.
 """
 
 import math
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import as_vector, vanishes
+from .operators import as_vector, residual, vanishes
 from .solvers import Method
 
 
@@ -63,17 +66,7 @@ def omega_residual(problem, lam, z, x=None):
     z = as_vector(z, problem.dim, "z")
     if x is None:
         x = problem.A.resolve(lam, z)
-    return _residual(problem.C.prepare(lam), problem.B.forward, lam, z, x)
-
-
-def _residual(C_res, B_fwd, lam, z, x):
-    """:func:`omega_residual` on checked inputs, with ``x = J_{lam*A}(z)``
-    and ``C_res = J_{lam*C}`` prepared by the caller.
-
-    ``math.sqrt(r @ r)`` has the bits of ``np.linalg.norm(r)``.
-    """
-    r = C_res(2.0 * x - z - lam * B_fwd(x)) - x
-    return math.sqrt(r @ r)
+    return residual(problem.C.prepare(lam), lam, z, x, problem.B.forward(x))
 
 
 @dataclass
@@ -90,6 +83,7 @@ class ReferencePoint:
     b_x: np.ndarray = None
 
 
+@np.errstate(all="ignore")
 def reference_point(problem, lam):
     """Construct and validate a shadow point for the stepsize ``lam``.
 
@@ -319,6 +313,7 @@ def descent_report(phis, z_steps, eps, lemma_slacks=None,
         lower_bound_coeff=lower_bound_coeff, warmup=warmup, summary=summary)
 
 
+@np.errstate(all="ignore")
 def certify_trace(problem, trace, kmax=None):
     """Evaluate the full certificate suite along a recorded run.
 

@@ -48,21 +48,21 @@ class ConfigError(Exception):
 
 @dataclass
 class ExperimentConfig:
-    """Validated contents of a config file."""
+    """Validated contents of a config file; every default is ``_SCHEMA``'s."""
 
     problem_kind: str
     problem_params: dict
     methods: list              # None if the config has no [run] section
     lam_policy: str            # "absolute", "fraction", or None if unset
     lam_value: float
-    gamma: float = None
-    h: float = 1.0
-    max_iters: int = 100000
-    tol: float = 1e-9
-    certify: bool = False
-    out: str = None
-    z0_kind: str = "ones"
-    ode: dict = None
+    gamma: float
+    h: float
+    max_iters: int
+    tol: float
+    certify: bool
+    out: str
+    z0_kind: str
+    ode: dict                  # None if the config has no [ode] section
 
 
 def _bool(s):

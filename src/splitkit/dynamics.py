@@ -2,30 +2,30 @@
 
 Two flows are simulated by explicit Euler stepping:
 
-* the proximal-point flow ``dx/dt = J_{lam*(B+C)}(x) - x`` for the
-  two-operator inclusion (``A`` is ignored), and
 * the Douglas-Rachford flow ``x = J_{lam*A}(z)``,
-  ``y = J_{lam*(B+C)}(2x - z)``, ``dz/dt = y - x`` for the full triple.
+  ``y = J_{lam*(B+C)}(2x - z)``, ``dz/dt = y - x`` for the full triple, and
+* the proximal-point flow ``dx/dt = J_{lam*(B+C)}(x) - x`` of ``B + C``,
+  which is the Douglas-Rachford flow of ``(0, B, C)``.
 
 Equilibria of either flow are exactly the fixed points of the corresponding
 splitting dynamics.  Higher-order integrators are deliberately out of scope:
 the discrete methods these flows explain are first order.
 
 Like a solver ``Trace``, a :class:`FlowTrajectory` carries one record per
-state, filled by the Euler loop itself: the step norm ``|v_j - v_{j-1}|``,
-the ``omega_residual`` of ``v_j``, computed from the ``x_j = J_{lam*A}(v_j)``
-the step already evaluates (``x_j = v_j`` for the proximal-point flow), and,
+state, filled by the Euler loop itself: the step norm ``|z_j - z_{j-1}|``,
+the ``omega_residual`` of ``z_j``, computed from the ``x_j = J_{lam*A}(z_j)``
+the step already evaluates (``x_j = z_j`` for the proximal-point flow), and,
 for the Douglas-Rachford flow of a problem with a known solution, the
 distance ``|x_j - x_star|``.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .certificates import _residual
-from .operators import AffineOperator, OperatorError, as_vector
+from .operators import (AffineOperator, OperatorError, ProblemTriple,
+                        ZeroOperator, as_vector, residual)
 
 
 class InnerSolveError(OperatorError):
@@ -127,72 +127,18 @@ def resolvent_sum(problem, lam, w, inner_tol=1e-10, max_inner=100000):
     return _sum_resolvent(problem, lam, inner_tol, max_inner)(w)
 
 
-def _euler(problem, lam, h_ode, T, v0, inner_tol, kind):
-    """Explicit Euler on the ``kind`` flow, recording its series per state.
-
-    ``x_j = J_{lam*A}(v_j)`` (``v_j`` itself for PPA) is computed once per
-    state and serves both the step and the residual; every resolvent is
-    prepared once, before the loop.  States are kept, ``x_j`` is not: at
-    d=50 it would add 8 MB per 20,000 steps.
-    """
-    dr = kind == "dr"
-    v0 = as_vector(v0, problem.dim, "z0" if dr else "x0")
-    if not 0.0 < h_ode <= 1.0:
-        raise OperatorError("h_ode must lie in (0, 1]")
-    if not 0.0 < T < math.inf:
-        raise OperatorError("T must be positive and finite")
-    rs = _sum_resolvent(problem, lam, inner_tol)
-    A_res = problem.A.prepare(lam) if dr else None
-    B_fwd, C_res = problem.B.forward, problem.C.prepare(lam)
-    x_star = problem.x_star if dr else None
-    n = int(round(T / h_ode))
-    try:
-        states = np.empty((n + 1, v0.shape[0]))
-        step_norms, residuals = np.zeros(n + 1), np.empty(n + 1)
-        dists = None if x_star is None else np.empty(n + 1)
-    except (ValueError, MemoryError):
-        raise OperatorError(
-            f"T = {T:g} with h_ode = {h_ode:g} gives {T / h_ode:.3g} Euler "
-            "steps, too many states to store") from None
-    states[0] = v = v0
-    # math.sqrt(d @ d) has the bits of np.linalg.norm: sqrt(d.dot(d)).
-    for j in range(n + 1):
-        x = A_res(v) if dr else v
-        residuals[j] = _residual(C_res, B_fwd, lam, v, x)
-        if dists is not None:
-            e = x - x_star
-            dists[j] = math.sqrt(e @ e)
-        if j == n:
-            break
-        try:
-            v_next = v + h_ode * (rs(2.0 * x - v if dr else v) - x)
-        except InnerSolveError as exc:
-            raise InnerSolveError(
-                f"{exc} at t={j * h_ode:g}", residual=exc.residual,
-                t=j * h_ode)
-        d = v_next - v
-        step = math.sqrt(d @ d)
-        # A finite step from a finite state lands on a finite state, so the
-        # array test runs only when the step is not finite (NaN or overflow).
-        if not step < math.inf and not np.isfinite(v_next).all():
-            raise OperatorError(
-                f"flow state non-finite at t={(j + 1) * h_ode:g}")
-        step_norms[j + 1] = step
-        states[j + 1] = v = v_next
-    return FlowTrajectory(
-        times=np.arange(n + 1) * h_ode, states=states, h_ode=h_ode, lam=lam,
-        inner_tol=inner_tol, kind=kind, step_norms=step_norms,
-        residuals=residuals, dist_to_xstar=dists)
-
-
 def simulate_ppa(problem, lam, h_ode, T, x0, inner_tol=1e-10):
     """Explicit Euler on the proximal-point flow of ``B + C``.
 
-    x_{j+1} = x_j + h_ode * (J_{lam*(B+C)}(x_j) - x_j).  ``A`` plays no role;
-    with ``h_ode = 1`` one step is exactly a proximal-point iteration.
-    ``lam`` and ``T`` must be positive and finite, ``h_ode`` in (0, 1].
+    x_{j+1} = x_j + h_ode * (J_{lam*(B+C)}(x_j) - x_j); with ``h_ode = 1``
+    one step is exactly a proximal-point iteration.  This is bit for bit
+    the Douglas-Rachford flow of ``(0, B, C)`` (``2x - x`` is exact), which
+    it runs, so the arguments obey :func:`simulate_dr_flow`'s rules.
     """
-    return _euler(problem, lam, h_ode, T, x0, inner_tol, "ppa")
+    x0 = as_vector(x0, problem.dim, "x0")
+    zero_A = ProblemTriple(ZeroOperator(problem.dim), problem.B, problem.C)
+    return replace(simulate_dr_flow(zero_A, lam, h_ode, T, x0, inner_tol),
+                   kind="ppa")
 
 
 def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
@@ -202,8 +148,56 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
     z_{j+1} = z_j + h_ode * (J_{lam*(B+C)}(2 J_{lam*A}(z_j) - z_j)
                              - J_{lam*A}(z_j)).
     ``lam`` and ``T`` must be positive and finite, ``h_ode`` in (0, 1].
+    ``x_j`` serves both the step and the residual; every resolvent is
+    prepared once.  States are kept, ``x_j`` is not: at d=50 it would add
+    8 MB per 20,000 steps.
     """
-    return _euler(problem, lam, h_ode, T, z0, inner_tol, "dr")
+    z0 = as_vector(z0, problem.dim, "z0")
+    if not 0.0 < h_ode <= 1.0:
+        raise OperatorError("h_ode must lie in (0, 1]")
+    if not 0.0 < T < math.inf:
+        raise OperatorError("T must be positive and finite")
+    rs = _sum_resolvent(problem, lam, inner_tol)
+    A_res, C_res = problem.prepare(lam)
+    B_fwd, x_star = problem.B.forward, problem.x_star
+    n = int(round(T / h_ode))
+    try:
+        states = np.empty((n + 1, z0.shape[0]))
+        step_norms, residuals = np.zeros(n + 1), np.empty(n + 1)
+        dists = None if x_star is None else np.empty(n + 1)
+    except (ValueError, MemoryError):
+        raise OperatorError(
+            f"T = {T:g} with h_ode = {h_ode:g} gives {T / h_ode:.3g} Euler "
+            "steps, too many states to store") from None
+    states[0] = z = z0
+    # math.sqrt(d @ d) has the bits of np.linalg.norm: sqrt(d.dot(d)).
+    for j in range(n + 1):
+        x = A_res(z)
+        residuals[j] = residual(C_res, lam, z, x, B_fwd(x))
+        if dists is not None:
+            e = x - x_star
+            dists[j] = math.sqrt(e @ e)
+        if j == n:
+            break
+        try:
+            z_next = z + h_ode * (rs(2.0 * x - z) - x)
+        except InnerSolveError as exc:
+            raise InnerSolveError(
+                f"{exc} at t={j * h_ode:g}", residual=exc.residual,
+                t=j * h_ode)
+        d = z_next - z
+        step = math.sqrt(d @ d)
+        # A finite step from a finite state lands on a finite state, so the
+        # array test runs only when the step is not finite (NaN or overflow).
+        if not step < math.inf and not np.isfinite(z_next).all():
+            raise OperatorError(
+                f"flow state non-finite at t={(j + 1) * h_ode:g}")
+        step_norms[j + 1] = step
+        states[j + 1] = z = z_next
+    return FlowTrajectory(
+        times=np.arange(n + 1) * h_ode, states=states, h_ode=h_ode, lam=lam,
+        inner_tol=inner_tol, kind="dr", step_norms=step_norms,
+        residuals=residuals, dist_to_xstar=dists)
 
 
 def discretization_gap(flow, trace, stride):

@@ -28,9 +28,11 @@ public boundary: :func:`resolvent`, :func:`forward_eval`,
 ``omega_residual``.  :class:`CustomOperator` additionally checks what the
 user's callables return.  A non-finite vector raises :class:`NonFiniteError`
 (also the affine resolvent's overflow check), which ``run`` turns into a
-``"diverged"`` run.
+``"diverged"`` run.  A matrix with a non-finite entry raises it at
+construction.
 """
 
+import math
 from functools import cached_property, partial
 
 import numpy as np
@@ -214,6 +216,8 @@ class AffineOperator(MonotoneOperator):
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise OperatorError("M must be square")
         super().__init__(M.shape[0])
+        if not np.isfinite(M).all():
+            raise NonFiniteError("M contains non-finite entries")
         self.M = M
         self.b = np.zeros(self.dim) if b is None else as_vector(b, self.dim, "b")
         if validate:
@@ -311,6 +315,8 @@ class BilinearCoupling(MonotoneOperator):
         K = np.asarray(K, dtype=float)
         if K.ndim != 2:
             raise OperatorError("K must be a matrix")
+        if not np.isfinite(K).all():
+            raise NonFiniteError("K contains non-finite entries")
         self.m, self.n = K.shape
         super().__init__(self.m + self.n)
         self.K = K
@@ -443,3 +449,13 @@ class ProblemTriple:
     def __repr__(self):
         return (f"<ProblemTriple dim={self.dim} A={self.A.kind} "
                 f"B={self.B.kind} C={self.C.kind}>")
+
+
+def residual(C_res, lam, z, x, bx):
+    """The omega residual ``|J_{lam*C}(2x - z - lam*bx) - x|`` of ``z``, for
+    checked ``x = J_{lam*A}(z)``, ``bx = B(x)`` and ``C_res = J_{lam*C}``.
+
+    ``math.sqrt(r @ r)`` has the bits of ``np.linalg.norm(r)``.
+    """
+    r = C_res(2.0 * x - z - lam * bx) - x
+    return math.sqrt(r @ r)

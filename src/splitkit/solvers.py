@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import NonFiniteError, as_vector, vanishes
+from .operators import NonFiniteError, as_vector, residual, vanishes
 
 #: Sentinel returned by :func:`max_stepsize` for methods whose convergence
 #: is not guaranteed by a Lipschitz bound alone (they need cocoercivity).
@@ -331,7 +331,9 @@ def run(problem, config, record_history=False):
     (:class:`~splitkit.operators.NonFiniteError`) also ends the run as
     ``"diverged"``: every series then has one entry per recorded iteration,
     and the final iterates and counters are those of the last iteration
-    that completed (the start, before any).
+    that completed (the start, before any).  Floating-point overflow,
+    invalid operations and division by zero raise no warning: each kind
+    that numpy reports during the run is named once in ``Trace.warnings``.
 
     Per-iteration records hold the step norm, the solution residual
     ``|J_{lam*C}(2x - p - lam*B(x)) - x|`` with ``x = J_{lam*A}(p)`` (the
@@ -340,6 +342,11 @@ def run(problem, config, record_history=False):
     other DR runs pay one ``B`` forward and one ``C`` resolve per step for
     it, outside the counters), and,
     when the problem carries ``x_star``, the distance of ``x_k`` to it.
+    Row ``k`` of the residuals belongs to the point ``p`` of step ``k``:
+    the iterate before the step, ``zs[k]``, for BFoRB, BRFoB, Davis-Yin and
+    DR; ``w_k = zs[k+1]``, whose resolvent is ``x_{k+1}``, for FRDR; and
+    the iterate after the step, ``xs[k+1]``, for FB, FoRB and RFoB, which
+    ignore ``A`` (their residual is that of ``B + C``).
     With ``record_history=True`` the full ``z``/``y``/``x`` histories are
     kept so certificates can be evaluated afterwards; the hot loop itself
     performs exactly the oracle calls of the method plus this bookkeeping.
@@ -351,9 +358,6 @@ def run(problem, config, record_history=False):
     two_op = method in TWO_OPERATOR_METHODS
     frdr = method is Method.FRDR
 
-    A_res, C_res = problem.prepare(lam)
-    B_fwd = problem.B.forward
-
     trace = Trace(method=method, lam=lam, gamma=config.gamma, h=config.h)
     trace.warnings.extend(_stepsize_warnings(config, problem.B.lipschitz))
     x_star = problem.x_star
@@ -361,6 +365,11 @@ def run(problem, config, record_history=False):
         trace.dist_to_xstar = []
     step_norms, residuals, dists = (trace.step_norms, trace.residuals,
                                     trace.dist_to_xstar)
+
+    def note(kind, flag):
+        msg = f"floating-point {kind} encountered"
+        if msg not in trace.warnings:
+            trace.warnings.append(msg)
 
     # The latest record's iterates; the start stands in until a step is done.
     z = x = config.z0.copy()
@@ -371,9 +380,6 @@ def run(problem, config, record_history=False):
             trace.zs, trace.ys = [z], []
     xs, zs, ys = trace.xs, trace.zs, trace.ys
 
-    steps = (_two_op if two_op else _frdr if frdr else _shadow)(
-        config, A_res, B_fwd,
-        problem.C.prepare(config.gamma) if frdr else C_res)
     residual_is_step = method is Method.DAVIS_YIN or (
         method is Method.DR and vanishes(problem.B))
     z0_norm = math.sqrt(config.z0 @ config.z0)
@@ -384,50 +390,51 @@ def run(problem, config, record_history=False):
     # reused as the next iteration's prev_norm (the first iterate is z0).
     # math.sqrt(d @ d) has the bits of np.linalg.norm: sqrt(d.dot(d)).
     prev_norm = z0_norm
-    try:
-        y_history = next(steps)
-        if ys is not None:
-            ys.extend(y_history)
-            trace.y_offset = len(y_history)
-        for _, (step_norm, norm, z, x, y, p, bx, fe, re) in zip(
-                range(config.max_iters), steps):
-            step_norms.append(step_norm)
-            if record_history:
-                xs.append(x)
-                if zs is not None:
-                    zs.append(z)
-                    ys.append(y)
+    with np.errstate(over="call", invalid="call", divide="call", call=note):
+        A_res, C_res = problem.prepare(lam)
+        B_fwd = problem.B.forward
+        steps = (_two_op if two_op else _frdr if frdr else _shadow)(
+            config, A_res, B_fwd,
+            problem.C.prepare(config.gamma) if frdr else C_res)
+        try:
+            y_history = next(steps)
+            if ys is not None:
+                ys.extend(y_history)
+                trace.y_offset = len(y_history)
+            for _, (step_norm, norm, z, x, y, p, bx, fe, re) in zip(
+                    range(config.max_iters), steps):
+                step_norms.append(step_norm)
+                if record_history:
+                    xs.append(x)
+                    if zs is not None:
+                        zs.append(z)
+                        ys.append(y)
 
-            # NaN and inf fail these comparisons, so this is also the
-            # finiteness test (FRDR's dual variable enters the step norm).
-            if not (norm <= big and step_norm < inf):
-                status = "diverged"
-                break
+                # NaN and inf fail these comparisons: this is also the
+                # finiteness test (FRDR's dual variable is in the step norm).
+                if not (norm <= big and step_norm < inf):
+                    status = "diverged"
+                    break
 
-            if residual_is_step:
-                res = step_norm
-            else:
-                r = C_res(2.0 * x - p - lam * (
-                    B_fwd(x) if bx is None else bx)) - x
-                res = math.sqrt(r @ r)
-            residuals.append(res)
-            if dists is not None:
-                e = x - x_star
-                dists.append(math.sqrt(e @ e))
+                residuals.append(step_norm if residual_is_step else residual(
+                    C_res, lam, p, x, B_fwd(x) if bx is None else bx))
+                if dists is not None:
+                    e = x - x_star
+                    dists.append(math.sqrt(e @ e))
 
-            if step_norm <= tol * (1.0 + prev_norm):
-                status = "converged"
-                break
-            prev_norm = norm
-    except NonFiniteError:
-        status = "diverged"
+                if step_norm <= tol * (1.0 + prev_norm):
+                    status = "converged"
+                    break
+                prev_norm = norm
+        except NonFiniteError:
+            status = "diverged"
+        if not (two_op or frdr):
+            with suppress(NonFiniteError):   # a diverged z keeps the last x
+                x = A_res(z)
     # A diverged step has no residual or distance: NaN stands in for them.
     for series in (residuals, dists):
         if series is not None:
             series.extend([math.nan] * (len(step_norms) - len(series)))
-    if not (two_op or frdr):
-        with suppress(NonFiniteError):   # a diverged z keeps the last x
-            x = A_res(z)
 
     trace.status = status
     trace.iterations = len(step_norms)

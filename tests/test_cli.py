@@ -2,6 +2,7 @@ import json
 import os
 import re
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -485,12 +486,18 @@ max_iters = 50
 def test_nonfinite_certificate_is_null_not_false(tmp_path, capsys, verb):
     # a certificate that overflows could not be evaluated: its values and
     # gates are null, which strict JSON parsers accept, and the exit code
-    # is that of a failed gate
+    # is that of a failed gate; no RuntimeWarning leaks, and each run
+    # summary names the overflow among its warnings
     out = tmp_path / "o"
     cfg = write(tmp_path, "exp.cfg", OVERFLOW_CFG + "certify = true\n")
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main([verb, "--config", cfg, "--out", str(out)])
     assert code == EXIT_NOT_CONVERGED
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, RuntimeWarning)] == []
+    captured = capsys.readouterr()
+    assert "RuntimeWarning" not in captured.err
     reports = sorted(out.glob("*__certificate.json" if verb == "certify"
                               else "*__summary.json"))
     assert len(reports) == 2
@@ -499,8 +506,10 @@ def test_nonfinite_certificate_is_null_not_false(tmp_path, capsys, verb):
         cert = payload if verb == "certify" else payload["certificate"]
         assert cert["min_lemma_slack"] is None and cert["phi0"] is None
         assert cert["lemma_ok"] is None
+        if verb == "run":
+            assert "floating-point overflow encountered" in payload["warnings"]
     if verb == "certify":
-        lines = capsys.readouterr().out.splitlines()
+        lines = captured.out.splitlines()
         assert len(lines) == 2
         assert all("certificate not evaluated (min slack n/a" in line
                    for line in lines), lines

@@ -10,6 +10,7 @@ from splitkit import (AffineOperator, BilinearCoupling, BoxNormalCone,
                       ProblemTriple, ScaledL1, ZeroOperator, box_project,
                       forward_eval, lipschitz_check, resolvent,
                       soft_threshold)
+from splitkit.operators import NonFiniteError
 
 SKEW2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -295,6 +296,16 @@ def test_custom_operator_requires_an_oracle():
 def test_custom_operator_lipschitz_must_be_finite(L):
     with pytest.raises(OperatorError):
         CustomOperator(2, forward=lambda v: v, lipschitz=L)
+
+
+@pytest.mark.parametrize("make,matrix", [
+    (AffineOperator, [[np.nan]]), (AffineOperator, [[np.inf]]),
+    (BilinearCoupling, [[np.inf]]), (BilinearCoupling, [[np.nan, 1.0]])])
+def test_nonfinite_matrix_rejected(make, matrix):
+    # rejected like a non-finite b or c, before monotonicity is tested or
+    # the Lipschitz constant is read (an SVD of NaN does not converge)
+    with pytest.raises(NonFiniteError):
+        make(matrix)
 
 
 # ------------------------------------------------------------ ProblemTriple

@@ -424,6 +424,44 @@ def test_dr_residual_is_omega_residual():
     assert trace.residuals == trace.step_norms
 
 
+#: Which point row k of Trace.residuals is the omega_residual of:
+#: ``(method, problem, history, shift)`` reads ``history[k + shift]``.
+_RESIDUAL_ROWS = [
+    ("BFoRB", "full", "zs", 0), ("BRFoB", "full", "zs", 0),
+    ("DR", "full", "zs", 0), ("FRDR", "full", "zs", 1),
+    ("FB", "A=0", "xs", 1), ("FoRB", "A=0", "xs", 1), ("RFoB", "A=0", "xs", 1),
+    ("DavisYin", "full", "zs", 0), ("DR", "B=0", "zs", 0)]
+
+
+@pytest.mark.parametrize("method,variant,history,shift", _RESIDUAL_ROWS)
+def test_residual_row_k_is_omega_residual_of_one_point(method, variant,
+                                                       history, shift):
+    # the template methods report the iterate before step k, FRDR the w_k
+    # whose resolvent is x_{k+1}, FB/FoRB/RFoB the iterate after the step;
+    # Davis-Yin and DR with B = 0 report their step norm, which is the same
+    # residual computed along another route
+    full = make_affine_instance(12, 4, 0.8).triple()
+    A, B, C = full.A, full.B, full.C
+    problem = {"full": full, "A=0": ProblemTriple(ZeroOperator(12), B, C),
+               "B=0": ProblemTriple(A, ZeroOperator(12), C)}[variant]
+    L = B.lipschitz
+    gamma = 1.0 / L if method == "FRDR" else None
+    lam = 0.5 * (max_stepsize(method, L, gamma) or max_stepsize("BRFoB", L))
+    trace = run(problem, SolverConfig(
+        method=method, lam=lam, z0=np.ones(12), max_iters=40, tol=1e-300,
+        gamma=gamma), record_history=True)
+    assert trace.status == "max_iters" and len(trace.residuals) == 40
+    points = getattr(trace, history)
+    for k, res in enumerate(trace.residuals):
+        point = points[k + shift]
+        omega = omega_residual(problem, lam, point)
+        if method == "DavisYin" or variant == "B=0":
+            assert res == trace.step_norms[k]
+            assert abs(res - omega) <= 1e-15 * (1.0 + np.linalg.norm(point))
+        else:
+            assert res == omega
+
+
 # ----------------------------------------------------- reduction invariants
 
 def _dr_family_problem(seed=11, dim=5):
