@@ -58,15 +58,17 @@ def omega_residual(problem, lam, z, x=None):
     shadow set of the inclusion (for single-valued ``B``).  Used as the
     solution-quality metric of solver traces.  A caller that already holds
     ``J_{lam*A}(z)`` passes it as ``x`` to save that resolvent.  Each call
-    factors affine and bilinear ``A`` and ``C`` anew; for many points at one
-    ``lam``, evaluate the formula on ``problem.prepare(lam)`` instead.
+    prepares ``A`` and ``C`` anew (an inverse per affine operator, a
+    factorization per bilinear one); for many points at one ``lam``,
+    evaluate the formula on ``problem.prepare(lam)`` instead.
     """
     if not 0.0 < lam < math.inf:
         raise CertificateError("lam must be positive and finite")
     z = as_vector(z, problem.dim, "z")
     if x is None:
         x = problem.A.resolve(lam, z)
-    return residual(problem.C.prepare(lam), lam, z, x, problem.B.forward(x))
+    return residual(problem.C.prepare(lam), lam, 2.0 * x - z, x,
+                    problem.B.forward(x))
 
 
 @dataclass
@@ -254,7 +256,9 @@ class CertificateReport:
     ``telescope_violations[k]`` refer to the step k -> k+1; ``phi[k]`` and
     ``lower_bound_violations[k]`` to the iterate k (index 0 of the lower
     bound array is unconstrained and always zero).  Indices below ``warmup``
-    depend on the initial-history policy and are excluded from the summary.
+    depend on the initial-history policy and are excluded from the summary;
+    the telescope starts at ``phi[warmup]``, so its entries below ``warmup``
+    are zero.
     """
 
     lemma_slacks: np.ndarray
@@ -276,8 +280,10 @@ def descent_report(phis, z_steps, eps, lemma_slacks=None,
     ``phis`` has one entry per iterate (length K+1) and ``z_steps`` one entry
     per step (length K, values ``|z_{k+1} - z_k|``).  Per-step violations are
     ``max(0, phi_{k+1} + eps*|z_{k+1} - z_k|^2 - phi_k)``; the telescoped
-    variant compares ``phi_{k+1} + eps * sum_{i<=k} |z_{i+1} - z_i|^2``
-    against ``phi_0``.
+    variant starts after the warm-up steps, which the summary excludes: for
+    ``k >= warmup`` it compares
+    ``phi_{k+1} + eps * sum_{warmup<=i<=k} |z_{i+1} - z_i|^2`` against
+    ``phi_warmup``, and it is 0 for ``k < warmup``.
     """
     phis = np.asarray(phis, dtype=float)
     z_steps = np.asarray(z_steps, dtype=float)
@@ -285,7 +291,11 @@ def descent_report(phis, z_steps, eps, lemma_slacks=None,
         raise CertificateError("phis must have one more entry than z_steps")
     sq_steps = z_steps ** 2
     descent = np.maximum(0.0, phis[1:] + eps * sq_steps - phis[:-1])
-    telescope = np.maximum(0.0, phis[1:] + eps * np.cumsum(sq_steps) - phis[0])
+    w = warmup
+    telescope = np.zeros(z_steps.shape[0])
+    if w < z_steps.shape[0]:
+        telescope[w:] = np.maximum(
+            0.0, phis[w + 1:] + eps * np.cumsum(sq_steps[w:]) - phis[w])
     lemma_slacks = np.asarray(() if lemma_slacks is None else lemma_slacks,
                               dtype=float)
     if lower_bound_violations is None:
@@ -295,7 +305,6 @@ def descent_report(phis, z_steps, eps, lemma_slacks=None,
     def worst(pick, series):
         return float(pick(series)) if series.size else 0.0
 
-    w = warmup
     summary = {
         "k_evaluated": int(z_steps.shape[0]),
         "phi0": float(phis[0]),

@@ -12,12 +12,12 @@ The Lipschitz constant of an affine or bilinear operator is the exact
 spectral norm of its matrix, computed once, on first use.
 ``prepare(lam)`` returns the resolvent at ``lam`` as a one-argument
 callable that the caller owns.  Affine and bilinear operators factor their
-matrix there, once, and the callable closes over the factors; nothing is
-cached on the operator.  So one problem may serve several threads, as long
-as each thread prepares its own callables: scipy's ``getrs`` wrapper
-shifts the LU pivots in place during every solve, so a prepared callable
-belongs to one thread.  :class:`CustomOperator` callables must be
-thread-safe themselves.
+matrix there, once, and the callable closes over the result (the explicit
+inverse of ``I + lam*M``, resp. the Cholesky factor of ``I + lam^2 K'K``);
+nothing is cached on the operator.  A prepared callable only reads what it
+closes over and writes only arrays it allocates itself, so one problem,
+and even one prepared callable, may serve several threads at once.
+:class:`CustomOperator` callables must be thread-safe themselves.
 
 Oracle contract: the methods ``forward``, ``resolve`` and ``prepare`` are
 the trusted inner oracles of the solvers.  They assume a finite 1-D float64
@@ -36,12 +36,13 @@ import math
 from functools import cached_property, partial
 
 import numpy as np
-from scipy.linalg import cho_factor, get_lapack_funcs, lu_factor
+from scipy.linalg import cho_factor, get_lapack_funcs
 
-# The LAPACK routines behind scipy.linalg.lu_solve and cho_solve, called
-# directly on prepared factors: the scipy wrappers re-check their arguments
-# on every call, which at d=50 costs several times the solve itself.
-_getrs, _potrs = get_lapack_funcs(("getrs", "potrs"), (np.empty((1, 1)),))
+# The LAPACK routines behind scipy.linalg.inv and cho_solve, called
+# directly: the scipy wrappers re-check their arguments on every call,
+# which at d=50 costs several times the solve itself.
+_getrf, _getri, _getri_lwork, _potrs = get_lapack_funcs(
+    ("getrf", "getri", "getri_lwork", "potrs"), (np.empty((1, 1)),))
 
 
 class OperatorError(Exception):
@@ -141,9 +142,9 @@ def forward_eval(op, v):
 
 
 def resolvent(op, lam, v):
-    """Evaluate ``(I + lam*op)^{-1}(v)`` for ``lam > 0``; each call factors
-    an affine or bilinear ``op`` anew, so at one ``lam`` reuse
-    ``op.prepare(lam)`` instead."""
+    """Evaluate ``(I + lam*op)^{-1}(v)`` for ``lam > 0``; each call inverts
+    (affine) or factors (bilinear) the matrix of ``op`` anew, so at one
+    ``lam`` reuse ``op.prepare(lam)`` instead."""
     if not 0.0 < lam < np.inf:
         raise OperatorError("lam must be positive and finite")
     return op.resolve(lam, as_vector(v, op.dim))
@@ -202,9 +203,13 @@ class AffineOperator(MonotoneOperator):
     """``F(v) = M v + b`` with positive-semidefinite symmetric part.
 
     Monotonicity is validated eagerly at construction by an eigenvalue test
-    on the symmetric part.  Resolvents solve ``(I + lam*M) u = v - lam*b``
-    with a dense LU factorization; ``prepare(lam)`` factors once (``lam``
-    is constant within a run) and ``resolve`` prepares on every call.
+    on the symmetric part.  The resolvent is ``J (v - lam*b)`` with
+    ``J = (I + lam*M)^{-1}``: ``prepare(lam)`` forms ``J`` once (``lam`` is
+    constant within a run), so each evaluation is one matrix-vector
+    product, and ``resolve`` prepares on every call.  The symmetric part of
+    ``I + lam*M`` is at least ``I``, so ``|J| <= 1`` and the condition
+    number is at most ``1 + lam*|M|``: the explicit inverse is as accurate
+    as an LU solve.
     """
 
     kind = "affine"
@@ -221,12 +226,12 @@ class AffineOperator(MonotoneOperator):
         self.M = M
         self.b = np.zeros(self.dim) if b is None else as_vector(b, self.dim, "b")
         if validate:
-            sym = 0.5 * (M + M.T)
-            lo = np.linalg.eigvalsh(sym)[0]
-            scale = max(1.0, float(np.linalg.norm(sym, 2))) if self.dim > 1 else 1.0
-            if lo < -MONOTONE_EIG_TOL * scale:
+            eig = np.linalg.eigvalsh(0.5 * (M + M.T))
+            # the spectral norm of the symmetric part, from its eigenvalues
+            scale = max(1.0, -eig[0], eig[-1]) if self.dim > 1 else 1.0
+            if eig[0] < -MONOTONE_EIG_TOL * scale:
                 raise NotMonotoneError(
-                    f"symmetric part has eigenvalue {lo:.3e} < 0")
+                    f"symmetric part has eigenvalue {eig[0]:.3e} < 0")
 
     @cached_property
     def lipschitz(self):
@@ -240,15 +245,21 @@ class AffineOperator(MonotoneOperator):
         return self.M, self.b
 
     def prepare(self, lam):
-        try:
-            lu, piv = lu_factor(np.eye(self.dim) + lam * self.M)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NotMonotoneError(f"(I + lam*M) is singular: {exc}")
+        lu, piv, info = _getrf(np.eye(self.dim) + lam * self.M,
+                               overwrite_a=True)
+        if info == 0:
+            J = _getri(lu, piv, lwork=int(_getri_lwork(self.dim)[0]),
+                       overwrite_lu=True)[0]
+        else:
+            # I + lam*M is singular only after rounding (lam*|M| beyond
+            # 1/eps): no resolvent exists there, and every call reports it.
+            J = np.full_like(lu, np.nan)
         lam_b = lam * self.b
 
         def resolve(v):
-            u = _getrs(lu, piv, v - lam_b, overwrite_b=True)[0]
-            if not np.isfinite(u).all():
+            u = J @ (v - lam_b)
+            # isfinite(u).all() without numpy's Python-level wrapper
+            if not np.logical_and.reduce(np.isfinite(u)):
                 raise NonFiniteError(
                     "affine resolvent produced non-finite values")
             return u
@@ -451,11 +462,13 @@ class ProblemTriple:
                 f"B={self.B.kind} C={self.C.kind}>")
 
 
-def residual(C_res, lam, z, x, bx):
-    """The omega residual ``|J_{lam*C}(2x - z - lam*bx) - x|`` of ``z``, for
-    checked ``x = J_{lam*A}(z)``, ``bx = B(x)`` and ``C_res = J_{lam*C}``.
+def residual(C_res, lam, w, x, bx):
+    """The omega residual ``|J_{lam*C}(w - lam*bx) - x|`` of ``z``, for
+    checked ``x = J_{lam*A}(z)``, its reflected point ``w = 2x - z``,
+    ``bx = B(x)`` and ``C_res = J_{lam*C}``.  The caller forms ``w``: the
+    splitting steps compute it anyway.
 
     ``math.sqrt(r @ r)`` has the bits of ``np.linalg.norm(r)``.
     """
-    r = C_res(2.0 * x - z - lam * bx) - x
+    r = C_res(w - lam * bx) - x
     return math.sqrt(r @ r)

@@ -5,12 +5,13 @@ forward-value history and its oracle counters in local variables.  It
 yields its initial y-history once, ``(y_-2, y_-1)`` for BFoRB/BRFoB and
 ``()`` otherwise, and then one record per step::
 
-    (step_norm, norm, z, x, y, p, bx, forward_evals, resolvent_evals)
+    (step_norm, norm, z, x, y, w, bx, forward_evals, resolvent_evals)
 
 ``norm`` is the norm of the governing iterate (``z_{k+1}``; ``x_{k+1}``
 for FB, FoRB, RFoB and FRDR), ``z`` the point recorded in ``Trace.zs``,
-``p`` the point whose ``J_{lam*A}`` is ``x`` and ``bx`` a cached ``B(x)``
-or ``None``.
+``w = 2x - p`` the reflected point of the point ``p`` whose ``J_{lam*A}``
+is ``x`` (the step's own ``2x_k - z_k`` for the template methods), and
+``bx`` a cached ``B(x)`` or ``None``.
 :func:`_shadow` is the three-operator template of BFoRB, BRFoB, Davis-Yin
 and DR, which differ only in the forward term (DR is the template with
 ``F = 0``); :func:`_two_op` runs FB, FoRB and RFoB, which ignore ``A`` and
@@ -18,8 +19,8 @@ iterate ``x_k`` directly; :func:`_frdr` runs FRDR.  :func:`run` consumes
 the records and owns the stopping rule, the divergence test, the residual
 and the history.  The generators receive the run's prepared resolvents
 (``prepare(lam)``, see :mod:`splitkit.operators`): each run owns its
-factorizations and frees them when it ends, and it never changes the
-problem, so one problem may serve several threads at once.
+inverses and factorizations and frees them when it ends, and it never
+changes the problem, so one problem may serve several threads at once.
 """
 
 import enum
@@ -224,7 +225,7 @@ def _shadow(config, A_res, B_fwd, C_res):
         elif brfob:
             y2, y1 = y1, y
         d = z_next - z
-        yield (math.sqrt(d @ d), math.sqrt(z_next @ z_next), z_next, x, y, z,
+        yield (math.sqrt(d @ d), math.sqrt(z_next @ z_next), z_next, x, y, w,
                None, fe, re)
         z = z_next
 
@@ -271,7 +272,8 @@ def _two_op(config, A_res, B_fwd, C_res):
         re += 1
         d = x_next - x
         x_prev, x = x, x_next
-        yield math.sqrt(d @ d), math.sqrt(x @ x), x, x, None, x, Bx, fe, re
+        yield (math.sqrt(d @ d), math.sqrt(x @ x), x, x, None, 2.0 * x - x,
+               Bx, fe, re)
 
 
 def _frdr(config, A_res, B_fwd, C_res):
@@ -302,7 +304,7 @@ def _frdr(config, A_res, B_fwd, C_res):
         d, du = x_next - x, u_next - u
         x, u = x_next, u_next
         yield (math.sqrt(d @ d) + lam * math.sqrt(du @ du), math.sqrt(x @ x),
-               w, x, y, w, Bx, fe, re)
+               w, x, y, 2.0 * x - w, Bx, fe, re)
 
 
 def _stepsize_warnings(config, L):
@@ -401,7 +403,7 @@ def run(problem, config, record_history=False):
             if ys is not None:
                 ys.extend(y_history)
                 trace.y_offset = len(y_history)
-            for _, (step_norm, norm, z, x, y, p, bx, fe, re) in zip(
+            for _, (step_norm, norm, z, x, y, w, bx, fe, re) in zip(
                     range(config.max_iters), steps):
                 step_norms.append(step_norm)
                 if record_history:
@@ -417,7 +419,7 @@ def run(problem, config, record_history=False):
                     break
 
                 residuals.append(step_norm if residual_is_step else residual(
-                    C_res, lam, p, x, B_fwd(x) if bx is None else bx))
+                    C_res, lam, w, x, B_fwd(x) if bx is None else bx))
                 if dists is not None:
                     e = x - x_star
                     dists.append(math.sqrt(e @ e))

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -351,9 +354,12 @@ def test_triple_a_star_consistency():
 
 # ------------------------------------------- lean oracles vs scipy reference
 #
-# The affine and bilinear resolvents call LAPACK getrs/potrs directly on
-# prepared factors; scipy.linalg.lu_solve/cho_solve, the reference kept here,
-# call the same routines, so the results must agree bit for bit.
+# The affine resolvent is one product with the inverse of I + lam*M, formed
+# by prepare(lam); for monotone M its condition number is at most
+# 1 + lam*|M|, so it agrees with the LU solve of scipy.linalg.lu_solve
+# (LAPACK getrs) to rounding.  The bilinear resolvent calls LAPACK potrs
+# directly on the prepared Cholesky factor; scipy.linalg.cho_solve calls the
+# same routine, so the results must agree bit for bit.
 
 _lams = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
 
@@ -365,18 +371,20 @@ def _monotone_matrix(r, d):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 40), lam=_lams)
-def test_affine_resolve_bit_identical_to_lu_solve(seed, d, lam):
+def test_affine_resolve_matches_lu_solve(seed, d, lam):
     r = rng(seed)
     M, b = _monotone_matrix(r, d), r.uniform(-1, 1, d)
     op = AffineOperator(M, b)
+    res = op.prepare(lam)
     ref_lu = lu_factor(np.eye(d) + lam * M)
     for _ in range(3):
         v = r.uniform(-5, 5, d)
         v_in = v.copy()
-        u = op.resolve(lam, v)
+        u = res(v)
         assert np.array_equal(v, v_in)       # the argument is not written
-        assert np.array_equal(
-            u, lu_solve(ref_lu, v - lam * b, check_finite=False))
+        ref = lu_solve(ref_lu, v - lam * b, check_finite=False)
+        assert np.linalg.norm(u - ref) <= 1e-13 * (1.0 + np.linalg.norm(v))
+        assert np.array_equal(op.resolve(lam, v), u)
         assert np.array_equal(resolvent(op, lam, v), u)
 
 
@@ -397,6 +405,41 @@ def test_bilinear_resolve_bit_identical_to_cho_solve(seed, m, n, lam):
         ux = cho_solve(ref_cho, wx - lam * (K.T @ wy), check_finite=False)
         expected = np.concatenate([ux, wy + lam * (K @ ux)])
         assert np.array_equal(u, expected)
+
+
+def test_prepared_resolvents_serve_several_threads():
+    # a prepared affine or bilinear resolvent writes nothing it shares (no
+    # in-place pivots), so 4 threads calling one prepared pair give the
+    # serial results bit for bit
+    r = rng(5)
+    K, c = r.uniform(-1, 1, (20, 30)), r.uniform(-1, 1, 20)
+    problem = ProblemTriple(A=AffineOperator(_monotone_matrix(r, 50),
+                                             r.uniform(-1, 1, 50)),
+                            B=ZeroOperator(50), C=BilinearCoupling(K, c))
+    A_res, C_res = problem.prepare(0.7)
+    vs = list(r.uniform(-5, 5, (40, 50)))
+    serial = [(A_res(v), C_res(v)) for v in vs]
+    threaded = {}
+
+    def work(i):
+        threaded[i] = [[(A_res(v), C_res(v)) for v in vs]
+                       for _ in range(50)]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(4):
+        for results in threaded[i]:
+            assert all(np.array_equal(a, sa) and np.array_equal(c, sc)
+                       for (a, c), (sa, sc) in zip(results, serial))
 
 
 def _factored_ops():

@@ -1,6 +1,7 @@
 import pickle
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -329,6 +330,22 @@ def test_run_oracle_overflow_ends_diverged():
                                           z0=np.ones(2), max_iters=5))
         assert t.status == "diverged" and not np.isfinite(t.z_final).all()
         assert np.isfinite(t.x_final).all()
+
+
+@pytest.mark.parametrize("method", ["BFoRB", "DR", "FRDR"])
+def test_run_singular_resolvent_ends_diverged(method):
+    # I + lam*M is invertible for monotone M, but at lam = 1e300 it rounds
+    # to the singular lam*M: J_{lam*A} cannot be formed, and the run ends
+    # "diverged" with no exception and no warning
+    problem = ProblemTriple(A=AffineOperator([[1.0, 1.0], [1.0, 1.0]]),
+                            B=AffineOperator(SKEW2), C=ZeroOperator(2))
+    kwargs = {"gamma": 2e300} if method == "FRDR" else {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = run(problem, SolverConfig(method=method, lam=1e300,
+                                      z0=np.ones(2), max_iters=50, **kwargs))
+    assert t.status == "diverged"
+    assert np.isfinite(t.z_final).all() and np.isfinite(t.x_final).all()
 
 
 def _same_trace(a, b):
