@@ -22,8 +22,9 @@ and even one prepared callable, may serve several threads at once.
 Oracle contract: the methods ``forward``, ``resolve`` and ``prepare`` are
 the trusted inner oracles of the solvers.  They assume a finite 1-D float64
 array of the operator's dimension (and ``lam > 0``) and do not check it;
-they never write into their argument.  Validation happens once, at the
-public boundary: :func:`resolvent`, :func:`forward_eval`,
+they never write into their argument.  ``forward_rows(V)`` is ``forward``
+of each row of a 2-D stack ``V``, bit for bit.  Validation happens once,
+at the public boundary: :func:`resolvent`, :func:`forward_eval`,
 :class:`ProblemTriple`, ``SolverConfig``/``run``, the flow simulators and
 ``omega_residual``.  :class:`CustomOperator` additionally checks what the
 user's callables return.  A non-finite vector raises :class:`NonFiniteError`
@@ -166,6 +167,10 @@ class MonotoneOperator:
     def forward(self, v):
         raise CapabilityError(f"{self.kind} operator has no forward oracle")
 
+    def forward_rows(self, V):
+        """``forward`` of each row of the 2-D stack ``V``, as rows."""
+        return np.array([self.forward(v) for v in V]).reshape(len(V), self.dim)
+
     def resolve(self, lam, v):
         raise CapabilityError(f"{self.kind} operator has no resolvent")
 
@@ -240,6 +245,10 @@ class AffineOperator(MonotoneOperator):
 
     def forward(self, v):
         return self.M @ v + self.b
+
+    def forward_rows(self, V):
+        # one gemv per row, as in forward; V @ M.T (a gemm) moves the last bits
+        return (self.M @ V[..., None])[..., 0] + self.b
 
     def affine_parts(self):
         return self.M, self.b

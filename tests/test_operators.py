@@ -3,7 +3,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 
@@ -405,6 +405,68 @@ def test_bilinear_resolve_bit_identical_to_cho_solve(seed, m, n, lam):
         ux = cho_solve(ref_cho, wx - lam * (K.T @ wy), check_finite=False)
         expected = np.concatenate([ux, wy + lam * (K @ ux)])
         assert np.array_equal(u, expected)
+
+
+# ------------------------------------------------- stacked forward evaluation
+#
+# The certificates evaluate B on a block of points with one forward_rows
+# call, and their per-k functions on two or three points.  The two agree bit
+# for bit only if forward_rows gives forward's bits row by row.  For an
+# affine operator that rests on numpy evaluating the stacked product
+# M @ V[..., None] as one gemv per row: one gemm (V @ M.T) would not.
+
+def _same_rows(op, V):
+    out = op.forward_rows(V)
+    assert out.shape == (len(V), op.dim)
+    for v, row in zip(V, out):
+        assert row.tobytes() == op.forward(v).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 64),
+       n=st.integers(0, 40))
+@example(seed=7, d=400, n=40)
+def test_affine_forward_rows_bit_identical(seed, d, n):
+    r = rng(seed)
+    op = AffineOperator(_monotone_matrix(r, d), r.uniform(-1, 1, d))
+    V = r.uniform(-5, 5, (n + 1, d))
+    _same_rows(op, V[1:])       # a view that starts one row in
+    _same_rows(op, V[:n])
+
+
+def _rows_zoo(r, m, n):
+    d = m + n
+    return [ZeroOperator(d),
+            BilinearCoupling(r.uniform(-1, 1, (m, n)), r.uniform(-1, 1, m)),
+            CustomOperator(d, forward=lambda v: np.tanh(v) - 0.5,
+                           lipschitz=1.0)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8),
+       n=st.integers(1, 8), rows=st.integers(0, 12))
+def test_forward_rows_loops_over_forward(seed, m, n, rows):
+    r = rng(seed)
+    for op in _rows_zoo(r, m, n):
+        _same_rows(op, r.uniform(-5, 5, (rows, m + n)))
+
+
+def test_forward_rows_edges():
+    r = rng(13)
+    affine = AffineOperator(_monotone_matrix(r, 5), r.uniform(-1, 1, 5))
+    for op in [affine] + _rows_zoo(r, 2, 3):
+        assert op.forward_rows(np.empty((0, 5))).shape == (0, 5)
+    # a non-finite row gives what forward gives: inf/NaN for the affine
+    # operator, NonFiniteError from a custom callable
+    V = r.uniform(-1, 1, (3, 5))
+    V[1, 2], V[2, 0] = np.inf, np.nan
+    with np.errstate(invalid="ignore"):
+        _same_rows(affine, V)
+        out = affine.forward_rows(V)
+    assert np.isfinite(out[0]).all() and not np.isfinite(out[1:]).any()
+    custom = CustomOperator(5, forward=lambda v: v, lipschitz=1.0)
+    with pytest.raises(NonFiniteError):
+        custom.forward_rows(V)
 
 
 def test_prepared_resolvents_serve_several_threads():
