@@ -68,8 +68,9 @@ def omega_residual(problem, lam, z, x=None):
     z = as_vector(z, problem.dim, "z")
     if x is None:
         x = problem.A.resolve(lam, z)
-    return residual(problem.C.prepare(lam), lam, 2.0 * x - z, x,
-                    problem.B.forward(x))
+    X = x[None]
+    return float(residual(problem.C.prepare(lam), lam, 2.0 * X - z, X,
+                          problem.B.forward_rows(X))[0])
 
 
 @dataclass

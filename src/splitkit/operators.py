@@ -14,17 +14,22 @@ spectral norm of its matrix, computed once, on first use.
 callable that the caller owns.  Affine and bilinear operators factor their
 matrix there, once, and the callable closes over the result (the explicit
 inverse of ``I + lam*M``, resp. the Cholesky factor of ``I + lam^2 K'K``);
-nothing is cached on the operator.  A prepared callable only reads what it
-closes over and writes only arrays it allocates itself, so one problem,
-and even one prepared callable, may serve several threads at once.
+nothing is cached on the operator.  The callable maps a vector, and a 2-D
+stack of vectors row by row with the bits of one call per row: the affine
+one by one stacked product, the zero, box and l1 ones elementwise, the
+bilinear and custom ones one row at a time.  A prepared callable only
+reads what it closes over and writes only arrays it allocates itself, so
+one problem, and even one prepared callable, may serve several threads at
+once.
 :class:`CustomOperator` callables must be thread-safe themselves.
 
 Oracle contract: the methods ``forward``, ``resolve`` and ``prepare`` are
 the trusted inner oracles of the solvers.  They assume a finite 1-D float64
 array of the operator's dimension (and ``lam > 0``) and do not check it;
 they never write into their argument.  ``forward_rows(V)`` is ``forward``
-of each row of a 2-D stack ``V``, bit for bit.  Validation happens once,
-at the public boundary: :func:`resolvent`, :func:`forward_eval`,
+of each row of a 2-D stack ``V``, bit for bit, and :func:`residual` gives
+the omega residual of each row of a stack.  Validation happens once, at
+the public boundary: :func:`resolvent`, :func:`forward_eval`,
 :class:`ProblemTriple`, ``SolverConfig``/``run``, the flow simulators and
 ``omega_residual``.  :class:`CustomOperator` additionally checks what the
 user's callables return.  A non-finite vector raises :class:`NonFiniteError`
@@ -33,7 +38,6 @@ user's callables return.  A non-finite vector raises :class:`NonFiniteError`
 construction.
 """
 
-import math
 from functools import cached_property, partial
 
 import numpy as np
@@ -151,6 +155,16 @@ def resolvent(op, lam, v):
     return op.resolve(lam, as_vector(v, op.dim))
 
 
+def _row_by_row(resolve):
+    """Extend a one-vector oracle to 2-D stacks, one row at a time."""
+    def stacked(v):
+        if v.ndim == 1:
+            return resolve(v)
+        return np.array([resolve(r) for r in v]).reshape(v.shape)
+
+    return stacked
+
+
 class MonotoneOperator:
     """Common base: capability flags plus forward/resolvent dispatch."""
 
@@ -169,7 +183,7 @@ class MonotoneOperator:
 
     def forward_rows(self, V):
         """``forward`` of each row of the 2-D stack ``V``, as rows."""
-        return np.array([self.forward(v) for v in V]).reshape(len(V), self.dim)
+        return _row_by_row(self.forward)(V)
 
     def resolve(self, lam, v):
         raise CapabilityError(f"{self.kind} operator has no resolvent")
@@ -266,9 +280,14 @@ class AffineOperator(MonotoneOperator):
         lam_b = lam * self.b
 
         def resolve(v):
-            u = J @ (v - lam_b)
-            # isfinite(u).all() without numpy's Python-level wrapper
-            if not np.logical_and.reduce(np.isfinite(u)):
+            if v.ndim == 1:
+                u = J @ (v - lam_b)
+                # isfinite(u).all() without numpy's Python-level wrapper
+                finite = np.logical_and.reduce(np.isfinite(u))
+            else:   # one gemv per row, as above; v @ J.T (a gemm) is not
+                u = (J @ (v - lam_b)[..., None])[..., 0]
+                finite = np.isfinite(u).all()
+            if not finite:
                 raise NonFiniteError(
                     "affine resolvent produced non-finite values")
             return u
@@ -351,6 +370,12 @@ class BilinearCoupling(MonotoneOperator):
         x, y = v[:self.n], v[self.n:]
         return np.concatenate([self.K.T @ y, -(self.K @ x) + self.c])
 
+    def forward_rows(self, V):
+        # one gemv per row and block, as in forward
+        X, Y = V[:, :self.n, None], V[:, self.n:, None]
+        return np.concatenate([(self.K.T @ Y)[..., 0],
+                               -(self.K @ X)[..., 0] + self.c], axis=1)
+
     def affine_parts(self):
         n, M, b = self.n, np.zeros((self.dim, self.dim)), np.zeros(self.dim)
         M[:n, n:], M[n:, :n], b[n:] = self.K.T, -self.K, self.c
@@ -369,7 +394,7 @@ class BilinearCoupling(MonotoneOperator):
                         overwrite_b=True)[0]
             return np.concatenate([ux, wy + lam * (K @ ux)])
 
-        return resolve
+        return _row_by_row(resolve)
 
     def resolve(self, lam, v):
         return self.prepare(lam)(v)
@@ -413,6 +438,9 @@ class CustomOperator(MonotoneOperator):
         if self._resolvent is None:
             raise CapabilityError("custom operator has no resolvent")
         return as_vector(self._resolvent(lam, v), self.dim, "J(v)")
+
+    def prepare(self, lam):
+        return _row_by_row(partial(self.resolve, lam))
 
 
 class ProblemTriple:
@@ -471,13 +499,18 @@ class ProblemTriple:
                 f"B={self.B.kind} C={self.C.kind}>")
 
 
-def residual(C_res, lam, w, x, bx):
-    """The omega residual ``|J_{lam*C}(w - lam*bx) - x|`` of ``z``, for
-    checked ``x = J_{lam*A}(z)``, its reflected point ``w = 2x - z``,
-    ``bx = B(x)`` and ``C_res = J_{lam*C}``.  The caller forms ``w``: the
-    splitting steps compute it anyway.
+def row_norms(V):
+    """The Euclidean norm of each row of a 2-D stack, with the bits of
+    ``math.sqrt(v @ v)`` (and so of ``np.linalg.norm(v)``) per row: the
+    stacked product is one dot product per row."""
+    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
 
-    ``math.sqrt(r @ r)`` has the bits of ``np.linalg.norm(r)``.
+
+def residual(C_res, lam, W, X, BX):
+    """The omega residuals ``|J_{lam*C}(w - lam*bx) - x|`` of the rows of
+    a stack of points ``z``, for checked ``X = J_{lam*A}(Z)`` row by row,
+    the reflected points ``W = 2X - Z``, ``BX = B(X)`` and ``C_res =
+    J_{lam*C}``; one call for the stack has the bits of one call per row.
+    The caller forms ``W``: the splitting steps compute it anyway.
     """
-    r = C_res(w - lam * bx) - x
-    return math.sqrt(r @ r)
+    return row_norms(C_res(W - lam * BX) - X)

@@ -16,11 +16,12 @@ is ``x`` (the step's own ``2x_k - z_k`` for the template methods), and
 and DR, which differ only in the forward term (DR is the template with
 ``F = 0``); :func:`_two_op` runs FB, FoRB and RFoB, which ignore ``A`` and
 iterate ``x_k`` directly; :func:`_frdr` runs FRDR.  :func:`run` consumes
-the records and owns the stopping rule, the divergence test, the residual
-and the history.  The generators receive the run's prepared resolvents
-(``prepare(lam)``, see :mod:`splitkit.operators`): each run owns its
-inverses and factorizations and frees them when it ends, and it never
-changes the problem, so one problem may serve several threads at once.
+the records and owns the stopping rule, the divergence test, the history
+and the residual, which it evaluates per block of steps.  The generators
+receive the run's prepared resolvents (``prepare(lam)``, see
+:mod:`splitkit.operators`): each run owns its inverses and factorizations
+and frees them when it ends, and it never changes the problem, so one
+problem may serve several threads at once.
 """
 
 import enum
@@ -30,7 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import NonFiniteError, as_vector, residual, vanishes
+from .operators import (NonFiniteError, as_vector, residual, row_norms,
+                        vanishes)
 
 #: Sentinel returned by :func:`max_stepsize` for methods whose convergence
 #: is not guaranteed by a Lipschitz bound alone (they need cocoercivity).
@@ -38,6 +40,12 @@ NOT_GUARANTEED = None
 
 #: Iterates whose norm exceeds this multiple of ``1 + |z0|`` flag divergence.
 DIVERGE_FACTOR = 1e12
+
+#: Steps per residual block in :func:`run`.  Blocks of 128 or 256 steps
+#: were no faster on the d=50 solve benchmark, and their larger
+#: temporaries raised the peak memory of repeated recorded runs at d=50 by
+#: 2-3 MB: the recorded history fills the gaps they leave in the heap.
+_BLOCK = 64
 
 
 class Method(str, enum.Enum):
@@ -341,14 +349,19 @@ def run(problem, config, record_history=False):
     ``|J_{lam*C}(2x - p - lam*B(x)) - x|`` with ``x = J_{lam*A}(p)`` (the
     form of :func:`splitkit.certificates.omega_residual`: the step norm for
     Davis-Yin and, when ``B = 0``, DR, whose steps compute exactly this;
-    other DR runs pay one ``B`` forward and one ``C`` resolve per step for
-    it, outside the counters), and,
-    when the problem carries ``x_star``, the distance of ``x_k`` to it.
+    the other methods pay one ``C`` resolve, and one ``B`` forward unless
+    the step caches ``B(x)`` as FoRB and FRDR do, outside the counters),
+    and, when the problem carries ``x_star``, the distance of ``x_k`` to it.
     Row ``k`` of the residuals belongs to the point ``p`` of step ``k``:
     the iterate before the step, ``zs[k]``, for BFoRB, BRFoB, Davis-Yin and
     DR; ``w_k = zs[k+1]``, whose resolvent is ``x_{k+1}``, for FRDR; and
     the iterate after the step, ``xs[k+1]``, for FB, FoRB and RFoB, which
     ignore ``A`` (their residual is that of ``B + C``).
+    No residual feeds back into the iteration, so the rows are evaluated
+    per block of ``_BLOCK`` steps by one stacked call, with the bits of one
+    call per row.  A residual oracle that raises ends the run at its row,
+    and the warnings keep the order of one row at a time: on either, the
+    block is evaluated again row by row.
     With ``record_history=True`` the full ``z``/``y``/``x`` histories are
     kept so certificates can be evaluated afterwards; the hot loop itself
     performs exactly the oracle calls of the method plus this bookkeeping.
@@ -368,11 +381,6 @@ def run(problem, config, record_history=False):
     step_norms, residuals, dists = (trace.step_norms, trace.residuals,
                                     trace.dist_to_xstar)
 
-    def note(kind, flag):
-        msg = f"floating-point {kind} encountered"
-        if msg not in trace.warnings:
-            trace.warnings.append(msg)
-
     # The latest record's iterates; the start stands in until a step is done.
     z = x = config.z0.copy()
     fe = re = 0
@@ -384,6 +392,75 @@ def run(problem, config, record_history=False):
 
     residual_is_step = method is Method.DAVIS_YIN or (
         method is Method.DR and vanishes(problem.B))
+    # The block's (z, fe, re) records, with copies of their x, w and cached
+    # B(x) rows, and its floating-point events of kinds not named yet, as
+    # (index of the record, kind); a step's events precede its record.
+    recs, events = [], []
+    X = np.empty((_BLOCK, problem.dim))
+    W = None if residual_is_step else np.empty_like(X)
+    BX = np.empty_like(X) if method in (Method.FORB, Method.FRDR) else None
+    B_rows = problem.B.forward_rows
+
+    def rows(base, lo, hi):
+        """Residual and distance rows ``lo..hi-1`` of the block, which
+        starts at row ``base`` of the run."""
+        Xs = X[lo:hi]
+        res = (step_norms[base + lo:base + hi] if W is None else residual(
+            C_res, lam, W[lo:hi], Xs,
+            B_rows(Xs) if BX is None else BX[lo:hi]).tolist())
+        return res, ([] if x_star is None
+                     else row_norms(Xs - x_star).tolist())
+
+    def flush():
+        """Append the block's rows, and name its floating-point events in
+        the order in which the per-row evaluation fires them; end the run
+        at the first row whose residual raises.  True if the run ended."""
+        nonlocal status, z, x, fe, re
+        n, base, fired = len(recs), len(residuals), len(events)
+        cut = None
+        try:
+            res, dist = rows(base, 0, n) if n else ([], [])
+            again = len(events) > fired
+        except NonFiniteError:
+            again = True
+        if again:               # each row's residual after its step's events
+            stepped, j = events[:fired], 0
+            del events[:]
+            res, dist = [], []
+            for i in range(n):
+                while j < fired and stepped[j][0] == i:
+                    events.append(stepped[j])
+                    j += 1
+                try:
+                    r, d = rows(base, i, i + 1)
+                except NonFiniteError:
+                    cut = i
+                    break
+                res += r
+                dist += d
+            else:
+                events.extend(stepped[j:])
+        residuals.extend(res)
+        if dists is not None:
+            dists.extend(dist)
+        for _, kind in events:
+            msg = f"floating-point {kind} encountered"
+            if msg not in trace.warnings:
+                trace.warnings.append(msg)
+        events.clear()
+        if cut is not None:
+            status = "diverged"
+            z, fe, re = recs[cut]
+            x = X[cut].copy()
+            k = base + cut + 1
+            del step_norms[k:]
+            if record_history:
+                del xs[k + two_op:]
+                if zs is not None:
+                    del zs[k + 1:], ys[k + trace.y_offset:]
+        recs.clear()
+        return cut is not None
+
     z0_norm = math.sqrt(config.z0 @ config.z0)
     big = DIVERGE_FACTOR * (1.0 + z0_norm)
     tol, inf = config.tol, math.inf
@@ -392,11 +469,14 @@ def run(problem, config, record_history=False):
     # reused as the next iteration's prev_norm (the first iterate is z0).
     # math.sqrt(d @ d) has the bits of np.linalg.norm: sqrt(d.dot(d)).
     prev_norm = z0_norm
+    def note(kind, flag):
+        if f"floating-point {kind} encountered" not in trace.warnings:
+            events.append((len(recs), kind))
+
     with np.errstate(over="call", invalid="call", divide="call", call=note):
         A_res, C_res = problem.prepare(lam)
-        B_fwd = problem.B.forward
         steps = (_two_op if two_op else _frdr if frdr else _shadow)(
-            config, A_res, B_fwd,
+            config, A_res, problem.B.forward,
             problem.C.prepare(config.gamma) if frdr else C_res)
         try:
             y_history = next(steps)
@@ -418,21 +498,30 @@ def run(problem, config, record_history=False):
                     status = "diverged"
                     break
 
-                residuals.append(step_norm if residual_is_step else residual(
-                    C_res, lam, w, x, B_fwd(x) if bx is None else bx))
-                if dists is not None:
-                    e = x - x_star
-                    dists.append(math.sqrt(e @ e))
+                i = len(recs)
+                recs.append((z, fe, re))
+                X[i] = x
+                if W is not None:
+                    W[i] = w
+                    if BX is not None:
+                        BX[i] = bx
 
                 if step_norm <= tol * (1.0 + prev_norm):
                     status = "converged"
                     break
                 prev_norm = norm
+                if i + 1 == _BLOCK and flush():
+                    break
         except NonFiniteError:
             status = "diverged"
+        except Exception:
+            if not flush():   # unless an earlier row's residual ended the run
+                raise
+        flush()
         if not (two_op or frdr):
             with suppress(NonFiniteError):   # a diverged z keeps the last x
                 x = A_res(z)
+        flush()                              # names that resolvent's events
     # A diverged step has no residual or distance: NaN stands in for them.
     for series in (residuals, dists):
         if series is not None:

@@ -9,9 +9,9 @@ import pytest
 
 import splitkit
 import splitkit.cli
-from splitkit import (ProblemTriple, ZeroOperator, make_affine_instance,
-                      omega_residual, save_instance, simulate_dr_flow,
-                      simulate_ppa)
+from splitkit import (ProblemTriple, ZeroOperator, dynamics,
+                      make_affine_instance, omega_residual, save_instance,
+                      simulate_dr_flow, simulate_ppa)
 from splitkit.cli import (ConfigError, EXIT_CONFIG, EXIT_NOT_CONVERGED,
                           EXIT_OK, build_problem, main, parse_config)
 
@@ -597,28 +597,38 @@ lambda_fraction = 0.9
 """
 
 
-def _flow_csv_rowwise(problem, flow):
-    """The flow CSV recomputed row by row from the states alone."""
+def _flow_rows_rowwise(problem, flow):
+    """The flow's rows ``(t, step_norm, omega_residual[, dist_to_xstar])``
+    recomputed one by one from the states alone."""
     lam = flow.lam
     with_dist = flow.kind == "dr" and problem.x_star is not None
     res_problem = problem if flow.kind == "dr" else ProblemTriple(
         A=ZeroOperator(problem.dim), B=problem.B, C=problem.C)
-    lines = ["t,step_norm,omega_residual" + ",dist_to_xstar" * with_dist]
-    prev = None
+    rows, prev = [], None
     for t, state in zip(flow.times, flow.states):
         x = res_problem.A.resolve(lam, state)
         row = [t, 0.0 if prev is None else np.linalg.norm(state - prev),
                omega_residual(res_problem, lam, state, x)]
         if with_dist:
             row.append(np.linalg.norm(x - problem.x_star))
-        lines.append(",".join("%.17g" % v for v in row))
+        rows.append(row)
         prev = state
+    return rows
+
+
+def _flow_csv_rowwise(problem, flow):
+    """The flow CSV recomputed row by row from the states alone."""
+    header = "t,step_norm,omega_residual" + ",dist_to_xstar" * (
+        flow.dist_to_xstar is not None)
+    lines = [header] + [",".join("%.17g" % v for v in row)
+                        for row in _flow_rows_rowwise(problem, flow)]
     return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("problem_kind, kind", [
     ("affine", "dr"), ("affine", "ppa"), ("saddle", "dr")])
-def test_flow_csv_matches_rowwise_computation(tmp_path, problem_kind, kind):
+def test_flow_csv_matches_rowwise_computation(tmp_path, monkeypatch,
+                                              problem_kind, kind):
     # the series the Euler loop records are the ones the states give; the
     # saddle DR flow takes the inner-solver path of J_{lam*(B+C)}
     base = AFFINE_CFG if problem_kind == "affine" else SADDLE_CFG
@@ -637,6 +647,21 @@ def test_flow_csv_matches_rowwise_computation(tmp_path, problem_kind, kind):
         A=ZeroOperator(problem.dim), B=problem.B, C=problem.C)
     assert flow.residuals[-1] == omega_residual(res_problem, 0.1,
                                                 flow.terminal)
+    # the loop evaluates its residuals and distances per block of states:
+    # lengths at the block's edges (a smaller block for the saddle, whose
+    # inner solves take about 2 ms per step)
+    if problem_kind == "saddle":
+        monkeypatch.setattr(dynamics, "_BLOCK", 16)
+    block = dynamics._BLOCK
+    for states in (block - 1, block, block + 1, 2 * block + 1):
+        flow = simulate(problem, 0.1, 0.5, 0.5 * (states - 1),
+                        np.ones(problem.dim))
+        series = [flow.times, flow.step_norms, flow.residuals]
+        if flow.dist_to_xstar is not None:
+            series.append(flow.dist_to_xstar)
+        assert len(flow.times) == states
+        assert [list(row) for row in zip(*series)] == _flow_rows_rowwise(
+            problem, flow)
 
 
 FRDR_CFG = AFFINE_CFG.replace("methods = BFoRB", "methods = FRDR")

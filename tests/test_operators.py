@@ -434,6 +434,20 @@ def test_affine_forward_rows_bit_identical(seed, d, n):
     _same_rows(op, V[:n])
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40),
+       n=st.integers(1, 40), rows=st.integers(0, 12))
+@example(seed=1, m=200, n=300, rows=8)
+@example(seed=2, m=7, n=5, rows=3)
+def test_bilinear_forward_rows_bit_identical(seed, m, n, rows):
+    # two stacked products, K'y and -(Kx) + c, each one gemv per row
+    r = rng(seed)
+    op = BilinearCoupling(r.uniform(-1, 1, (m, n)), r.uniform(-1, 1, m))
+    V = r.uniform(-5, 5, (rows + 1, m + n))
+    _same_rows(op, V[1:])
+    _same_rows(op, V[:rows])
+
+
 def _rows_zoo(r, m, n):
     d = m + n
     return [ZeroOperator(d),
@@ -467,6 +481,42 @@ def test_forward_rows_edges():
     custom = CustomOperator(5, forward=lambda v: v, lipschitz=1.0)
     with pytest.raises(NonFiniteError):
         custom.forward_rows(V)
+
+
+# run() and the flows evaluate the residual's C resolvent on a block of
+# points with one call: a prepared resolvent maps a 2-D stack row by row,
+# with the bits of one call per row.
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8),
+       n=st.integers(1, 8), rows=st.integers(0, 12), lam=_lams)
+@example(seed=3, m=150, n=250, rows=5, lam=0.5)
+def test_prepared_resolvents_map_stacks_row_by_row(seed, m, n, rows, lam):
+    r = rng(seed)
+    d = m + n
+    ops = [AffineOperator(_monotone_matrix(r, d), r.uniform(-1, 1, d)),
+           BilinearCoupling(r.uniform(-1, 1, (m, n)), r.uniform(-1, 1, m)),
+           ZeroOperator(d), ScaledL1(d, 0.5),
+           BoxNormalCone(-np.ones(d), np.ones(d)),
+           CustomOperator(d, resolvent=lambda lam, v: v / (1.0 + lam))]
+    V = r.uniform(-5, 5, (rows + 1, d))[1:]
+    for op in ops:
+        resolve = op.prepare(lam)
+        out = resolve(V)
+        assert out.shape == V.shape
+        for v, row in zip(V, out):
+            assert row.tobytes() == resolve(v).tobytes()
+
+
+def test_prepared_affine_stack_checks_finiteness():
+    # one non-finite row fails the whole stack, as it fails its own call
+    resolve = AffineOperator([[1.0, 0.0], [0.0, 2.0]]).prepare(0.5)
+    V = np.array([[1.0, 1.0], [np.inf, 1.0]])
+    assert np.isfinite(resolve(V[0])).all()
+    with np.errstate(invalid="ignore"):
+        for v in (V[1], V):
+            with pytest.raises(NonFiniteError):
+                resolve(v)
 
 
 def test_prepared_resolvents_serve_several_threads():

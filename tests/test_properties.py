@@ -10,9 +10,10 @@ from hypothesis.extra.numpy import arrays
 from splitkit import (AffineOperator, CustomOperator, Method, ProblemTriple,
                       SolverConfig, ZeroOperator, certify_trace,
                       load_instance, make_affine_instance,
-                      make_saddle_instance, max_stepsize, reference_point,
-                      run, save_instance)
+                      make_saddle_instance, max_stepsize, omega_residual,
+                      reference_point, run, save_instance)
 from splitkit.cli import ConfigError, ExperimentConfig, parse_config
+from splitkit.solvers import TWO_OPERATOR_METHODS, _BLOCK
 
 PROPERTY = settings(max_examples=50, deadline=None)
 
@@ -109,6 +110,40 @@ def test_lemma_slacks_nonnegative_at_any_stepsize(dim, seed, skew, frac,
     assume(problem.B.lipschitz > 1e-6)
     lam = frac * max_stepsize(method, problem.B.lipschitz)
     _assert_lemma_slacks_nonnegative(problem, method, lam)
+
+
+@PROPERTY
+@given(st.integers(3, 8), st.integers(0, 2**32 - 1),
+       st.sampled_from(list(Method)), st.integers(1, 2 * _BLOCK + 2),
+       st.floats(0.1, 1.0), st.sampled_from([1e-300, 1e-6]))
+def test_residual_and_distance_rows_are_one_point_values(dim, seed, method,
+                                                         length, frac, tol):
+    # run() evaluates its residual and distance rows per block of steps;
+    # each row has the bits of omega_residual and |x - x_star| at its one
+    # point, whatever the length, and the series stay lists of floats
+    problem = make_affine_instance(dim, seed, 0.8).triple()
+    L = problem.B.lipschitz
+    gamma = 1.0 / L if method is Method.FRDR else None
+    lam = frac * (max_stepsize(method, L, gamma) or max_stepsize("BRFoB", L))
+    trace = run(problem, SolverConfig(method=method, lam=lam,
+                                      z0=np.ones(dim), max_iters=length,
+                                      tol=tol, gamma=gamma),
+                record_history=True)
+    two_op = method in TWO_OPERATOR_METHODS
+    # FB, FoRB and RFoB ignore A: theirs is the residual of B + C at x_{k+1}
+    res_problem = ProblemTriple(ZeroOperator(dim), problem.B,
+                                problem.C) if two_op else problem
+    points = trace.xs[1:] if two_op else trace.zs[method is Method.FRDR:]
+    xs = trace.xs[two_op:]
+    for series in (trace.residuals, trace.dist_to_xstar):
+        assert type(series) is list and len(series) == trace.iterations
+        assert all(type(v) is float for v in series)
+    for k in range(trace.iterations):
+        if method is not Method.DAVIS_YIN:      # its residual is its step
+            assert trace.residuals[k] == omega_residual(res_problem, lam,
+                                                        points[k])
+        assert trace.dist_to_xstar[k] == np.linalg.norm(xs[k]
+                                                        - problem.x_star)
 
 
 def planted_saddle():

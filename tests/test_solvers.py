@@ -6,10 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from splitkit import (AffineOperator, CustomOperator, Method, NOT_GUARANTEED,
-                      ProblemTriple, SolverConfig, SolverError, ZeroOperator,
-                      make_affine_instance, max_stepsize, omega_residual, run,
-                      solve_affine_direct)
+from splitkit import (AffineOperator, BoxNormalCone, CustomOperator, Method,
+                      NOT_GUARANTEED, ProblemTriple, SolverConfig, SolverError,
+                      ZeroOperator, make_affine_instance, max_stepsize,
+                      omega_residual, run, solve_affine_direct)
+from splitkit.solvers import TWO_OPERATOR_METHODS, _BLOCK
 
 SKEW2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -332,6 +333,78 @@ def test_run_oracle_overflow_ends_diverged():
         assert np.isfinite(t.x_final).all()
 
 
+# run() evaluates the residual rows of a block of steps after the steps.
+# The expected values below were recorded when run() evaluated each row
+# right after its step: a run ends at the first row whose residual oracle
+# raises, and the warnings name each kind in the order of the rows.
+
+def test_residual_oracle_raising_first_ends_the_run_at_its_row():
+    # DR's steps never evaluate B; the residual's B overflows once |x_k|
+    # falls below 1e-6, at row 27, and the steps alone would run on
+    B = CustomOperator(1, lipschitz=0.0, forward=lambda v: np.where(
+        np.abs(v) < 1e-6, np.inf, 0.0))
+    problem = ProblemTriple(A=AffineOperator([[1.0]]), B=B,
+                            C=AffineOperator([[0.5]]))
+    t = run(problem, SolverConfig(method="DR", lam=0.5, z0=[1.0],
+                                  max_iters=1000, tol=1e-300),
+            record_history=True)
+    assert (t.status, t.iterations, t.forward_evals, t.resolvent_evals,
+            t.warnings) == ("diverged", 28, 0, 56, [])
+    assert (len(t.step_norms), len(t.zs), len(t.ys), len(t.xs)) == (
+        28, 29, 28, 28)
+    assert t.step_norms[-2:] == [6.82326912718313e-07, 4.093961476309878e-07]
+    assert np.isnan(t.residuals[-1])
+    assert t.residuals[:-1] == [omega_residual(problem, 0.5, z)
+                                for z in t.zs[:27]]
+    assert t.residuals[-3:-1] == [1.137211521197188e-06, 6.82326912718313e-07]
+    assert t.z_final.tolist() == [6.140942214464817e-07]
+    assert t.x_final.tolist() == [4.093961476309878e-07]
+    # BFoRB and BRFoB evaluate B at points of the box [-1, 1], where it is
+    # finite; the residual evaluates it at x_1 = -7 and raises, while the
+    # steps alone would run until the divergence bound
+    B = CustomOperator(1, lipschitz=0.5, forward=lambda v: np.where(
+        np.abs(v) > 3.5, np.inf, 0.5 * v))
+    problem = ProblemTriple(
+        A=CustomOperator(1, resolvent=lambda lam, v: -2.0 * v), B=B,
+        C=BoxNormalCone([-1.0], [1.0]))
+    for method, fe in (("BFoRB", 4), ("BRFoB", 2)):
+        t = run(problem, SolverConfig(method=method, lam=0.1, z0=[1.5],
+                                      max_iters=1000,
+                                      y_init=([0.0], [0.0])),
+                record_history=True)
+        assert (t.status, t.iterations, t.forward_evals,
+                t.resolvent_evals) == ("diverged", 2, fe, 4)
+        assert t.step_norms == [2.0, 6.0] and t.residuals[0] == 2.0
+        assert np.isnan(t.residuals[1])
+        assert (len(t.zs), len(t.ys), len(t.xs)) == (3, 4, 2)
+        assert t.z_final.tolist() == [9.5] and t.x_final.tolist() == [-19.0]
+
+
+def test_floating_point_kinds_named_in_row_order():
+    # both oracles return finite values: the residual's B overflows (exp)
+    # once |x_k| < 1e-2, and the step's A divides by zero once |z_k| <
+    # 1e-3, some rows later but within the same block
+    def B_fwd(v):
+        return np.minimum(np.exp(710.0 * (np.abs(v) < 1e-2)), 0.0)
+
+    def A_res(lam, v):
+        ones = (np.abs(v) >= 1e-3).astype(float)
+        return v / (1.0 + lam) + np.minimum(np.divide(1.0, ones), 0.0)
+
+    problem = ProblemTriple(A=CustomOperator(1, resolvent=A_res),
+                            B=CustomOperator(1, forward=B_fwd, lipschitz=0.0),
+                            C=AffineOperator([[0.5]]))
+    for method, fe, re in (("DR", 0, 1200), ("BFoRB", 601, 1201)):
+        t = run(problem, SolverConfig(method=method, lam=0.5, z0=[1.0],
+                                      max_iters=600, tol=1e-300))
+        assert (t.status, t.iterations, t.forward_evals,
+                t.resolvent_evals) == ("max_iters", 600, fe, re)
+        assert t.warnings == ["floating-point overflow encountered",
+                              "floating-point divide by zero encountered"]
+        assert t.residuals[-1] == 5.183928121485023e-134
+        assert t.z_final.tolist() == [7.7758921822275355e-134]
+
+
 @pytest.mark.parametrize("method", ["BFoRB", "DR", "FRDR"])
 def test_run_singular_resolvent_ends_diverged(method):
     # I + lam*M is invertible for monotone M, but at lam = 1e300 it rounds
@@ -464,19 +537,59 @@ def test_residual_row_k_is_omega_residual_of_one_point(method, variant,
     L = B.lipschitz
     gamma = 1.0 / L if method == "FRDR" else None
     lam = 0.5 * (max_stepsize(method, L, gamma) or max_stepsize("BRFoB", L))
-    trace = run(problem, SolverConfig(
-        method=method, lam=lam, z0=np.ones(12), max_iters=40, tol=1e-300,
-        gamma=gamma), record_history=True)
-    assert trace.status == "max_iters" and len(trace.residuals) == 40
+    # run() evaluates the rows per block: lengths at the block's edges
+    for length in (40, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1):
+        trace = run(problem, SolverConfig(
+            method=method, lam=lam, z0=np.ones(12), max_iters=length,
+            tol=1e-300, gamma=gamma), record_history=True)
+        assert trace.status == "max_iters"
+        assert len(trace.residuals) == length
+        _assert_rows_are_one_point_values(trace, problem, history, shift,
+                                          method == "DavisYin"
+                                          or variant == "B=0")
+
+
+def _assert_rows_are_one_point_values(trace, problem, history, shift,
+                                      residual_is_step):
+    """Row k of the residuals is omega_residual of ``history[k + shift]``,
+    and row k of the distances (if any) ``|x - x_star|`` of the step's x,
+    bit for bit, as lists of Python floats."""
     points = getattr(trace, history)
+    xs = trace.xs[trace.method in TWO_OPERATOR_METHODS:]
+    dists = trace.dist_to_xstar
+    for series in [trace.residuals] + ([] if dists is None else [dists]):
+        assert type(series) is list and len(series) == trace.iterations
+        assert all(type(v) is float for v in series)
     for k, res in enumerate(trace.residuals):
         point = points[k + shift]
-        omega = omega_residual(problem, lam, point)
-        if method == "DavisYin" or variant == "B=0":
+        omega = omega_residual(problem, trace.lam, point)
+        if residual_is_step:
             assert res == trace.step_norms[k]
             assert abs(res - omega) <= 1e-15 * (1.0 + np.linalg.norm(point))
         else:
             assert res == omega
+        if dists is not None:
+            assert dists[k] == np.linalg.norm(xs[k] - problem.x_star)
+
+
+@pytest.mark.parametrize("method,variant,history,shift", [
+    ("BFoRB", "full", "zs", 0), ("FRDR", "full", "zs", 1),
+    ("FoRB", "A=0", "xs", 1)])
+def test_residual_rows_of_a_run_that_stops_mid_block(method, variant,
+                                                     history, shift):
+    # converged after 545, 306 and 493 steps: the last block is partial
+    full = make_affine_instance(12, 4, 0.8).triple()
+    problem = full if variant == "full" else ProblemTriple(
+        ZeroOperator(12), full.B, full.C)
+    L = full.B.lipschitz
+    gamma = 1.0 / L if method == "FRDR" else None
+    trace = run(problem, SolverConfig(
+        method=method, lam=0.5 * max_stepsize(method, L, gamma),
+        z0=np.ones(12), max_iters=20000, tol=1e-6 if method == "BFoRB"
+        else 1e-8, gamma=gamma), record_history=True)
+    assert trace.status == "converged"
+    assert trace.iterations in (545, 306, 493)
+    _assert_rows_are_one_point_values(trace, problem, history, shift, False)
 
 
 # ----------------------------------------------------- reduction invariants
