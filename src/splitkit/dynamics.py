@@ -199,7 +199,7 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
 
     states[0] = z = z0
     lo = hi = 0                          # the block holds rows lo..hi-1
-    # math.sqrt(d @ d) has the bits of np.linalg.norm: sqrt(d.dot(d)).
+    # math.sqrt(d.dot(d)) is np.linalg.norm(d) bit for bit, minus its wrapper.
     try:
         for j in range(n + 1):
             x = A_res(z)
@@ -217,7 +217,7 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
                     f"{exc} at t={j * h_ode:g}", residual=exc.residual,
                     t=j * h_ode)
             d = z_next - z
-            step = math.sqrt(d @ d)
+            step = math.sqrt(d.dot(d))
             # A finite step from a finite state lands on a finite state, so
             # the array test runs only when the step is not finite (NaN or
             # overflow).

@@ -85,7 +85,7 @@ def as_vector(v, dim=None, name="v"):
         arr = arr.reshape(1)
     if arr.ndim != 1:
         raise DimensionMismatchError(f"{name} must be 1-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise NonFiniteError(f"{name} contains non-finite entries")
     if dim is not None and arr.shape[0] != dim:
         raise DimensionMismatchError(
@@ -258,10 +258,11 @@ class AffineOperator(MonotoneOperator):
         return float(np.linalg.norm(self.M, 2))
 
     def forward(self, v):
-        return self.M @ v + self.b
+        # np.dot: the gemv of M @ v, bit for bit, with half the dispatch
+        return np.dot(self.M, v) + self.b
 
     def forward_rows(self, V):
-        # one gemv per row, as in forward; V @ M.T (a gemm) moves the last bits
+        # batched @: forward's gemv per row (V @ M.T, a gemm, moves bits)
         return (self.M @ V[..., None])[..., 0] + self.b
 
     def affine_parts(self):
@@ -281,9 +282,8 @@ class AffineOperator(MonotoneOperator):
 
         def resolve(v):
             if v.ndim == 1:
-                u = J @ (v - lam_b)
-                # isfinite(u).all() without numpy's Python-level wrapper
-                finite = np.logical_and.reduce(np.isfinite(u))
+                u = np.dot(J, v - lam_b)
+                finite = np.count_nonzero(np.isfinite(u)) == u.shape[0]
             else:   # one gemv per row, as above; v @ J.T (a gemm) is not
                 u = (J @ (v - lam_b)[..., None])[..., 0]
                 finite = np.isfinite(u).all()
@@ -367,8 +367,8 @@ class BilinearCoupling(MonotoneOperator):
         return float(np.linalg.norm(self.K, 2))
 
     def forward(self, v):
-        x, y = v[:self.n], v[self.n:]
-        return np.concatenate([self.K.T @ y, -(self.K @ x) + self.c])
+        K, x, y = self.K, v[:self.n], v[self.n:]
+        return np.concatenate([np.dot(K.T, y), -np.dot(K, x) + self.c])
 
     def forward_rows(self, V):
         # one gemv per row and block, as in forward
@@ -390,9 +390,9 @@ class BilinearCoupling(MonotoneOperator):
 
         def resolve(v):
             wx, wy = v[:n], v[n:] - lam_c
-            ux = _potrs(c, wx - lam * (K.T @ wy), lower=lower,
+            ux = _potrs(c, wx - lam * np.dot(K.T, wy), lower=lower,
                         overwrite_b=True)[0]
-            return np.concatenate([ux, wy + lam * (K @ ux)])
+            return np.concatenate([ux, wy + lam * np.dot(K, ux)])
 
         return _row_by_row(resolve)
 
@@ -501,8 +501,8 @@ class ProblemTriple:
 
 def row_norms(V):
     """The Euclidean norm of each row of a 2-D stack, with the bits of
-    ``math.sqrt(v @ v)`` (and so of ``np.linalg.norm(v)``) per row: the
-    stacked product is one dot product per row."""
+    ``math.sqrt(v.dot(v))`` (and so of ``np.linalg.norm(v)``) per row: the
+    batched product is that dot product per row."""
     return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
 
 

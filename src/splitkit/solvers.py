@@ -26,6 +26,7 @@ problem may serve several threads at once.
 
 import enum
 import math
+import operator
 from contextlib import suppress
 from dataclasses import dataclass, field
 
@@ -130,7 +131,9 @@ class SolverConfig:
         self.method = Method(self.method)
         if not 0.0 < self.lam < math.inf:
             raise SolverError("lam must be positive and finite")
-        if self.max_iters < 1:
+        with suppress(TypeError):   # a float or a string is no count
+            self.max_iters = operator.index(self.max_iters)
+        if not isinstance(self.max_iters, int) or self.max_iters < 1:
             raise SolverError("max_iters must be a positive integer")
         if not self.tol > 0:
             raise SolverError("tol must be positive")
@@ -233,8 +236,8 @@ def _shadow(config, A_res, B_fwd, C_res):
         elif brfob:
             y2, y1 = y1, y
         d = z_next - z
-        yield (math.sqrt(d @ d), math.sqrt(z_next @ z_next), z_next, x, y, w,
-               None, fe, re)
+        yield (math.sqrt(d.dot(d)), math.sqrt(z_next.dot(z_next)), z_next, x,
+               y, w, None, fe, re)
         z = z_next
 
 
@@ -280,8 +283,8 @@ def _two_op(config, A_res, B_fwd, C_res):
         re += 1
         d = x_next - x
         x_prev, x = x, x_next
-        yield (math.sqrt(d @ d), math.sqrt(x @ x), x, x, None, 2.0 * x - x,
-               Bx, fe, re)
+        yield (math.sqrt(d.dot(d)), math.sqrt(x.dot(x)), x, x, None,
+               2.0 * x - x, Bx, fe, re)
 
 
 def _frdr(config, A_res, B_fwd, C_res):
@@ -304,15 +307,16 @@ def _frdr(config, A_res, B_fwd, C_res):
     while True:
         w = x - lam * u - lam * (2.0 * Bx - Bx_prev)
         x_next = A_res(w)
-        y = C_res(2.0 * x_next - x + gamma * u)
-        u_next = u + (2.0 * x_next - x - y) / gamma
+        t = 2.0 * x_next - x
+        y = C_res(t + gamma * u)
+        u_next = u + (t - y) / gamma
         Bx_prev, Bx = Bx, B_fwd(x_next)
         fe += 1
         re += 2
         d, du = x_next - x, u_next - u
         x, u = x_next, u_next
-        yield (math.sqrt(d @ d) + lam * math.sqrt(du @ du), math.sqrt(x @ x),
-               w, x, y, 2.0 * x - w, Bx, fe, re)
+        yield (math.sqrt(d.dot(d)) + lam * math.sqrt(du.dot(du)),
+               math.sqrt(x.dot(x)), w, x, y, 2.0 * x - w, Bx, fe, re)
 
 
 def _stepsize_warnings(config, L):
@@ -461,13 +465,14 @@ def run(problem, config, record_history=False):
         recs.clear()
         return cut is not None
 
-    z0_norm = math.sqrt(config.z0 @ config.z0)
+    z0_norm = math.sqrt(config.z0.dot(config.z0))
     big = DIVERGE_FACTOR * (1.0 + z0_norm)
     tol, inf = config.tol, math.inf
     status = "max_iters"
     # Each iterate's norm is computed once, for the divergence test, and
     # reused as the next iteration's prev_norm (the first iterate is z0).
-    # math.sqrt(d @ d) has the bits of np.linalg.norm: sqrt(d.dot(d)).
+    # math.sqrt(d.dot(d)) is np.linalg.norm(d) bit for bit, minus its wrapper;
+    # a block's row_norms keep the batched @: that dot product per row.
     prev_norm = z0_norm
     def note(kind, flag):
         if f"floating-point {kind} encountered" not in trace.warnings:

@@ -519,6 +519,87 @@ def test_prepared_affine_stack_checks_finiteness():
                 resolve(v)
 
 
+# ------------------------------------------------- one-vector products
+#
+# The one-vector oracles compute their products with np.dot, which calls
+# the gemv of the matmul ufunc (@) with less dispatch: the bits must be
+# those of the @ expressions, for any length and memory layout, and for
+# inputs with an inf or NaN entry.
+
+def _closed_over(fn, name):
+    cells = dict(zip(fn.__code__.co_freevars, fn.__closure__))
+    return cells[name].cell_contents
+
+
+def _bytes(a):
+    return np.asarray(a).tobytes()
+
+
+def _view(r, d, layout):
+    big = r.uniform(-5, 5, 3 * d + 1)
+    return {"contiguous": big[:d].copy(), "offset": big[1:d + 1],
+            "strided": big[::3][:d]}[layout]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 64),
+       n=st.integers(1, 64),
+       layout=st.sampled_from(["contiguous", "offset", "strided"]),
+       bad=st.sampled_from([None, np.inf, -np.inf, np.nan]),
+       pos=st.integers(0, 2**16))
+@example(seed=5, d=400, n=300, layout="strided", bad=None, pos=0)
+@example(seed=6, d=400, n=1, layout="offset", bad=np.nan, pos=399)
+def test_one_vector_products_have_the_bits_of_matmul(seed, d, n, layout, bad,
+                                                     pos):
+    r = rng(seed)
+    lam = r.uniform(1e-3, 10.0)
+    affine = AffineOperator(_monotone_matrix(r, d), r.uniform(-1, 1, d))
+    K, c = r.uniform(-1, 1, (d, n)), r.uniform(-1, 1, d)
+    bilinear = BilinearCoupling(K, c)
+    v, w = _view(r, d, layout), _view(r, n + d, layout)
+    if bad is not None:
+        v[pos % d] = w[pos % (n + d)] = bad
+    resolve = affine.prepare(lam)
+    J, lam_b = _closed_over(resolve, "J"), _closed_over(resolve, "lam_b")
+    with np.errstate(all="ignore"):
+        assert _bytes(affine.forward(v)) == _bytes(affine.M @ v + affine.b)
+        x, y = w[:n], w[n:]
+        assert _bytes(bilinear.forward(w)) == _bytes(
+            np.concatenate([K.T @ y, -(K @ x) + c]))
+        assert _bytes(v.dot(v)) == _bytes(v @ v)
+        expected = J @ (v - lam_b)
+        if bad is None:
+            assert _bytes(resolve(v)) == _bytes(expected)
+        else:
+            assert not np.isfinite(expected).all()
+            with pytest.raises(NonFiniteError):
+                resolve(v)
+
+
+@pytest.mark.parametrize("opposite", [False, True])
+@pytest.mark.parametrize("d", [3, 8, 65])
+def test_prepared_affine_resolve_rejects_one_bad_entry_anywhere(d, opposite):
+    # M = -N with N = 1e300 * e_i (e_k - e_l)' (or 1e300 * e_i e_k') is
+    # nilpotent, so J = I + N: at v = 1e10 (e_k + e_l) entry i of J v is
+    # 1e310 (inf), or 1e310 - 1e310, which is NaN where the kernel rounds
+    # each product and inf where it fuses them into one multiply-add, and
+    # every other entry is finite
+    for i in range(d):
+        k, l = (i + 1) % d, (i + 2) % d
+        N = np.zeros((d, d))
+        N[i, k] = 1e300
+        if opposite:
+            N[i, l] = -1e300
+        v = np.zeros(d)
+        v[[k, l]] = 1e10
+        resolve = AffineOperator(-N, validate=False).prepare(1.0)
+        with np.errstate(all="ignore"):
+            assert np.flatnonzero(~np.isfinite(
+                _closed_over(resolve, "J") @ v)).tolist() == [i]
+            with pytest.raises(NonFiniteError):
+                resolve(v)
+
+
 def test_prepared_resolvents_serve_several_threads():
     # a prepared affine or bilinear resolvent writes nothing it shares (no
     # in-place pivots), so 4 threads calling one prepared pair give the

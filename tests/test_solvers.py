@@ -745,6 +745,38 @@ def test_config_validation():
         run(identity_B_problem(), cfg)    # y_init[0] must equal z0
 
 
+@pytest.mark.parametrize("max_iters", [float("nan"), 10.5, 1e3, "7", None,
+                                       0, -3, np.int64(0)])
+def test_config_rejects_max_iters_that_is_not_a_positive_integer(max_iters):
+    # a float or a string used to reach range() or the comparison in run()
+    # and raise a bare TypeError there
+    with pytest.raises(SolverError, match="max_iters"):
+        SolverConfig(method="DR", lam=0.1, z0=[1.0], max_iters=max_iters)
+
+
+@pytest.mark.parametrize("max_iters", [3, np.int64(3), np.int32(3)])
+def test_config_accepts_integer_max_iters(max_iters):
+    t = run(identity_B_problem(), SolverConfig(
+        method="FB", lam=0.1, z0=[1.0], max_iters=max_iters, tol=1e-300))
+    assert (t.status, t.iterations) == ("max_iters", 3)
+
+
+@pytest.mark.parametrize("method", [m for m in Method if m is not Method.DR])
+def test_run_names_an_overflow_inside_the_gemv_of_B(method):
+    # each product of B(z0) is finite (0.9e308), their sum is not: only the
+    # gemv of B's forward oracle overflows (FB stops at that step, before
+    # any other product), and run() names the event without a warning
+    B = AffineOperator(0.6e308 * np.array([[1.0, 1.0], [-1.0, 1.0]]))
+    problem = ProblemTriple(A=ZeroOperator(2), B=B, C=ZeroOperator(2))
+    kwargs = {"gamma": 2.0} if method is Method.FRDR else {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = run(problem, SolverConfig(method=method, lam=1.0, z0=[1.5, 1.5],
+                                      max_iters=20, **kwargs))
+    assert t.status == "diverged"
+    assert "floating-point overflow encountered" in t.warnings
+
+
 def test_bforb_and_brfob_differ_on_nonlinear_B():
     # For affine B the value reflection 2B(y1) - B(y2) equals the argument
     # reflection B(2*y1 - y2), so the two methods coincide; a genuinely
