@@ -12,13 +12,11 @@ splitting dynamics.  Higher-order integrators are deliberately out of scope:
 the discrete methods these flows explain are first order.
 
 Like a solver ``Trace``, a :class:`FlowTrajectory` carries one record per
-state, filled by the Euler loop itself: the step norm ``|z_j - z_{j-1}|``,
-the ``omega_residual`` of ``z_j``, computed from the ``x_j = J_{lam*A}(z_j)``
-the step already evaluates (``x_j = z_j`` for the proximal-point flow), and,
-for the Douglas-Rachford flow of a problem with a known solution, the
-distance ``|x_j - x_star|``.  The residuals and distances of a block of
-states are evaluated by one stacked call, with the bits of one call per
-state.
+state: the step norm ``|z_j - z_{j-1}|``, the ``omega_residual`` of ``z_j``
+and, for the Douglas-Rachford flow of a problem with a known solution,
+``|x_j - x_star|`` with ``x_j = J_{lam*A}(z_j)`` (``z_j`` for the
+proximal-point flow), evaluated per block of stored states by one stacked
+call, with the bits of one call per state.
 """
 
 import math
@@ -27,7 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .operators import (AffineOperator, OperatorError, ProblemTriple,
-                        ZeroOperator, as_vector, residual, row_norms)
+                        ZeroOperator, as_vector, residual, resolvent_matrix,
+                        row_norms)
 
 #: Euler steps per residual block in :func:`simulate_dr_flow`: the block's
 #: copies of ``x_j`` and ``2x_j - z_j`` take 800 KB at d=50.
@@ -92,8 +91,6 @@ def _sum_resolvent(problem, lam, inner_tol=1e-10, max_inner=100000):
     iteration needs no cocoercivity and converges linearly.  Stops at
     fixed-point residual ``|J_{lam*C}(w - lam*B(u)) - u| <= inner_tol``.
     """
-    if not 0.0 < lam < math.inf:
-        raise OperatorError("lam must be positive and finite")
     pb, pc = problem.B.affine_parts(), problem.C.affine_parts()
     if pb is not None and pc is not None:
         return AffineOperator(pb[0] + pc[0], pb[1] + pc[1],
@@ -130,6 +127,8 @@ def resolvent_sum(problem, lam, w, inner_tol=1e-10, max_inner=100000):
     fixed-point iteration is run to ``inner_tol`` (see :func:`_sum_resolvent`).
     """
     w = as_vector(w, problem.dim, "w")
+    if not 0.0 < lam < math.inf:
+        raise OperatorError("lam must be positive and finite")
     return _sum_resolvent(problem, lam, inner_tol, max_inner)(w)
 
 
@@ -147,26 +146,52 @@ def simulate_ppa(problem, lam, h_ode, T, x0, inner_tol=1e-10):
                    kind="ppa")
 
 
+def _euler_step(problem, lam, h_ode, inner_tol):
+    """The step ``(j, z_j) -> z_{j+1}`` of :func:`simulate_dr_flow`; for an
+    affine triple, when finite, ``T z + t`` with ``T = I + h_ode*(2 J_S J_A -
+    J_S - J_A)``, ``t = h_ode*((J_A - 2 J_S J_A) lam b_A - J_S lam (b_B +
+    b_C))`` and the matrices ``J_A = J_{lam*A}``, ``J_S = J_{lam*(B+C)}``."""
+    parts = [op.affine_parts() for op in (problem.A, problem.B, problem.C)]
+    if all(p is not None for p in parts):
+        (MA, bA), (MB, bB), (MC, bC) = parts
+        JA, JS = resolvent_matrix(MA, lam), resolvent_matrix(MB + MC, lam)
+        JSA = np.dot(JS, JA)
+        T = np.eye(problem.dim) + h_ode * (2.0 * JSA - JS - JA)
+        t = h_ode * (np.dot(JA - 2.0 * JSA, lam * bA)
+                     - np.dot(JS, lam * (bB + bC)))
+        if np.isfinite(T).all() and np.isfinite(t).all():
+            return lambda j, z: np.dot(T, z) + t
+    rs, A_res = _sum_resolvent(problem, lam, inner_tol), problem.A.prepare(lam)
+
+    def step(j, z):
+        x = A_res(z)
+        try:
+            return z + h_ode * (rs(2.0 * x - z) - x)
+        except InnerSolveError as exc:
+            raise InnerSolveError(f"{exc} at t={j * h_ode:g}",
+                                  residual=exc.residual, t=j * h_ode)
+
+    return step
+
+
 def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
     """Explicit Euler on the Douglas-Rachford flow of the full triple.
 
-    Each step evaluates one resolvent of ``A`` and one ``J_{lam*(B+C)}``:
     z_{j+1} = z_j + h_ode * (J_{lam*(B+C)}(2 J_{lam*A}(z_j) - z_j)
-                             - J_{lam*A}(z_j)).
-    ``lam`` and ``T`` must be positive and finite, ``h_ode`` in (0, 1].
-    ``x_j`` and ``2x_j - z_j`` serve both the step and the residual; every
-    resolvent is prepared once.  States are kept; ``x_j`` and ``2x_j - z_j``
-    are kept for a block of ``_BLOCK`` steps, whose residuals and distances
-    one stacked call evaluates.  An error of an oracle of the residual is
-    raised at its state, as the per-state evaluation raises it: before the
-    error of any later step.
+                             - J_{lam*A}(z_j)),
+    one gemv for an affine triple (see :func:`_euler_step`).  ``lam`` and
+    ``T`` must be positive and finite, ``h_ode`` in (0, 1].  The residual
+    and distance rows of ``_BLOCK`` states at a time are one stacked call
+    on the stored states; an oracle error of a row is raised at its state,
+    before the error of any later step.
     """
     z0 = as_vector(z0, problem.dim, "z0")
     if not 0.0 < h_ode <= 1.0:
         raise OperatorError("h_ode must lie in (0, 1]")
-    if not 0.0 < T < math.inf:
-        raise OperatorError("T must be positive and finite")
-    rs = _sum_resolvent(problem, lam, inner_tol)
+    for name, value in (("T", T), ("lam", lam)):
+        if not 0.0 < value < math.inf:
+            raise OperatorError(f"{name} must be positive and finite")
+    step = _euler_step(problem, lam, h_ode, inner_tol)
     A_res, C_res = problem.prepare(lam)
     B_rows, x_star = problem.B.forward_rows, problem.x_star
     n = int(round(T / h_ode))
@@ -178,60 +203,45 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
         raise OperatorError(
             f"T = {T:g} with h_ode = {h_ode:g} gives {T / h_ode:.3g} Euler "
             "steps, too many states to store") from None
-    X, W = np.empty((2, min(n + 1, _BLOCK), z0.shape[0]))
 
-    def flush():
-        """Fill the residual and distance rows ``lo..hi-1``, held in
-        ``X``/``W``, and empty the block (first: a row that raises is not
-        evaluated again)."""
+    def rows(Z):                # X = J_{lam*A}(Z) and Z's residuals
+        X = A_res(Z)
+        return X, residual(C_res, lam, 2.0 * X - Z, X, B_rows(X))
+
+    def flush(hi):
+        """Fill rows ``lo..hi-1``; ``lo = hi`` first, so none is redone."""
         nonlocal lo
         start, lo = lo, hi
-        Xs, Ws = X[:hi - start], W[:hi - start]
         try:
-            residuals[start:hi] = residual(C_res, lam, Ws, Xs, B_rows(Xs))
+            X, residuals[start:hi] = rows(states[start:hi])
         except Exception:
-            for i in range(hi - start):      # raise the first row's error
-                residual(C_res, lam, Ws[i:i + 1], Xs[i:i + 1],
-                         B_rows(Xs[i:i + 1]))
+            for i in range(start, hi):      # raise the first row's error
+                rows(states[i:i + 1])
             raise
         if dists is not None:
-            dists[start:hi] = row_norms(Xs - x_star)
+            dists[start:hi] = row_norms(X - x_star)
 
     states[0] = z = z0
-    lo = hi = 0                          # the block holds rows lo..hi-1
+    lo = 0                      # rows lo.. await their residuals
     # math.sqrt(d.dot(d)) is np.linalg.norm(d) bit for bit, minus its wrapper.
     try:
-        for j in range(n + 1):
-            x = A_res(z)
-            X[j - lo] = x
-            W[j - lo] = w = 2.0 * x - z
-            hi = j + 1
-            if hi - lo == len(X):
-                flush()
-            if j == n:
-                break
-            try:
-                z_next = z + h_ode * (rs(w) - x)
-            except InnerSolveError as exc:
-                raise InnerSolveError(
-                    f"{exc} at t={j * h_ode:g}", residual=exc.residual,
-                    t=j * h_ode)
+        for j in range(n):
+            z_next = step(j, z)
             d = z_next - z
-            step = math.sqrt(d.dot(d))
-            # A finite step from a finite state lands on a finite state, so
-            # the array test runs only when the step is not finite (NaN or
-            # overflow).
-            if not step < math.inf and not np.isfinite(z_next).all():
+            norm = math.sqrt(d.dot(d))
+            # A finite step from a finite state lands on a finite state: the
+            # array test runs only when the step is not (NaN or overflow).
+            if not norm < math.inf and not np.isfinite(z_next).all():
                 raise OperatorError(
                     f"flow state non-finite at t={(j + 1) * h_ode:g}")
-            step_norms[j + 1] = step
+            step_norms[j + 1] = norm
             states[j + 1] = z = z_next
+            if j + 2 - lo >= _BLOCK:
+                flush(j + 2)
     except Exception:
-        if hi > lo:         # an earlier state's residual error comes first
-            flush()
+        flush(j + 1)        # an earlier state's residual error comes first
         raise
-    if hi > lo:
-        flush()
+    flush(n + 1)
     return FlowTrajectory(
         times=np.arange(n + 1) * h_ode, states=states, h_ode=h_ode, lam=lam,
         inner_tol=inner_tol, kind="dr", step_norms=step_norms,

@@ -165,6 +165,20 @@ def _row_by_row(resolve):
     return stacked
 
 
+def resolvent_matrix(M, lam):
+    """``J = (I + lam*M)^{-1}`` by LAPACK ``getrf`` + ``getri``.
+
+    For monotone ``M``, ``I + lam*M`` is singular only after rounding
+    (``lam*|M|`` beyond ``1/eps``): no resolvent exists there, and ``J`` is
+    all NaN, so every product with it reports the failure.
+    """
+    lu, piv, info = _getrf(np.eye(M.shape[0]) + lam * M, overwrite_a=True)
+    if info != 0:
+        return np.full_like(lu, np.nan)
+    return _getri(lu, piv, lwork=int(_getri_lwork(M.shape[0])[0]),
+                  overwrite_lu=True)[0]
+
+
 class MonotoneOperator:
     """Common base: capability flags plus forward/resolvent dispatch."""
 
@@ -269,16 +283,7 @@ class AffineOperator(MonotoneOperator):
         return self.M, self.b
 
     def prepare(self, lam):
-        lu, piv, info = _getrf(np.eye(self.dim) + lam * self.M,
-                               overwrite_a=True)
-        if info == 0:
-            J = _getri(lu, piv, lwork=int(_getri_lwork(self.dim)[0]),
-                       overwrite_lu=True)[0]
-        else:
-            # I + lam*M is singular only after rounding (lam*|M| beyond
-            # 1/eps): no resolvent exists there, and every call reports it.
-            J = np.full_like(lu, np.nan)
-        lam_b = lam * self.b
+        J, lam_b = resolvent_matrix(self.M, lam), lam * self.b
 
         def resolve(v):
             if v.ndim == 1:

@@ -102,15 +102,22 @@ def max_stepsize(method, L, gamma=None):
             raise SolverError("FRDR requires gamma")
         if not 0.0 < gamma < math.inf:
             raise SolverError("gamma must be positive and finite")
-        return gamma / (1.0 + 2.0 * L * gamma)
+        # 2*(L*gamma) rounds as (2*L)*gamma but cannot overflow in 2*L; where
+        # it overflows, 1 is far below an ulp of it and the bound is 1/(2L)
+        Lg = L * gamma
+        return (gamma / (1.0 + 2.0 * Lg) if Lg <= 0.5 * np.finfo(float).max
+                else 0.5 / L)
     if gamma is not None:
         raise SolverError(f"gamma is only meaningful for FRDR, not {method.value}")
+    # 0.125/L and 0.5/L round the same real numbers as 1/(8L) and 1/(2L)
+    # without the product's overflow.  22L rounds: 0.03125/(0.6875*L) is
+    # 1/(22L) scaled by 2^-5, bit for bit while 0.6875*L is normal.
     if method is Method.BFORB:
-        return 1.0 / (8.0 * L)
+        return 0.125 / L
     if method is Method.BRFOB:
-        return 1.0 / (22.0 * L)
+        return 1.0 / (22.0 * L) if L < 1.0 else 0.03125 / (0.6875 * L)
     if method is Method.FORB:
-        return 1.0 / (2.0 * L)
+        return 0.5 / L
     return NOT_GUARANTEED
 
 

@@ -7,6 +7,7 @@ from splitkit import (AffineOperator, AlignmentError, BoxNormalCone,
                       make_affine_instance, make_saddle_instance,
                       max_stepsize, omega_residual, resolvent_sum, run,
                       simulate_dr_flow, simulate_ppa)
+from splitkit.operators import NonFiniteError
 import splitkit.dynamics
 
 
@@ -181,6 +182,82 @@ def test_flow_inner_solve_error_carries_step_time(monkeypatch):
             simulate(problem, 0.1, 0.25, 5.0, np.ones(problem.dim))
         assert exc.value.t == 0.75
         assert exc.value.residual == 0.5
+
+
+# ------------------------------------------- error contract of the affine step
+
+def _flow_error(problem, lam, h_ode, z0, n):
+    """``(type, message)`` of the DR flow's error over ``n`` steps, or None."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            simulate_dr_flow(problem, lam, h_ode, max(n, 0.4) * h_ode, z0)
+    except OperatorError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _first_error(problem, lam, h_ode, z0, n_max):
+    """The least step count whose flow raises, and that error."""
+    n = 0
+    while n <= n_max and _flow_error(problem, lam, h_ode, z0, n) is None:
+        n += 1
+    assert n <= n_max
+    return n, _flow_error(problem, lam, h_ode, z0, n)
+
+
+RANK_ONE = 1e17 * np.ones((2, 2))     # I + 1*RANK_ONE is singular in floats
+ERROR_CASES = {
+    # NonFiniteError at state 0, from J_{lam*A}
+    "singular I + lam*M_A": (0, ProblemTriple(
+        A=AffineOperator(RANK_ONE), B=ZeroOperator(2),
+        C=AffineOperator(np.eye(2))), np.ones(2)),
+    # NonFiniteError from J_{lam*(B+C)} in the step from state 0
+    "singular I + lam*(M_B + M_C)": (1, ProblemTriple(
+        A=AffineOperator(np.eye(2)), B=AffineOperator(RANK_ONE),
+        C=AffineOperator(np.zeros((2, 2)))), np.ones(2)),
+    # z_j - lam*b_A overflows once z_j passes 7.97e307, mid-block: the
+    # states converge to 1.13e308 ...
+    "J_A overflows mid-block": (162, ProblemTriple(
+        A=AffineOperator([[3.0]], [-1e308]), B=ZeroOperator(1),
+        C=AffineOperator([[0.0]], [-6e307])), np.zeros(1)),
+    # ... or, here, overflow themselves at state 156, after J_A did at 17
+    "J_A overflows before the state": (17, ProblemTriple(
+        A=AffineOperator([[3.0]], [-1e308]), B=ZeroOperator(1),
+        C=AffineOperator([[0.0]], [-1.5e308])), np.array([6e307])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_affine_flow_errors_match_the_resolvent_composition(case,
+                                                            monkeypatch):
+    # the composed map raises what the step-by-step resolvent composition
+    # raises, at the same state, whatever later states would raise
+    state, problem, z0 = ERROR_CASES[case]
+    lam, h_ode = 1.0, 0.01
+    n_max = 3 * splitkit.dynamics._BLOCK
+    first = _first_error(problem, lam, h_ode, z0, n_max)
+    assert first == (state, (NonFiniteError,
+                             "affine resolvent produced non-finite values"))
+    assert _flow_error(problem, lam, h_ode, z0, n_max) == first[1]
+    # an all-NaN J takes every flow to the resolvent composition
+    monkeypatch.setattr(splitkit.dynamics, "resolvent_matrix",
+                        lambda M, lam: np.full(M.shape, np.nan))
+    assert _first_error(problem, lam, h_ode, z0, n_max) == first
+    assert _flow_error(problem, lam, h_ode, z0, n_max) == first[1]
+
+
+def test_overflowing_affine_flows_take_the_composed_step(monkeypatch):
+    # the last two cases above run the composed map, not the composition
+    def unused(*args):
+        raise AssertionError("resolvent composition taken")
+
+    monkeypatch.setattr(splitkit.dynamics, "_sum_resolvent", unused)
+    for case in ("J_A overflows mid-block", "J_A overflows before the state"):
+        state, problem, z0 = ERROR_CASES[case]
+        assert _flow_error(problem, 1.0, 0.01, z0, state - 1) is None
+        with pytest.raises(NonFiniteError):
+            with np.errstate(over="ignore"):
+                simulate_dr_flow(problem, 1.0, 0.01, 30.0, z0)
 
 
 # -------------------------------------------------------- discretization gap

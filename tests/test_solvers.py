@@ -2,6 +2,7 @@ import pickle
 import sys
 import threading
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,6 +59,47 @@ def test_max_stepsize_values():
     assert max_stepsize("FoRB", 4.0) == pytest.approx(1.0 / 8.0)
     for m in ("FB", "DavisYin", "DR", "RFoB"):
         assert max_stepsize(m, 1.0) is NOT_GUARANTEED
+
+
+BOUNDS = {"BFoRB": lambda L, g: Fraction(1, 8) / L,
+          "BRFoB": lambda L, g: Fraction(1, 22) / L,
+          "FoRB": lambda L, g: Fraction(1, 2) / L,
+          "FRDR": lambda L, g: g / (1 + 2 * L * g)}
+
+
+@pytest.mark.parametrize("method", sorted(BOUNDS))
+@pytest.mark.parametrize("L", [1e300, 3e307, float(np.finfo(float).max)])
+def test_max_stepsize_positive_where_the_product_overflows(method, L):
+    # 8L, 22L, 2L or 2L*gamma overflows here, but the bound is a positive
+    # (subnormal, beyond about 1e307) float
+    gamma = 1.0 if method == "FRDR" else None
+    exact = float(BOUNDS[method](Fraction(L), Fraction(1)))
+    got = max_stepsize(method, L, gamma)
+    assert got > 0.0
+    # 22L rounds before the division; a subnormal keeps fewer digits
+    assert abs(got - exact) <= 1e-12 * exact
+
+
+def test_max_stepsize_bits_unchanged_where_the_product_is_finite():
+    # the textbook formulas, wherever they come out positive
+    textbook = {"BFoRB": lambda L, g: 1.0 / (8.0 * L),
+                "BRFoB": lambda L, g: 1.0 / (22.0 * L),
+                "FoRB": lambda L, g: 1.0 / (2.0 * L),
+                "FRDR": lambda L, g: g / (1.0 + 2.0 * L * g)}
+    r = rng(5)
+    Ls = [float(v) for v in 10.0 ** r.uniform(-300.0, 308.25, 3000)]
+    gammas = [float(v) for v in 10.0 ** r.uniform(-300.0, 308.0, 3000)]
+    for method, formula in textbook.items():
+        gamma_of = (lambda g: g) if method == "FRDR" else (lambda g: None)
+        for L, g in zip(Ls, gammas):
+            want = formula(L, g)
+            got = max_stepsize(method, L, gamma_of(g))
+            if want > 0.0:
+                assert got == want, (method, L, g)
+            else:
+                assert got == pytest.approx(
+                    float(BOUNDS[method](Fraction(L), Fraction(g))),
+                    rel=1e-12), (method, L, g)
 
 
 def test_max_stepsize_errors():
