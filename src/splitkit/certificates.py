@@ -59,9 +59,9 @@ def omega_residual(problem, lam, z, x=None):
     shadow set of the inclusion (for single-valued ``B``).  Used as the
     solution-quality metric of solver traces.  A caller that already holds
     ``J_{lam*A}(z)`` passes it as ``x`` to save that resolvent.  Each call
-    prepares ``A`` and ``C`` anew (an inverse per affine operator, a
-    factorization per bilinear one); for many points at one ``lam``,
-    evaluate the formula on ``problem.prepare(lam)`` instead.
+    prepares ``A`` and ``C`` anew (an inverse per affine or bilinear
+    operator); for many points at one ``lam``, evaluate the formula on
+    ``problem.prepare(lam)`` instead.
     """
     if not 0.0 < lam < math.inf:
         raise CertificateError("lam must be positive and finite")

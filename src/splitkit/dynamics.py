@@ -231,9 +231,11 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
             norm = math.sqrt(d.dot(d))
             # A finite step from a finite state lands on a finite state: the
             # array test runs only when the step is not (NaN or overflow).
-            if not norm < math.inf and not np.isfinite(z_next).all():
-                raise OperatorError(
-                    f"flow state non-finite at t={(j + 1) * h_ode:g}")
+            if not norm < math.inf:
+                if not np.isfinite(z_next).all():
+                    raise OperatorError(
+                        f"flow state non-finite at t={(j + 1) * h_ode:g}")
+                norm = row_norms(d[None])[0]    # its squares overflowed
             step_norms[j + 1] = norm
             states[j + 1] = z = z_next
             if j + 2 - lo >= _BLOCK:

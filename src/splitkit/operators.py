@@ -11,13 +11,13 @@ construction, and each oracle returns a pure function of its arguments.
 The Lipschitz constant of an affine or bilinear operator is the exact
 spectral norm of its matrix, computed once, on first use.
 ``prepare(lam)`` returns the resolvent at ``lam`` as a one-argument
-callable that the caller owns.  Affine and bilinear operators factor their
-matrix there, once, and the callable closes over the result (the explicit
-inverse of ``I + lam*M``, resp. the Cholesky factor of ``I + lam^2 K'K``);
+callable that the caller owns.  Affine and bilinear operators share one
+route: ``prepare`` forms the explicit inverse of ``I + lam*M`` for the
+``M`` of ``affine_parts()`` there, once, and the callable closes over it;
 nothing is cached on the operator.  The callable maps a vector, and a 2-D
 stack of vectors row by row with the bits of one call per row: the affine
-one by one stacked product, the zero, box and l1 ones elementwise, the
-bilinear and custom ones one row at a time.  A prepared callable only
+and bilinear ones by one stacked product, the zero, box and l1 ones
+elementwise, the custom ones one row at a time.  A prepared callable only
 reads what it closes over and writes only arrays it allocates itself, so
 one problem, and even one prepared callable, may serve several threads at
 once.
@@ -41,13 +41,6 @@ construction.
 from functools import cached_property, partial
 
 import numpy as np
-from scipy.linalg import cho_factor, get_lapack_funcs
-
-# The LAPACK routines behind scipy.linalg.inv and cho_solve, called
-# directly: the scipy wrappers re-check their arguments on every call,
-# which at d=50 costs several times the solve itself.
-_getrf, _getri, _getri_lwork, _potrs = get_lapack_funcs(
-    ("getrf", "getri", "getri_lwork", "potrs"), (np.empty((1, 1)),))
 
 
 class OperatorError(Exception):
@@ -148,8 +141,8 @@ def forward_eval(op, v):
 
 def resolvent(op, lam, v):
     """Evaluate ``(I + lam*op)^{-1}(v)`` for ``lam > 0``; each call inverts
-    (affine) or factors (bilinear) the matrix of ``op`` anew, so at one
-    ``lam`` reuse ``op.prepare(lam)`` instead."""
+    the matrix of an affine or bilinear ``op`` anew, so at one ``lam``
+    reuse ``op.prepare(lam)`` instead."""
     if not 0.0 < lam < np.inf:
         raise OperatorError("lam must be positive and finite")
     return op.resolve(lam, as_vector(v, op.dim))
@@ -166,17 +159,16 @@ def _row_by_row(resolve):
 
 
 def resolvent_matrix(M, lam):
-    """``J = (I + lam*M)^{-1}`` by LAPACK ``getrf`` + ``getri``.
+    """``J = (I + lam*M)^{-1}`` by ``np.linalg.inv``.
 
     For monotone ``M``, ``I + lam*M`` is singular only after rounding
     (``lam*|M|`` beyond ``1/eps``): no resolvent exists there, and ``J`` is
     all NaN, so every product with it reports the failure.
     """
-    lu, piv, info = _getrf(np.eye(M.shape[0]) + lam * M, overwrite_a=True)
-    if info != 0:
-        return np.full_like(lu, np.nan)
-    return _getri(lu, piv, lwork=int(_getri_lwork(M.shape[0])[0]),
-                  overwrite_lu=True)[0]
+    try:
+        return np.linalg.inv(np.eye(M.shape[0]) + lam * M)
+    except np.linalg.LinAlgError:
+        return np.full(M.shape, np.nan)
 
 
 class MonotoneOperator:
@@ -283,7 +275,8 @@ class AffineOperator(MonotoneOperator):
         return self.M, self.b
 
     def prepare(self, lam):
-        J, lam_b = resolvent_matrix(self.M, lam), lam * self.b
+        M, b = self.affine_parts()
+        J, lam_b = resolvent_matrix(M, lam), lam * b
 
         def resolve(v):
             if v.ndim == 1:
@@ -346,9 +339,10 @@ class BilinearCoupling(MonotoneOperator):
     For the pairing ``<K x - c, y>`` the operator is
     ``B(x, y) = (K' y, -(K x) + c)``, which is monotone (skew linear part)
     and Lipschitz with constant ``|K|``.  Only ``K`` is stored; ``K'`` is
-    applied on the fly.  The resolvent is evaluated by block elimination
-    with a Cholesky factorization of ``I + lam^2 K'K``, made once by
-    ``prepare(lam)``.
+    applied on the fly.  The resolvent is the affine one of
+    ``affine_parts()``: ``I + lam*M`` with a skew ``M`` has condition
+    number at most ``sqrt(1 + lam^2 |K|^2)``, so its explicit inverse is as
+    accurate as a solve.
     """
 
     kind = "bilinear_coupling"
@@ -386,23 +380,7 @@ class BilinearCoupling(MonotoneOperator):
         M[:n, n:], M[n:, :n], b[n:] = self.K.T, -self.K, self.c
         return M, b
 
-    def prepare(self, lam):
-        # Solve (I + lam*M) u = v - lam*(0, c) with M = [[0, K'], [-K, 0]]:
-        # eliminating the y block leaves (I + lam^2 K'K) u_x = w_x - lam*K' w_y.
-        K, n = self.K, self.n
-        c, lower = cho_factor(np.eye(n) + (lam * lam) * (K.T @ K))
-        lam_c = lam * self.c
-
-        def resolve(v):
-            wx, wy = v[:n], v[n:] - lam_c
-            ux = _potrs(c, wx - lam * np.dot(K.T, wy), lower=lower,
-                        overwrite_b=True)[0]
-            return np.concatenate([ux, wy + lam * np.dot(K, ux)])
-
-        return _row_by_row(resolve)
-
-    def resolve(self, lam, v):
-        return self.prepare(lam)(v)
+    prepare, resolve = AffineOperator.prepare, AffineOperator.resolve
 
 
 class CustomOperator(MonotoneOperator):
@@ -507,8 +485,17 @@ class ProblemTriple:
 def row_norms(V):
     """The Euclidean norm of each row of a 2-D stack, with the bits of
     ``math.sqrt(v.dot(v))`` (and so of ``np.linalg.norm(v)``) per row: the
-    batched product is that dot product per row."""
-    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
+    batched product is that dot product per row.  A finite row whose
+    squares overflow (beyond about 1e154) is scaled by its largest entry
+    first, so its norm is inf only if it is not representable."""
+    norms = np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
+    over = np.isinf(norms)
+    if over.any():
+        over &= np.isfinite(V).all(axis=1)
+        S = V[over]
+        scale = np.abs(S).max(axis=1)
+        norms[over] = scale * row_norms(S / scale[:, None])
+    return norms
 
 
 def residual(C_res, lam, W, X, BX):

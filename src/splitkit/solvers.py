@@ -19,9 +19,9 @@ iterate ``x_k`` directly; :func:`_frdr` runs FRDR.  :func:`run` consumes
 the records and owns the stopping rule, the divergence test, the history
 and the residual, which it evaluates per block of steps.  The generators
 receive the run's prepared resolvents (``prepare(lam)``, see
-:mod:`splitkit.operators`): each run owns its inverses and factorizations
-and frees them when it ends, and it never changes the problem, so one
-problem may serve several threads at once.
+:mod:`splitkit.operators`): each run owns its inverses and frees them
+when it ends, and it never changes the problem, so one problem may serve
+several threads at once.
 """
 
 import enum
@@ -472,20 +472,20 @@ def run(problem, config, record_history=False):
         recs.clear()
         return cut is not None
 
-    z0_norm = math.sqrt(config.z0.dot(config.z0))
-    big = DIVERGE_FACTOR * (1.0 + z0_norm)
     tol, inf = config.tol, math.inf
     status = "max_iters"
-    # Each iterate's norm is computed once, for the divergence test, and
-    # reused as the next iteration's prev_norm (the first iterate is z0).
-    # math.sqrt(d.dot(d)) is np.linalg.norm(d) bit for bit, minus its wrapper;
-    # a block's row_norms keep the batched @: that dot product per row.
-    prev_norm = z0_norm
     def note(kind, flag):
         if f"floating-point {kind} encountered" not in trace.warnings:
             events.append((len(recs), kind))
 
     with np.errstate(over="call", invalid="call", divide="call", call=note):
+        # Each iterate's norm is computed once, for the divergence test, and
+        # reused as the next iteration's prev_norm (the first iterate is z0).
+        # math.sqrt(d.dot(d)) is np.linalg.norm(d) bit for bit, minus its
+        # wrapper; a block's row_norms keep the batched @: that dot product
+        # per row.
+        prev_norm = math.sqrt(config.z0.dot(config.z0))
+        big = DIVERGE_FACTOR * (1.0 + prev_norm)
         A_res, C_res = problem.prepare(lam)
         steps = (_two_op if two_op else _frdr if frdr else _shadow)(
             config, A_res, problem.B.forward,

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import threading
 import warnings
 
@@ -756,3 +758,33 @@ def test_benchmark_tracer_patches_existing_names(monkeypatch):
     for op, saved in zip(ops, op_vars):
         assert vars(op).keys() == saved.keys()
         assert all(vars(op)[k] is v for k, v in saved.items())
+
+
+_NO_SCIPY = """\
+import json
+import sys
+sys.modules["scipy"] = None         # any import of scipy now fails
+import splitkit
+import splitkit.cli
+for argv in json.loads(sys.argv[1]):
+    if splitkit.cli.main(argv + ["--quiet"]) != 0:
+        sys.exit(f"{argv[0]} did not exit 0")
+"""
+
+
+def test_runtime_needs_numpy_only(tmp_path):
+    # every verb runs with scipy unimportable, on an affine and a saddle
+    # config: scipy is a dependency of the tests only
+    ode = "certify = true\n\n[ode]\nlambda = 0.1\nh_ode = 0.1\nT = 2.0\n"
+    argvs = []
+    for name, base in (("affine", AFFINE_CFG), ("saddle", SADDLE_CFG)):
+        cfg = write(tmp_path, f"{name}.cfg", base + ode)
+        for verb in ("run", "certify", "flow", "sweep"):
+            argvs.append([verb, "--config", cfg,
+                          "--out", str(tmp_path / name / verb)]
+                         + ["--grid", "0.5,0.9"] * (verb == "sweep"))
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, json.dumps(argvs)], env=env,
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

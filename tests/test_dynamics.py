@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from splitkit import (AffineOperator, AlignmentError, BoxNormalCone,
                       make_affine_instance, make_saddle_instance,
                       max_stepsize, omega_residual, resolvent_sum, run,
                       simulate_dr_flow, simulate_ppa)
-from splitkit.operators import NonFiniteError
+from splitkit.operators import NonFiniteError, row_norms
 import splitkit.dynamics
 
 
@@ -258,6 +260,36 @@ def test_overflowing_affine_flows_take_the_composed_step(monkeypatch):
         with pytest.raises(NonFiniteError):
             with np.errstate(over="ignore"):
                 simulate_dr_flow(problem, 1.0, 0.01, 30.0, z0)
+
+
+def test_flow_norms_of_states_beyond_1e154_are_finite():
+    # the squares of these states overflow, their norms do not
+    problem = make_affine_instance(dim=5, seed=1, skew_fraction=0.8).triple()
+    with np.errstate(over="ignore"):
+        flow = simulate_dr_flow(problem, 0.1, 0.01, 0.05, 1e160 * np.ones(5))
+    A_res, C_res = problem.prepare(0.1)
+    Z = flow.states
+    X = A_res(Z)
+    R = C_res(2.0 * X - Z - 0.1 * problem.B.forward_rows(X)) - X
+    for series, rows in ((flow.step_norms[1:], np.diff(Z, axis=0)),
+                         (flow.residuals, R),
+                         (flow.dist_to_xstar, X - problem.x_star)):
+        assert np.allclose(series, [math.hypot(*v) for v in rows],
+                           rtol=1e-14, atol=0.0)
+
+
+def test_row_norms_rescale_only_rows_whose_squares_overflow():
+    r = np.random.Generator(np.random.Philox(3))
+    V = r.uniform(-1, 1, (8, 6)) * np.array(
+        [1.0, 1e-200, 1e150, 1e160, 1e300, 1e308, 1.0, 1e308])[:, None]
+    V[6, 0], V[7, 0] = np.inf, np.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = row_norms(V)
+    for v, norm in zip(V[:3], norms):     # no overflow: the bits of the dot
+        assert norm == math.sqrt(v.dot(v))
+    for v, norm in zip(V[3:6], norms[3:]):
+        assert norm == pytest.approx(math.hypot(*v), rel=1e-15)
+    assert norms[6] == math.inf and math.isnan(norms[7])
 
 
 # -------------------------------------------------------- discretization gap

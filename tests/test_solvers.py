@@ -819,6 +819,18 @@ def test_run_names_an_overflow_inside_the_gemv_of_B(method):
     assert "floating-point overflow encountered" in t.warnings
 
 
+@pytest.mark.parametrize("method", ["BFoRB", "DR", "FoRB"])
+def test_run_names_an_overflow_in_the_norm_of_z0(method):
+    # |z0| is finite, but its dot product overflows: run() names the event
+    # instead of letting numpy's warning escape
+    problem = make_affine_instance(dim=5, seed=1, skew_fraction=0.8).triple()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = run(problem, SolverConfig(method=method, lam=1e-12,
+                                      z0=1e155 * np.ones(5)))
+    assert "floating-point overflow encountered" in t.warnings
+
+
 def test_bforb_and_brfob_differ_on_nonlinear_B():
     # For affine B the value reflection 2B(y1) - B(y2) equals the argument
     # reflection B(2*y1 - y2), so the two methods coincide; a genuinely
