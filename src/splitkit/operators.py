@@ -13,11 +13,12 @@ spectral norm of its matrix, computed once, on first use.
 ``prepare(lam)`` returns the resolvent at ``lam`` as a one-argument
 callable that the caller owns.  Affine and bilinear operators share one
 route: ``prepare`` forms the explicit inverse of ``I + lam*M`` for the
-``M`` of ``affine_parts()`` there, once, and the callable closes over it;
-nothing is cached on the operator.  The callable maps a vector, and a 2-D
-stack of vectors row by row with the bits of one call per row: the affine
-and bilinear ones by one stacked product, the zero, box and l1 ones
-elementwise, the custom ones one row at a time.  A prepared callable only
+``M`` of ``affine_parts()`` there, once, and the callable closes over it
+and carries it and the offset ``lam*b`` as its attributes ``J`` and
+``lam_b``; nothing is cached on the operator.  The callable maps a vector,
+and a 2-D stack of vectors row by row with the bits of one call per row:
+the affine and bilinear ones by one stacked product, the zero, box and l1
+ones elementwise, the custom ones one row at a time.  A prepared callable only
 reads what it closes over and writes only arrays it allocates itself, so
 one problem, and even one prepared callable, may serve several threads at
 once.
@@ -290,6 +291,7 @@ class AffineOperator(MonotoneOperator):
                     "affine resolvent produced non-finite values")
             return u
 
+        resolve.J, resolve.lam_b = J, lam_b     # for precomposed steps
         return resolve
 
     def resolve(self, lam, v):

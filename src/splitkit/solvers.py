@@ -5,20 +5,23 @@ forward-value history and its oracle counters in local variables.  It
 yields its initial y-history once, ``(y_-2, y_-1)`` for BFoRB/BRFoB and
 ``()`` otherwise, and then one record per step::
 
-    (step_norm, norm, z, x, y, w, bx, forward_evals, resolvent_evals)
+    (step_norm, norm, z, x, y, p, bx, d, forward_evals, resolvent_evals)
 
 ``norm`` is the norm of the governing iterate (``z_{k+1}``; ``x_{k+1}``
 for FB, FoRB, RFoB and FRDR), ``z`` the point recorded in ``Trace.zs``,
-``w = 2x - p`` the reflected point of the point ``p`` whose ``J_{lam*A}``
-is ``x`` (the step's own ``2x_k - z_k`` for the template methods), and
-``bx`` a cached ``B(x)`` or ``None``.
+``p`` the point whose ``J_{lam*A}`` is ``x`` (``z_k`` for the template
+methods), ``bx`` a cached ``B(x)`` or ``None``, and ``d`` the step of the
+governing iterate (FRDR: the pair of the steps of ``x`` and ``u``).
 :func:`_shadow` is the three-operator template of BFoRB, BRFoB, Davis-Yin
 and DR, which differ only in the forward term (DR is the template with
 ``F = 0``); :func:`_two_op` runs FB, FoRB and RFoB, which ignore ``A`` and
-iterate ``x_k`` directly; :func:`_frdr` runs FRDR.  :func:`run` consumes
-the records and owns the stopping rule, the divergence test, the history
-and the residual, which it evaluates per block of steps.  The generators
-receive the run's prepared resolvents (``prepare(lam)``, see
+iterate ``x_k`` directly; :func:`_frdr` runs FRDR.  On an affine triple
+with ``B != 0``, :func:`_shadow` and :func:`_frdr` run BFoRB, BRFoB,
+Davis-Yin and FRDR as a precomposed step, whose map :func:`_precompose`
+derives from the step's own formula.  :func:`run`
+consumes the records and owns the stopping rule, the divergence test, the
+history and the residual, which it evaluates per block of steps.  The
+generators receive the run's prepared resolvents (``prepare(lam)``, see
 :mod:`splitkit.operators`): each run owns its inverses and frees them
 when it ends, and it never changes the problem, so one problem may serve
 several threads at once.
@@ -194,7 +197,7 @@ class Trace:
         return self.zs[max(j, 0)]
 
 
-def _shadow(config, A_res, B_fwd, C_res):
+def _shadow(config, A_res, B_fwd, C_res, G=None, c=None):
     """BFoRB, BRFoB, Davis-Yin and DR: the three-operator template.
 
     x_k = J_{lam*A}(z_k);  y_k = J_{lam*C}(2 x_k - z_k - lam*F_k);
@@ -205,6 +208,12 @@ def _shadow(config, A_res, B_fwd, C_res):
     B(2y_{k-1} - y_{k-2}) for BRFoB, B(x_k) for Davis-Yin and 0 for DR,
     which never evaluates B.  The history (y_{-2}, y_{-1}) defaults to
     (x_0, x_0) with x_0 = J_{lam*A}(z_0).
+
+    Given the map ``(G, c)`` of an affine triple (:func:`_precompose`), the
+    step is precomposed: x_k is the prepared resolvent's own product, and
+    one more product gives y_k = G [z_k; v_k] + c with v_k = 2y_{k-1} -
+    y_{k-2} (for affine B, 2B(y_{k-1}) - B(y_{k-2}) = B(v_k)), or y_k =
+    G z_k + c for Davis-Yin, whose v_k = x_k is folded into G.
     """
     lam, method = config.lam, config.method
     bforb, brfob = method is Method.BFORB, method is Method.BRFOB
@@ -224,6 +233,21 @@ def _shadow(config, A_res, B_fwd, C_res):
         yield y2, y1
     else:
         yield ()
+    if G is not None:
+        JA, lam_b = A_res.J, A_res.lam_b
+        v = 2.0 * y1 - y2 if bforb or brfob else None
+        while True:
+            x = np.dot(JA, z - lam_b)
+            y = np.dot(G, z if v is None else np.concatenate((z, v))) + c
+            z_next = z + y - x
+            fe += 1
+            re += 2
+            if v is not None:
+                v, y1 = 2.0 * y - y1, y
+            d = z_next - z
+            yield (math.sqrt(d.dot(d)), math.sqrt(z_next.dot(z_next)),
+                   z_next, x, y, z, None, d, fe, re)
+            z = z_next
     fe_step = 0 if dr else 1
     while True:
         x = A_res(z)
@@ -244,7 +268,7 @@ def _shadow(config, A_res, B_fwd, C_res):
             y2, y1 = y1, y
         d = z_next - z
         yield (math.sqrt(d.dot(d)), math.sqrt(z_next.dot(z_next)), z_next, x,
-               y, w, None, fe, re)
+               y, z, None, d, fe, re)
         z = z_next
 
 
@@ -290,11 +314,11 @@ def _two_op(config, A_res, B_fwd, C_res):
         re += 1
         d = x_next - x
         x_prev, x = x, x_next
-        yield (math.sqrt(d.dot(d)), math.sqrt(x.dot(x)), x, x, None,
-               2.0 * x - x, Bx, fe, re)
+        yield (math.sqrt(d.dot(d)), math.sqrt(x.dot(x)), x, x, None, x, Bx,
+               d, fe, re)
 
 
-def _frdr(config, A_res, B_fwd, C_res):
+def _frdr(config, A_res, B_fwd, C_res, K=None, k=None, record=True):
     """Forward-reflected-Douglas-Rachford with stepsizes lam < gamma.
 
     w_k = x_k - lam*u_k - lam*(2 B(x_k) - B(x_{k-1}));  x_{k+1} = J_{lam*A}(w_k);
@@ -304,26 +328,110 @@ def _frdr(config, A_res, B_fwd, C_res):
     0 in (A + B + C)(x).  The record's z is w_k, the point whose resolvent
     is x_{k+1}.  u moves even when x stalls, so the step norm adds
     lam*|u_{k+1} - u_k|.  ``C_res`` is ``J_{gamma*C}``.
+
+    Given the map ``(K, k)`` of an affine triple (:func:`_precompose`),
+    x_{k+1} is the prepared resolvent's own product and u_{k+1} = K r + k,
+    with r = 2 x_{k+1} - x_k + gamma*u_k and K = (I - J_{gamma*C})/gamma,
+    takes the place of the resolve of y; y_{k+1} = r - gamma*u_{k+1} is
+    formed only for a ``record``ed history.
     """
     lam, gamma = config.lam, config.gamma
     x = config.z0.copy()
     Bx = Bx_prev = B_fwd(x)
     u = np.zeros(x.shape[0])
-    fe, re = 1, 0
+    fe, re, y = 1, 0, None
     yield ()
+    if K is not None:
+        JA, lam_b = A_res.J, A_res.lam_b
     while True:
         w = x - lam * u - lam * (2.0 * Bx - Bx_prev)
-        x_next = A_res(w)
-        t = 2.0 * x_next - x
-        y = C_res(t + gamma * u)
-        u_next = u + (t - y) / gamma
+        if K is None:
+            x_next = A_res(w)
+            t = 2.0 * x_next - x
+            y = C_res(t + gamma * u)
+            u_next = u + (t - y) / gamma
+        else:
+            x_next = np.dot(JA, w - lam_b)
+            r = 2.0 * x_next - x + gamma * u
+            u_next = np.dot(K, r) + k
+            if record:
+                y = r - gamma * u_next
         Bx_prev, Bx = Bx, B_fwd(x_next)
         fe += 1
         re += 2
         d, du = x_next - x, u_next - u
         x, u = x_next, u_next
         yield (math.sqrt(d.dot(d)) + lam * math.sqrt(du.dot(du)),
-               math.sqrt(x.dot(x)), w, x, y, 2.0 * x - w, Bx, fe, re)
+               math.sqrt(x.dot(x)), w, x, y, w, Bx, (d, du), fe, re)
+
+
+#: Methods that an affine triple with B != 0 runs as a precomposed step.
+_LIFTED = frozenset({Method.BFORB, Method.BRFOB, Method.DAVIS_YIN,
+                     Method.FRDR})
+
+
+def _template_y(A, B, C, lam, z, v):
+    """The template's y_k = J_{lam*C}(2 x_k - z_k - lam*B(v)), x_k =
+    J_{lam*A}(z_k), whose forward point v is x_k for Davis-Yin (None)."""
+    x = A(z)
+    return C(2.0 * x - z - lam * B(x if v is None else v))
+
+
+def _frdr_u(C, gamma, r):
+    """FRDR's u_{k+1} = (r - J_{gamma*C}(r))/gamma for r = 2 x_{k+1} - x_k
+    + gamma*u_k, which is u_k + (2 x_{k+1} - x_k - y_{k+1})/gamma."""
+    return (r - C(r)) / gamma
+
+
+def _precompose(config, A_res, B, C_res):
+    """``(G, c)`` with ``f(s) = G s + c`` for the y-map ``f`` of an affine
+    triple: :func:`_template_y` of ``s = (z, v)`` for BFoRB and BRFoB and of
+    ``s = z`` for Davis-Yin, :func:`_frdr_u` of ``s = r`` for FRDR (where
+    ``C_res`` is ``J_{gamma*C}``).  ``G`` is ``f`` of the identity on the
+    maps' linear parts, which act on column stacks and cost nothing on the
+    identity and on 0; ``c`` is ``f`` of zero on the oracles themselves.
+    Empty unless the method is one of these, ``A_res`` and ``C_res`` are
+    matrix resolvents and ``B`` is affine and not zero, or if
+    ``J_{lam*A}``, ``G`` or ``c`` is not finite."""
+    JA, JC = getattr(A_res, "J", None), getattr(C_res, "J", None)
+    if config.method not in _LIFTED or JA is None or JC is None:
+        return ()
+    parts = B.affine_parts()
+    if parts is None or vanishes(B):
+        return ()
+    I = np.eye(JA.shape[0])
+    lin = [lambda S, M=M: M if S is I else np.dot(M, S)
+           for M in (JA, parts[0], JC)]
+    oracles, lam = (A_res, B.forward, C_res), config.lam
+    zero = np.zeros(len(I))
+    with np.errstate(all="ignore"):
+        try:
+            if config.method is Method.FRDR:
+                G = _frdr_u(lin[2], config.gamma, I)
+                c = _frdr_u(C_res, config.gamma, zero)
+            elif config.method is Method.DAVIS_YIN:
+                G = _template_y(*lin, lam, I, None)
+                c = _template_y(*oracles, lam, zero, None)
+            else:
+                G = np.hstack((_template_y(*lin, lam, I, 0.0),
+                               _template_y(*lin, lam, 0.0, I)))
+                c = _template_y(*oracles, lam, zero, zero)
+        except NonFiniteError:
+            return ()
+    if np.isfinite(JA).all() and np.isfinite(G).all() and np.isfinite(c).all():
+        return G, c
+    return ()
+
+
+def _rescaled_norms(v, d, lam):
+    """``|v|`` and the step norm ``|d|`` (``|d[0]| + lam*|d[1]|`` for
+    FRDR's pair) by :func:`row_norms`, which rescales a finite row whose
+    squares overflow; a row that does not overflow keeps its bits."""
+    if isinstance(d, tuple):
+        n = row_norms(np.stack((v,) + d))
+        return float(n[0]), float(n[1]) + lam * float(n[2])
+    n = row_norms(np.stack((v, d)))
+    return float(n[0]), float(n[1])
 
 
 def _stepsize_warnings(config, L):
@@ -355,6 +463,25 @@ def run(problem, config, record_history=False):
     that completed (the start, before any).  Floating-point overflow,
     invalid operations and division by zero raise no warning: each kind
     that numpy reports during the run is named once in ``Trace.warnings``.
+    A norm whose squares overflow (a finite vector beyond about 1.3e154,
+    ``z0`` included) is taken again by :func:`row_norms`' rescaling, so
+    neither the threshold nor the bound is inf for a finite start.
+
+    When ``A`` and ``C`` are affine or bilinear (their prepared resolvents
+    are matrix products) and ``B`` is affine and not zero, BFoRB, BRFoB,
+    Davis-Yin and FRDR take a precomposed step: ``x_k`` is the prepared
+    resolvent's own product and one more product with a matrix formed once
+    per run gives ``y_k`` (FRDR: ``u_{k+1}``), so the iterates agree with
+    the composed step to rounding.  If ``J_{lam*A}`` or the map is not
+    finite, the run takes the composed step.  ``forward_evals`` and
+    ``resolvent_evals`` count the method's logical oracle calls either way,
+    although the precomposed step calls the oracles only to form its map.
+    It checks no resolvent for finiteness, so a diverged precomposed run
+    ends at the step whose iterate left the finite range or passed the
+    bound: that step is its last record, its iterates are ``z_final`` and
+    ``x_final``, and the template's ``x_final`` is ``J_{lam*A}(z_final)``
+    where that is finite.  Every other triple and method, ``B = 0``
+    included (DR's template, bit for bit), takes the composed step.
 
     Per-iteration records hold the step norm, the solution residual
     ``|J_{lam*C}(2x - p - lam*B(x)) - x|`` with ``x = J_{lam*A}(p)`` (the
@@ -403,12 +530,13 @@ def run(problem, config, record_history=False):
 
     residual_is_step = method is Method.DAVIS_YIN or (
         method is Method.DR and vanishes(problem.B))
-    # The block's (z, fe, re) records, with copies of their x, w and cached
-    # B(x) rows, and its floating-point events of kinds not named yet, as
-    # (index of the record, kind); a step's events precede its record.
+    # The block's (z, fe, re) records, with copies of their x, p (whose
+    # J_{lam*A} is x) and cached B(x) rows, and its floating-point events of
+    # kinds not named yet, as (index of the record, kind); a step's events
+    # precede its record.
     recs, events = [], []
     X = np.empty((_BLOCK, problem.dim))
-    W = None if residual_is_step else np.empty_like(X)
+    P = None if residual_is_step else np.empty_like(X)
     BX = np.empty_like(X) if method in (Method.FORB, Method.FRDR) else None
     B_rows = problem.B.forward_rows
 
@@ -416,8 +544,8 @@ def run(problem, config, record_history=False):
         """Residual and distance rows ``lo..hi-1`` of the block, which
         starts at row ``base`` of the run."""
         Xs = X[lo:hi]
-        res = (step_norms[base + lo:base + hi] if W is None else residual(
-            C_res, lam, W[lo:hi], Xs,
+        res = (step_norms[base + lo:base + hi] if P is None else residual(
+            C_res, lam, 2.0 * Xs - P[lo:hi], Xs,
             B_rows(Xs) if BX is None else BX[lo:hi]).tolist())
         return res, ([] if x_star is None
                      else row_norms(Xs - x_star).tolist())
@@ -482,20 +610,23 @@ def run(problem, config, record_history=False):
         # Each iterate's norm is computed once, for the divergence test, and
         # reused as the next iteration's prev_norm (the first iterate is z0).
         # math.sqrt(d.dot(d)) is np.linalg.norm(d) bit for bit, minus its
-        # wrapper; a block's row_norms keep the batched @: that dot product
-        # per row.
-        prev_norm = math.sqrt(config.z0.dot(config.z0))
+        # wrapper; row_norms keep the batched @: that dot product per row.
+        prev_norm = float(row_norms(config.z0[None])[0])
         big = DIVERGE_FACTOR * (1.0 + prev_norm)
         A_res, C_res = problem.prepare(lam)
-        steps = (_two_op if two_op else _frdr if frdr else _shadow)(
-            config, A_res, problem.B.forward,
-            problem.C.prepare(config.gamma) if frdr else C_res)
+        C_step = problem.C.prepare(config.gamma) if frdr else C_res
+        B_fwd = problem.B.forward
+        lifted = _precompose(config, A_res, problem.B, C_step)
+        steps = (_frdr(config, A_res, B_fwd, C_step, *lifted,
+                       record=record_history) if frdr
+                 else _two_op(config, A_res, B_fwd, C_step) if two_op
+                 else _shadow(config, A_res, B_fwd, C_step, *lifted))
         try:
             y_history = next(steps)
             if ys is not None:
                 ys.extend(y_history)
                 trace.y_offset = len(y_history)
-            for _, (step_norm, norm, z, x, y, w, bx, fe, re) in zip(
+            for _, (step_norm, norm, z, x, y, p, bx, d, fe, re) in zip(
                     range(config.max_iters), steps):
                 step_norms.append(step_norm)
                 if record_history:
@@ -506,15 +637,20 @@ def run(problem, config, record_history=False):
 
                 # NaN and inf fail these comparisons: this is also the
                 # finiteness test (FRDR's dual variable is in the step norm).
+                # A finite vector whose squares overflow is measured again.
                 if not (norm <= big and step_norm < inf):
-                    status = "diverged"
-                    break
+                    norm, step_norm = _rescaled_norms(x if frdr else z, d,
+                                                      lam)
+                    step_norms[-1] = step_norm
+                    if not (norm <= big and step_norm < inf):
+                        status = "diverged"
+                        break
 
                 i = len(recs)
                 recs.append((z, fe, re))
                 X[i] = x
-                if W is not None:
-                    W[i] = w
+                if P is not None:
+                    P[i] = p
                     if BX is not None:
                         BX[i] = bx
 

@@ -16,6 +16,7 @@ from splitkit import (AffineOperator, CustomOperator, Method, ProblemTriple,
 from splitkit.cli import ConfigError, ExperimentConfig, parse_config
 from splitkit.solvers import TWO_OPERATOR_METHODS, _BLOCK
 from test_cli import _flow_rows_rowwise
+from test_solvers import _custom_triple
 
 PROPERTY = settings(max_examples=50, deadline=None)
 
@@ -262,6 +263,58 @@ def test_a_zero_reduces_the_template_to_two_operator_methods(case):
         assert len(t3.zs) == len(t2.xs)
         drift = max(np.linalg.norm(z - x) for z, x in zip(t3.zs, t2.xs))
         assert drift <= 1e-12 * (1.0 + max(np.linalg.norm(x) for x in t2.xs))
+
+
+@st.composite
+def lifted_case(draw):
+    """A random monotone affine triple, a stepsize below 1/(22L + 1), a
+    start and a (y_-1, y_-2) history or None."""
+    dim = draw(st.integers(1, 8))
+    A, B, C = (draw(monotone_affine(dim)) for _ in range(3))
+    lam = draw(st.floats(0.01, 1.0)) / (22.0 * B.lipschitz + 1.0)
+    point = arrays(float, dim, elements=st.floats(-10.0, 10.0))
+    history = draw(st.none() | st.tuples(point, point))
+    return ProblemTriple(A, B, C), lam, draw(point), history
+
+
+@PROPERTY
+@given(lifted_case(), st.sampled_from(["BFoRB", "BRFoB", "DavisYin", "FRDR"]))
+def test_precomposed_step_is_the_oracle_step_up_to_rounding(case, method):
+    # an affine triple runs BFoRB, BRFoB, Davis-Yin and FRDR as one
+    # precomposed step, the same triple behind CustomOperator oracles as
+    # the composed one: 40 steps agree to rounding, with equal counters; the
+    # update identity stays exact and each residual row is the
+    # omega_residual of its point, bit for bit
+    problem, lam, z0, history = case
+    frdr, dy = method == "FRDR", method == "DavisYin"
+    kwargs = {"gamma": 4.0 * lam} if frdr else {}
+    if not (frdr or dy):
+        kwargs["y_init"] = history
+    lifted, oracle = (run(p, SolverConfig(
+        method=method, lam=lam, z0=z0, max_iters=40, tol=1e-300, **kwargs),
+        record_history=True)
+        for p in (problem, _custom_triple(problem)))
+    assert (lifted.status, lifted.iterations) == (oracle.status,
+                                                  oracle.iterations)
+    assert (lifted.forward_evals, lifted.resolvent_evals) == (
+        oracle.forward_evals, oracle.resolvent_evals)
+    for series in ("zs", "xs", "ys"):
+        a, b = getattr(lifted, series), getattr(oracle, series)
+        assert len(a) == len(b)
+        for u, v in zip(a, b):
+            assert np.linalg.norm(u - v) <= 1e-12 * (1.0 + np.linalg.norm(v))
+    zs, xs, ys = lifted.zs, lifted.xs, lifted.ys[lifted.y_offset:]
+    for k in range(lifted.iterations):
+        point = zs[k + frdr]
+        omega = omega_residual(problem, lam, point)
+        if dy:      # the residual is the step norm, to rounding
+            assert lifted.residuals[k] == lifted.step_norms[k]
+            assert abs(omega - lifted.residuals[k]) <= 1e-12 * (
+                1.0 + np.linalg.norm(point))
+        else:
+            assert lifted.residuals[k] == omega
+        if not frdr:
+            assert np.array_equal(zs[k + 1], zs[k] + ys[k] - xs[k])
 
 
 instances = st.one_of(

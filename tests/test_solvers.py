@@ -1,3 +1,4 @@
+import math
 import pickle
 import sys
 import threading
@@ -11,6 +12,7 @@ from splitkit import (AffineOperator, BoxNormalCone, CustomOperator, Method,
                       NOT_GUARANTEED, ProblemTriple, SolverConfig, SolverError,
                       ZeroOperator, make_affine_instance, max_stepsize,
                       omega_residual, run, solve_affine_direct)
+import splitkit.operators
 from splitkit.solvers import TWO_OPERATOR_METHODS, _BLOCK
 
 SKEW2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -829,6 +831,173 @@ def test_run_names_an_overflow_in_the_norm_of_z0(method):
         t = run(problem, SolverConfig(method=method, lam=1e-12,
                                       z0=1e155 * np.ones(5)))
     assert "floating-point overflow encountered" in t.warnings
+
+
+@pytest.mark.parametrize("method", ["BFoRB", "DR", "FoRB"])
+def test_run_from_beyond_1e154_does_not_converge_falsely(method):
+    # the squares of z0 = 1e155*ones overflow: the threshold tol*(1 + |z_k|)
+    # and the divergence bound were inf, and the run ended "converged" after
+    # one step of relative size 1e-3.  Its norms are taken again, rescaled,
+    # so it runs on as it does from 1e140*ones
+    problem = make_affine_instance(dim=5, seed=1, skew_fraction=0.8).triple()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = run(problem, SolverConfig(method=method, lam=1e-3,
+                                      z0=1e155 * np.ones(5), tol=1e-8,
+                                      max_iters=20), record_history=True)
+    assert (t.status, t.iterations) == ("max_iters", 20)
+    assert "floating-point overflow encountered" in t.warnings
+    iterates = t.xs if method == "FoRB" else t.zs
+    for k, step in enumerate(t.step_norms):
+        assert step == pytest.approx(
+            math.hypot(*(iterates[k + 1] - iterates[k])), rel=1e-14)
+        assert 1e-4 < step / math.hypot(*iterates[k]) < 1e-2
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_steps_whose_squares_overflow_do_not_end_the_run(method):
+    # from 0.9*sqrt(max float) the rotation B at lam = 2 more than doubles
+    # |z|: the squares of the first step and iterate overflow, though both
+    # are finite and far below the divergence bound 1e12*(1 + |z0|).  The run
+    # used to end "diverged" at step 1.  A and C are affine, so BFoRB,
+    # BRFoB, Davis-Yin and FRDR take the precomposed step.
+    problem = ProblemTriple(A=AffineOperator(0.01 * np.eye(2)),
+                            B=AffineOperator(SKEW2),
+                            C=AffineOperator(0.01 * np.eye(2)))
+    root_max = math.sqrt(np.finfo(float).max)
+    kwargs = {"gamma": 4.0} if method is Method.FRDR else {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = run(problem, SolverConfig(method=method, lam=2.0,
+                                      z0=[0.9 * root_max, 0.0], max_iters=3,
+                                      **kwargs), record_history=True)
+    assert (t.status, t.iterations) == ("max_iters", 3)
+    assert all(math.isfinite(step) for step in t.step_norms)
+    assert np.isfinite(t.z_final).all() and np.isfinite(t.x_final).all()
+    if method is not Method.DR:                 # DR ignores B: small steps
+        assert t.step_norms[0] > root_max
+    if method is not Method.FRDR:               # FRDR's step norm adds lam*|du|
+        iterates = t.xs if method in TWO_OPERATOR_METHODS else t.zs
+        for k, step in enumerate(t.step_norms):
+            assert step == pytest.approx(
+                math.hypot(*(iterates[k + 1] - iterates[k])), rel=1e-14)
+
+
+# ------------------------------------------------- precomposed affine steps
+
+def test_precomposed_runs_form_no_more_inverses(monkeypatch):
+    # a run forms J_{lam*A} and J_{lam*C} once each (FRDR also J_{gamma*C}),
+    # whether or not it precomposes its step
+    calls = []
+    inverse = splitkit.operators.resolvent_matrix
+
+    def counted(M, lam):
+        calls.append(lam)
+        return inverse(M, lam)
+
+    monkeypatch.setattr(splitkit.operators, "resolvent_matrix", counted)
+    problem = make_affine_instance(8, 2, 0.8).triple()
+    for method in Method:
+        kwargs = {"gamma": 0.5} if method is Method.FRDR else {}
+        calls.clear()
+        t = run(problem, SolverConfig(method=method, lam=0.01, z0=np.ones(8),
+                                      max_iters=5, tol=1e-300, **kwargs),
+                record_history=True)
+        assert t.iterations == 5
+        assert len(calls) == (3 if method is Method.FRDR else 2)
+        # each recorded iterate is an array of its own, not a view
+        for series in (t.zs, t.ys, t.xs):
+            assert all(v.base is None for v in series or [])
+
+
+@pytest.mark.parametrize("method", ["BFoRB", "BRFoB", "DavisYin", "FRDR"])
+def test_singular_resolvent_of_an_affine_triple_takes_the_oracle_route(
+        method):
+    # J_{lam*A} is all NaN, so the step is not precomposed: the oracles
+    # raise at the first resolve, and the run ends "diverged" at its start
+    # with no exception and no warning
+    problem = ProblemTriple(A=AffineOperator([[1.0, 1.0], [1.0, 1.0]]),
+                            B=AffineOperator(SKEW2),
+                            C=AffineOperator(np.eye(2)))
+    kwargs = {"gamma": 2e300} if method == "FRDR" else {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = run(problem, SolverConfig(method=method, lam=1e300,
+                                      z0=np.ones(2), max_iters=50, **kwargs))
+    assert (t.status, t.iterations) == ("diverged", 0)
+    assert not any(w.startswith("floating-point") for w in t.warnings)
+    assert np.array_equal(t.z_final, np.ones(2))
+    assert np.array_equal(t.x_final, np.ones(2))
+
+
+def _custom_triple(problem):
+    """The triple behind CustomOperator oracles, which run() drives through
+    the prepared oracles whatever the operators are."""
+    def wrap(op):
+        return CustomOperator(op.dim, resolvent=op.resolve,
+                              forward=op.forward if op.has_forward else None,
+                              lipschitz=op.lipschitz)
+    return ProblemTriple(wrap(problem.A), wrap(problem.B), wrap(problem.C),
+                         x_star=problem.x_star)
+
+
+def test_oracle_route_is_the_composed_step_bit_for_bit():
+    # BFoRB and FRDR on custom operators are the 20-step loops below,
+    # composed by hand through the prepared oracles, in every bit
+    problem = _custom_triple(make_affine_instance(6, 3, 0.8).triple())
+    lam, gamma, n = 0.02, 0.2, 20
+    A_res, C_res = problem.prepare(lam)
+    B = problem.B.forward
+
+    z = np.ones(6)
+    y1 = y2 = A_res(z)
+    By1 = By2 = B(y1)
+    zs, xs, ys, steps = [z], [], [y2, y1], []
+    for _ in range(n):
+        x = A_res(z)
+        F = 2.0 * By1 - By2
+        w = 2.0 * x - z
+        y = C_res(w - lam * F)
+        z_next = z + y - x
+        By2, By1 = By1, B(y)
+        zs.append(z_next), xs.append(x), ys.append(y)
+        steps.append(np.linalg.norm(z_next - z))
+        z = z_next
+    t = run(problem, SolverConfig(method="BFoRB", lam=lam, z0=np.ones(6),
+                                  max_iters=n, tol=1e-300),
+            record_history=True)
+    assert (t.forward_evals, t.resolvent_evals) == (n + 1, 2 * n + 1)
+    for got, want in ((t.zs, zs), (t.xs, xs), (t.ys, ys)):
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert t.step_norms == steps
+    assert t.residuals == [omega_residual(problem, lam, v) for v in zs[:n]]
+
+    Cg_res = problem.C.prepare(gamma)
+    x = np.ones(6)
+    Bx = Bx_prev = B(x)
+    u = np.zeros(6)
+    zs, xs, ys, steps = [x], [], [], []
+    for _ in range(n):
+        w = x - lam * u - lam * (2.0 * Bx - Bx_prev)
+        x_next = A_res(w)
+        r = 2.0 * x_next - x
+        y = Cg_res(r + gamma * u)
+        u_next = u + (r - y) / gamma
+        Bx_prev, Bx = Bx, B(x_next)
+        zs.append(w), xs.append(x_next), ys.append(y)
+        steps.append(np.linalg.norm(x_next - x)
+                     + lam * np.linalg.norm(u_next - u))
+        x, u = x_next, u_next
+    t = run(problem, SolverConfig(method="FRDR", lam=lam, gamma=gamma,
+                                  z0=np.ones(6), max_iters=n, tol=1e-300),
+            record_history=True)
+    assert (t.forward_evals, t.resolvent_evals) == (n + 1, 2 * n)
+    for got, want in ((t.zs, zs), (t.xs, xs), (t.ys, ys)):
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert t.step_norms == steps
+    assert t.residuals == [omega_residual(problem, lam, v) for v in zs[1:]]
 
 
 def test_bforb_and_brfob_differ_on_nonlinear_B():
