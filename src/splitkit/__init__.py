@@ -14,15 +14,13 @@ from .certificates import (CertificateError, CertificateReport,
                            lemma_brfob_slack, omega_residual, phi_bforb,
                            phi_brfob, reference_point)
 from .dynamics import (AlignmentError, FlowTrajectory, InnerSolveError,
-                       discretization_gap, resolvent_sum, simulate_dr_flow,
-                       simulate_ppa)
+                       discretization_gap, simulate_dr_flow, simulate_ppa)
 from .operators import (AffineOperator, BilinearCoupling, BoxNormalCone,
                         CapabilityError, CustomOperator,
                         DimensionMismatchError, InvalidBoxError,
                         MonotoneOperator, NotMonotoneError, OperatorError,
-                        ProblemTriple, ScaledL1, ZeroOperator, box_project,
-                        forward_eval, lipschitz_check, resolvent,
-                        soft_threshold)
+                        ProblemTriple, ScaledL1, ZeroOperator, forward_eval,
+                        resolvent)
 from .problems import (AffineInstance, SaddleInstance, SingularProblemError,
                        load_instance, make_affine_instance,
                        make_saddle_instance, save_instance,

@@ -423,7 +423,8 @@ def cmd_sweep(cfg, grid, out_dir, quiet=False, seed_override=None):
 
 
 def cmd_flow(cfg, out_dir, quiet=False, seed_override=None):
-    """Simulate the configured continuous-time flow and export the trajectory."""
+    """Simulate the configured continuous-time flow and export the
+    trajectory; name each floating-point kind it met on stderr."""
     if cfg.ode is None:
         raise ConfigError([(None, "flow requires an [ode] section")])
     pid, problem, _ = build_problem(cfg, seed_override)
@@ -437,6 +438,8 @@ def cmd_flow(cfg, out_dir, quiet=False, seed_override=None):
                omega_residual=flow.residuals, dist_to_xstar=flow.dist_to_xstar)
     _say(quiet, f"{pid} {kind}-flow: terminal residual "
                 f"{flow.residuals[-1]:.3e}")
+    for warning in flow.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     return EXIT_OK
 
 

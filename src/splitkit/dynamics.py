@@ -20,13 +20,15 @@ call, with the bits of one call per state.
 """
 
 import math
-from dataclasses import dataclass, replace
+import operator
+from contextlib import suppress
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .operators import (AffineOperator, OperatorError, ProblemTriple,
-                        ZeroOperator, as_vector, residual, resolvent_matrix,
-                        row_norms)
+                        ZeroOperator, as_vector, fp_errstate, fp_warnings,
+                        residual, resolvent_matrix, row_norms)
 
 #: Euler steps per residual block in :func:`simulate_dr_flow`: the block's
 #: copies of ``x_j`` and ``2x_j - z_j`` take 800 KB at d=50.
@@ -61,7 +63,8 @@ class FlowTrajectory:
     (of the two-operator problem ``B + C`` for a PPA flow) and, for a DR
     flow on a problem carrying ``x_star``, ``dist_to_xstar[j] =
     |x_j - x_star|`` (``None`` otherwise: a PPA flow solves ``B + C``,
-    whose zero is not ``x_star``).
+    whose zero is not ``x_star``).  ``warnings`` names each floating-point
+    kind that the simulation met, as ``Trace.warnings`` does.
     """
 
     times: np.ndarray
@@ -73,6 +76,7 @@ class FlowTrajectory:
     step_norms: np.ndarray = None
     residuals: np.ndarray = None
     dist_to_xstar: np.ndarray = None
+    warnings: list = field(default_factory=list)
 
     @property
     def terminal(self):
@@ -120,18 +124,6 @@ def _sum_resolvent(problem, lam, inner_tol=1e-10, max_inner=100000):
     return resolve
 
 
-def resolvent_sum(problem, lam, w, inner_tol=1e-10, max_inner=100000):
-    """Evaluate ``u = J_{lam*(B+C)}(w)``, i.e. ``0 in lam*(B+C)(u) + u - w``.
-
-    Affine problems use one direct linear solve; otherwise an inner
-    fixed-point iteration is run to ``inner_tol`` (see :func:`_sum_resolvent`).
-    """
-    w = as_vector(w, problem.dim, "w")
-    if not 0.0 < lam < math.inf:
-        raise OperatorError("lam must be positive and finite")
-    return _sum_resolvent(problem, lam, inner_tol, max_inner)(w)
-
-
 def simulate_ppa(problem, lam, h_ode, T, x0, inner_tol=1e-10):
     """Explicit Euler on the proximal-point flow of ``B + C``.
 
@@ -154,11 +146,12 @@ def _euler_step(problem, lam, h_ode, inner_tol):
     parts = [op.affine_parts() for op in (problem.A, problem.B, problem.C)]
     if all(p is not None for p in parts):
         (MA, bA), (MB, bB), (MC, bC) = parts
-        JA, JS = resolvent_matrix(MA, lam), resolvent_matrix(MB + MC, lam)
-        JSA = np.dot(JS, JA)
-        T = np.eye(problem.dim) + h_ode * (2.0 * JSA - JS - JA)
-        t = h_ode * (np.dot(JA - 2.0 * JSA, lam * bA)
-                     - np.dot(JS, lam * (bB + bC)))
+        with np.errstate(all="ignore"):     # a map not finite goes unused
+            JA, JS = resolvent_matrix(MA, lam), resolvent_matrix(MB + MC, lam)
+            JSA = np.dot(JS, JA)
+            T = np.eye(problem.dim) + h_ode * (2.0 * JSA - JS - JA)
+            t = h_ode * (np.dot(JA - 2.0 * JSA, lam * bA)
+                         - np.dot(JS, lam * (bB + bC)))
         if np.isfinite(T).all() and np.isfinite(t).all():
             return lambda j, z: np.dot(T, z) + t
     rs, A_res = _sum_resolvent(problem, lam, inner_tol), problem.A.prepare(lam)
@@ -183,7 +176,9 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
     ``T`` must be positive and finite, ``h_ode`` in (0, 1].  The residual
     and distance rows of ``_BLOCK`` states at a time are one stacked call
     on the stored states; an oracle error of a row is raised at its state,
-    before the error of any later step.
+    before the error of any later step.  Floating-point events print no
+    warning: each kind is named once in ``warnings``, in the order of
+    ``run()``'s, and forming the affine map names none.
     """
     z0 = as_vector(z0, problem.dim, "z0")
     if not 0.0 < h_ode <= 1.0:
@@ -191,15 +186,13 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
     for name, value in (("T", T), ("lam", lam)):
         if not 0.0 < value < math.inf:
             raise OperatorError(f"{name} must be positive and finite")
-    step = _euler_step(problem, lam, h_ode, inner_tol)
-    A_res, C_res = problem.prepare(lam)
     B_rows, x_star = problem.B.forward_rows, problem.x_star
-    n = int(round(T / h_ode))
     try:
+        n = int(round(T / h_ode))
         states = np.empty((n + 1, z0.shape[0]))
         step_norms, residuals = np.zeros(n + 1), np.empty(n + 1)
         dists = None if x_star is None else np.empty(n + 1)
-    except (ValueError, MemoryError):
+    except (ValueError, MemoryError, OverflowError):
         raise OperatorError(
             f"T = {T:g} with h_ode = {h_ode:g} gives {T / h_ode:.3g} Euler "
             "steps, too many states to store") from None
@@ -221,33 +214,38 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
         if dists is not None:
             dists[start:hi] = row_norms(X - x_star)
 
-    states[0] = z = z0
-    lo = 0                      # rows lo.. await their residuals
-    # math.sqrt(d.dot(d)) is np.linalg.norm(d) bit for bit, minus its wrapper.
-    try:
-        for j in range(n):
-            z_next = step(j, z)
-            d = z_next - z
-            norm = math.sqrt(d.dot(d))
-            # A finite step from a finite state lands on a finite state: the
-            # array test runs only when the step is not (NaN or overflow).
-            if not norm < math.inf:
-                if not np.isfinite(z_next).all():
-                    raise OperatorError(
-                        f"flow state non-finite at t={(j + 1) * h_ode:g}")
-                norm = row_norms(d[None])[0]    # its squares overflowed
-            step_norms[j + 1] = norm
-            states[j + 1] = z = z_next
-            if j + 2 - lo >= _BLOCK:
-                flush(j + 2)
-    except Exception:
-        flush(j + 1)        # an earlier state's residual error comes first
-        raise
-    flush(n + 1)
+    kinds = set()
+    with fp_errstate(lambda kind, flag: kinds.add(kind)):
+        step = _euler_step(problem, lam, h_ode, inner_tol)
+        A_res, C_res = problem.prepare(lam)
+        states[0] = z = z0
+        lo = 0                  # rows lo.. await their residuals
+        # math.sqrt(d.dot(d)) is np.linalg.norm(d), bit for bit, unwrapped.
+        try:
+            for j in range(n):
+                z_next = step(j, z)
+                d = z_next - z
+                norm = math.sqrt(d.dot(d))
+                # A finite step from a finite state is finite: the array
+                # test runs only when the step is not (NaN or overflow).
+                if not norm < math.inf:
+                    if not np.isfinite(z_next).all():
+                        raise OperatorError(
+                            f"flow state non-finite at t={(j + 1) * h_ode:g}")
+                    norm = row_norms(d[None])[0]    # its squares overflowed
+                step_norms[j + 1] = norm
+                states[j + 1] = z = z_next
+                if j + 2 - lo >= _BLOCK:
+                    flush(j + 2)
+        except Exception:
+            flush(j + 1)    # an earlier state's residual error comes first
+            raise
+        flush(n + 1)
     return FlowTrajectory(
         times=np.arange(n + 1) * h_ode, states=states, h_ode=h_ode, lam=lam,
         inner_tol=inner_tol, kind="dr", step_norms=step_norms,
-        residuals=residuals, dist_to_xstar=dists)
+        residuals=residuals, dist_to_xstar=dists,
+        warnings=fp_warnings(kinds))
 
 
 def discretization_gap(flow, trace, stride):
@@ -266,7 +264,9 @@ def discretization_gap(flow, trace, stride):
         raise AlignmentError(
             f"trace lacks the {history} history a {flow.kind} flow is "
             "compared with; rerun with record_history=True")
-    if stride < 1:
+    with suppress(TypeError):   # a float is no stride
+        stride = operator.index(stride)
+    if not isinstance(stride, int) or stride < 1:
         raise AlignmentError("stride must be a positive integer")
     n_iters = len(iterates) - 1
     if stride > n_iters:

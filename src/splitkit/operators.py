@@ -87,52 +87,10 @@ def as_vector(v, dim=None, name="v"):
     return arr
 
 
-def soft_threshold(w, lam, v):
-    """Componentwise shrinkage ``sign(v)*max(|v| - lam*w, 0)``.
-
-    This is the resolvent of ``lam * w * subdifferential(l1-norm)``; it is
-    nonexpansive and reduces to the identity when ``w == 0``.
-    """
-    if not 0.0 < lam < np.inf:
-        raise OperatorError("lam must be positive and finite")
-    v = as_vector(v)
-    return ScaledL1(v.shape[0], w).resolve(lam, v)
-
-
-def box_project(lo, hi, v):
-    """Clamp ``v`` componentwise to ``[lo, hi]``; idempotent."""
-    v = as_vector(v)
-    return BoxNormalCone(np.broadcast_to(lo, v.shape),
-                         np.broadcast_to(hi, v.shape)).resolve(1.0, v)
-
-
 def vanishes(op):
     """Whether ``op`` is the zero map, as its ``affine_parts`` show."""
     parts = op.affine_parts()
     return parts is not None and not any(map(np.any, parts))
-
-
-def lipschitz_check(op, trials, seed):
-    """Max of ``|F(u)-F(v)| / |u-v|`` over seeded random pairs.
-
-    A valid Lipschitz declaration ``L`` satisfies
-    ``lipschitz_check(op, ...) <= L * (1 + 1e-10)``.
-    """
-    if not op.has_forward:
-        raise CapabilityError("operator has no forward oracle")
-    if trials < 1:
-        raise OperatorError("trials must be >= 1")
-    rng = np.random.Generator(np.random.Philox(seed))
-    worst = 0.0
-    for _ in range(trials):
-        u = rng.uniform(-1.0, 1.0, size=op.dim)
-        v = rng.uniform(-1.0, 1.0, size=op.dim)
-        duv = np.linalg.norm(u - v)
-        if duv == 0.0:
-            continue
-        ratio = np.linalg.norm(op.forward(u) - op.forward(v)) / duv
-        worst = max(worst, ratio)
-    return worst
 
 
 def forward_eval(op, v):
@@ -508,3 +466,19 @@ def residual(C_res, lam, W, X, BX):
     The caller forms ``W``: the splitting steps compute it anyway.
     """
     return row_norms(C_res(W - lam * BX) - X)
+
+
+#: The floating-point kinds that runs and flows name, in the order named.
+FP_KINDS = ("overflow", "invalid value", "divide by zero")
+
+
+def fp_errstate(call):
+    """``np.errstate`` that reports each event of ``FP_KINDS`` to
+    ``call(kind, flag)`` instead of warning."""
+    return np.errstate(over="call", invalid="call", divide="call", call=call)
+
+
+def fp_warnings(kinds):
+    """One warning per kind in ``kinds``, in the order of ``FP_KINDS``."""
+    return [f"floating-point {kind} encountered" for kind in FP_KINDS
+            if kind in kinds]

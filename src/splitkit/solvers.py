@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import (NonFiniteError, as_vector, residual, row_norms,
-                        vanishes)
+from .operators import (NonFiniteError, as_vector, fp_errstate,
+                        fp_warnings, residual, row_norms, vanishes)
 
 #: Sentinel returned by :func:`max_stepsize` for methods whose convergence
 #: is not guaranteed by a Lipschitz bound alone (they need cocoercivity).
@@ -462,7 +462,9 @@ def run(problem, config, record_history=False):
     and the final iterates and counters are those of the last iteration
     that completed (the start, before any).  Floating-point overflow,
     invalid operations and division by zero raise no warning: each kind
-    that numpy reports during the run is named once in ``Trace.warnings``.
+    that numpy reports during the run is named once in ``Trace.warnings``,
+    after the stepsize notes, in the fixed order of ``FP_KINDS`` (overflow,
+    invalid value, divide by zero), whatever the order in which they fire.
     A norm whose squares overflow (a finite vector beyond about 1.3e154,
     ``z0`` included) is taken again by :func:`row_norms`' rescaling, so
     neither the threshold nor the bound is inf for a finite start.
@@ -497,9 +499,9 @@ def run(problem, config, record_history=False):
     ignore ``A`` (their residual is that of ``B + C``).
     No residual feeds back into the iteration, so the rows are evaluated
     per block of ``_BLOCK`` steps by one stacked call, with the bits of one
-    call per row.  A residual oracle that raises ends the run at its row,
-    and the warnings keep the order of one row at a time: on either, the
-    block is evaluated again row by row.
+    call per row.  A residual oracle that raises ends the run at its row:
+    the block is evaluated again row by row to find it, and the warnings
+    name only the kinds of the steps and rows up to it.
     With ``record_history=True`` the full ``z``/``y``/``x`` histories are
     kept so certificates can be evaluated afterwards; the hot loop itself
     performs exactly the oracle calls of the method plus this bookkeeping.
@@ -531,10 +533,10 @@ def run(problem, config, record_history=False):
     residual_is_step = method is Method.DAVIS_YIN or (
         method is Method.DR and vanishes(problem.B))
     # The block's (z, fe, re) records, with copies of their x, p (whose
-    # J_{lam*A} is x) and cached B(x) rows, and its floating-point events of
-    # kinds not named yet, as (index of the record, kind); a step's events
-    # precede its record.
-    recs, events = [], []
+    # J_{lam*A} is x) and cached B(x) rows, and the floating-point kinds
+    # fired since the last flush, each with the index of the record before
+    # which it first fired (a step's events precede its record).
+    recs, events, fired = [], {}, set()
     X = np.empty((_BLOCK, problem.dim))
     P = None if residual_is_step else np.empty_like(X)
     BX = np.empty_like(X) if method in (Method.FORB, Method.FRDR) else None
@@ -551,25 +553,18 @@ def run(problem, config, record_history=False):
                      else row_norms(Xs - x_star).tolist())
 
     def flush():
-        """Append the block's rows, and name its floating-point events in
-        the order in which the per-row evaluation fires them; end the run
-        at the first row whose residual raises.  True if the run ended."""
+        """Append the block's rows and keep its floating-point kinds; end
+        the run at the first row whose residual raises, keeping only the
+        kinds of the steps and rows up to it.  True if the run ended."""
         nonlocal status, z, x, fe, re
-        n, base, fired = len(recs), len(residuals), len(events)
+        n, base, stepped = len(recs), len(residuals), dict(events)
         cut = None
         try:
             res, dist = rows(base, 0, n) if n else ([], [])
-            again = len(events) > fired
-        except NonFiniteError:
-            again = True
-        if again:               # each row's residual after its step's events
-            stepped, j = events[:fired], 0
-            del events[:]
+        except NonFiniteError:      # find the row, without the block's events
+            events.clear()
             res, dist = [], []
             for i in range(n):
-                while j < fired and stepped[j][0] == i:
-                    events.append(stepped[j])
-                    j += 1
                 try:
                     r, d = rows(base, i, i + 1)
                 except NonFiniteError:
@@ -577,15 +572,11 @@ def run(problem, config, record_history=False):
                     break
                 res += r
                 dist += d
-            else:
-                events.extend(stepped[j:])
         residuals.extend(res)
         if dists is not None:
             dists.extend(dist)
-        for _, kind in events:
-            msg = f"floating-point {kind} encountered"
-            if msg not in trace.warnings:
-                trace.warnings.append(msg)
+        fired.update(events, (kind for kind, i in stepped.items()
+                              if cut is None or i <= cut))
         events.clear()
         if cut is not None:
             status = "diverged"
@@ -602,11 +593,11 @@ def run(problem, config, record_history=False):
 
     tol, inf = config.tol, math.inf
     status = "max_iters"
-    def note(kind, flag):
-        if f"floating-point {kind} encountered" not in trace.warnings:
-            events.append((len(recs), kind))
 
-    with np.errstate(over="call", invalid="call", divide="call", call=note):
+    def note(kind, flag):
+        events.setdefault(kind, len(recs))
+
+    with fp_errstate(note):
         # Each iterate's norm is computed once, for the divergence test, and
         # reused as the next iteration's prev_norm (the first iterate is z0).
         # math.sqrt(d.dot(d)) is np.linalg.norm(d) bit for bit, minus its
@@ -669,7 +660,8 @@ def run(problem, config, record_history=False):
         if not (two_op or frdr):
             with suppress(NonFiniteError):   # a diverged z keeps the last x
                 x = A_res(z)
-        flush()                              # names that resolvent's events
+        flush()                              # keeps that resolvent's events
+    trace.warnings.extend(fp_warnings(fired))
     # A diverged step has no residual or distance: NaN stands in for them.
     for series in (residuals, dists):
         if series is not None:

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from splitkit import (AffineOperator, ProblemTriple, ScaledL1, SolverConfig,
-                      ZeroOperator, certify_trace, lipschitz_check,
-                      make_affine_instance, make_saddle_instance,
-                      max_stepsize, omega_residual, reference_point, run,
-                      simulate_dr_flow, simulate_ppa)
+                      ZeroOperator, certify_trace, make_affine_instance,
+                      make_saddle_instance, max_stepsize, omega_residual,
+                      reference_point, run, simulate_dr_flow, simulate_ppa)
 from splitkit.cli import EXIT_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK, main
+
+from oracles import lipschitz_check
 
 SEEDS = tuple(range(1, 11))
 DIM = 50

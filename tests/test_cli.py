@@ -589,6 +589,43 @@ def test_flow_bad_ode_value_exits_1(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+def test_flow_step_count_beyond_float_range_exits_1(tmp_path, capsys):
+    # T / h_ode overflows to inf: one error line, and no --out
+    text = AFFINE_CFG.replace("dim = 10", "dim = 3") + (
+        "\n[ode]\nlambda = 0.1\nh_ode = 1e-10\nT = 1e300\n")
+    out = tmp_path / "o"
+    assert main(["flow", "--config", write(tmp_path, "exp.cfg", text),
+                 "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "too many states to store" in err[0]
+    assert not out.exists()
+
+
+def test_flow_names_each_floating_point_kind_once_on_stderr(tmp_path,
+                                                           capsys,
+                                                           monkeypatch):
+    # the affine d=5 flow from 1e160*ones meets 202 overflows in the
+    # squares of its norms, though every row is finite
+    simulate = splitkit.cli.simulate_dr_flow
+    monkeypatch.setattr(splitkit.cli, "simulate_dr_flow",
+                        lambda problem, lam, h_ode, T, z0: simulate(
+                            problem, lam, h_ode, T, 1e160 * z0))
+    text = AFFINE_CFG.replace("dim = 10", "dim = 5") + (
+        "\n[ode]\nlambda = 0.1\nh_ode = 0.01\nT = 1.0\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["flow", "--config", write(tmp_path, "exp.cfg", text),
+                     "--out", str(out), "--quiet"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "warning: floating-point overflow encountered\n"
+    lines = (out / "affine-d5-s1__dr-flow.csv").read_text().splitlines()
+    assert len(lines) == 102
+    assert not re.search("inf|nan", "".join(lines[1:]))
+
+
 SADDLE_CFG = """\
 [problem]
 kind = saddle

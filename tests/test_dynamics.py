@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from splitkit import (AffineOperator, AlignmentError, BoxNormalCone,
                       InnerSolveError, OperatorError, ProblemTriple, ScaledL1,
                       SolverConfig, ZeroOperator, discretization_gap,
                       make_affine_instance, make_saddle_instance,
-                      max_stepsize, omega_residual, resolvent_sum, run,
-                      simulate_dr_flow, simulate_ppa)
+                      max_stepsize, omega_residual, run, simulate_dr_flow,
+                      simulate_ppa)
 from splitkit.operators import NonFiniteError, row_norms
 import splitkit.dynamics
 
@@ -18,18 +19,24 @@ def scalar_identity_B():
                          C=ZeroOperator(1))
 
 
-# -------------------------------------------------------------- resolvent_sum
+# ----------------------------------------------------- J_{lam*(B+C)} evaluator
+
+def sum_resolvent(problem, lam, w, inner_tol=1e-10, max_inner=100000):
+    """``J_{lam*(B+C)}(w)`` by the flows' own evaluator."""
+    return splitkit.dynamics._sum_resolvent(problem, lam, inner_tol,
+                                            max_inner)(w)
+
 
 def test_resolvent_sum_scalar_direct():
     # B(u) = u, C = 0, lam = 1: (1 + 1) u = 3
-    u = resolvent_sum(scalar_identity_B(), 1.0, np.array([3.0]))
+    u = sum_resolvent(scalar_identity_B(), 1.0, np.array([3.0]))
     assert u[0] == pytest.approx(1.5, abs=1e-14)
 
 
 def test_resolvent_sum_projection():
     problem = ProblemTriple(A=ZeroOperator(1), B=ZeroOperator(1),
                             C=BoxNormalCone([-1.0], [1.0]))
-    u = resolvent_sum(problem, 0.7, np.array([5.0]))
+    u = sum_resolvent(problem, 0.7, np.array([5.0]))
     assert u[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -38,7 +45,7 @@ def test_resolvent_sum_iterative_piecewise():
     # 2u - 3 + s = 0 with s in sign(u)  =>  u = 1
     problem = ProblemTriple(A=ZeroOperator(1), B=AffineOperator([[1.0]]),
                             C=ScaledL1(1, 1.0))
-    u = resolvent_sum(problem, 1.0, np.array([3.0]), inner_tol=1e-12)
+    u = sum_resolvent(problem, 1.0, np.array([3.0]), inner_tol=1e-12)
     assert u[0] == pytest.approx(1.0, abs=1e-11)
 
 
@@ -49,7 +56,7 @@ def test_resolvent_sum_direct_matches_dense_oracle():
     r = np.random.Generator(np.random.Philox(1))
     for _ in range(20):
         w = r.uniform(-2, 2, 8)
-        u = resolvent_sum(problem, lam, w)
+        u = sum_resolvent(problem, lam, w)
         M = problem.B.M + problem.C.M
         b = problem.B.b + problem.C.b
         oracle = np.linalg.solve(np.eye(8) + lam * M, w - lam * b)
@@ -63,7 +70,7 @@ def test_resolvent_sum_inner_residual_contract():
                             C=ScaledL1(4, 0.3))
     w = np.array([2.0, -0.1, 0.4, -3.0])
     lam, tol = 0.8, 1e-11
-    u = resolvent_sum(problem, lam, w, inner_tol=tol)
+    u = sum_resolvent(problem, lam, w, inner_tol=tol)
     resid = np.linalg.norm(
         problem.C.resolve(lam, w - lam * problem.B.forward(u)) - u)
     assert resid <= tol
@@ -74,7 +81,7 @@ def test_resolvent_sum_nonconvergence_error():
                             B=AffineOperator([[0.0, -1.0], [1.0, 0.0]]),
                             C=ScaledL1(2, 0.1))
     with pytest.raises(InnerSolveError) as exc:
-        resolvent_sum(problem, 0.5, np.array([4.0, -2.0]),
+        sum_resolvent(problem, 0.5, np.array([4.0, -2.0]),
                       inner_tol=1e-12, max_inner=2)
     assert exc.value.residual > 0
 
@@ -278,6 +285,32 @@ def test_flow_norms_of_states_beyond_1e154_are_finite():
                            rtol=1e-14, atol=0.0)
 
 
+def test_flows_name_floating_point_kinds_without_warning():
+    # from 1e160*ones the squares of the norms overflow, 202 times over,
+    # though every row is finite: each flow names the kind once and warns
+    # not at all
+    problem = make_affine_instance(dim=5, seed=1, skew_fraction=0.8).triple()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flows = [simulate(problem, 0.1, 0.01, 1.0, 1e160 * np.ones(5))
+                 for simulate in (simulate_dr_flow, simulate_ppa)]
+        quiet = simulate_dr_flow(problem, 0.1, 0.01, 1.0, np.ones(5))
+    for flow in flows:
+        assert flow.warnings == ["floating-point overflow encountered"]
+        assert np.isfinite(flow.step_norms).all()
+        assert np.isfinite(flow.residuals).all()
+    assert quiet.warnings == []
+
+
+def test_flow_step_count_beyond_float_range_is_an_operator_error():
+    # T / h_ode = 1e310 is inf: no step count, as for a finite count too
+    # large to store
+    problem = make_affine_instance(dim=3, seed=1, skew_fraction=0.8).triple()
+    for T in (1e300, 1e290):
+        with pytest.raises(OperatorError, match="too many states to store"):
+            simulate_dr_flow(problem, 0.1, 1e-10, T, np.ones(3))
+
+
 def test_row_norms_rescale_only_rows_whose_squares_overflow():
     r = np.random.Generator(np.random.Philox(3))
     V = r.uniform(-1, 1, (8, 6)) * np.array(
@@ -357,6 +390,11 @@ def test_gap_contract_errors():
                                       tol=1e-300), record_history=True)
     with pytest.raises(AlignmentError):
         discretization_gap(flow, trace, stride=10)
+    for stride in (2.0, 2.5, 0, "2"):   # a float is no stride, even 2.0
+        with pytest.raises(AlignmentError, match="positive integer"):
+            discretization_gap(flow, trace, stride=stride)
+    ks, _ = discretization_gap(flow, trace, stride=np.int64(2))
+    assert ks.tolist() == [0, 2, 4]
     no_hist = run(problem, SolverConfig(method="FoRB", lam=0.4,
                                         z0=np.array([1.0]), max_iters=4,
                                         tol=1e-300))

@@ -10,10 +10,11 @@ from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 from splitkit import (AffineOperator, BilinearCoupling, BoxNormalCone,
                       CapabilityError, CustomOperator, DimensionMismatchError,
                       InvalidBoxError, NotMonotoneError, OperatorError,
-                      ProblemTriple, ScaledL1, ZeroOperator, box_project,
-                      forward_eval, lipschitz_check, resolvent,
-                      soft_threshold)
+                      ProblemTriple, ScaledL1, ZeroOperator, forward_eval,
+                      resolvent)
 from splitkit.operators import NonFiniteError
+
+from oracles import lipschitz_check
 
 SKEW2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -77,8 +78,6 @@ def test_resolvent_rejects_bad_lam_and_capability():
     for lam in (np.nan, np.inf):
         with pytest.raises(OperatorError):
             resolvent(ScaledL1(2, 1.0), lam, [1.0, -2.0])
-        with pytest.raises(OperatorError):
-            soft_threshold(1.0, lam, [1.0, -2.0])
     with pytest.raises(CapabilityError):
         fwd_only = CustomOperator(1, forward=lambda v: v)
         resolvent(fwd_only, 1.0, [1.0])
@@ -104,7 +103,7 @@ def test_bilinear_resolvent_matches_dense_solve():
     assert np.allclose(op.resolve(lam, v), expected, atol=1e-13)
 
 
-# ------------------------------------------------------------ prox helpers
+# ------------------------------------- soft thresholding and box projection
 
 @pytest.mark.parametrize("w,lam,v,expected", [
     (1.0, 1.0, [3.0], [2.0]),
@@ -112,14 +111,14 @@ def test_bilinear_resolvent_matches_dense_solve():
     (0.0, 1.0, [7.0], [7.0]),
 ])
 def test_soft_threshold_values(w, lam, v, expected):
-    assert np.array_equal(soft_threshold(w, lam, v), expected)
+    assert np.array_equal(resolvent(ScaledL1(len(v), w), lam, v), expected)
 
 
 def test_soft_threshold_nonexpansive():
-    r = rng(1)
+    r, l1 = rng(1), ScaledL1(8, 1.3)
     for _ in range(200):
         u, v = r.uniform(-3, 3, 8), r.uniform(-3, 3, 8)
-        du = soft_threshold(1.3, 0.7, u) - soft_threshold(1.3, 0.7, v)
+        du = resolvent(l1, 0.7, u) - resolvent(l1, 0.7, v)
         assert np.linalg.norm(du) <= np.linalg.norm(u - v) * (1 + 1e-12)
 
 
@@ -129,22 +128,23 @@ def test_soft_threshold_nonexpansive():
     ([-5.0], [-1.0]),
 ])
 def test_box_project_values(v, expected):
-    assert np.array_equal(box_project(-1.0, 1.0, v), expected)
+    box = BoxNormalCone([-1.0], [1.0])
+    assert np.array_equal(resolvent(box, 1.0, v), expected)
 
 
 def test_box_project_idempotent():
     r = rng(2)
-    lo, hi = -0.5, 2.0
+    box = BoxNormalCone(np.full(20, -0.5), np.full(20, 2.0))
     v = r.uniform(-4, 4, 20)
-    once = box_project(lo, hi, v)
-    assert np.array_equal(box_project(lo, hi, once), once)
+    once = resolvent(box, 1.0, v)
+    assert np.array_equal(resolvent(box, 1.0, once), once)
 
 
 def test_box_project_invalid():
     with pytest.raises(InvalidBoxError):
-        box_project([1.0], [-1.0], [0.0])
-    with pytest.raises(InvalidBoxError):
         BoxNormalCone([1.0], [-1.0])
+    with pytest.raises(InvalidBoxError):
+        BoxNormalCone([0.0, 1.0], [0.0, -1.0])
 
 
 # ------------------------------------------------------ Lipschitz constants
@@ -223,7 +223,8 @@ def _resolvent_zoo():
         ScaledL1(6, 0.8),
         BoxNormalCone(-np.ones(6), 2 * np.ones(6)),
         BilinearCoupling(K, r.uniform(-1, 1, 3)),
-        CustomOperator(6, resolvent=lambda lam, v: soft_threshold(0.5, lam, v)),
+        CustomOperator(6, resolvent=lambda lam, v: resolvent(ScaledL1(6, 0.5),
+                                                             lam, v)),
     ]
 
 

@@ -380,7 +380,8 @@ def test_run_oracle_overflow_ends_diverged():
 # run() evaluates the residual rows of a block of steps after the steps.
 # The expected values below were recorded when run() evaluated each row
 # right after its step: a run ends at the first row whose residual oracle
-# raises, and the warnings name each kind in the order of the rows.
+# raises.  The warnings then named each kind in the order of the rows; in
+# the second test that order is also the fixed order that run() now uses.
 
 def test_residual_oracle_raising_first_ends_the_run_at_its_row():
     # DR's steps never evaluate B; the residual's B overflows once |x_k|
@@ -447,6 +448,59 @@ def test_floating_point_kinds_named_in_row_order():
                               "floating-point divide by zero encountered"]
         assert t.residuals[-1] == 5.183928121485023e-134
         assert t.z_final.tolist() == [7.7758921822275355e-134]
+
+
+def test_floating_point_kinds_named_in_a_fixed_order():
+    # the step's A divides by zero once |z_k| < 1e-2 and takes the square
+    # root of -1 once |z_k| < 1e-3; the residual's B overflows only once
+    # |x_k| < 1e-4, rows later: the warnings still name overflow first,
+    # then the invalid value, then the division by zero
+    def B_fwd(v):
+        return np.minimum(np.exp(710.0 * (np.abs(v) < 1e-4)), 0.0)
+
+    def A_res(lam, v):
+        ones = (np.abs(v) >= 1e-2).astype(float)
+        root = np.sqrt(-(np.abs(v) < 1e-3).astype(float))
+        return (v / (1.0 + lam) + np.minimum(np.divide(1.0, ones), 0.0)
+                + 0.0 * np.isnan(root))
+
+    problem = ProblemTriple(A=CustomOperator(1, resolvent=A_res),
+                            B=CustomOperator(1, forward=B_fwd, lipschitz=0.0),
+                            C=AffineOperator([[0.5]]))
+    for method in ("DR", "BFoRB"):
+        t = run(problem, SolverConfig(method=method, lam=0.5, z0=[1.0],
+                                      max_iters=600, tol=1e-300))
+        assert (t.status, t.iterations) == ("max_iters", 600)
+        assert t.warnings == ["floating-point overflow encountered",
+                              "floating-point invalid value encountered",
+                              "floating-point divide by zero encountered"]
+
+
+def test_run_cut_at_a_raising_row_names_only_the_kinds_it_keeps():
+    # the residual raises at row 27, as above; the step's A takes the
+    # square root of -1 from |z_k| < 1e-3 (row 14) on, and divides by zero
+    # from |z_k| < 3e-7 on, in steps that the block ran after row 27 but
+    # the cut run does not keep
+    def A_res(lam, v):
+        ones = (np.abs(v) >= 3e-7).astype(float)
+        root = np.sqrt(-(np.abs(v) < 1e-3).astype(float))
+        return (v / (1.0 + lam) + np.minimum(np.divide(1.0, ones), 0.0)
+                + 0.0 * np.isnan(root))
+
+    def problem(limit):
+        B = CustomOperator(1, lipschitz=0.0, forward=lambda v: np.where(
+            np.abs(v) < limit, np.inf, 0.0))
+        return ProblemTriple(A=CustomOperator(1, resolvent=A_res), B=B,
+                             C=AffineOperator([[0.5]]))
+
+    config = SolverConfig(method="DR", lam=0.5, z0=[1.0], max_iters=40,
+                          tol=1e-300)
+    cut, whole = run(problem(1e-6), config), run(problem(0.0), config)
+    assert (cut.status, cut.iterations) == ("diverged", 28)
+    assert cut.warnings == ["floating-point invalid value encountered"]
+    assert (whole.status, whole.iterations) == ("max_iters", 40)
+    assert whole.warnings == ["floating-point invalid value encountered",
+                              "floating-point divide by zero encountered"]
 
 
 @pytest.mark.parametrize("method", ["BFoRB", "DR", "FRDR"])
