@@ -272,12 +272,16 @@ def _solver_config(cfg, method, lam, dim):
 def _write_csv(path, key, keys, **columns):
     """Write a CSV: a ``key`` column of ``keys``, then one column per
     keyword whose value is not None (name=floats, in order), all formatted
-    with ``_FMT`` (which prints an integer key as ``str`` does)."""
+    with ``_FMT`` (which prints an integer key as ``str`` does).  Arrays
+    are formatted from their ``tolist()``: Python floats print the same
+    digits as numpy's, and faster."""
     columns = {name: col for name, col in columns.items() if col is not None}
     row = ",".join([_FMT] * (1 + len(columns))) + "\n"
+    values = [col.tolist() if isinstance(col, np.ndarray) else col
+              for col in (keys, *columns.values())]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join([key, *columns]) + "\n")
-        fh.writelines(row % values for values in zip(keys, *columns.values()))
+        fh.writelines(row % v for v in zip(*values))
 
 
 def _write_json(path, payload):

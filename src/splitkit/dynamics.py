@@ -30,8 +30,9 @@ from .operators import (AffineOperator, OperatorError, ProblemTriple,
                         ZeroOperator, as_vector, fp_errstate, fp_warnings,
                         residual, resolvent_matrix, row_norms)
 
-#: Euler steps per residual block in :func:`simulate_dr_flow`: the block's
-#: copies of ``x_j`` and ``2x_j - z_j`` take 800 KB at d=50.
+#: Euler steps per block in :func:`simulate_dr_flow`, which takes a
+#: block's steps, then their norms in one call, then the block's residual
+#: rows, whose copies of ``x_j`` and ``2x_j - z_j`` take 800 KB at d=50.
 _BLOCK = 1024
 
 
@@ -139,10 +140,11 @@ def simulate_ppa(problem, lam, h_ode, T, x0, inner_tol=1e-10):
 
 
 def _euler_step(problem, lam, h_ode, inner_tol):
-    """The step ``(j, z_j) -> z_{j+1}`` of :func:`simulate_dr_flow`; for an
-    affine triple, when finite, ``T z + t`` with ``T = I + h_ode*(2 J_S J_A -
-    J_S - J_A)``, ``t = h_ode*((J_A - 2 J_S J_A) lam b_A - J_S lam (b_B +
-    b_C))`` and the matrices ``J_A = J_{lam*A}``, ``J_S = J_{lam*(B+C)}``."""
+    """The step ``(j, z_j, out) -> z_{j+1}`` of :func:`simulate_dr_flow`,
+    written into ``out``; for an affine triple, when finite, ``T z + t``
+    with ``T = I + h_ode*(2 J_S J_A - J_S - J_A)``, ``t = h_ode*((J_A - 2
+    J_S J_A) lam b_A - J_S lam (b_B + b_C))`` and the matrices ``J_A =
+    J_{lam*A}``, ``J_S = J_{lam*(B+C)}``."""
     parts = [op.affine_parts() for op in (problem.A, problem.B, problem.C)]
     if all(p is not None for p in parts):
         (MA, bA), (MB, bB), (MC, bC) = parts
@@ -153,13 +155,13 @@ def _euler_step(problem, lam, h_ode, inner_tol):
             t = h_ode * (np.dot(JA - 2.0 * JSA, lam * bA)
                          - np.dot(JS, lam * (bB + bC)))
         if np.isfinite(T).all() and np.isfinite(t).all():
-            return lambda j, z: np.dot(T, z) + t
+            return lambda j, z, out: np.add(np.dot(T, z, out=out), t, out=out)
     rs, A_res = _sum_resolvent(problem, lam, inner_tol), problem.A.prepare(lam)
 
-    def step(j, z):
+    def step(j, z, out):
         x = A_res(z)
         try:
-            return z + h_ode * (rs(2.0 * x - z) - x)
+            out[...] = z + h_ode * (rs(2.0 * x - z) - x)
         except InnerSolveError as exc:
             raise InnerSolveError(f"{exc} at t={j * h_ode:g}",
                                   residual=exc.residual, t=j * h_ode)
@@ -173,12 +175,18 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
     z_{j+1} = z_j + h_ode * (J_{lam*(B+C)}(2 J_{lam*A}(z_j) - z_j)
                              - J_{lam*A}(z_j)),
     one gemv for an affine triple (see :func:`_euler_step`).  ``lam`` and
-    ``T`` must be positive and finite, ``h_ode`` in (0, 1].  The residual
-    and distance rows of ``_BLOCK`` states at a time are one stacked call
-    on the stored states; an oracle error of a row is raised at its state,
-    before the error of any later step.  Floating-point events print no
-    warning: each kind is named once in ``warnings``, in the order of
-    ``run()``'s, and forming the affine map names none.
+    ``T`` must be positive and finite, ``h_ode`` in (0, 1].  The flow has
+    no stopping rule, so it takes ``_BLOCK`` steps at a time, each written
+    straight into the stored states; then one :func:`row_norms` call
+    gives the block's step norms (the bits of ``np.linalg.norm`` per step,
+    rescaled where its squares overflow) and one stacked call its states'
+    residual and distance rows.  An oracle error of a row is raised at its
+    state, before the error of any later step, and a state that is not
+    finite raises ``OperatorError`` at its time, after the rows of the
+    states before it and before any error of the steps after it.
+    Floating-point events print no warning: each kind is named once in
+    ``warnings``, in the order of ``run()``'s, and forming the affine map
+    names none.
     """
     z0 = as_vector(z0, problem.dim, "z0")
     if not 0.0 < h_ode <= 1.0:
@@ -214,32 +222,34 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
         if dists is not None:
             dists[start:hi] = row_norms(X - x_star)
 
+    def check(hi):
+        """Raise at the first non-finite state of ``lo..hi``, after the rows
+        of the states before it."""
+        bad = np.flatnonzero(~np.isfinite(states[lo:hi + 1]).all(axis=1))
+        if bad.size:
+            j = lo + int(bad[0])
+            flush(j)
+            raise OperatorError(f"flow state non-finite at t={j * h_ode:g}")
+
     kinds = set()
     with fp_errstate(lambda kind, flag: kinds.add(kind)):
         step = _euler_step(problem, lam, h_ode, inner_tol)
         A_res, C_res = problem.prepare(lam)
-        states[0] = z = z0
-        lo = 0                  # rows lo.. await their residuals
-        # math.sqrt(d.dot(d)) is np.linalg.norm(d), bit for bit, unwrapped.
-        try:
-            for j in range(n):
-                z_next = step(j, z)
-                d = z_next - z
-                norm = math.sqrt(d.dot(d))
-                # A finite step from a finite state is finite: the array
-                # test runs only when the step is not (NaN or overflow).
-                if not norm < math.inf:
-                    if not np.isfinite(z_next).all():
-                        raise OperatorError(
-                            f"flow state non-finite at t={(j + 1) * h_ode:g}")
-                    norm = row_norms(d[None])[0]    # its squares overflowed
-                step_norms[j + 1] = norm
-                states[j + 1] = z = z_next
-                if j + 2 - lo >= _BLOCK:
-                    flush(j + 2)
-        except Exception:
-            flush(j + 1)    # an earlier state's residual error comes first
-            raise
+        states[0] = z0
+        lo = 0                  # states lo.. await their rows
+        for lo_block in range(0, n, _BLOCK):
+            hi = min(lo_block + _BLOCK, n)
+            try:
+                for j in range(lo_block, hi):
+                    step(j, states[j], states[j + 1])
+            except Exception:
+                check(j)        # an earlier non-finite state comes first
+                flush(j + 1)    # and so does an earlier state's row error
+                raise
+            D = states[lo_block + 1:hi + 1] - states[lo_block:hi]
+            step_norms[lo_block + 1:hi + 1] = row_norms(D)
+            check(hi)
+            flush(hi)
         flush(n + 1)
     return FlowTrajectory(
         times=np.arange(n + 1) * h_ode, states=states, h_ode=h_ode, lam=lam,

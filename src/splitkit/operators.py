@@ -396,7 +396,8 @@ class ProblemTriple:
     ``a_star`` defaults to ``A(x_star)`` when ``A`` is single-valued.
     Construction checks, to ``1e-8*(1 + |x_star|)``, that a given
     ``a_star`` satisfies ``J_{1*A}(x_star + a_star) = x_star`` and that
-    ``0 in a_star + B(x_star) + C(x_star)``.
+    ``0 in a_star + B(x_star) + C(x_star)``; its norms are
+    :func:`row_norms`', so the bound is finite for every finite ``x_star``.
     """
 
     def __init__(self, A, B, C, x_star=None, a_star=None):
@@ -420,18 +421,18 @@ class ProblemTriple:
                 raise OperatorError("a_star requires x_star")
             return
         x = self.x_star
-        bound = 1e-8 * (1.0 + np.linalg.norm(x))
+        bound = 1e-8 * (1.0 + _norm(x))
         if self.a_star is None:
             self.a_star = A.forward(x) if A.has_forward else None
-        elif np.linalg.norm(A.resolve(1.0, x + self.a_star) - x) > bound:
+        elif _norm(A.resolve(1.0, x + self.a_star) - x) > bound:
             raise OperatorError("a_star is not an element of A(x_star)")
         if self.a_star is not None:
             # 0 in a_star + B(x_star) + C(x_star), through J_{1*C} if need be
             w = self.a_star + B.forward(x)
             r = w + C.forward(x) if C.has_forward else C.resolve(1.0, x - w) - x
-            if np.linalg.norm(r) > bound:
+            if _norm(r) > bound:
                 raise OperatorError(
-                    f"x_star residual {np.linalg.norm(r):.3e} exceeds {bound:.3e}")
+                    f"x_star residual {_norm(r):.3e} exceeds {bound:.3e}")
 
     def prepare(self, lam):
         """The resolvents ``(A_res, C_res)`` of A and C at ``lam``."""
@@ -443,19 +444,27 @@ class ProblemTriple:
 
 
 def row_norms(V):
-    """The Euclidean norm of each row of a 2-D stack, with the bits of
-    ``math.sqrt(v.dot(v))`` (and so of ``np.linalg.norm(v)``) per row: the
-    batched product is that dot product per row.  A finite row whose
-    squares overflow (beyond about 1e154) is scaled by its largest entry
-    first, so its norm is inf only if it is not representable."""
-    norms = np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
+    """The Euclidean norm of each row (along the last axis) of a stack of
+    any shape, with the bits of ``math.sqrt(v.dot(v))`` (and so of
+    ``np.linalg.norm(v)``) per row: the batched product is that dot product
+    per row, for strided rows too.  A finite row whose squares overflow
+    (beyond about 1e154) is scaled by its largest entry first, so its norm
+    is inf only if it is not representable."""
+    norms = np.sqrt((V[..., None, :] @ V[..., :, None])[..., 0, 0])
     over = np.isinf(norms)
     if over.any():
-        over &= np.isfinite(V).all(axis=1)
+        over &= np.isfinite(V).all(axis=-1)
         S = V[over]
         scale = np.abs(S).max(axis=1)
         norms[over] = scale * row_norms(S / scale[:, None])
     return norms
+
+
+def _norm(v):
+    """``|v|`` by :func:`row_norms`, finite for a finite ``v`` and without
+    numpy's warning where its squares overflow."""
+    with np.errstate(over="ignore"):
+        return float(row_norms(v[None])[0])
 
 
 def residual(C_res, lam, W, X, BX):

@@ -16,11 +16,13 @@ governing iterate (FRDR: the pair of the steps of ``x`` and ``u``).
 and DR, which differ only in the forward term (DR is the template with
 ``F = 0``); :func:`_two_op` runs FB, FoRB and RFoB, which ignore ``A`` and
 iterate ``x_k`` directly; :func:`_frdr` runs FRDR.  On an affine triple
-with ``B != 0``, :func:`_shadow` and :func:`_frdr` run BFoRB, BRFoB,
-Davis-Yin and FRDR as a precomposed step, whose map :func:`_precompose`
-derives from the step's own formula.  :func:`run`
-consumes the records and owns the stopping rule, the divergence test, the
-history and the residual, which it evaluates per block of steps.  The
+with ``B != 0``, :func:`_shadow` and :func:`_frdr` yield instead, after
+the initial y-history, a precomposed step (:class:`_ShadowRows`,
+:class:`_FRDRRows`) that BFoRB, BRFoB, Davis-Yin and FRDR take a block of
+steps at a time, in place; :func:`_precompose` derives its map from the
+step's own formula.  :func:`run` consumes the records or the blocks and
+owns the stopping rule, the divergence test, the history and the
+residual, which it evaluates per block of steps.  The
 generators receive the run's prepared resolvents (``prepare(lam)``, see
 :mod:`splitkit.operators`): each run owns its inverses and frees them
 when it ends, and it never changes the problem, so one problem may serve
@@ -45,10 +47,13 @@ NOT_GUARANTEED = None
 #: Iterates whose norm exceeds this multiple of ``1 + |z0|`` flag divergence.
 DIVERGE_FACTOR = 1e12
 
-#: Steps per residual block in :func:`run`.  Blocks of 128 or 256 steps
-#: were no faster on the d=50 solve benchmark, and their larger
-#: temporaries raised the peak memory of repeated recorded runs at d=50 by
-#: 2-3 MB: the recorded history fills the gaps they leave in the heap.
+#: Steps per block in :func:`run`: its residual rows are evaluated per
+#: block, and a precomposed step is taken a block at a time, with its
+#: norms and stop tests once per block.  The steps of the block after the
+#: stop are discarded: 2.4% of the steps of the d=50 solve benchmark at
+#: seed 1 (a mean of 30 against 1,226 per run).  Blocks of 128 or 256
+#: residual rows were no faster there, and their larger temporaries raised
+#: the peak memory of repeated recorded runs at d=50 by 2-3 MB.
 _BLOCK = 64
 
 
@@ -210,10 +215,8 @@ def _shadow(config, A_res, B_fwd, C_res, G=None, c=None):
     (x_0, x_0) with x_0 = J_{lam*A}(z_0).
 
     Given the map ``(G, c)`` of an affine triple (:func:`_precompose`), the
-    step is precomposed: x_k is the prepared resolvent's own product, and
-    one more product gives y_k = G [z_k; v_k] + c with v_k = 2y_{k-1} -
-    y_{k-2} (for affine B, 2B(y_{k-1}) - B(y_{k-2}) = B(v_k)), or y_k =
-    G z_k + c for Davis-Yin, whose v_k = x_k is folded into G.
+    generator's second and last item is the precomposed step from the same
+    start, a :class:`_ShadowRows`, instead of per-step records.
     """
     lam, method = config.lam, config.method
     bforb, brfob = method is Method.BFORB, method is Method.BRFOB
@@ -234,20 +237,9 @@ def _shadow(config, A_res, B_fwd, C_res, G=None, c=None):
     else:
         yield ()
     if G is not None:
-        JA, lam_b = A_res.J, A_res.lam_b
-        v = 2.0 * y1 - y2 if bforb or brfob else None
-        while True:
-            x = np.dot(JA, z - lam_b)
-            y = np.dot(G, z if v is None else np.concatenate((z, v))) + c
-            z_next = z + y - x
-            fe += 1
-            re += 2
-            if v is not None:
-                v, y1 = 2.0 * y - y1, y
-            d = z_next - z
-            yield (math.sqrt(d.dot(d)), math.sqrt(z_next.dot(z_next)),
-                   z_next, x, y, z, None, d, fe, re)
-            z = z_next
+        yield _ShadowRows(config, A_res, G, c, z, fe, re,
+                          (y2, y1) if bforb or brfob else None)
+        return
     fe_step = 0 if dr else 1
     while True:
         x = A_res(z)
@@ -329,33 +321,25 @@ def _frdr(config, A_res, B_fwd, C_res, K=None, k=None, record=True):
     is x_{k+1}.  u moves even when x stalls, so the step norm adds
     lam*|u_{k+1} - u_k|.  ``C_res`` is ``J_{gamma*C}``.
 
-    Given the map ``(K, k)`` of an affine triple (:func:`_precompose`),
-    x_{k+1} is the prepared resolvent's own product and u_{k+1} = K r + k,
-    with r = 2 x_{k+1} - x_k + gamma*u_k and K = (I - J_{gamma*C})/gamma,
-    takes the place of the resolve of y; y_{k+1} = r - gamma*u_{k+1} is
-    formed only for a ``record``ed history.
+    Given the map ``(K, k)`` of an affine triple (:func:`_precompose`), the
+    generator's second and last item is the precomposed step from the same
+    start, a :class:`_FRDRRows`, instead of per-step records.
     """
     lam, gamma = config.lam, config.gamma
     x = config.z0.copy()
     Bx = Bx_prev = B_fwd(x)
-    u = np.zeros(x.shape[0])
-    fe, re, y = 1, 0, None
     yield ()
     if K is not None:
-        JA, lam_b = A_res.J, A_res.lam_b
+        yield _FRDRRows(config, A_res, B_fwd, K, k, x, Bx, record)
+        return
+    u = np.zeros(x.shape[0])
+    fe, re = 1, 0
     while True:
         w = x - lam * u - lam * (2.0 * Bx - Bx_prev)
-        if K is None:
-            x_next = A_res(w)
-            t = 2.0 * x_next - x
-            y = C_res(t + gamma * u)
-            u_next = u + (t - y) / gamma
-        else:
-            x_next = np.dot(JA, w - lam_b)
-            r = 2.0 * x_next - x + gamma * u
-            u_next = np.dot(K, r) + k
-            if record:
-                y = r - gamma * u_next
+        x_next = A_res(w)
+        t = 2.0 * x_next - x
+        y = C_res(t + gamma * u)
+        u_next = u + (t - y) / gamma
         Bx_prev, Bx = Bx, B_fwd(x_next)
         fe += 1
         re += 2
@@ -363,6 +347,113 @@ def _frdr(config, A_res, B_fwd, C_res, K=None, k=None, record=True):
         x, u = x_next, u_next
         yield (math.sqrt(d.dot(d)) + lam * math.sqrt(du.dot(du)),
                math.sqrt(x.dot(x)), w, x, y, w, Bx, (d, du), fe, re)
+
+
+class _ShadowRows:
+    """BFoRB, BRFoB and Davis-Yin, precomposed (see :func:`_shadow`), and
+    taken in place on a block of rows.
+
+    x_k is the prepared resolvent's own product J_{lam*A}(z_k - lam*b_A),
+    and one more product gives y_k = G [z_k; v_k] + c with v_k = 2y_{k-1}
+    - y_{k-2} (for affine B, 2B(y_{k-1}) - B(y_{k-2}) = B(v_k)), or y_k =
+    G z_k + c for Davis-Yin, whose v_k = x_k is folded into G.
+
+    Row ``i`` of ``S`` holds ``z_i``, then ``v_i`` (BFoRB and BRFoB:
+    ``[z_i; v_i]`` is the one contiguous vector that ``G`` multiplies),
+    then the step ``z_i - z_{i-1}``; ``X[i]`` is ``x_i`` and ``Y[i+1]`` is
+    ``y_i``, after the ``y_{-1}`` in ``Y[0]``.  Step ``i`` reads row ``i``
+    and writes row ``i+1``, with the operations of the composed step in its
+    order, so a block can be stepped again from its row 0.  ``advance(lo,
+    hi)`` takes steps ``lo..hi-1`` and returns one :func:`row_norms` call's
+    norms of their iterates and steps.  ``zs``, ``xs`` and ``ys`` are the
+    recorded rows of the steps, ``points`` their ``x``, ``p`` and cached
+    ``B(x)`` rows (Davis-Yin's residual is its step norm: no ``p``; no
+    ``B(x)``), and ``carried`` the arrays, with their row counts, that
+    start the next block.  ``fe`` and ``re`` count the oracle calls before
+    the first step; each step adds one forward and two resolvents.
+    """
+
+    def __init__(self, config, A_res, G, c, z, fe, re, history):
+        n, d = min(_BLOCK, config.max_iters), z.shape[0]
+        S, X = np.empty((n + 1, 3, d)), np.empty((n, d))
+        Y = np.empty((n + 1, d))
+        self.reflect = history is not None
+        if self.reflect:
+            y2, y1 = history
+            S[0, 1], Y[0] = 2.0 * y1 - y2, y1
+        S[0, 0] = z
+        self.S, self.fe, self.re, self.carried = S, fe, re, ((S, 1), (Y, 1))
+        self.zs, self.xs, self.ys = S[1:, 0], X, Y[1:]
+        self.points = X, S[:-1, 0] if self.reflect else None, None
+        self.map = A_res.J, A_res.lam_b, G, c, np.empty(d)
+        ZV = S[:-1, :2].reshape(n, 2 * d) if self.reflect else S[:-1, 0]
+        self.steps = list(zip(ZV, S[:-1, 0], S[1:, 0], S[1:, 1], X, Y[1:],
+                              Y[:-1]))
+
+    def advance(self, lo, hi):
+        JA, lam_b, G, c, t = self.map
+        reflect = self.reflect
+        for zv, z, z_next, v_next, x, y, y1 in self.steps[lo:hi]:
+            np.dot(JA, np.subtract(z, lam_b, out=t), out=x)
+            np.add(np.dot(G, zv, out=y), c, out=y)
+            np.subtract(np.add(z, y, out=z_next), x, out=z_next)
+            if reflect:
+                np.subtract(np.multiply(y, 2.0, out=v_next), y1, out=v_next)
+        R = self.S[lo:hi + 1]
+        np.subtract(R[1:, 0], R[:-1, 0], out=R[1:, 2])
+        return row_norms(R[1:, ::2])
+
+
+class _FRDRRows:
+    """FRDR, precomposed (see :func:`_frdr`), and taken in place on a block
+    of rows as :class:`_ShadowRows` is.
+
+    x_{k+1} is the prepared resolvent's own product and u_{k+1} = K r + k,
+    with r = 2 x_{k+1} - x_k + gamma*u_k and K = (I - J_{gamma*C})/gamma,
+    takes the place of the resolve of y; y_{k+1} = r - gamma*u_{k+1}.
+
+    Row ``i`` of ``S`` holds ``x_i``, the steps ``x_i - x_{i-1}`` and
+    ``u_i - u_{i-1}``, and ``u_i``; ``W[i]`` is ``w_i``, ``Y[i]`` is
+    ``y_{i+1}`` (formed for a ``record``ed history only) and ``BX[i+2]``
+    is ``B(x_{i+1})``, after ``B(x_{-1})`` and ``B(x_0)``.  ``advance``'s
+    norms are those of the iterate ``x`` and of the steps of ``x`` and
+    ``u``.
+    """
+
+    def __init__(self, config, A_res, B_fwd, K, k, x, Bx, record):
+        n, d = min(_BLOCK, config.max_iters), x.shape[0]
+        S = np.zeros((n + 1, 4, d))                     # u_0 = 0
+        BX, W = np.empty((n + 2, d)), np.empty((n, d))
+        Y = np.empty((n, d)) if record else None
+        S[0, 0], BX[0], BX[1] = x, Bx, Bx
+        self.S, self.fe, self.re, self.carried = S, 1, 0, ((S, 1), (BX, 2))
+        self.zs, self.xs, self.ys = W, S[1:, 0], Y
+        self.points = S[1:, 0], W, BX[2:]
+        self.map = (config.lam, config.gamma, A_res.J, A_res.lam_b, K, k,
+                    B_fwd, np.empty(d), np.empty(d))
+        self.steps = list(zip(S[:-1, 0], S[:-1, 3], S[1:, 0], S[1:, 3], W,
+                              [None] * n if Y is None else Y, BX[:-2],
+                              BX[1:-1], BX[2:]))
+
+    def advance(self, lo, hi):
+        lam, gamma, JA, lam_b, K, k, B_fwd, a, r = self.map
+        for x, u, x_next, u_next, w, y, Bx_prev, Bx, Bx_next in \
+                self.steps[lo:hi]:
+            # w = x - lam*u - lam*(2 Bx - Bx_prev); x_next = J_{lam*A}(w)
+            np.subtract(x, np.multiply(u, lam, out=a), out=w)
+            np.subtract(np.multiply(Bx, 2.0, out=a), Bx_prev, out=a)
+            np.subtract(w, np.multiply(a, lam, out=a), out=w)
+            np.dot(JA, np.subtract(w, lam_b, out=a), out=x_next)
+            # r = 2 x_next - x + gamma*u; u_next = K r + k
+            np.subtract(np.multiply(x_next, 2.0, out=r), x, out=r)
+            np.add(r, np.multiply(u, gamma, out=a), out=r)
+            np.add(np.dot(K, r, out=u_next), k, out=u_next)
+            if y is not None:
+                np.subtract(r, np.multiply(u_next, gamma, out=a), out=y)
+            Bx_next[...] = B_fwd(x_next)
+        R = self.S[lo:hi + 1]
+        np.subtract(R[1:, ::3], R[:-1, ::3], out=R[1:, 1:3])
+        return row_norms(R[1:, :3])
 
 
 #: Methods that an affine triple with B != 0 runs as a precomposed step.
@@ -482,8 +573,16 @@ def run(problem, config, record_history=False):
     ends at the step whose iterate left the finite range or passed the
     bound: that step is its last record, its iterates are ``z_final`` and
     ``x_final``, and the template's ``x_final`` is ``J_{lam*A}(z_final)``
-    where that is finite.  Every other triple and method, ``B = 0``
-    included (DR's template, bit for bit), takes the composed step.
+    where that is finite.  The precomposed step advances ``_BLOCK`` steps
+    at a time, in place, then takes the norms of all of them in one
+    :func:`row_norms` call and the stopping tests as array comparisons,
+    and keeps the steps up to the first that stops the run (the others are
+    computed and discarded).  A block in which a floating-point event
+    fires is stepped again from its start one step at a time, so that
+    each kind is named at its step and the discarded steps name none;
+    the records are bit for bit those of one step at a time.  Every other
+    triple and method, ``B = 0`` included (DR's template, bit for bit),
+    takes the composed step, with its norms and tests per step.
 
     Per-iteration records hold the step norm, the solution residual
     ``|J_{lam*C}(2x - p - lam*B(x)) - x|`` with ``x = J_{lam*A}(p)`` (the
@@ -503,8 +602,10 @@ def run(problem, config, record_history=False):
     the block is evaluated again row by row to find it, and the warnings
     name only the kinds of the steps and rows up to it.
     With ``record_history=True`` the full ``z``/``y``/``x`` histories are
-    kept so certificates can be evaluated afterwards; the hot loop itself
-    performs exactly the oracle calls of the method plus this bookkeeping.
+    kept so certificates can be evaluated afterwards, each entry an array
+    of its own (a precomposed run copies its block's rows, one block at a
+    time); the hot loop itself performs exactly the oracle calls of the
+    method plus this bookkeeping.
     """
     method, lam = config.method, config.lam
     if config.z0.shape[0] != problem.dim:
@@ -532,19 +633,22 @@ def run(problem, config, record_history=False):
 
     residual_is_step = method is Method.DAVIS_YIN or (
         method is Method.DR and vanishes(problem.B))
-    # The block's (z, fe, re) records, with copies of their x, p (whose
-    # J_{lam*A} is x) and cached B(x) rows, and the floating-point kinds
-    # fired since the last flush, each with the index of the record before
-    # which it first fired (a step's events precede its record).
+    # A composed run's block: its (z, fe, re) records, with copies of their
+    # x, p (whose J_{lam*A} is x) and cached B(x) rows.  The floating-point
+    # kinds fired since the last flush, each with the block row ``at``
+    # before which it first fired (a step's events precede its row);
+    # ``quiet`` turns False at every event.
     recs, events, fired = [], {}, set()
+    at, quiet = 0, True
     X = np.empty((_BLOCK, problem.dim))
     P = None if residual_is_step else np.empty_like(X)
     BX = np.empty_like(X) if method in (Method.FORB, Method.FRDR) else None
     B_rows = problem.B.forward_rows
 
-    def rows(base, lo, hi):
-        """Residual and distance rows ``lo..hi-1`` of the block, which
-        starts at row ``base`` of the run."""
+    def rows(X, P, BX, base, lo, hi):
+        """Residual and distance rows ``lo..hi-1`` of a block with ``x``,
+        ``p`` and ``B(x)`` rows ``X``, ``P`` and ``BX`` (``None``: not
+        cached), which starts at row ``base`` of the run."""
         Xs = X[lo:hi]
         res = (step_norms[base + lo:base + hi] if P is None else residual(
             C_res, lam, 2.0 * Xs - P[lo:hi], Xs,
@@ -552,21 +656,22 @@ def run(problem, config, record_history=False):
         return res, ([] if x_star is None
                      else row_norms(Xs - x_star).tolist())
 
-    def flush():
-        """Append the block's rows and keep its floating-point kinds; end
-        the run at the first row whose residual raises, keeping only the
-        kinds of the steps and rows up to it.  True if the run ended."""
-        nonlocal status, z, x, fe, re
-        n, base, stepped = len(recs), len(residuals), dict(events)
+    def flush(n, X, P, BX, state):
+        """Append the rows of the block's ``n`` steps and keep its
+        floating-point kinds; end the run at the first row whose residual
+        raises, at ``state(row)``, keeping only the kinds of the steps and
+        rows up to it.  True if the run ended."""
+        nonlocal status, z, x, fe, re, at
+        base, stepped = len(residuals), dict(events)
         cut = None
         try:
-            res, dist = rows(base, 0, n) if n else ([], [])
+            res, dist = rows(X, P, BX, base, 0, n) if n else ([], [])
         except NonFiniteError:      # find the row, without the block's events
             events.clear()
             res, dist = [], []
             for i in range(n):
                 try:
-                    r, d = rows(base, i, i + 1)
+                    r, d = rows(X, P, BX, base, i, i + 1)
                 except NonFiniteError:
                     cut = i
                     break
@@ -580,8 +685,7 @@ def run(problem, config, record_history=False):
         events.clear()
         if cut is not None:
             status = "diverged"
-            z, fe, re = recs[cut]
-            x = X[cut].copy()
+            z, x, fe, re = state(cut)
             k = base + cut + 1
             del step_norms[k:]
             if record_history:
@@ -589,13 +693,34 @@ def run(problem, config, record_history=False):
                 if zs is not None:
                     del zs[k + 1:], ys[k + trace.y_offset:]
         recs.clear()
+        at = 0
         return cut is not None
+
+    def flush_recs():
+        return flush(len(recs), X, P, BX,
+                     lambda i: (recs[i][0], X[i].copy(), *recs[i][1:]))
 
     tol, inf = config.tol, math.inf
     status = "max_iters"
 
+    def halt(R, prev):
+        """The iterate and step norms of the rows of ``R``, the norms that
+        a precomposed step's ``advance`` returns for steps after an iterate
+        of norm ``prev``, and the first row at which the run stops (None if
+        none does).  These tests name no floating-point kind, as the tests
+        of Python floats in the composed loop do not."""
+        with np.errstate(all="ignore"):
+            norm = R[:, 0]
+            step = R[:, 1] + lam * R[:, 2] if frdr else R[:, 1]
+            stop = np.flatnonzero(
+                ~((norm <= big) & (step < inf))
+                | (step <= tol * (1.0 + np.concatenate(([prev], norm[:-1])))))
+        return norm, step, (int(stop[0]) if stop.size else None)
+
     def note(kind, flag):
-        events.setdefault(kind, len(recs))
+        nonlocal quiet
+        quiet = False
+        events.setdefault(kind, at)
 
     with fp_errstate(note):
         # Each iterate's norm is computed once, for the divergence test, and
@@ -617,50 +742,98 @@ def run(problem, config, record_history=False):
             if ys is not None:
                 ys.extend(y_history)
                 trace.y_offset = len(y_history)
-            for _, (step_norm, norm, z, x, y, p, bx, d, fe, re) in zip(
-                    range(config.max_iters), steps):
-                step_norms.append(step_norm)
-                if record_history:
-                    xs.append(x)
-                    if zs is not None:
-                        zs.append(z)
-                        ys.append(y)
+            if lifted:
+                # _BLOCK steps at a time, until a step stops the run: its
+                # norms and stop tests are taken per block, and the steps
+                # after the stop are discarded.  A block in which a
+                # floating-point event fires is stepped again, one step per
+                # call, to name each kind at its step.
+                blk, k = next(steps), 0
 
-                # NaN and inf fail these comparisons: this is also the
-                # finiteness test (FRDR's dual variable is in the step norm).
-                # A finite vector whose squares overflow is measured again.
-                if not (norm <= big and step_norm < inf):
-                    norm, step_norm = _rescaled_norms(x if frdr else z, d,
-                                                      lam)
-                    step_norms[-1] = step_norm
-                    if not (norm <= big and step_norm < inf):
-                        status = "diverged"
+                def state(i):       # after step i of the block
+                    return (blk.zs[i].copy(), blk.xs[i].copy(),
+                            blk.fe + k + i + 1, blk.re + 2 * (k + i + 1))
+
+                while True:
+                    n = min(_BLOCK, config.max_iters - k)
+                    saved, quiet = dict(events), True
+                    norm, step, stop = halt(blk.advance(0, n), prev_norm)
+                    if not quiet:
+                        events.clear()
+                        events.update(saved)
+                        norm, step = np.empty(n), np.empty(n)
+                        for at in range(n):
+                            norm[at:at + 1], step[at:at + 1], stop = halt(
+                                blk.advance(at, at + 1),
+                                norm[at - 1] if at else prev_norm)
+                            if stop is not None:
+                                stop = at
+                                break
+                    m = n if stop is None else stop + 1
+                    step_norms.extend(step[:m].tolist())
+                    if record_history:
+                        for series, block in zip((zs, xs, ys),
+                                                 (blk.zs, blk.xs, blk.ys)):
+                            series.extend(map(np.ndarray.copy, block[:m]))
+                    z, x, fe, re = state(m - 1)
+                    if stop is not None:
+                        status = ("converged" if norm[stop] <= big
+                                  and step[stop] < inf else "diverged")
+                    kept = m - (status == "diverged")   # rows with residuals
+                    if (flush(kept, *blk.points, state) or stop is not None
+                            or k + n == config.max_iters):
                         break
+                    prev_norm = norm[-1]
+                    k += n
+                    for A, r in blk.carried:    # the next block's start
+                        A[:r] = A[n:n + r]
+            else:
+                for _, (step_norm, norm, z, x, y, p, bx, d, fe, re) in zip(
+                        range(config.max_iters), steps):
+                    step_norms.append(step_norm)
+                    if record_history:
+                        xs.append(x)
+                        if zs is not None:
+                            zs.append(z)
+                            ys.append(y)
 
-                i = len(recs)
-                recs.append((z, fe, re))
-                X[i] = x
-                if P is not None:
-                    P[i] = p
-                    if BX is not None:
-                        BX[i] = bx
+                    # NaN and inf fail these comparisons: this is also the
+                    # finiteness test (FRDR's dual variable is in the step
+                    # norm).  A finite vector whose squares overflow is
+                    # measured again.
+                    if not (norm <= big and step_norm < inf):
+                        norm, step_norm = _rescaled_norms(x if frdr else z,
+                                                          d, lam)
+                        step_norms[-1] = step_norm
+                        if not (norm <= big and step_norm < inf):
+                            status = "diverged"
+                            break
 
-                if step_norm <= tol * (1.0 + prev_norm):
-                    status = "converged"
-                    break
-                prev_norm = norm
-                if i + 1 == _BLOCK and flush():
-                    break
+                    i = len(recs)
+                    recs.append((z, fe, re))
+                    at = i + 1
+                    X[i] = x
+                    if P is not None:
+                        P[i] = p
+                        if BX is not None:
+                            BX[i] = bx
+
+                    if step_norm <= tol * (1.0 + prev_norm):
+                        status = "converged"
+                        break
+                    prev_norm = norm
+                    if i + 1 == _BLOCK and flush_recs():
+                        break
         except NonFiniteError:
             status = "diverged"
         except Exception:
-            if not flush():   # unless an earlier row's residual ended the run
-                raise
-        flush()
+            if not flush_recs():    # unless an earlier row's residual
+                raise               # ended the run
+        flush_recs()
         if not (two_op or frdr):
             with suppress(NonFiniteError):   # a diverged z keeps the last x
                 x = A_res(z)
-        flush()                              # keeps that resolvent's events
+        flush_recs()                         # keeps that resolvent's events
     trace.warnings.extend(fp_warnings(fired))
     # A diverged step has no residual or distance: NaN stands in for them.
     for series in (residuals, dists):

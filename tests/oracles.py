@@ -1,8 +1,16 @@
-"""Test oracles: independent checks of what the operators declare."""
+"""Test oracles: independent checks of what the operators declare, and a
+per-step reference of the solvers' precomposed step."""
+
+import math
+from contextlib import suppress
 
 import numpy as np
 
-from splitkit import CapabilityError, OperatorError
+from splitkit import CapabilityError, Method, OperatorError
+from splitkit.operators import (NonFiniteError, fp_errstate, fp_warnings,
+                                residual, row_norms)
+from splitkit.solvers import (DIVERGE_FACTOR, _precompose,
+                              _stepsize_warnings)
 
 
 def lipschitz_check(op, trials, seed):
@@ -26,3 +34,98 @@ def lipschitz_check(op, trials, seed):
         ratio = np.linalg.norm(op.forward(u) - op.forward(v)) / duv
         worst = max(worst, ratio)
     return worst
+
+
+def precomposed_run(problem, config, record_history=False):
+    """A precomposed run, one step, its norms and its stop tests at a time.
+
+    The reference for ``run()``'s block path on BFoRB, BRFoB, Davis-Yin and
+    FRDR: the same precomposed step (the map of
+    :func:`splitkit.solvers._precompose`), with the residual and distance
+    of each step taken at the step (a stacked row has the bits of one row).
+    For runs whose residuals do not raise.  Returns the ``Trace`` fields
+    that ``run()`` fills, with the histories only if ``record_history``.
+    """
+    method, lam, gamma = config.method, config.lam, config.gamma
+    frdr = method is Method.FRDR
+    reflect = method in (Method.BFORB, Method.BRFOB)
+    B, x_star = problem.B, problem.x_star
+    kinds, steps, res, dist = set(), [], [], []
+    status, z = "max_iters", config.z0.copy()
+    zs, xs, ys = [z], [], []
+    with fp_errstate(lambda kind, flag: kinds.add(kind)):
+        prev = float(row_norms(z[None])[0])
+        big = DIVERGE_FACTOR * (1.0 + prev)
+        A_res, C_res = problem.prepare(lam)
+        C_step = problem.C.prepare(gamma) if frdr else C_res
+        M, m = _precompose(config, A_res, B, C_step)
+        JA, lam_b = A_res.J, A_res.lam_b
+        fe = re = 0
+        if frdr:
+            x, u = z, np.zeros(z.shape[0])
+            Bx = Bx_prev = B.forward(x)
+            fe = 1
+        elif reflect:
+            if config.y_init is None:
+                y1 = y2 = A_res(z)
+                re = 1
+            else:
+                y1, y2 = config.y_init
+            if method is Method.BFORB:
+                B.forward(y1)
+                fe = 1 if y1 is y2 else 2
+                if y1 is not y2:
+                    B.forward(y2)
+            ys += [y2, y1]
+            v = 2.0 * y1 - y2
+        for _ in range(config.max_iters):
+            if frdr:
+                w = x - lam * u - lam * (2.0 * Bx - Bx_prev)
+                x_next = np.dot(JA, w - lam_b)
+                r = 2.0 * x_next - x + gamma * u
+                u_next = np.dot(M, r) + m
+                y = r - gamma * u_next
+                Bx_prev, Bx = Bx, B.forward(x_next)
+                n = row_norms(np.stack((x_next, x_next - x, u_next - u)))
+                norm, step = float(n[0]), float(n[1]) + lam * float(n[2])
+                x, u, z, p, bx = x_next, u_next, w, w, Bx
+            else:
+                x = np.dot(JA, z - lam_b)
+                y = np.dot(M, np.concatenate((z, v)) if reflect else z) + m
+                z_next = z + y - x
+                if reflect:
+                    v, y1 = 2.0 * y - y1, y
+                n = row_norms(np.stack((z_next, z_next - z)))
+                norm, step = float(n[0]), float(n[1])
+                p, z = z, z_next
+                bx = B.forward_rows(x[None])[0]
+            fe, re = fe + 1, re + 2
+            steps.append(step)
+            zs.append(z), xs.append(x), ys.append(y)
+            if not (norm <= big and step < math.inf):
+                status = "diverged"
+                break
+            if method is Method.DAVIS_YIN:
+                res.append(step)
+            else:
+                res += residual(C_res, lam, (2.0 * x - p)[None], x[None],
+                                bx[None]).tolist()
+            if x_star is not None:
+                dist += row_norms((x - x_star)[None]).tolist()
+            if step <= config.tol * (1.0 + prev):
+                status = "converged"
+                break
+            prev = norm
+        if not frdr:
+            with suppress(NonFiniteError):
+                x = A_res(z)
+    pad = [math.nan] * (len(steps) - len(res))
+    out = {"status": status, "iterations": len(steps), "forward_evals": fe,
+           "resolvent_evals": re, "step_norms": steps, "residuals": res + pad,
+           "dist_to_xstar": None if x_star is None else dist + pad,
+           "warnings": (_stepsize_warnings(config, B.lipschitz)
+                        + fp_warnings(kinds)),
+           "z_final": z, "x_final": x}
+    if record_history:
+        out.update(zs=zs, xs=xs, ys=ys, y_offset=2 if reflect else 0)
+    return out

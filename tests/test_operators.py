@@ -1,5 +1,6 @@
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from splitkit import (AffineOperator, BilinearCoupling, BoxNormalCone,
                       CapabilityError, CustomOperator, DimensionMismatchError,
                       InvalidBoxError, NotMonotoneError, OperatorError,
                       ProblemTriple, ScaledL1, ZeroOperator, forward_eval,
-                      resolvent)
+                      make_affine_instance, resolvent)
 from splitkit.operators import NonFiniteError
 
 from oracles import lipschitz_check
@@ -334,6 +335,20 @@ def test_triple_x_star_residual_check():
     ProblemTriple(A=A, B=B, C=C, x_star=[1.0])          # 3*1 - 3 = 0
     with pytest.raises(OperatorError):
         ProblemTriple(A=A, B=B, C=C, x_star=[2.0])
+
+
+@pytest.mark.parametrize("scale, message", [
+    (1e100, "x_star residual 1.645e+100 exceeds 1.271e+92"),
+    (1e160, "x_star residual 1.645e+160 exceeds 1.271e+152")])
+def test_triple_checks_an_x_star_far_out_without_warning(scale, message):
+    # beyond about 1.3e154 the squares of |x_star| overflow: the bound was
+    # inf, so any x_star passed, with numpy's overflow warnings
+    p = make_affine_instance(4, 1, 0.8).triple()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OperatorError) as exc:
+            ProblemTriple(A=p.A, B=p.B, C=p.C, x_star=p.x_star * scale)
+    assert str(exc.value) == message
 
 
 def test_triple_a_star_consistency():

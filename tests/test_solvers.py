@@ -13,6 +13,8 @@ from splitkit import (AffineOperator, BoxNormalCone, CustomOperator, Method,
                       ZeroOperator, make_affine_instance, max_stepsize,
                       omega_residual, run, solve_affine_direct)
 import splitkit.operators
+import splitkit.solvers
+from oracles import precomposed_run
 from splitkit.solvers import TWO_OPERATOR_METHODS, _BLOCK
 
 SKEW2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -982,6 +984,87 @@ def test_singular_resolvent_of_an_affine_triple_takes_the_oracle_route(
     assert not any(w.startswith("floating-point") for w in t.warnings)
     assert np.array_equal(t.z_final, np.ones(2))
     assert np.array_equal(t.x_final, np.ones(2))
+
+
+def _assert_trace_is(trace, ref):
+    """``trace`` has every field of the reference dict ``ref``, in every
+    bit (NaN rows included)."""
+    for key, want in ref.items():
+        got = getattr(trace, key)
+        if key in ("zs", "xs", "ys", "z_final", "x_final"):
+            want, got = np.array(want), np.array(got)
+            assert want.shape == got.shape, key
+            assert want.tobytes() == got.tobytes(), key
+        elif key in ("step_norms", "residuals", "dist_to_xstar") and want:
+            assert type(got) is list and all(type(v) is float for v in got)
+            assert np.array(want).tobytes() == np.array(got).tobytes(), key
+        else:
+            assert got == want, key
+
+
+_LIFTED = ["BFoRB", "BRFoB", "DavisYin", "FRDR"]
+
+
+def _lifted_config(problem, method, **kwargs):
+    L = problem.B.lipschitz
+    gamma = 1.0 / L if method == "FRDR" else None
+    lam = 0.9 * (max_stepsize(method, L, gamma) or max_stepsize("BRFoB", L))
+    return SolverConfig(method=method, lam=lam, z0=np.ones(problem.dim),
+                        gamma=gamma, **kwargs)
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("max_iters", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                       2 * _BLOCK + 1])
+@pytest.mark.parametrize("method", _LIFTED)
+def test_block_path_is_the_per_step_precomposed_run(method, max_iters,
+                                                    record):
+    # run() steps the precomposed methods a block at a time; a run of
+    # max_iters steps, whatever its blocks, is the per-step run in every bit
+    problem = make_affine_instance(12, 4, 0.8).triple()
+    config = _lifted_config(problem, method, max_iters=max_iters,
+                            tol=1e-300)
+    trace = run(problem, config, record_history=record)
+    assert (trace.status, trace.iterations) == ("max_iters", max_iters)
+    _assert_trace_is(trace, precomposed_run(problem, config, record))
+
+
+@pytest.mark.parametrize("method", _LIFTED)
+def test_block_path_converging_mid_block_is_the_per_step_run(method):
+    # the steps of the block after the converged one are discarded
+    problem = make_affine_instance(12, 4, 0.8).triple()
+    config = _lifted_config(problem, method, max_iters=20000, tol=1e-6)
+    for record in (False, True):
+        trace = run(problem, config, record_history=record)
+        assert trace.status == "converged"
+        assert trace.iterations % _BLOCK not in (0, 1)
+        _assert_trace_is(trace, precomposed_run(problem, config, record))
+
+
+@pytest.mark.parametrize("method", _LIFTED)
+def test_discarded_steps_after_the_stop_name_no_kind(method, monkeypatch):
+    # at lam = 1e6 the iterates grow about 1e6-fold per step: the run stops
+    # (diverged, or converged at tol = 1e300) within 3 steps, and the steps
+    # of its block after the stop overflow, but name nothing
+    problem = ProblemTriple(A=AffineOperator(np.zeros((2, 2))),
+                            B=AffineOperator(SKEW2),
+                            C=AffineOperator(np.zeros((2, 2))))
+    kwargs = {"gamma": 2e6} if method == "FRDR" else {}
+    for tol, status in ((1e-8, "diverged"), (1e300, "converged")):
+        config = SolverConfig(method=method, lam=1e6, z0=[1.0, 0.0],
+                              max_iters=_BLOCK, tol=tol, **kwargs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run(problem, config, record_history=True)
+        assert trace.status == status and trace.iterations <= 3
+        assert not any(w.startswith("floating-point") for w in trace.warnings)
+        _assert_trace_is(trace, precomposed_run(problem, config, True))
+    # without the divergence bound the same block overflows
+    monkeypatch.setattr(splitkit.solvers, "DIVERGE_FACTOR", math.inf)
+    trace = run(problem, SolverConfig(method=method, lam=1e6, z0=[1.0, 0.0],
+                                      max_iters=_BLOCK, **kwargs))
+    assert trace.status == "diverged" and trace.iterations < _BLOCK
+    assert "floating-point invalid value encountered" in trace.warnings
 
 
 def _custom_triple(problem):
