@@ -94,7 +94,9 @@ def _sum_resolvent(problem, lam, inner_tol=1e-10, max_inner=100000):
     ``0 in (lam*B + I - w)(u) + lam*C(u)``, whose forward part is strongly
     monotone with modulus one and Lipschitz with constant ``lam*L + 1``; the
     iteration needs no cocoercivity and converges linearly.  Stops at
-    fixed-point residual ``|J_{lam*C}(w - lam*B(u)) - u| <= inner_tol``.
+    fixed-point residual ``|J_{lam*C}(w - lam*B(u)) - u| <= inner_tol``,
+    and raises :class:`InnerSolveError` at ``max_inner`` iterations or at
+    the first residual that is not finite, which no iteration can mend.
     """
     pb, pc = problem.B.affine_parts(), problem.C.affine_parts()
     if pb is not None and pc is not None:
@@ -112,12 +114,15 @@ def _sum_resolvent(problem, lam, inner_tol=1e-10, max_inner=100000):
         f_prev = F(u)
         f = f_prev
         for _ in range(max_inner):
-            resid = np.linalg.norm(C_res(w - lam * B_fwd(u)) - u)
+            resid = float(np.linalg.norm(C_res(w - lam * B_fwd(u)) - u))
             if resid <= inner_tol:
                 return u
+            if not resid < math.inf:
+                break
             u = C_tau(u - tau * (2.0 * f - f_prev))
             f_prev, f = f, F(u)
-        resid = float(np.linalg.norm(C_res(w - lam * B_fwd(u)) - u))
+        else:
+            resid = float(np.linalg.norm(C_res(w - lam * B_fwd(u)) - u))
         raise InnerSolveError(
             f"inner solver stalled at residual {resid:.3e} "
             f"(tol {inner_tol:g})", residual=resid)

@@ -1,32 +1,20 @@
 """Splitting iterations behind one ``run()`` driver.
 
-Each method family is a generator that keeps its iterates, its
-forward-value history and its oracle counters in local variables.  It
-yields its initial y-history once, ``(y_-2, y_-1)`` for BFoRB/BRFoB and
-``()`` otherwise, and then one record per step::
-
-    (step_norm, norm, z, x, y, p, bx, d, forward_evals, resolvent_evals)
-
-``norm`` is the norm of the governing iterate (``z_{k+1}``; ``x_{k+1}``
-for FB, FoRB, RFoB and FRDR), ``z`` the point recorded in ``Trace.zs``,
-``p`` the point whose ``J_{lam*A}`` is ``x`` (``z_k`` for the template
-methods), ``bx`` a cached ``B(x)`` or ``None``, and ``d`` the step of the
-governing iterate (FRDR: the pair of the steps of ``x`` and ``u``).
-:func:`_shadow` is the three-operator template of BFoRB, BRFoB, Davis-Yin
-and DR, which differ only in the forward term (DR is the template with
-``F = 0``); :func:`_two_op` runs FB, FoRB and RFoB, which ignore ``A`` and
-iterate ``x_k`` directly; :func:`_frdr` runs FRDR.  On an affine triple
-with ``B != 0``, :func:`_shadow` and :func:`_frdr` yield instead, after
-the initial y-history, a precomposed step (:class:`_ShadowRows`,
-:class:`_FRDRRows`) that BFoRB, BRFoB, Davis-Yin and FRDR take a block of
-steps at a time, in place; :func:`_precompose` derives its map from the
-step's own formula.  :func:`run` consumes the records or the blocks and
-owns the stopping rule, the divergence test, the history and the
-residual, which it evaluates per block of steps.  The
-generators receive the run's prepared resolvents (``prepare(lam)``, see
-:mod:`splitkit.operators`): each run owns its inverses and frees them
-when it ends, and it never changes the problem, so one problem may serve
-several threads at once.
+Each method family is a row stepper that takes its steps in place on a
+block of rows: step ``i`` reads row ``i`` and writes row ``i+1``, with the
+operations of the method's step in their order.  :class:`_Template` is the
+three-operator template of BFoRB, BRFoB, Davis-Yin and DR, which differ
+only in the forward term (DR is the template with ``F = 0``);
+:class:`_TwoOp` runs FB, FoRB and RFoB, which ignore ``A`` and iterate
+``x_k`` directly; :class:`_FRDR` runs FRDR.  On an affine triple with
+``B != 0``, BFoRB, BRFoB, Davis-Yin and FRDR take a precomposed step,
+whose map :func:`_precompose` derives from the step's own formula.
+:func:`run` advances the stepper a block at a time and owns the stopping
+rule, the divergence test, the history and the residual, which it
+evaluates per block of steps.  The steppers receive the run's prepared
+resolvents (``prepare(lam)``, see :mod:`splitkit.operators`): each run
+owns its inverses and frees them when it ends, and it never changes the
+problem, so one problem may serve several threads at once.
 """
 
 import enum
@@ -47,13 +35,13 @@ NOT_GUARANTEED = None
 #: Iterates whose norm exceeds this multiple of ``1 + |z0|`` flag divergence.
 DIVERGE_FACTOR = 1e12
 
-#: Steps per block in :func:`run`: its residual rows are evaluated per
-#: block, and a precomposed step is taken a block at a time, with its
-#: norms and stop tests once per block.  The steps of the block after the
-#: stop are discarded: 2.4% of the steps of the d=50 solve benchmark at
-#: seed 1 (a mean of 30 against 1,226 per run).  Blocks of 128 or 256
-#: residual rows were no faster there, and their larger temporaries raised
-#: the peak memory of repeated recorded runs at d=50 by 2-3 MB.
+#: Steps per block in :func:`run`, which takes a block's steps in place,
+#: then their norms and stop tests, then their residual rows.  The steps
+#: of the block after the stop are discarded: 2.4% of the steps of the
+#: d=50 solve benchmark at seed 1 (a mean of 30 against 1,226 per run).
+#: Blocks of 128 or 256 residual rows were no faster there, and their
+#: larger temporaries raised the peak memory of repeated recorded runs at
+#: d=50 by 2-3 MB.
 _BLOCK = 64
 
 
@@ -202,7 +190,46 @@ class Trace:
         return self.zs[max(j, 0)]
 
 
-def _shadow(config, A_res, B_fwd, C_res, G=None, c=None):
+class _Rows:
+    """A method's steps, taken in place on a block of rows.
+
+    A stepper is built from the run's ``config``, its prepared oracles
+    ``A_res``, ``B_fwd`` and ``C_res``, the precomposed map ``lifted``
+    (empty: the composed step) and whether the run is ``record``ed, and
+    building it makes the oracle calls that precede the first step.
+    Step ``i`` reads row ``i`` and writes row ``i+1``, with the operations
+    of the method's step in their order, so a block can be stepped again
+    from its row 0 once the rows that start the next block are moved
+    there: ``carried`` lists those arrays with their row counts.
+    ``steps[i]`` holds the row views of step ``i``, and ``walk(rows,
+    pending)`` takes the steps whose views ``rows`` yields, up to and
+    including the first after which ``pending`` is not empty.
+    ``zs``, ``xs`` and ``ys`` are the rows recorded per step (``None``:
+    not recorded), ``points`` the rows of ``x``, of the point ``p`` whose
+    ``J_{lam*A}`` is ``x`` and of a cached ``B(x)`` (``None``: not cached)
+    that a step's residual reads, and ``history`` the y-history recorded
+    before the first step.  ``fe`` and ``re`` count the oracle calls before
+    the first step and ``per`` those of each step.  :meth:`rows` gives the
+    stack whose row norms are each step's iterate norm and step norms.
+    """
+
+    history = ()
+
+    def advance(self, lo, hi, pending):
+        """Take steps ``lo..hi-1`` up to the first that fires a
+        floating-point event (after which ``pending`` is not empty) or
+        raises.  Returns the row after the last step taken and what the
+        step that raised raised (``None``: no step raised).  The rows that
+        ``walk`` left in the iterator tell how far it got."""
+        rows = iter(self.steps[lo:hi])
+        try:
+            self.walk(rows, pending)
+        except Exception as exc:
+            return hi - operator.length_hint(rows) - 1, exc
+        return hi - operator.length_hint(rows), None
+
+
+class _Template(_Rows):
     """BFoRB, BRFoB, Davis-Yin and DR: the three-operator template.
 
     x_k = J_{lam*A}(z_k);  y_k = J_{lam*C}(2 x_k - z_k - lam*F_k);
@@ -210,61 +237,98 @@ def _shadow(config, A_res, B_fwd, C_res, G=None, c=None):
 
     The methods differ only in the forward term F_k: 2B(y_{k-1}) - B(y_{k-2})
     for BFoRB (one new value B(y_k) is cached at the end of each step),
-    B(2y_{k-1} - y_{k-2}) for BRFoB, B(x_k) for Davis-Yin and 0 for DR,
-    which never evaluates B.  The history (y_{-2}, y_{-1}) defaults to
-    (x_0, x_0) with x_0 = J_{lam*A}(z_0).
+    B(v_k) with v_k = 2y_{k-1} - y_{k-2} for BRFoB, B(x_k) for Davis-Yin
+    and 0 for DR, which never evaluates B.  The history (y_{-2}, y_{-1})
+    defaults to (x_0, x_0) with x_0 = J_{lam*A}(z_0).
 
     Given the map ``(G, c)`` of an affine triple (:func:`_precompose`), the
-    generator's second and last item is the precomposed step from the same
-    start, a :class:`_ShadowRows`, instead of per-step records.
+    step is precomposed: x_k is the prepared resolvent's own product
+    J_{lam*A}(z_k - lam*b_A), and one more product gives y_k = G [z_k; v_k]
+    + c (for affine B, 2B(y_{k-1}) - B(y_{k-2}) = B(v_k)), or y_k = G z_k
+    + c for Davis-Yin, whose v_k = x_k is folded into G.
+
+    Row ``i`` of ``S`` holds ``z_i``, then ``v_i`` (BFoRB and BRFoB:
+    ``[z_i; v_i]`` is the one contiguous vector that ``G`` multiplies),
+    then the step ``z_i - z_{i-1}``; ``X[i]`` is ``x_i`` and ``Y[i+1]`` is
+    ``y_i``, after the ``y_{-1}`` in ``Y[0]``.  The composed BFoRB step
+    caches ``B(y_i)`` in ``BY[i+2]``, after ``B(y_{-2})`` and ``B(y_{-1})``.
+    Each step makes one forward call (DR: none) and two resolvent calls.
     """
-    lam, method = config.lam, config.method
-    bforb, brfob = method is Method.BFORB, method is Method.BRFOB
-    dr = method is Method.DR
-    z = config.z0.copy()
-    fe = re = 0
-    if bforb or brfob:
-        if config.y_init is None:
-            y1 = y2 = A_res(z)
-            re = 1
+
+    def __init__(self, config, A_res, B_fwd, C_res, lifted, record):
+        lam, method = config.lam, config.method
+        bforb, brfob = method is Method.BFORB, method is Method.BRFOB
+        dr, reflect = method is Method.DR, bforb or brfob
+        z = config.z0.copy()
+        n, d = min(_BLOCK, config.max_iters), z.shape[0]
+        S, X = np.empty((n + 1, 3, d)), np.empty((n, d))
+        Y, BY = np.empty((n + 1, d)), np.empty((n + 2, d))
+        S[0, 0] = z
+        self.fe = self.re = 0
+        if reflect:
+            if config.y_init is None:
+                y1 = y2 = A_res(z)
+                self.re = 1
+            else:
+                y1, y2 = config.y_init
+            if bforb:
+                BY[1] = B_fwd(y1)
+                BY[0] = BY[1] if y1 is y2 else B_fwd(y2)
+                self.fe = 1 if y1 is y2 else 2
+            S[0, 1], Y[0] = 2.0 * y1 - y2, y1
+            self.history = y2, y1
+        self.S, self.per = S, (0 if dr else 1, 2)
+        self.carried = (S, 1), (Y, 1), (BY, 2)
+        self.zs, self.xs, self.ys = S[1:, 0], X, Y[1:]
+        self.points = X, S[:-1, 0], None
+        if lifted:
+            G, c = lifted
+            JA, lam_b, t = A_res.J, A_res.lam_b, np.empty(d)
+            rows = (S[:-1, :2].reshape(n, 2 * d) if reflect else S[:-1, 0],
+                    S[:-1, 0], S[1:, 0], S[1:, 1], X, Y[1:], Y[:-1])
+
+            def walk(rows, pending):
+                for zv, z, z_next, v_next, x, y, y1 in rows:
+                    np.dot(JA, np.subtract(z, lam_b, out=t), out=x)
+                    np.add(np.dot(G, zv, out=y), c, out=y)
+                    np.subtract(np.add(z, y, out=z_next), x, out=z_next)
+                    if reflect:
+                        np.subtract(np.multiply(y, 2.0, out=v_next), y1,
+                                    out=v_next)
+                    if pending:
+                        return
         else:
-            y1, y2 = config.y_init
-        if bforb:
-            By1 = B_fwd(y1)
-            By2 = By1 if y1 is y2 else B_fwd(y2)
-            fe = 1 if y1 is y2 else 2
-        yield y2, y1
-    else:
-        yield ()
-    if G is not None:
-        yield _ShadowRows(config, A_res, G, c, z, fe, re,
-                          (y2, y1) if bforb or brfob else None)
-        return
-    fe_step = 0 if dr else 1
-    while True:
-        x = A_res(z)
-        if bforb:
-            F = 2.0 * By1 - By2
-        elif brfob:
-            F = B_fwd(2.0 * y1 - y2)
-        elif not dr:                    # Davis-Yin
-            F = B_fwd(x)
-        w = 2.0 * x - z
-        y = C_res(w if dr else w - lam * F)
-        z_next = z + y - x
-        fe += fe_step
-        re += 2
-        if bforb:
-            By2, By1 = By1, B_fwd(y)
-        elif brfob:
-            y2, y1 = y1, y
-        d = z_next - z
-        yield (math.sqrt(d.dot(d)), math.sqrt(z_next.dot(z_next)), z_next, x,
-               y, z, None, d, fe, re)
-        z = z_next
+            rows = (S[:-1, 0], S[1:, 0], S[:-1, 1], S[1:, 1], X, Y[1:],
+                    Y[:-1], BY[:-2], BY[1:-1], BY[2:])
+
+            def walk(rows, pending):
+                for z, z_next, v, v_next, x, y, y1, By2, By1, By in rows:
+                    x[...] = A_res(z)
+                    if bforb:
+                        F = 2.0 * By1 - By2
+                    elif brfob:
+                        F = B_fwd(v)
+                    elif not dr:            # Davis-Yin
+                        F = B_fwd(x)
+                    w = 2.0 * x - z
+                    y[...] = C_res(w if dr else w - lam * F)
+                    np.subtract(np.add(z, y, out=z_next), x, out=z_next)
+                    if bforb:
+                        By[...] = B_fwd(y)
+                    elif brfob:
+                        np.subtract(np.multiply(y, 2.0, out=v_next), y1,
+                                    out=v_next)
+                    if pending:
+                        return
+        self.walk, self.steps = walk, list(zip(*rows))
+
+    def rows(self, lo, hi):
+        R = self.S[lo:hi + 1]
+        np.subtract(R[1:, 0], R[:-1, 0], out=R[1:, 2])
+        return R[1:, ::2]
 
 
-def _two_op(config, A_res, B_fwd, C_res):
+class _TwoOp(_Rows):
     """FB, FoRB and RFoB on x_k; A is ignored.
 
     FB:    x_{k+1} = J_{lam*C}(x_k - lam*B(x_k)), the baseline that may fail
@@ -274,186 +338,131 @@ def _two_op(config, A_res, B_fwd, C_res):
            with one new value B(x_{k+1}) cached at the end of each step;
     RFoB:  x_{k+1} = (1-h) x_k + h*J_{lam*C}(x_k - lam*B(x_k + (x_k - x_{k-1})/h)).
 
-    The history x_{-1} defaults to x_0 = z_0.
+    The history x_{-1} defaults to x_0 = z_0.  Row ``i+1`` of ``S`` holds
+    ``x_i`` and the step ``x_i - x_{i-1}``, after the ``x_{-1}`` in row 0,
+    and FoRB caches ``B(x_i)`` in ``BX[i+1]``, after ``B(x_{-1})`` in
+    ``BX[0]``.  Each step makes one forward and one resolvent call.
     """
-    lam, h, method = config.lam, config.h, config.method
-    fb, forb = method is Method.FB, method is Method.FORB
-    x = x_prev = config.z0.copy()
-    if config.y_init is not None:
-        if not np.array_equal(config.y_init[0], x):
-            raise SolverError(
-                "for two-operator methods y_init[0] must equal z0 "
-                "(the history is the x-sequence itself)")
-        x_prev = config.y_init[1]
-    fe = re = 0
-    Bx = None
-    if forb:
-        Bx = B_fwd(x)
-        Bx_prev = Bx if x_prev is x else B_fwd(x_prev)
-        fe = 1 if x_prev is x else 2
-    yield ()
-    while True:
-        if fb:
-            x_next = C_res(x - lam * B_fwd(x))
-        elif forb:
-            x_next = (1.0 - h) * x + h * C_res(
-                x - lam * Bx - (lam / h) * (Bx - Bx_prev))
-            Bx_prev, Bx = Bx, B_fwd(x_next)
-        else:
-            x_next = (1.0 - h) * x + h * C_res(
-                x - lam * B_fwd(x + (x - x_prev) / h))
-        fe += 1
-        re += 1
-        d = x_next - x
-        x_prev, x = x, x_next
-        yield (math.sqrt(d.dot(d)), math.sqrt(x.dot(x)), x, x, None, x, Bx,
-               d, fe, re)
+
+    def __init__(self, config, A_res, B_fwd, C_res, lifted, record):
+        lam, h, method = config.lam, config.h, config.method
+        fb, forb = method is Method.FB, method is Method.FORB
+        x = x_prev = config.z0.copy()
+        if config.y_init is not None:
+            if not np.array_equal(config.y_init[0], x):
+                raise SolverError(
+                    "for two-operator methods y_init[0] must equal z0 "
+                    "(the history is the x-sequence itself)")
+            x_prev = config.y_init[1]
+        n, d = min(_BLOCK, config.max_iters), x.shape[0]
+        S, BX = np.empty((n + 2, 2, d)), np.empty((n + 2, d))
+        S[0, 0], S[1, 0] = x_prev, x
+        self.fe = self.re = 0
+        if forb:
+            BX[1] = B_fwd(x)
+            BX[0] = BX[1] if x_prev is x else B_fwd(x_prev)
+            self.fe = 1 if x_prev is x else 2
+        self.S, self.per, self.carried = S, (1, 1), ((S, 2), (BX, 2))
+        self.zs, self.xs, self.ys = None, S[2:, 0], None
+        self.points = S[2:, 0], S[2:, 0], BX[2:] if forb else None
+        self.steps = list(zip(S[:-2, 0], S[1:-1, 0], S[2:, 0], BX[:-2],
+                              BX[1:-1], BX[2:]))
+
+        def walk(rows, pending):
+            for x_prev, x, x_next, Bx_prev, Bx, Bx_next in rows:
+                if fb:
+                    x_next[...] = C_res(x - lam * B_fwd(x))
+                elif forb:
+                    x_next[...] = (1.0 - h) * x + h * C_res(
+                        x - lam * Bx - (lam / h) * (Bx - Bx_prev))
+                    Bx_next[...] = B_fwd(x_next)
+                else:
+                    x_next[...] = (1.0 - h) * x + h * C_res(
+                        x - lam * B_fwd(x + (x - x_prev) / h))
+                if pending:
+                    return
+
+        self.walk = walk
+
+    def rows(self, lo, hi):
+        R = self.S[lo + 1:hi + 2]
+        np.subtract(R[1:, 0], R[:-1, 0], out=R[1:, 1])
+        return R[1:]
 
 
-def _frdr(config, A_res, B_fwd, C_res, K=None, k=None, record=True):
+class _FRDR(_Rows):
     """Forward-reflected-Douglas-Rachford with stepsizes lam < gamma.
 
     w_k = x_k - lam*u_k - lam*(2 B(x_k) - B(x_{k-1}));  x_{k+1} = J_{lam*A}(w_k);
     y_{k+1} = J_{gamma*C}(2 x_{k+1} - x_k + gamma*u_k);
     u_{k+1} = u_k + (2 x_{k+1} - x_k - y_{k+1}) / gamma,
     which keeps u_{k+1} an element of C(y_{k+1}), so fixed points solve
-    0 in (A + B + C)(x).  The record's z is w_k, the point whose resolvent
+    0 in (A + B + C)(x).  The recorded z is w_k, the point whose resolvent
     is x_{k+1}.  u moves even when x stalls, so the step norm adds
     lam*|u_{k+1} - u_k|.  ``C_res`` is ``J_{gamma*C}``.
 
     Given the map ``(K, k)`` of an affine triple (:func:`_precompose`), the
-    generator's second and last item is the precomposed step from the same
-    start, a :class:`_FRDRRows`, instead of per-step records.
-    """
-    lam, gamma = config.lam, config.gamma
-    x = config.z0.copy()
-    Bx = Bx_prev = B_fwd(x)
-    yield ()
-    if K is not None:
-        yield _FRDRRows(config, A_res, B_fwd, K, k, x, Bx, record)
-        return
-    u = np.zeros(x.shape[0])
-    fe, re = 1, 0
-    while True:
-        w = x - lam * u - lam * (2.0 * Bx - Bx_prev)
-        x_next = A_res(w)
-        t = 2.0 * x_next - x
-        y = C_res(t + gamma * u)
-        u_next = u + (t - y) / gamma
-        Bx_prev, Bx = Bx, B_fwd(x_next)
-        fe += 1
-        re += 2
-        d, du = x_next - x, u_next - u
-        x, u = x_next, u_next
-        yield (math.sqrt(d.dot(d)) + lam * math.sqrt(du.dot(du)),
-               math.sqrt(x.dot(x)), w, x, y, w, Bx, (d, du), fe, re)
-
-
-class _ShadowRows:
-    """BFoRB, BRFoB and Davis-Yin, precomposed (see :func:`_shadow`), and
-    taken in place on a block of rows.
-
-    x_k is the prepared resolvent's own product J_{lam*A}(z_k - lam*b_A),
-    and one more product gives y_k = G [z_k; v_k] + c with v_k = 2y_{k-1}
-    - y_{k-2} (for affine B, 2B(y_{k-1}) - B(y_{k-2}) = B(v_k)), or y_k =
-    G z_k + c for Davis-Yin, whose v_k = x_k is folded into G.
-
-    Row ``i`` of ``S`` holds ``z_i``, then ``v_i`` (BFoRB and BRFoB:
-    ``[z_i; v_i]`` is the one contiguous vector that ``G`` multiplies),
-    then the step ``z_i - z_{i-1}``; ``X[i]`` is ``x_i`` and ``Y[i+1]`` is
-    ``y_i``, after the ``y_{-1}`` in ``Y[0]``.  Step ``i`` reads row ``i``
-    and writes row ``i+1``, with the operations of the composed step in its
-    order, so a block can be stepped again from its row 0.  ``advance(lo,
-    hi)`` takes steps ``lo..hi-1`` and returns one :func:`row_norms` call's
-    norms of their iterates and steps.  ``zs``, ``xs`` and ``ys`` are the
-    recorded rows of the steps, ``points`` their ``x``, ``p`` and cached
-    ``B(x)`` rows (Davis-Yin's residual is its step norm: no ``p``; no
-    ``B(x)``), and ``carried`` the arrays, with their row counts, that
-    start the next block.  ``fe`` and ``re`` count the oracle calls before
-    the first step; each step adds one forward and two resolvents.
-    """
-
-    def __init__(self, config, A_res, G, c, z, fe, re, history):
-        n, d = min(_BLOCK, config.max_iters), z.shape[0]
-        S, X = np.empty((n + 1, 3, d)), np.empty((n, d))
-        Y = np.empty((n + 1, d))
-        self.reflect = history is not None
-        if self.reflect:
-            y2, y1 = history
-            S[0, 1], Y[0] = 2.0 * y1 - y2, y1
-        S[0, 0] = z
-        self.S, self.fe, self.re, self.carried = S, fe, re, ((S, 1), (Y, 1))
-        self.zs, self.xs, self.ys = S[1:, 0], X, Y[1:]
-        self.points = X, S[:-1, 0] if self.reflect else None, None
-        self.map = A_res.J, A_res.lam_b, G, c, np.empty(d)
-        ZV = S[:-1, :2].reshape(n, 2 * d) if self.reflect else S[:-1, 0]
-        self.steps = list(zip(ZV, S[:-1, 0], S[1:, 0], S[1:, 1], X, Y[1:],
-                              Y[:-1]))
-
-    def advance(self, lo, hi):
-        JA, lam_b, G, c, t = self.map
-        reflect = self.reflect
-        for zv, z, z_next, v_next, x, y, y1 in self.steps[lo:hi]:
-            np.dot(JA, np.subtract(z, lam_b, out=t), out=x)
-            np.add(np.dot(G, zv, out=y), c, out=y)
-            np.subtract(np.add(z, y, out=z_next), x, out=z_next)
-            if reflect:
-                np.subtract(np.multiply(y, 2.0, out=v_next), y1, out=v_next)
-        R = self.S[lo:hi + 1]
-        np.subtract(R[1:, 0], R[:-1, 0], out=R[1:, 2])
-        return row_norms(R[1:, ::2])
-
-
-class _FRDRRows:
-    """FRDR, precomposed (see :func:`_frdr`), and taken in place on a block
-    of rows as :class:`_ShadowRows` is.
-
-    x_{k+1} is the prepared resolvent's own product and u_{k+1} = K r + k,
-    with r = 2 x_{k+1} - x_k + gamma*u_k and K = (I - J_{gamma*C})/gamma,
-    takes the place of the resolve of y; y_{k+1} = r - gamma*u_{k+1}.
+    step is precomposed: x_{k+1} is the prepared resolvent's own product
+    and u_{k+1} = K r + k, with r = 2 x_{k+1} - x_k + gamma*u_k and K = (I
+    - J_{gamma*C})/gamma, takes the place of the resolve of y; y_{k+1} =
+    r - gamma*u_{k+1}, formed for a ``record``ed history only.
 
     Row ``i`` of ``S`` holds ``x_i``, the steps ``x_i - x_{i-1}`` and
     ``u_i - u_{i-1}``, and ``u_i``; ``W[i]`` is ``w_i``, ``Y[i]`` is
-    ``y_{i+1}`` (formed for a ``record``ed history only) and ``BX[i+2]``
-    is ``B(x_{i+1})``, after ``B(x_{-1})`` and ``B(x_0)``.  ``advance``'s
-    norms are those of the iterate ``x`` and of the steps of ``x`` and
-    ``u``.
+    ``y_{i+1}`` and ``BX[i+2]`` is ``B(x_{i+1})``, after ``B(x_{-1})`` and
+    ``B(x_0)``.  Each step makes one forward and two resolvent calls.
     """
 
-    def __init__(self, config, A_res, B_fwd, K, k, x, Bx, record):
+    def __init__(self, config, A_res, B_fwd, C_res, lifted, record):
+        lam, gamma = config.lam, config.gamma
+        x = config.z0.copy()
         n, d = min(_BLOCK, config.max_iters), x.shape[0]
         S = np.zeros((n + 1, 4, d))                     # u_0 = 0
-        BX, W = np.empty((n + 2, d)), np.empty((n, d))
-        Y = np.empty((n, d)) if record else None
-        S[0, 0], BX[0], BX[1] = x, Bx, Bx
-        self.S, self.fe, self.re, self.carried = S, 1, 0, ((S, 1), (BX, 2))
+        BX, W, Y = np.empty((n + 2, d)), np.empty((n, d)), np.empty((n, d))
+        BX[0] = BX[1] = B_fwd(x)
+        S[0, 0] = x
+        self.S, self.fe, self.re, self.per = S, 1, 0, (1, 2)
+        self.carried = (S, 1), (BX, 2)
         self.zs, self.xs, self.ys = W, S[1:, 0], Y
         self.points = S[1:, 0], W, BX[2:]
-        self.map = (config.lam, config.gamma, A_res.J, A_res.lam_b, K, k,
-                    B_fwd, np.empty(d), np.empty(d))
-        self.steps = list(zip(S[:-1, 0], S[:-1, 3], S[1:, 0], S[1:, 3], W,
-                              [None] * n if Y is None else Y, BX[:-2],
-                              BX[1:-1], BX[2:]))
+        self.steps = list(zip(S[:-1, 0], S[:-1, 3], S[1:, 0], S[1:, 3], W, Y,
+                              BX[:-2], BX[1:-1], BX[2:]))
+        a, r = np.empty(d), np.empty(d)
+        if lifted:
+            K, k = lifted
+            JA, lam_b = A_res.J, A_res.lam_b
 
-    def advance(self, lo, hi):
-        lam, gamma, JA, lam_b, K, k, B_fwd, a, r = self.map
-        for x, u, x_next, u_next, w, y, Bx_prev, Bx, Bx_next in \
-                self.steps[lo:hi]:
-            # w = x - lam*u - lam*(2 Bx - Bx_prev); x_next = J_{lam*A}(w)
-            np.subtract(x, np.multiply(u, lam, out=a), out=w)
-            np.subtract(np.multiply(Bx, 2.0, out=a), Bx_prev, out=a)
-            np.subtract(w, np.multiply(a, lam, out=a), out=w)
-            np.dot(JA, np.subtract(w, lam_b, out=a), out=x_next)
-            # r = 2 x_next - x + gamma*u; u_next = K r + k
-            np.subtract(np.multiply(x_next, 2.0, out=r), x, out=r)
-            np.add(r, np.multiply(u, gamma, out=a), out=r)
-            np.add(np.dot(K, r, out=u_next), k, out=u_next)
-            if y is not None:
-                np.subtract(r, np.multiply(u_next, gamma, out=a), out=y)
-            Bx_next[...] = B_fwd(x_next)
+        def walk(rows, pending):
+            for x, u, x_next, u_next, w, y, Bx_prev, Bx, Bx_next in rows:
+                # w = x - lam*u - lam*(2 Bx - Bx_prev)
+                np.subtract(x, np.multiply(u, lam, out=a), out=w)
+                np.subtract(np.multiply(Bx, 2.0, out=a), Bx_prev, out=a)
+                np.subtract(w, np.multiply(a, lam, out=a), out=w)
+                if lifted:
+                    # x_next = J_{lam*A}(w); r = 2 x_next - x + gamma*u;
+                    # u_next = K r + k
+                    np.dot(JA, np.subtract(w, lam_b, out=a), out=x_next)
+                    np.subtract(np.multiply(x_next, 2.0, out=r), x, out=r)
+                    np.add(r, np.multiply(u, gamma, out=a), out=r)
+                    np.add(np.dot(K, r, out=u_next), k, out=u_next)
+                    if record:
+                        np.subtract(r, np.multiply(u_next, gamma, out=a),
+                                    out=y)
+                else:
+                    x_next[...] = A_res(w)
+                    t = 2.0 * x_next - x
+                    y[...] = C_res(t + gamma * u)
+                    np.add(u, (t - y) / gamma, out=u_next)
+                Bx_next[...] = B_fwd(x_next)
+                if pending:
+                    return
+
+        self.walk = walk
+
+    def rows(self, lo, hi):
         R = self.S[lo:hi + 1]
         np.subtract(R[1:, ::3], R[:-1, ::3], out=R[1:, 1:3])
-        return row_norms(R[1:, :3])
+        return R[1:, :3]
 
 
 #: Methods that an affine triple with B != 0 runs as a precomposed step.
@@ -514,17 +523,6 @@ def _precompose(config, A_res, B, C_res):
     return ()
 
 
-def _rescaled_norms(v, d, lam):
-    """``|v|`` and the step norm ``|d|`` (``|d[0]| + lam*|d[1]|`` for
-    FRDR's pair) by :func:`row_norms`, which rescales a finite row whose
-    squares overflow; a row that does not overflow keeps its bits."""
-    if isinstance(d, tuple):
-        n = row_norms(np.stack((v,) + d))
-        return float(n[0]), float(n[1]) + lam * float(n[2])
-    n = row_norms(np.stack((v, d)))
-    return float(n[0]), float(n[1])
-
-
 def _stepsize_warnings(config, L):
     notes = []
     if config.method is Method.FRDR and config.gamma <= config.lam:
@@ -560,29 +558,36 @@ def run(problem, config, record_history=False):
     ``z0`` included) is taken again by :func:`row_norms`' rescaling, so
     neither the threshold nor the bound is inf for a finite start.
 
+    The run takes its steps ``_BLOCK`` at a time, in place (see
+    :class:`_Rows`), then the norms of their iterates and steps in one
+    :func:`row_norms` call and the stopping tests as array comparisons, and
+    keeps the steps up to the first that stops the run.  A pass over a
+    block ends right after a step that fires a floating-point event or
+    raises, and the block resumes after it unless an earlier step stops
+    the run.  So a kind is named only if a step, norm or residual row that
+    the run keeps fired it, a step's exception counts only if no earlier
+    step stopped the run, no oracle is called on a state that a step made
+    non-finite, and the records are bit for bit those of one step at a
+    time.  The steps of the block after the stop are computed and
+    discarded, oracle calls included: the counters ``forward_evals`` and
+    ``resolvent_evals`` count the method's oracle calls of the steps kept.
+
     When ``A`` and ``C`` are affine or bilinear (their prepared resolvents
     are matrix products) and ``B`` is affine and not zero, BFoRB, BRFoB,
     Davis-Yin and FRDR take a precomposed step: ``x_k`` is the prepared
     resolvent's own product and one more product with a matrix formed once
     per run gives ``y_k`` (FRDR: ``u_{k+1}``), so the iterates agree with
     the composed step to rounding.  If ``J_{lam*A}`` or the map is not
-    finite, the run takes the composed step.  ``forward_evals`` and
-    ``resolvent_evals`` count the method's logical oracle calls either way,
-    although the precomposed step calls the oracles only to form its map.
-    It checks no resolvent for finiteness, so a diverged precomposed run
-    ends at the step whose iterate left the finite range or passed the
-    bound: that step is its last record, its iterates are ``z_final`` and
-    ``x_final``, and the template's ``x_final`` is ``J_{lam*A}(z_final)``
-    where that is finite.  The precomposed step advances ``_BLOCK`` steps
-    at a time, in place, then takes the norms of all of them in one
-    :func:`row_norms` call and the stopping tests as array comparisons,
-    and keeps the steps up to the first that stops the run (the others are
-    computed and discarded).  A block in which a floating-point event
-    fires is stepped again from its start one step at a time, so that
-    each kind is named at its step and the discarded steps name none;
-    the records are bit for bit those of one step at a time.  Every other
-    triple and method, ``B = 0`` included (DR's template, bit for bit),
-    takes the composed step, with its norms and tests per step.
+    finite, the run takes the composed step.  The counters count the
+    method's logical oracle calls either way, although the precomposed
+    step calls the oracles only to form its map.  It checks no resolvent
+    for finiteness, so a diverged precomposed run ends at the step whose
+    iterate left the finite range or passed the bound: that step is its
+    last record, its iterates are ``z_final`` and ``x_final``, and the
+    template's ``x_final`` is ``J_{lam*A}(z_final)`` where ``z_final`` and
+    that are finite.
+    Every other triple and method, ``B = 0`` included (DR's template, bit
+    for bit), takes the composed step.
 
     Per-iteration records hold the step norm, the solution residual
     ``|J_{lam*C}(2x - p - lam*B(x)) - x|`` with ``x = J_{lam*A}(p)`` (the
@@ -603,9 +608,7 @@ def run(problem, config, record_history=False):
     name only the kinds of the steps and rows up to it.
     With ``record_history=True`` the full ``z``/``y``/``x`` histories are
     kept so certificates can be evaluated afterwards, each entry an array
-    of its own (a precomposed run copies its block's rows, one block at a
-    time); the hot loop itself performs exactly the oracle calls of the
-    method plus this bookkeeping.
+    of its own, copied from the block's rows.
     """
     method, lam = config.method, config.lam
     if config.z0.shape[0] != problem.dim:
@@ -622,7 +625,7 @@ def run(problem, config, record_history=False):
     step_norms, residuals, dists = (trace.step_norms, trace.residuals,
                                     trace.dist_to_xstar)
 
-    # The latest record's iterates; the start stands in until a step is done.
+    # The last kept step's iterates; the start stands in until one is kept.
     z = x = config.z0.copy()
     fe = re = 0
     if record_history:
@@ -633,45 +636,48 @@ def run(problem, config, record_history=False):
 
     residual_is_step = method is Method.DAVIS_YIN or (
         method is Method.DR and vanishes(problem.B))
-    # A composed run's block: its (z, fe, re) records, with copies of their
-    # x, p (whose J_{lam*A} is x) and cached B(x) rows.  The floating-point
-    # kinds fired since the last flush, each with the block row ``at``
-    # before which it first fired (a step's events precede its row);
-    # ``quiet`` turns False at every event.
-    recs, events, fired = [], {}, set()
-    at, quiet = 0, True
-    X = np.empty((_BLOCK, problem.dim))
-    P = None if residual_is_step else np.empty_like(X)
-    BX = np.empty_like(X) if method in (Method.FORB, Method.FRDR) else None
     B_rows = problem.B.forward_rows
+    # The floating-point kinds fired since the last look; those of the
+    # block's kept rows, each with the row at which it first fired; and
+    # those the run names.  k steps precede the block, whose first ``due``
+    # rows await their residuals.
+    pending, events, fired = [], {}, set()
+    k = due = 0
 
-    def rows(X, P, BX, base, lo, hi):
-        """Residual and distance rows ``lo..hi-1`` of a block with ``x``,
-        ``p`` and ``B(x)`` rows ``X``, ``P`` and ``BX`` (``None``: not
-        cached), which starts at row ``base`` of the run."""
+    def state(i):
+        """The iterates and counters after row ``i`` of the block."""
+        j = k + i + 1
+        x = blk.xs[i].copy()
+        return (x if blk.zs is None else blk.zs[i].copy(), x,
+                blk.fe + blk.per[0] * j, blk.re + blk.per[1] * j)
+
+    def rows(base, lo, hi):
+        """Residual and distance rows ``lo..hi-1`` of the block, which
+        starts at row ``base`` of the run."""
+        X, P, BX = blk.points
         Xs = X[lo:hi]
-        res = (step_norms[base + lo:base + hi] if P is None else residual(
-            C_res, lam, 2.0 * Xs - P[lo:hi], Xs,
-            B_rows(Xs) if BX is None else BX[lo:hi]).tolist())
+        res = (step_norms[base + lo:base + hi] if residual_is_step
+               else residual(C_res, lam, 2.0 * Xs - P[lo:hi], Xs,
+                             B_rows(Xs) if BX is None else BX[lo:hi]
+                             ).tolist())
         return res, ([] if x_star is None
                      else row_norms(Xs - x_star).tolist())
 
-    def flush(n, X, P, BX, state):
-        """Append the rows of the block's ``n`` steps and keep its
+    def flush():
+        """Append the rows of the block's ``due`` steps and name their
         floating-point kinds; end the run at the first row whose residual
-        raises, at ``state(row)``, keeping only the kinds of the steps and
-        rows up to it.  True if the run ended."""
-        nonlocal status, z, x, fe, re, at
-        base, stepped = len(residuals), dict(events)
-        cut = None
+        raises, naming only the kinds of the steps and rows up to it.
+        True if the run ended."""
+        nonlocal status, z, x, fe, re, due
+        n, due, base, cut = due, 0, len(residuals), None
         try:
-            res, dist = rows(X, P, BX, base, 0, n) if n else ([], [])
+            res, dist = rows(base, 0, n) if n else ([], [])
         except NonFiniteError:      # find the row, without the block's events
-            events.clear()
+            pending.clear()
             res, dist = [], []
             for i in range(n):
                 try:
-                    r, d = rows(X, P, BX, base, i, i + 1)
+                    r, d = rows(base, i, i + 1)
                 except NonFiniteError:
                     cut = i
                     break
@@ -680,160 +686,101 @@ def run(problem, config, record_history=False):
         residuals.extend(res)
         if dists is not None:
             dists.extend(dist)
-        fired.update(events, (kind for kind, i in stepped.items()
-                              if cut is None or i <= cut))
+        fired.update(pending, (kind for kind, i in events.items()
+                               if cut is None or i <= cut))
+        pending.clear()
         events.clear()
         if cut is not None:
             status = "diverged"
             z, x, fe, re = state(cut)
-            k = base + cut + 1
-            del step_norms[k:]
+            end = base + cut + 1
+            del step_norms[end:]
             if record_history:
-                del xs[k + two_op:]
+                del xs[end + two_op:]
                 if zs is not None:
-                    del zs[k + 1:], ys[k + trace.y_offset:]
-        recs.clear()
-        at = 0
+                    del zs[end + 1:], ys[end + trace.y_offset:]
         return cut is not None
-
-    def flush_recs():
-        return flush(len(recs), X, P, BX,
-                     lambda i: (recs[i][0], X[i].copy(), *recs[i][1:]))
 
     tol, inf = config.tol, math.inf
     status = "max_iters"
 
-    def halt(R, prev):
-        """The iterate and step norms of the rows of ``R``, the norms that
-        a precomposed step's ``advance`` returns for steps after an iterate
-        of norm ``prev``, and the first row at which the run stops (None if
-        none does).  These tests name no floating-point kind, as the tests
-        of Python floats in the composed loop do not."""
-        with np.errstate(all="ignore"):
-            norm = R[:, 0]
-            step = R[:, 1] + lam * R[:, 2] if frdr else R[:, 1]
-            stop = np.flatnonzero(
-                ~((norm <= big) & (step < inf))
-                | (step <= tol * (1.0 + np.concatenate(([prev], norm[:-1])))))
-        return norm, step, (int(stop[0]) if stop.size else None)
-
-    def note(kind, flag):
-        nonlocal quiet
-        quiet = False
-        events.setdefault(kind, at)
-
-    with fp_errstate(note):
+    with fp_errstate(lambda kind, flag: pending.append(kind)):
         # Each iterate's norm is computed once, for the divergence test, and
         # reused as the next iteration's prev_norm (the first iterate is z0).
-        # math.sqrt(d.dot(d)) is np.linalg.norm(d) bit for bit, minus its
-        # wrapper; row_norms keep the batched @: that dot product per row.
         prev_norm = float(row_norms(config.z0[None])[0])
         big = DIVERGE_FACTOR * (1.0 + prev_norm)
         A_res, C_res = problem.prepare(lam)
         C_step = problem.C.prepare(config.gamma) if frdr else C_res
         B_fwd = problem.B.forward
         lifted = _precompose(config, A_res, problem.B, C_step)
-        steps = (_frdr(config, A_res, B_fwd, C_step, *lifted,
-                       record=record_history) if frdr
-                 else _two_op(config, A_res, B_fwd, C_step) if two_op
-                 else _shadow(config, A_res, B_fwd, C_step, *lifted))
         try:
-            y_history = next(steps)
+            blk = (_FRDR if frdr else _TwoOp if two_op else _Template)(
+                config, A_res, B_fwd, C_step, lifted, record_history)
             if ys is not None:
-                ys.extend(y_history)
-                trace.y_offset = len(y_history)
-            if lifted:
-                # _BLOCK steps at a time, until a step stops the run: its
-                # norms and stop tests are taken per block, and the steps
-                # after the stop are discarded.  A block in which a
-                # floating-point event fires is stepped again, one step per
-                # call, to name each kind at its step.
-                blk, k = next(steps), 0
-
-                def state(i):       # after step i of the block
-                    return (blk.zs[i].copy(), blk.xs[i].copy(),
-                            blk.fe + k + i + 1, blk.re + 2 * (k + i + 1))
-
-                while True:
-                    n = min(_BLOCK, config.max_iters - k)
-                    saved, quiet = dict(events), True
-                    norm, step, stop = halt(blk.advance(0, n), prev_norm)
-                    if not quiet:
-                        events.clear()
-                        events.update(saved)
-                        norm, step = np.empty(n), np.empty(n)
-                        for at in range(n):
-                            norm[at:at + 1], step[at:at + 1], stop = halt(
-                                blk.advance(at, at + 1),
-                                norm[at - 1] if at else prev_norm)
-                            if stop is not None:
-                                stop = at
-                                break
-                    m = n if stop is None else stop + 1
-                    step_norms.extend(step[:m].tolist())
-                    if record_history:
-                        for series, block in zip((zs, xs, ys),
-                                                 (blk.zs, blk.xs, blk.ys)):
-                            series.extend(map(np.ndarray.copy, block[:m]))
-                    z, x, fe, re = state(m - 1)
-                    if stop is not None:
-                        status = ("converged" if norm[stop] <= big
-                                  and step[stop] < inf else "diverged")
-                    kept = m - (status == "diverged")   # rows with residuals
-                    if (flush(kept, *blk.points, state) or stop is not None
-                            or k + n == config.max_iters):
+                ys.extend(blk.history)
+                trace.y_offset = len(blk.history)
+            fired.update(pending)
+            pending.clear()
+            lo = 0
+            while True:
+                # One pass: the steps up to the block's end, the first step
+                # that fires an event, or the step before one that raises.
+                n = min(_BLOCK, config.max_iters - k)
+                m, error = blk.advance(lo, n, pending)
+                fires = [(kind, m - (error is None)) for kind in pending]
+                pending.clear()
+                V = blk.rows(lo, m)
+                R = row_norms(V)
+                if pending:     # a norm or step overflowed: at its first row
+                    with np.errstate(all="ignore"):
+                        sq = V[..., None, :] @ V[..., :, None]
+                    i = np.argmin(np.isfinite(sq).reshape(len(V), -1).all(1))
+                    fires[:0] = [(kind, lo + int(i)) for kind in pending]
+                    pending.clear()
+                with np.errstate(all="ignore"):     # the tests name no kind
+                    norm = R[:, 0]
+                    step = R[:, 1] + lam * R[:, 2] if frdr else R[:, 1]
+                    stops = np.flatnonzero(
+                        ~((norm <= big) & (step < inf)) | (step <= tol * (
+                            1.0 + np.concatenate(([prev_norm], norm[:-1])))))
+                last = lo + int(stops[0]) if stops.size else None
+                for kind, i in fires:   # the kinds of the rows kept
+                    if last is None or i <= last:
+                        events.setdefault(kind, i)
+                end = m if last is None else last + 1
+                step_norms.extend(step[:end - lo].tolist())
+                if record_history:
+                    for series, block in zip((zs, xs, ys),
+                                             (blk.zs, blk.xs, blk.ys)):
+                        if series is not None:
+                            series.extend(map(np.ndarray.copy, block[lo:end]))
+                if end > lo:
+                    z, x, fe, re = state(end - 1)
+                due = end
+                if last is not None:
+                    status = ("converged" if norm[last - lo] <= big
+                              and step[last - lo] < inf else "diverged")
+                    due -= status == "diverged"     # no residual row
+                    break
+                if error is not None:
+                    raise error
+                prev_norm, lo = norm[-1], m
+                if lo == n:
+                    if flush() or k + n == config.max_iters:
                         break
-                    prev_norm = norm[-1]
-                    k += n
+                    k, lo = k + n, 0
                     for A, r in blk.carried:    # the next block's start
                         A[:r] = A[n:n + r]
-            else:
-                for _, (step_norm, norm, z, x, y, p, bx, d, fe, re) in zip(
-                        range(config.max_iters), steps):
-                    step_norms.append(step_norm)
-                    if record_history:
-                        xs.append(x)
-                        if zs is not None:
-                            zs.append(z)
-                            ys.append(y)
-
-                    # NaN and inf fail these comparisons: this is also the
-                    # finiteness test (FRDR's dual variable is in the step
-                    # norm).  A finite vector whose squares overflow is
-                    # measured again.
-                    if not (norm <= big and step_norm < inf):
-                        norm, step_norm = _rescaled_norms(x if frdr else z,
-                                                          d, lam)
-                        step_norms[-1] = step_norm
-                        if not (norm <= big and step_norm < inf):
-                            status = "diverged"
-                            break
-
-                    i = len(recs)
-                    recs.append((z, fe, re))
-                    at = i + 1
-                    X[i] = x
-                    if P is not None:
-                        P[i] = p
-                        if BX is not None:
-                            BX[i] = bx
-
-                    if step_norm <= tol * (1.0 + prev_norm):
-                        status = "converged"
-                        break
-                    prev_norm = norm
-                    if i + 1 == _BLOCK and flush_recs():
-                        break
         except NonFiniteError:
             status = "diverged"
         except Exception:
-            if not flush_recs():    # unless an earlier row's residual
-                raise               # ended the run
-        flush_recs()
-        if not (two_op or frdr):
+            if not flush():     # unless an earlier row's residual
+                raise           # ended the run
+        flush()
+        if not (two_op or frdr) and np.isfinite(z).all():
             with suppress(NonFiniteError):   # a diverged z keeps the last x
                 x = A_res(z)
-        flush_recs()                         # keeps that resolvent's events
+        fired.update(pending)
     trace.warnings.extend(fp_warnings(fired))
     # A diverged step has no residual or distance: NaN stands in for them.
     for series in (residuals, dists):

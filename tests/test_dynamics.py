@@ -86,6 +86,28 @@ def test_resolvent_sum_nonconvergence_error():
     assert exc.value.residual > 0
 
 
+def test_resolvent_sum_stops_at_a_non_finite_residual(monkeypatch):
+    # a NaN residual never meets the tolerance: the iterative route used to
+    # make all max_inner = 100,000 iterations (200,002 calls of B) before
+    # it raised; it raises the same error at the first residual that is
+    # not finite, after B(u_0) and the residual's B
+    problem = make_saddle_instance(4, 6, 2, 0.5, 1.0).triple()
+    calls, forward = [], problem.B.forward
+    monkeypatch.setattr(problem.B, "forward",
+                        lambda v: calls.append(v) or forward(v))
+    with pytest.raises(InnerSolveError) as exc:
+        sum_resolvent(problem, 0.1, np.full(problem.dim, np.nan))
+    assert str(exc.value) == "inner solver stalled at residual nan (tol 1e-10)"
+    assert math.isnan(exc.value.residual) and len(calls) == 2
+    # a flow whose first 2x - z overflows reaches it at its first step
+    calls.clear()
+    with pytest.raises(InnerSolveError) as exc:
+        simulate_ppa(problem, 0.1, 0.25, 1.0, 1e308 * np.ones(problem.dim))
+    assert str(exc.value) == (
+        "inner solver stalled at residual nan (tol 1e-10) at t=0")
+    assert exc.value.t == 0.0 and len(calls) == 2
+
+
 # -------------------------------------------------------------------- flows
 
 def test_ppa_scalar_matches_closed_form():

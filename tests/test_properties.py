@@ -15,6 +15,7 @@ from splitkit import (AffineOperator, CustomOperator, Method, ProblemTriple,
                       simulate_ppa)
 from splitkit.cli import ConfigError, ExperimentConfig, parse_config
 from splitkit.solvers import TWO_OPERATOR_METHODS, _BLOCK
+from oracles import composed_run
 from test_cli import _flow_rows_rowwise
 from test_solvers import _custom_triple
 
@@ -64,7 +65,9 @@ def test_b_zero_collapses_the_template_to_dr(case, lam):
 def test_overflowing_oracle_ends_the_run_diverged(method, scale, lam, z0):
     # B(v) = sinh(scale*v) overflows long before the iterates pass the
     # divergence bound: the oracle's NonFiniteError ends the run, and run()
-    # never raises
+    # never raises.  run() also takes, and discards, the steps of its last
+    # block after the stop, so the overflows that count are those of the
+    # steps of one composed step at a time, which run() must match
     overflowed = []
 
     def sinh(v):
@@ -77,10 +80,15 @@ def test_overflowing_oracle_ends_the_run_diverged(method, scale, lam, z0):
         A=ZeroOperator(dim), C=ZeroOperator(dim),
         B=CustomOperator(dim, forward=sinh, lipschitz=scale))
     gamma = 2.0 * lam if method is Method.FRDR else None
+    config = SolverConfig(method=method, lam=lam, z0=z0, max_iters=100,
+                          gamma=gamma)
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = run(problem, SolverConfig(method=method, lam=lam, z0=z0,
-                                          max_iters=100, gamma=gamma))
+        trace = run(problem, config)
+        overflowed.clear()
+        ref = composed_run(problem, config)
     assert len(trace.step_norms) == len(trace.residuals) == trace.iterations
+    assert (trace.status, trace.iterations) == (ref["status"],
+                                                ref["iterations"])
     if any(overflowed):
         assert trace.status == "diverged"
 

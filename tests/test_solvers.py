@@ -10,11 +10,11 @@ import pytest
 
 from splitkit import (AffineOperator, BoxNormalCone, CustomOperator, Method,
                       NOT_GUARANTEED, ProblemTriple, SolverConfig, SolverError,
-                      ZeroOperator, make_affine_instance, max_stepsize,
-                      omega_residual, run, solve_affine_direct)
+                      ZeroOperator, make_affine_instance, make_saddle_instance,
+                      max_stepsize, omega_residual, run, solve_affine_direct)
 import splitkit.operators
 import splitkit.solvers
-from oracles import precomposed_run
+from oracles import composed_run, precomposed_run
 from splitkit.solvers import TWO_OPERATOR_METHODS, _BLOCK
 
 SKEW2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -1059,12 +1059,115 @@ def test_discarded_steps_after_the_stop_name_no_kind(method, monkeypatch):
         assert trace.status == status and trace.iterations <= 3
         assert not any(w.startswith("floating-point") for w in trace.warnings)
         _assert_trace_is(trace, precomposed_run(problem, config, True))
-    # without the divergence bound the same block overflows
+    # without the divergence bound the same block overflows (the template
+    # methods named an invalid value only through J_{lam*A} of their
+    # non-finite z_final, which run() no longer evaluates)
     monkeypatch.setattr(splitkit.solvers, "DIVERGE_FACTOR", math.inf)
     trace = run(problem, SolverConfig(method=method, lam=1e6, z0=[1.0, 0.0],
                                       max_iters=_BLOCK, **kwargs))
     assert trace.status == "diverged" and trace.iterations < _BLOCK
-    assert "floating-point invalid value encountered" in trace.warnings
+    assert "floating-point overflow encountered" in trace.warnings
+
+
+def _composed_problem(name):
+    """A triple that run() does not precompose, and its B's Lipschitz
+    constant (B = 0: that of the affine instance it comes from)."""
+    full = make_affine_instance(12, 4, 0.8).triple()
+    if name == "saddle":
+        problem = make_saddle_instance(4, 6, 2, 0.5, 1.0).triple()
+        return problem, problem.B.lipschitz
+    return {"custom": _custom_triple(full),
+            "A=0": ProblemTriple(ZeroOperator(12), full.B, full.C),
+            "B=0": ProblemTriple(full.A, ZeroOperator(12), full.C),
+            "affine": full}[name], full.B.lipschitz
+
+
+def _composed_config(problem, L, method, **kwargs):
+    gamma = 1.0 / L if method == "FRDR" else None
+    lam = 0.5 * (max_stepsize(method, L, gamma) or max_stepsize("BRFoB", L))
+    return SolverConfig(method=method, lam=lam, z0=np.ones(problem.dim),
+                        gamma=gamma, **kwargs)
+
+
+@pytest.mark.parametrize("name,method", [
+    (name, method.value) for name in ("saddle", "custom", "A=0", "B=0")
+    for method in Method] + [
+    ("affine", method) for method in ("FB", "FoRB", "RFoB", "DR")])
+def test_composed_block_path_is_the_per_step_composed_run(name, method):
+    # every run that is not precomposed takes its composed steps a block at
+    # a time, in place; whatever its blocks, and wherever it stops, it is
+    # the run of one composed step at a time in every bit
+    problem, L = _composed_problem(name)
+    for max_iters in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1):
+        config = _composed_config(problem, L, method, max_iters=max_iters,
+                                  tol=1e-300)
+        for record in (False, True):
+            trace = run(problem, config, record_history=record)
+            _assert_trace_is(trace, composed_run(problem, config, record))
+    # a run that stops before its block ends (FB and RFoB on the saddle
+    # neither converge nor diverge at tol = 1e-4)
+    for tol in (1e-4, 1e-2):
+        config = _composed_config(problem, L, method, max_iters=2000, tol=tol)
+        trace = run(problem, config, record_history=True)
+        if trace.status != "max_iters":
+            break
+    assert trace.status != "max_iters" and trace.iterations % _BLOCK != 0
+    _assert_trace_is(trace, composed_run(problem, config, True))
+    _assert_trace_is(run(problem, config), composed_run(problem, config))
+
+
+@pytest.mark.parametrize("method", ["DR", "DavisYin", "BFoRB"])
+def test_no_oracle_sees_a_non_finite_argument(method, monkeypatch):
+    # without the divergence bound, C's clipped output drives |z| to the
+    # end of the float range, and at step 104, in mid-block, z + y - x
+    # overflows.  The block's pass ends at that step, so no oracle is
+    # called on the non-finite z: neither the next step's J_{lam*A} nor
+    # the one of x_final.  Status, count and warnings are those of one
+    # step at a time
+    seen = []
+
+    def finite(v):
+        if not np.isfinite(v).all():
+            seen.append(v.copy())
+        return v
+
+    problem = ProblemTriple(
+        A=CustomOperator(2, resolvent=lambda lam, v: 1e-3 * finite(v)),
+        B=CustomOperator(2, forward=lambda v: 1e-3 * finite(v),
+                         lipschitz=1e-3),
+        C=CustomOperator(2, resolvent=lambda lam, v: np.clip(
+            -1e3 * finite(v), -1e308, 1e308)))
+    monkeypatch.setattr(splitkit.solvers, "DIVERGE_FACTOR", math.inf)
+    config = SolverConfig(method=method, lam=1.0, z0=[1.0, -2.0],
+                          max_iters=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run(problem, config, record_history=True)
+    assert (trace.status, trace.iterations, trace.warnings) == (
+        "diverged", 104, ["floating-point overflow encountered"])
+    assert seen == []
+    assert not np.isfinite(trace.z_final).all()
+    assert np.isfinite(trace.x_final).all()
+    _assert_trace_is(trace, composed_run(problem, config, True))
+
+
+@pytest.mark.parametrize("method", ["FoRB", "RFoB"])
+def test_run_whose_bound_overflows_does_not_converge_falsely(method):
+    # from 1e300*ones the bound 1e12*(1 + |z0|) is inf, so every finite
+    # norm passes the divergence test.  The composed step kept an iterate
+    # norm whose squares overflow unscaled (inf), and the next step
+    # "converged" against the threshold tol*(1 + inf) with a step of 2.8;
+    # every norm that is not finite is now taken again, rescaled
+    problem = make_saddle_instance(4, 6, 2, 0.5, 1.0).triple()
+    lam = 50.0 * max_stepsize("FoRB" if method == "FoRB" else "BRFoB",
+                              problem.B.lipschitz)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = run(problem, SolverConfig(method=method, lam=lam,
+                                      z0=1e300 * np.ones(10), tol=1e-300,
+                                      max_iters=65), record_history=True)
+    assert t.status == "converged"
+    assert t.step_norms[-1] <= 1e-300 * (1.0 + math.hypot(*t.xs[-2]))
 
 
 def _custom_triple(problem):
