@@ -30,8 +30,8 @@ from .operators import (AffineOperator, OperatorError, ProblemTriple,
                         ZeroOperator, as_vector, fp_errstate, fp_warnings,
                         residual, resolvent_matrix, row_norms)
 
-#: Euler steps per block in :func:`simulate_dr_flow`, which takes a
-#: block's steps, then their norms in one call, then the block's residual
+#: States per block in :func:`simulate_dr_flow`, which takes the steps to
+#: a block's states, then their norms in one call, then the block's residual
 #: rows, whose copies of ``x_j`` and ``2x_j - z_j`` take 800 KB at d=50.
 _BLOCK = 1024
 
@@ -181,14 +181,17 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
                              - J_{lam*A}(z_j)),
     one gemv for an affine triple (see :func:`_euler_step`).  ``lam`` and
     ``T`` must be positive and finite, ``h_ode`` in (0, 1].  The flow has
-    no stopping rule, so it takes ``_BLOCK`` steps at a time, each written
-    straight into the stored states; then one :func:`row_norms` call
-    gives the block's step norms (the bits of ``np.linalg.norm`` per step,
-    rescaled where its squares overflow) and one stacked call its states'
-    residual and distance rows.  An oracle error of a row is raised at its
-    state, before the error of any later step, and a state that is not
-    finite raises ``OperatorError`` at its time, after the rows of the
-    states before it and before any error of the steps after it.
+    no stopping rule, so it goes ``_BLOCK`` states at a time: it takes the
+    steps to them, each written straight into the stored states, up to
+    the first step that raises; one :func:`row_norms` call gives their
+    step norms (the bits of ``np.linalg.norm`` per step, rescaled where
+    its squares overflow); the block then ends at its first state that is
+    not finite, one stacked call gives the residual and distance rows of
+    the states before the end, and the first error is raised.  So an
+    oracle error of a row is raised at its state, before the error of any
+    later step, and a state that is not finite raises ``OperatorError`` at
+    its time, after the rows of the states before it and before any error
+    of the steps after it.
     Floating-point events print no warning: each kind is named once in
     ``warnings``, in the order of ``run()``'s, and forming the affine map
     names none.
@@ -214,48 +217,34 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
         X = A_res(Z)
         return X, residual(C_res, lam, 2.0 * X - Z, X, B_rows(X))
 
-    def flush(hi):
-        """Fill rows ``lo..hi-1``; ``lo = hi`` first, so none is redone."""
-        nonlocal lo
-        start, lo = lo, hi
-        try:
-            X, residuals[start:hi] = rows(states[start:hi])
-        except Exception:
-            for i in range(start, hi):      # raise the first row's error
-                rows(states[i:i + 1])
-            raise
-        if dists is not None:
-            dists[start:hi] = row_norms(X - x_star)
-
-    def check(hi):
-        """Raise at the first non-finite state of ``lo..hi``, after the rows
-        of the states before it."""
-        bad = np.flatnonzero(~np.isfinite(states[lo:hi + 1]).all(axis=1))
-        if bad.size:
-            j = lo + int(bad[0])
-            flush(j)
-            raise OperatorError(f"flow state non-finite at t={j * h_ode:g}")
-
     kinds = set()
     with fp_errstate(lambda kind, flag: kinds.add(kind)):
         step = _euler_step(problem, lam, h_ode, inner_tol)
         A_res, C_res = problem.prepare(lam)
         states[0] = z0
-        lo = 0                  # states lo.. await their rows
-        for lo_block in range(0, n, _BLOCK):
-            hi = min(lo_block + _BLOCK, n)
+        for lo in range(0, n + 1, _BLOCK):      # the states lo..hi-1
+            a, hi, error = lo or 1, min(lo + _BLOCK, n + 1), None
             try:
-                for j in range(lo_block, hi):
-                    step(j, states[j], states[j + 1])
+                for j in range(a, hi):      # state j, from state j - 1
+                    step(j - 1, states[j - 1], states[j])
+            except Exception as exc:
+                hi, error = j, exc
+            step_norms[a:hi] = row_norms(states[a:hi] - states[a - 1:hi - 1])
+            bad = np.flatnonzero(~np.isfinite(states[lo:hi]).all(axis=1))
+            if bad.size:    # before its row and the step from it
+                hi = lo + int(bad[0])
+                error = OperatorError(
+                    f"flow state non-finite at t={hi * h_ode:g}")
+            try:
+                X, residuals[lo:hi] = rows(states[lo:hi])
             except Exception:
-                check(j)        # an earlier non-finite state comes first
-                flush(j + 1)    # and so does an earlier state's row error
+                for i in range(lo, hi):     # raise the first row's error
+                    rows(states[i:i + 1])
                 raise
-            D = states[lo_block + 1:hi + 1] - states[lo_block:hi]
-            step_norms[lo_block + 1:hi + 1] = row_norms(D)
-            check(hi)
-            flush(hi)
-        flush(n + 1)
+            if dists is not None:
+                dists[lo:hi] = row_norms(X - x_star)
+            if error is not None:
+                raise error
     return FlowTrajectory(
         times=np.arange(n + 1) * h_ode, states=states, h_ode=h_ode, lam=lam,
         inner_tol=inner_tol, kind="dr", step_norms=step_norms,

@@ -549,28 +549,36 @@ def run(problem, config, record_history=False):
     (:class:`~splitkit.operators.NonFiniteError`) also ends the run as
     ``"diverged"``: every series then has one entry per recorded iteration,
     and the final iterates and counters are those of the last iteration
-    that completed (the start, before any).  Floating-point overflow,
+    that completed (before any: the start, and the oracle calls of the
+    warm start if it completed).  Floating-point overflow,
     invalid operations and division by zero raise no warning: each kind
     that numpy reports during the run is named once in ``Trace.warnings``,
     after the stepsize notes, in the fixed order of ``FP_KINDS`` (overflow,
     invalid value, divide by zero), whatever the order in which they fire.
     A norm whose squares overflow (a finite vector beyond about 1.3e154,
-    ``z0`` included) is taken again by :func:`row_norms`' rescaling, so
-    neither the threshold nor the bound is inf for a finite start.
+    ``z0`` included) is taken again by :func:`row_norms`' rescaling, so the
+    threshold is finite for a finite iterate.  The bound is finite for
+    ``|z0|`` up to about 1.8e296; beyond that it is inf, and only the
+    finiteness test ends a diverging run.
 
-    The run takes its steps ``_BLOCK`` at a time, in place (see
-    :class:`_Rows`), then the norms of their iterates and steps in one
-    :func:`row_norms` call and the stopping tests as array comparisons, and
-    keeps the steps up to the first that stops the run.  A pass over a
-    block ends right after a step that fires a floating-point event or
-    raises, and the block resumes after it unless an earlier step stops
-    the run.  So a kind is named only if a step, norm or residual row that
-    the run keeps fired it, a step's exception counts only if no earlier
-    step stopped the run, no oracle is called on a state that a step made
-    non-finite, and the records are bit for bit those of one step at a
-    time.  The steps of the block after the stop are computed and
-    discarded, oracle calls included: the counters ``forward_evals`` and
-    ``resolvent_evals`` count the method's oracle calls of the steps kept.
+    The run goes one block of ``_BLOCK`` steps at a time, through four
+    stages in order: (1) passes over the block take its steps in place (see
+    :class:`_Rows`), each up to the block's end, right after a step that
+    fires a floating-point event or before a step that raises, and each
+    followed by the norms of its iterates and steps in one
+    :func:`row_norms` call and the stopping tests as array comparisons;
+    (2) the block ends after the first step that stops the run, before the
+    step that raised (a stop cancels a later step's error), or at its last
+    row; (3) the residual and distance rows up to that end follow (below);
+    (4) the block's records, the kinds fired at its kept rows and the
+    iterates and counters of its last kept row are committed at once; then
+    the step's error, if it still counts, ends the run.  So a kind is named
+    only if a step, norm or residual row that the run keeps fired it, no
+    oracle is called on a state that a step made non-finite, and the
+    records are bit for bit those of one step at a time.  The steps of the
+    block after the stop are computed and discarded, oracle calls
+    included: the counters ``forward_evals`` and ``resolvent_evals`` count
+    the method's oracle calls of the warm start and of the steps kept.
 
     When ``A`` and ``C`` are affine or bilinear (their prepared resolvents
     are matrix products) and ``B`` is affine and not zero, BFoRB, BRFoB,
@@ -603,9 +611,10 @@ def run(problem, config, record_history=False):
     ignore ``A`` (their residual is that of ``B + C``).
     No residual feeds back into the iteration, so the rows are evaluated
     per block of ``_BLOCK`` steps by one stacked call, with the bits of one
-    call per row.  A residual oracle that raises ends the run at its row:
-    the block is evaluated again row by row to find it, and the warnings
-    name only the kinds of the steps and rows up to it.
+    call per row.  A residual oracle that raises ends the run "diverged"
+    at its row, whatever a later step raised: only then are the block's
+    rows evaluated again one at a time, to find it, and the warnings name
+    only the kinds of the steps and rows up to it.
     With ``record_history=True`` the full ``z``/``y``/``x`` histories are
     kept so certificates can be evaluated afterwards, each entry an array
     of its own, copied from the block's rows.
@@ -637,78 +646,31 @@ def run(problem, config, record_history=False):
     residual_is_step = method is Method.DAVIS_YIN or (
         method is Method.DR and vanishes(problem.B))
     B_rows = problem.B.forward_rows
-    # The floating-point kinds fired since the last look; those of the
-    # block's kept rows, each with the row at which it first fired; and
-    # those the run names.  k steps precede the block, whose first ``due``
-    # rows await their residuals.
-    pending, events, fired = [], {}, set()
-    k = due = 0
+    # The floating-point kinds fired since the last look, and those the run
+    # names.  k steps precede the block; ``N`` holds the norm of the iterate
+    # before it, then those of its rows, and ``steps`` their step norms.
+    pending, fired = [], set()
+    k = 0
+    N, steps = np.empty(_BLOCK + 1), np.empty(_BLOCK)
 
-    def state(i):
-        """The iterates and counters after row ``i`` of the block."""
-        j = k + i + 1
-        x = blk.xs[i].copy()
-        return (x if blk.zs is None else blk.zs[i].copy(), x,
-                blk.fe + blk.per[0] * j, blk.re + blk.per[1] * j)
-
-    def rows(base, lo, hi):
-        """Residual and distance rows ``lo..hi-1`` of the block, which
-        starts at row ``base`` of the run."""
+    def rows(lo, hi):
+        """Residual and distance rows ``lo..hi-1`` of the block."""
         X, P, BX = blk.points
         Xs = X[lo:hi]
-        res = (step_norms[base + lo:base + hi] if residual_is_step
+        res = (steps[lo:hi] if residual_is_step
                else residual(C_res, lam, 2.0 * Xs - P[lo:hi], Xs,
-                             B_rows(Xs) if BX is None else BX[lo:hi]
-                             ).tolist())
-        return res, ([] if x_star is None
-                     else row_norms(Xs - x_star).tolist())
-
-    def flush():
-        """Append the rows of the block's ``due`` steps and name their
-        floating-point kinds; end the run at the first row whose residual
-        raises, naming only the kinds of the steps and rows up to it.
-        True if the run ended."""
-        nonlocal status, z, x, fe, re, due
-        n, due, base, cut = due, 0, len(residuals), None
-        try:
-            res, dist = rows(base, 0, n) if n else ([], [])
-        except NonFiniteError:      # find the row, without the block's events
-            pending.clear()
-            res, dist = [], []
-            for i in range(n):
-                try:
-                    r, d = rows(base, i, i + 1)
-                except NonFiniteError:
-                    cut = i
-                    break
-                res += r
-                dist += d
-        residuals.extend(res)
-        if dists is not None:
-            dists.extend(dist)
-        fired.update(pending, (kind for kind, i in events.items()
-                               if cut is None or i <= cut))
-        pending.clear()
-        events.clear()
-        if cut is not None:
-            status = "diverged"
-            z, x, fe, re = state(cut)
-            end = base + cut + 1
-            del step_norms[end:]
-            if record_history:
-                del xs[end + two_op:]
-                if zs is not None:
-                    del zs[end + 1:], ys[end + trace.y_offset:]
-        return cut is not None
+                             B_rows(Xs) if BX is None else BX[lo:hi]))
+        return res.tolist(), ([] if x_star is None
+                              else row_norms(Xs - x_star).tolist())
 
     tol, inf = config.tol, math.inf
     status = "max_iters"
 
     with fp_errstate(lambda kind, flag: pending.append(kind)):
-        # Each iterate's norm is computed once, for the divergence test, and
-        # reused as the next iteration's prev_norm (the first iterate is z0).
-        prev_norm = float(row_norms(config.z0[None])[0])
-        big = DIVERGE_FACTOR * (1.0 + prev_norm)
+        # Each iterate's norm is computed once, for the divergence test and
+        # the next step's stop test (the first iterate is z0).
+        N[0] = norm0 = float(row_norms(config.z0[None])[0])
+        big = DIVERGE_FACTOR * (1.0 + norm0)
         A_res, C_res = problem.prepare(lam)
         C_step = problem.C.prepare(config.gamma) if frdr else C_res
         B_fwd = problem.B.forward
@@ -716,67 +678,89 @@ def run(problem, config, record_history=False):
         try:
             blk = (_FRDR if frdr else _TwoOp if two_op else _Template)(
                 config, A_res, B_fwd, C_step, lifted, record_history)
+            fe, re = blk.fe, blk.re
+            recorded = [(series, block) for series, block in zip(
+                (zs, xs, ys), (blk.zs, blk.xs, blk.ys)) if series is not None]
             if ys is not None:
                 ys.extend(blk.history)
                 trace.y_offset = len(blk.history)
             fired.update(pending)
             pending.clear()
-            lo = 0
-            while True:
-                # One pass: the steps up to the block's end, the first step
-                # that fires an event, or the step before one that raises.
-                n = min(_BLOCK, config.max_iters - k)
-                m, error = blk.advance(lo, n, pending)
-                fires = [(kind, m - (error is None)) for kind in pending]
-                pending.clear()
-                V = blk.rows(lo, m)
-                R = row_norms(V)
-                if pending:     # a norm or step overflowed: at its first row
-                    with np.errstate(all="ignore"):
-                        sq = V[..., None, :] @ V[..., :, None]
-                    i = np.argmin(np.isfinite(sq).reshape(len(V), -1).all(1))
-                    fires[:0] = [(kind, lo + int(i)) for kind in pending]
+            while status == "max_iters" and k < config.max_iters:
+                n, lo, error = min(_BLOCK, config.max_iters - k), 0, None
+                events = {}     # each kind, with the row it first fired at
+                while status == "max_iters" and error is None and lo < n:
+                    # One pass: the steps up to the block's end, the first
+                    # step that fires an event, or the step before one that
+                    # raises; then their norms and stop tests.
+                    m, error = blk.advance(lo, n, pending)
+                    fires = [(kind, m - (error is None)) for kind in pending]
                     pending.clear()
-                with np.errstate(all="ignore"):     # the tests name no kind
-                    norm = R[:, 0]
-                    step = R[:, 1] + lam * R[:, 2] if frdr else R[:, 1]
-                    stops = np.flatnonzero(
-                        ~((norm <= big) & (step < inf)) | (step <= tol * (
-                            1.0 + np.concatenate(([prev_norm], norm[:-1])))))
-                last = lo + int(stops[0]) if stops.size else None
-                for kind, i in fires:   # the kinds of the rows kept
-                    if last is None or i <= last:
+                    V = blk.rows(lo, m)
+                    R = row_norms(V)
+                    if pending:  # a norm or step overflowed: at its first row
+                        with np.errstate(all="ignore"):
+                            sq = V[..., None, :] @ V[..., :, None]
+                        i = np.argmin(np.isfinite(sq[..., 0, 0]).all(1))
+                        fires[:0] = [(kind, lo + int(i)) for kind in pending]
+                        pending.clear()
+                    for kind, i in fires:
                         events.setdefault(kind, i)
-                end = m if last is None else last + 1
-                step_norms.extend(step[:end - lo].tolist())
-                if record_history:
-                    for series, block in zip((zs, xs, ys),
-                                             (blk.zs, blk.xs, blk.ys)):
-                        if series is not None:
-                            series.extend(map(np.ndarray.copy, block[lo:end]))
-                if end > lo:
-                    z, x, fe, re = state(end - 1)
-                due = end
-                if last is not None:
-                    status = ("converged" if norm[last - lo] <= big
-                              and step[last - lo] < inf else "diverged")
-                    due -= status == "diverged"     # no residual row
-                    break
+                    with np.errstate(all="ignore"):  # the tests name no kind
+                        norm = N[lo + 1:m + 1] = R[:, 0]
+                        step = steps[lo:m] = (R[:, 1] + lam * R[:, 2] if frdr
+                                              else R[:, 1])
+                        stops = np.flatnonzero(
+                            ~((norm <= big) & (step < inf))
+                            | (step <= tol * (1.0 + N[lo:m])))
+                    if stops.size:  # a stop cancels a later step's error
+                        i = int(stops[0])
+                        status = ("converged" if norm[i] <= big
+                                  and step[i] < inf else "diverged")
+                        m, error = lo + i + 1, None
+                    lo = m
+                # The block ends at row ``end``; its residual and distance
+                # rows end at the first that raises (a divergence has none).
+                end, hi = lo, lo - (status == "diverged")
+                # the history's copies, made before the rows' temporaries:
+                # made after them, they took certify_trace 2% longer to read
+                copies = [(series, list(map(np.ndarray.copy, block[:end])))
+                          for series, block in recorded]
+                try:
+                    res, dist = rows(0, hi)
+                except NonFiniteError:  # find the row; drop the stack's kinds
+                    pending.clear()
+                    res, dist = [], []
+                    for i in range(hi):
+                        try:
+                            r, d = rows(i, i + 1)
+                        except NonFiniteError:
+                            status, end, error = "diverged", i + 1, None
+                            break
+                        res += r
+                        dist += d
+                step_norms.extend(steps[:end].tolist())
+                residuals.extend(res)
+                if dists is not None:
+                    dists.extend(dist)
+                for series, copied in copies:
+                    series.extend(copied[:end])
+                # the kinds of the rows kept, and of a step whose error counts
+                fired.update(pending, (kind for kind, i in events.items()
+                                       if i < end + (error is not None)))
+                pending.clear()
+                if end:
+                    x = blk.xs[end - 1].copy()
+                    z = x if blk.zs is None else blk.zs[end - 1].copy()
+                    fe = blk.fe + blk.per[0] * (k + end)
+                    re = blk.re + blk.per[1] * (k + end)
                 if error is not None:
                     raise error
-                prev_norm, lo = norm[-1], m
-                if lo == n:
-                    if flush() or k + n == config.max_iters:
-                        break
-                    k, lo = k + n, 0
-                    for A, r in blk.carried:    # the next block's start
-                        A[:r] = A[n:n + r]
+                k, N[0] = k + n, N[n]
+                for A, r in blk.carried:    # the next block's start
+                    A[:r] = A[n:n + r]
         except NonFiniteError:
             status = "diverged"
-        except Exception:
-            if not flush():     # unless an earlier row's residual
-                raise           # ended the run
-        flush()
         if not (two_op or frdr) and np.isfinite(z).all():
             with suppress(NonFiniteError):   # a diverged z keeps the last x
                 x = A_res(z)

@@ -142,9 +142,9 @@ def composed_run(problem, config, record_history=False):
     rescaling where that is not finite, and with the residual and distance
     of each step taken at the step.  An oracle's ``NonFiniteError`` ends
     the run "diverged" with the iterates and counters of the last step
-    taken (the start, and no calls, before any).  For runs whose residuals
-    do not raise.  Returns the ``Trace`` fields that ``run()`` fills, with
-    the histories only if ``record_history``.
+    taken (before any: the start, and the calls of the warm start).  For
+    runs whose residuals do not raise.  Returns the ``Trace`` fields that
+    ``run()`` fills, with the histories only if ``record_history``.
     """
     method, lam, gamma, h = config.method, config.lam, config.gamma, config.h
     frdr, two_op = method is Method.FRDR, method in TWO_OPERATOR_METHODS
@@ -186,6 +186,7 @@ def composed_run(problem, config, record_history=False):
                     By2 = By1 if y1 is y2 else B_fwd(y2)
                     calls[0] = 1 if y1 is y2 else 2
                 history = (y2, y1)
+            fe, re = calls
             for _ in range(config.max_iters):
                 if frdr:
                     w = x - lam * u - lam * (2.0 * Bx - Bx_prev)

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from splitkit import (AffineOperator, AlignmentError, BoxNormalCone,
-                      InnerSolveError, OperatorError, ProblemTriple, ScaledL1,
-                      SolverConfig, ZeroOperator, discretization_gap,
-                      make_affine_instance, make_saddle_instance,
-                      max_stepsize, omega_residual, run, simulate_dr_flow,
-                      simulate_ppa)
+                      CustomOperator, InnerSolveError, OperatorError,
+                      ProblemTriple, ScaledL1, SolverConfig, ZeroOperator,
+                      discretization_gap, make_affine_instance,
+                      make_saddle_instance, max_stepsize, omega_residual, run,
+                      simulate_dr_flow, simulate_ppa)
 from splitkit.operators import NonFiniteError, row_norms
 import splitkit.dynamics
 
@@ -289,6 +289,42 @@ def test_overflowing_affine_flows_take_the_composed_step(monkeypatch):
         with pytest.raises(NonFiniteError):
             with np.errstate(over="ignore"):
                 simulate_dr_flow(problem, 1.0, 0.01, 30.0, z0)
+
+
+@pytest.mark.parametrize("row, step, state, first", [
+    (1023, 1023, 1024, "row at 1023"),
+    (1024, 1024, 1025, "row at 1024"),
+    (1023, 1025, 1024, "row at 1023"),
+    (1025, 1023, 1025, "step from 1023"),
+    (1025, 1024, 1025, "step from 1024"),
+    (1026, 1026, 1023, "non-finite at t=10.23"),
+    (1025, 1025, 1024, "non-finite at t=10.24"),
+    (1024, 1024, 1024, "non-finite at t=10.24"),
+])
+def test_flow_raises_its_first_error_around_a_block_boundary(
+        row, step, state, first, monkeypatch):
+    # state j is j, except the non-finite state; the row of each state from
+    # ``row`` on raises, and so does each step from state ``step`` on.  At
+    # one state the non-finite state comes first, then its row, then the
+    # step from it.
+    def euler_step(problem, lam, h_ode, inner_tol):
+        def take(j, z, out):
+            if j >= step:
+                raise ValueError(f"step from {j}")
+            out[...] = np.inf if j + 1 == state else j + 1.0
+        return take
+
+    def forward(v):
+        if v[0] >= row:
+            raise ValueError(f"row at {v[0]:g}")
+        return 0.0 * v
+
+    monkeypatch.setattr(splitkit.dynamics, "_euler_step", euler_step)
+    problem = ProblemTriple(A=ZeroOperator(1), C=AffineOperator([[0.5]]),
+                            B=CustomOperator(1, forward=forward,
+                                             lipschitz=0.0))
+    with pytest.raises((ValueError, OperatorError), match=first):
+        simulate_dr_flow(problem, 0.5, 0.01, 15.0, [0.0])
 
 
 def test_flow_norms_of_states_beyond_1e154_are_finite():

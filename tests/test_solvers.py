@@ -505,6 +505,85 @@ def test_run_cut_at_a_raising_row_names_only_the_kinds_it_keeps():
                               "floating-point divide by zero encountered"]
 
 
+def _dr_cut_problem(cut=None, step_error=None):
+    """A 1-D DR triple whose run from z_0 = 1 at lam = 0.5 has z_k = 0.6^k
+    up to rounding.  The residual's B raises ``NonFiniteError`` from row
+    ``cut`` on, and the step's A raises ``ValueError`` from step
+    ``step_error`` on (None: never)."""
+    def A_res(lam, v):
+        if step_error is not None and abs(v[0]) < 0.6 ** (step_error - 0.5):
+            raise ValueError("step error")
+        return v / (1.0 + lam)
+
+    limit = 0.0 if cut is None else 0.6 ** (cut - 0.5) / 1.5
+    B = CustomOperator(1, lipschitz=0.0, forward=lambda v: np.where(
+        np.abs(v) < limit, np.inf, 0.0))
+    return ProblemTriple(A=CustomOperator(1, resolvent=A_res), B=B,
+                         C=AffineOperator([[0.5]]))
+
+
+_DR_CUT_CONFIG = SolverConfig(method="DR", lam=0.5, z0=[1.0], max_iters=200,
+                              tol=1e-300)
+
+
+@pytest.mark.parametrize("cut", [63, 64, 65, 128])
+def test_run_cut_at_a_raising_row_around_a_block_boundary(cut):
+    # the run keeps the steps up to the raising row, their histories and the
+    # iterates after it, and the rows before it: those of the uncut run
+    ref = run(_dr_cut_problem(), _DR_CUT_CONFIG, record_history=True)
+    t = run(_dr_cut_problem(cut), _DR_CUT_CONFIG, record_history=True)
+    assert (t.status, t.iterations, t.forward_evals, t.resolvent_evals) == (
+        "diverged", cut + 1, 0, 2 * (cut + 1))
+    assert (len(t.zs), len(t.xs), len(t.ys)) == (cut + 2, cut + 1, cut + 1)
+    for name, n in (("zs", cut + 2), ("xs", cut + 1), ("ys", cut + 1)):
+        assert np.array_equal(getattr(t, name), getattr(ref, name)[:n])
+    assert t.step_norms == ref.step_norms[:cut + 1]
+    assert t.residuals[:cut] == ref.residuals[:cut]
+    assert np.isnan(t.residuals[cut])
+    assert np.array_equal(t.z_final, ref.zs[cut + 1])
+    assert np.array_equal(t.x_final, ref.xs[cut + 1])
+
+
+@pytest.mark.parametrize("cut, step_error", [(10, 20), (30, 63)])
+def test_step_error_after_a_cut_row_in_its_block_ends_the_run_there(
+        cut, step_error):
+    # the step raises after the block's raising row: the row comes first,
+    # and the run ends "diverged" at it as if the step had not raised
+    want = vars(run(_dr_cut_problem(cut), _DR_CUT_CONFIG,
+                    record_history=True))
+    t = run(_dr_cut_problem(cut, step_error), _DR_CUT_CONFIG,
+            record_history=True)
+    assert (t.status, t.iterations) == ("diverged", cut + 1)
+    _assert_trace_is(t, want)
+    # without the raising row, the step's error propagates
+    with pytest.raises(ValueError, match="step error"):
+        run(_dr_cut_problem(None, step_error), _DR_CUT_CONFIG)
+
+
+@pytest.mark.parametrize("method, counters", [("BFoRB", (1, 1)),
+                                              ("BRFoB", (0, 1))])
+def test_counters_count_the_warm_start_when_the_first_step_fails(method,
+                                                                 counters):
+    # A returns inf from its second call on, the first step's: the run
+    # ends after no step, and the counters hold the warm start's calls
+    def problem():
+        calls = []
+
+        def A_res(lam, v):
+            calls.append(v)
+            return v / (1.0 + lam) if len(calls) < 2 else np.full(2, np.inf)
+
+        return ProblemTriple(A=CustomOperator(2, resolvent=A_res),
+                             B=AffineOperator(np.eye(2)), C=ZeroOperator(2))
+
+    config = SolverConfig(method=method, lam=0.1, z0=np.ones(2),
+                          max_iters=10)
+    t = run(problem(), config)
+    assert (t.status, t.iterations) == ("diverged", 0)
+    assert (t.forward_evals, t.resolvent_evals) == counters
+    _assert_trace_is(t, composed_run(problem(), config))
+
+
 @pytest.mark.parametrize("method", ["BFoRB", "DR", "FRDR"])
 def test_run_singular_resolvent_ends_diverged(method):
     # I + lam*M is invertible for monotone M, but at lam = 1e300 it rounds
