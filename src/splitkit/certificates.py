@@ -14,9 +14,8 @@ values.  ``certify_trace`` feeds it a recorded run in blocks of ``_BLOCK``
 rows, evaluating B at ``x`` and, by one ``forward_rows`` call per block, at
 each point the formulas read (K+3 points for a K-step BFoRB run, K+2 for
 BRFoB); each public per-k function (``lemma_*_slack``, ``phi_*``) is a
-one-row call into it, with the same bits.  The blocks bound peak memory:
-the stacked rows and the kernel's temporaries grow with the block, not
-with the length of the run.
+one-row call into it, with the same bits.  The blocks bound peak memory
+(see ``_BLOCK``).
 
 ``reference_point`` and ``certify_trace`` ignore floating-point events: a
 value that overflows is not finite, and the CLI reports it as ``null``.
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import as_vector, residual, vanishes
+from .operators import as_count, as_vector, residual, vanishes
 from .solvers import Method
 
 
@@ -172,18 +171,17 @@ def _kernel(flavor, ref, lam, L, Z, Y, F, b_x=None):
     return rhs - lhs, phi, step2[1:], dist2
 
 
-def _rows(seq, lo, hi):
-    """Entries lo..hi-1 of the list ``seq`` as rows, backfilled by entry 0
-    (one concatenate: twice as fast as ``np.array`` on a block)."""
-    rows = seq[:1] * -min(lo, 0) + seq[max(lo, 0):hi]
-    return np.concatenate(rows).reshape(len(rows), -1)
+def _rows(stack, lo, hi):
+    """Rows lo..hi-1 of ``stack`` (an array, or a list of rows), by one
+    index in which row 0 backfills the rows before it."""
+    return np.asarray(stack, dtype=float)[np.maximum(np.arange(lo, hi), 0)]
 
 
 def _pointwise(problem, ref, lam, L, flavor, zs, ys, lemma):
     """One-row kernel call: the lemma slack of step k, or phi_k.
 
-    ``zs`` and ``ys`` are lists, oldest first; ``_rows`` backfills
-    missing older entries with the first one.
+    ``zs`` and ``ys`` are stacks of rows, oldest first; ``_rows`` backfills
+    missing older rows with the first.
     """
     n = int(lemma)
     Z = _rows(zs, len(zs) - 4 - n, len(zs))
@@ -340,7 +338,7 @@ def certify_trace(problem, trace, kmax=None):
     evaluates ``B``).  Both then follow the BFoRB sequence and satisfy its
     inequalities with the forward terms dropping out.  The trace must have
     been produced with ``record_history=True`` on a problem admitting a
-    reference point.
+    reference point; ``kmax``, a positive integer, caps the steps evaluated.
     """
     if trace.zs is None or trace.ys is None:
         raise CertificateError("trace lacks history; rerun with record_history")
@@ -356,11 +354,12 @@ def certify_trace(problem, trace, kmax=None):
 
     lam, L = trace.lam, problem.B.lipschitz
     ref = reference_point(problem, lam)
+    zs, ys = (np.asarray(s, dtype=float) for s in (trace.zs, trace.ys))
     # run() ends a run at its first non-finite iterate, so only the last
     # recorded z can be non-finite.
-    K = len(trace.zs) - 1 - int(not np.isfinite(trace.zs[-1]).all())
+    K = len(zs) - 1 - int(not np.isfinite(zs[-1]).all())
     if kmax is not None:
-        K = min(K, kmax)
+        K = min(K, as_count(kmax, "kmax", CertificateError))
     if K < 1:
         raise CertificateError("trace too short to certify")
     flavor = "brfob" if method is Method.BRFOB else "bforb"
@@ -374,8 +373,8 @@ def certify_trace(problem, trace, kmax=None):
     F, off = np.empty((0, problem.dim)), trace.y_offset
     for k0 in range(0, K, _BLOCK):
         k1 = min(k0 + _BLOCK, K)
-        Z = _rows(trace.zs, k0 - 3, k1 + 1)
-        Y = _rows(trace.ys, k0 - 3 + off, k1 + off)
+        Z = _rows(zs, k0 - 3, k1 + 1)
+        Y = _rows(ys, k0 - 3 + off, k1 + off)
         # B once per point: the previous block already evaluated the first
         # points of this one (two for BFoRB, one for BRFoB).
         P = _forward_points(flavor, Y)

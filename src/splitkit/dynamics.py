@@ -20,15 +20,13 @@ call, with the bits of one call per state.
 """
 
 import math
-import operator
-from contextlib import suppress
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .operators import (AffineOperator, OperatorError, ProblemTriple,
-                        ZeroOperator, as_vector, fp_errstate, fp_warnings,
-                        residual, resolvent_matrix, row_norms)
+                        ZeroOperator, as_count, as_vector, fp_errstate,
+                        fp_warnings, residual, resolvent_matrix, row_norms)
 
 #: States per block in :func:`simulate_dr_flow`, which takes the steps to
 #: a block's states, then their norms in one call, then the block's residual
@@ -259,8 +257,9 @@ def discretization_gap(flow, trace, stride):
     behind the methods take unit time steps).  Like is compared with like:
     a proximal-point flow against the trace's ``x_k``, a Douglas-Rachford
     flow, whose states are shadow points, against its ``z_k``.  Returns
-    ``(ks, gaps)`` where ``gaps[i] = |v_flow(ks[i]) - v_{ks[i]}|``; purely
-    diagnostic, no convergence claim attached.
+    ``(ks, gaps)``, ``ks`` every ``stride``-th iterate up to the flow's last
+    time and ``gaps[i] = |v_flow(ks[i]) - v_{ks[i]}|`` by one
+    :func:`row_norms` call; purely diagnostic, no convergence claim attached.
     """
     history = "zs" if flow.kind == "dr" else "xs"
     iterates = getattr(trace, history)
@@ -268,22 +267,14 @@ def discretization_gap(flow, trace, stride):
         raise AlignmentError(
             f"trace lacks the {history} history a {flow.kind} flow is "
             "compared with; rerun with record_history=True")
-    with suppress(TypeError):   # a float is no stride
-        stride = operator.index(stride)
-    if not isinstance(stride, int) or stride < 1:
-        raise AlignmentError("stride must be a positive integer")
+    stride = as_count(stride, "stride", AlignmentError)
     n_iters = len(iterates) - 1
     if stride > n_iters:
         raise AlignmentError(
             f"stride {stride} exceeds trace length {n_iters}")
     if flow.states.shape[1] != iterates[0].shape[0]:
         raise AlignmentError("flow and trace dimensions differ")
-    t_max = flow.times[-1]
-    ks, gaps = [], []
-    for k in range(0, n_iters + 1, stride):
-        if k > t_max + 1e-9:
-            break
-        j = int(round(k / flow.h_ode))
-        ks.append(k)
-        gaps.append(float(np.linalg.norm(flow.states[j] - iterates[k])))
-    return np.array(ks, dtype=int), np.array(gaps)
+    ks = np.arange(0, n_iters + 1, stride)
+    ks = ks[ks <= flow.times[-1] + 1e-9]
+    js = np.rint(ks / flow.h_ode).astype(int)
+    return ks, row_norms(flow.states[js] - np.asarray(iterates, float)[ks])

@@ -39,6 +39,7 @@ user's callables return.  A non-finite vector raises :class:`NonFiniteError`
 construction.
 """
 
+import operator
 from functools import cached_property, partial
 
 import numpy as np
@@ -85,6 +86,14 @@ def as_vector(v, dim=None, name="v"):
         raise DimensionMismatchError(
             f"{name} has dim {arr.shape[0]}, expected {dim}")
     return arr
+
+
+def as_count(n, name, error):
+    """``n`` as a positive ``int`` by ``operator.index`` (a float or a
+    string is no count), or ``error``."""
+    if not hasattr(type(n), "__index__") or operator.index(n) < 1:
+        raise error(f"{name} must be a positive integer")
+    return operator.index(n)
 
 
 def vanishes(op):

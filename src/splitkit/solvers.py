@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import (NonFiniteError, as_vector, fp_errstate,
+from .operators import (NonFiniteError, as_count, as_vector, fp_errstate,
                         fp_warnings, residual, row_norms, vanishes)
 
 #: Sentinel returned by :func:`max_stepsize` for methods whose convergence
@@ -134,10 +134,7 @@ class SolverConfig:
         self.method = Method(self.method)
         if not 0.0 < self.lam < math.inf:
             raise SolverError("lam must be positive and finite")
-        with suppress(TypeError):   # a float or a string is no count
-            self.max_iters = operator.index(self.max_iters)
-        if not isinstance(self.max_iters, int) or self.max_iters < 1:
-            raise SolverError("max_iters must be a positive integer")
+        self.max_iters = as_count(self.max_iters, "max_iters", SolverError)
         if not self.tol > 0:
             raise SolverError("tol must be positive")
         self.z0 = as_vector(self.z0, name="z0")
@@ -159,7 +156,8 @@ class SolverConfig:
 
 @dataclass
 class Trace:
-    """Per-iteration records of one run plus terminal status."""
+    """Per-iteration records of one run plus terminal status; a recorded
+    history is one 2-D array whose row ``j`` is iterate ``j``."""
 
     method: Method
     lam: float
@@ -175,11 +173,10 @@ class Trace:
     warnings: list = field(default_factory=list)
     z_final: np.ndarray = None
     x_final: np.ndarray = None
-    # Full iterate history; populated only when run(..., record_history=True).
-    zs: list = None
-    ys: list = None
-    xs: list = None
-    y_offset: int = 0   # index of y_0 within ys
+    zs: np.ndarray = None
+    ys: np.ndarray = None
+    xs: np.ndarray = None
+    y_offset: int = 0   # the row of y_0 in ys, after the y-history
 
     def y_at(self, j):
         """Recorded y_j; indices before the first record are backfilled."""
@@ -538,6 +535,21 @@ def _stepsize_warnings(config, L):
     return notes
 
 
+def _keep(hist, name, rows):
+    """Append ``rows`` to the recorded series ``name``.  A full buffer
+    doubles, its rows moving a block at a time from the end, each freed as it
+    moves (no series is held twice; rows never written take no memory)."""
+    buf, n = hist[name]
+    if n + len(rows) > len(buf):
+        old, buf, hi = buf, np.empty((2 * len(buf), buf.shape[1])), n
+        for lo in reversed(range(0, n, _BLOCK)):
+            buf[lo:hi] = old[lo:hi]
+            old.resize((lo, buf.shape[1]), refcheck=False)
+            hi = lo
+    buf[n:n + len(rows)] = rows
+    hist[name] = buf, n + len(rows)
+
+
 def run(problem, config, record_history=False):
     """Drive ``config.method`` on ``problem`` until the stopping rule fires.
 
@@ -550,11 +562,11 @@ def run(problem, config, record_history=False):
     ``"diverged"``: every series then has one entry per recorded iteration,
     and the final iterates and counters are those of the last iteration
     that completed (before any: the start, and the oracle calls of the
-    warm start if it completed).  Floating-point overflow,
-    invalid operations and division by zero raise no warning: each kind
-    that numpy reports during the run is named once in ``Trace.warnings``,
-    after the stepsize notes, in the fixed order of ``FP_KINDS`` (overflow,
-    invalid value, divide by zero), whatever the order in which they fire.
+    warm start if it completed).  Floating-point overflow, invalid
+    operations and division by zero raise no warning: each kind that numpy
+    reports during the run is named once in ``Trace.warnings``, after the
+    stepsize notes, in the fixed order of ``FP_KINDS``, whatever the order
+    in which they fire.
     A norm whose squares overflow (a finite vector beyond about 1.3e154,
     ``z0`` included) is taken again by :func:`row_norms`' rescaling, so the
     threshold is finite for a finite iterate.  The bound is finite for
@@ -582,20 +594,15 @@ def run(problem, config, record_history=False):
 
     When ``A`` and ``C`` are affine or bilinear (their prepared resolvents
     are matrix products) and ``B`` is affine and not zero, BFoRB, BRFoB,
-    Davis-Yin and FRDR take a precomposed step: ``x_k`` is the prepared
-    resolvent's own product and one more product with a matrix formed once
-    per run gives ``y_k`` (FRDR: ``u_{k+1}``), so the iterates agree with
-    the composed step to rounding.  If ``J_{lam*A}`` or the map is not
-    finite, the run takes the composed step.  The counters count the
-    method's logical oracle calls either way, although the precomposed
-    step calls the oracles only to form its map.  It checks no resolvent
+    Davis-Yin and FRDR take the precomposed step of :func:`_precompose`
+    (the composed step if ``J_{lam*A}`` or its map is not finite), whose
+    iterates agree with the composed step's to rounding; the counters count
+    the method's logical oracle calls either way.  It checks no resolvent
     for finiteness, so a diverged precomposed run ends at the step whose
     iterate left the finite range or passed the bound: that step is its
-    last record, its iterates are ``z_final`` and ``x_final``, and the
-    template's ``x_final`` is ``J_{lam*A}(z_final)`` where ``z_final`` and
-    that are finite.
-    Every other triple and method, ``B = 0`` included (DR's template, bit
-    for bit), takes the composed step.
+    last record, and the template's ``x_final`` is ``J_{lam*A}(z_final)``
+    where both are finite.  Every other triple and method, ``B = 0``
+    included (DR's template, bit for bit), takes the composed step.
 
     Per-iteration records hold the step norm, the solution residual
     ``|J_{lam*C}(2x - p - lam*B(x)) - x|`` with ``x = J_{lam*A}(p)`` (the
@@ -615,33 +622,33 @@ def run(problem, config, record_history=False):
     at its row, whatever a later step raised: only then are the block's
     rows evaluated again one at a time, to find it, and the warnings name
     only the kinds of the steps and rows up to it.
-    With ``record_history=True`` the full ``z``/``y``/``x`` histories are
-    kept so certificates can be evaluated afterwards, each entry an array
-    of its own, copied from the block's rows.
+    With ``record_history=True`` each commit also writes the block's kept
+    ``z``/``y``/``x`` rows, one slice per series, into the buffers that end
+    as the :class:`Trace` histories.  The closing ``J_{lam*A}(z_final)``
+    belongs to a step not taken: what it raises is dropped, as a stop drops
+    a later step's error, and ``x_final`` stays the last ``x``.
     """
     method, lam = config.method, config.lam
     if config.z0.shape[0] != problem.dim:
         raise SolverError(
             f"z0 has dim {config.z0.shape[0]}, problem has {problem.dim}")
-    two_op = method in TWO_OPERATOR_METHODS
-    frdr = method is Method.FRDR
+    two_op, frdr = method in TWO_OPERATOR_METHODS, method is Method.FRDR
 
     trace = Trace(method=method, lam=lam, gamma=config.gamma, h=config.h)
     trace.warnings.extend(_stepsize_warnings(config, problem.B.lipschitz))
     x_star = problem.x_star
-    if x_star is not None:
-        trace.dist_to_xstar = []
-    step_norms, residuals, dists = (trace.step_norms, trace.residuals,
-                                    trace.dist_to_xstar)
+    dists = trace.dist_to_xstar = None if x_star is None else []
+    step_norms, residuals = trace.step_norms, trace.residuals
 
     # The last kept step's iterates; the start stands in until one is kept.
     z = x = config.z0.copy()
     fe = re = 0
+    hist = {}   # each recorded series: its buffer and its rows so far
     if record_history:
-        trace.xs = [x] if two_op else []
-        if not two_op:
-            trace.zs, trace.ys = [z], []
-    xs, zs, ys = trace.xs, trace.zs, trace.ys
+        cap = min(config.max_iters, _BLOCK) + 3   # a block, z_0, y_-2, y_-1
+        hist = {name: (np.empty((cap, z.shape[0])), 0)
+                for name in (("xs",) if two_op else ("zs", "xs", "ys"))}
+        _keep(hist, "xs" if two_op else "zs", z[None])
 
     residual_is_step = method is Method.DAVIS_YIN or (
         method is Method.DR and vanishes(problem.B))
@@ -649,8 +656,7 @@ def run(problem, config, record_history=False):
     # The floating-point kinds fired since the last look, and those the run
     # names.  k steps precede the block; ``N`` holds the norm of the iterate
     # before it, then those of its rows, and ``steps`` their step norms.
-    pending, fired = [], set()
-    k = 0
+    pending, fired, k = [], set(), 0
     N, steps = np.empty(_BLOCK + 1), np.empty(_BLOCK)
 
     def rows(lo, hi):
@@ -663,8 +669,7 @@ def run(problem, config, record_history=False):
         return res.tolist(), ([] if x_star is None
                               else row_norms(Xs - x_star).tolist())
 
-    tol, inf = config.tol, math.inf
-    status = "max_iters"
+    tol, inf, status = config.tol, math.inf, "max_iters"
 
     with fp_errstate(lambda kind, flag: pending.append(kind)):
         # Each iterate's norm is computed once, for the divergence test and
@@ -679,11 +684,9 @@ def run(problem, config, record_history=False):
             blk = (_FRDR if frdr else _TwoOp if two_op else _Template)(
                 config, A_res, B_fwd, C_step, lifted, record_history)
             fe, re = blk.fe, blk.re
-            recorded = [(series, block) for series, block in zip(
-                (zs, xs, ys), (blk.zs, blk.xs, blk.ys)) if series is not None]
-            if ys is not None:
-                ys.extend(blk.history)
+            if "ys" in hist:
                 trace.y_offset = len(blk.history)
+                _keep(hist, "ys", np.reshape(blk.history, (-1, z.shape[0])))
             fired.update(pending)
             pending.clear()
             while status == "max_iters" and k < config.max_iters:
@@ -722,10 +725,6 @@ def run(problem, config, record_history=False):
                 # The block ends at row ``end``; its residual and distance
                 # rows end at the first that raises (a divergence has none).
                 end, hi = lo, lo - (status == "diverged")
-                # the history's copies, made before the rows' temporaries:
-                # made after them, they took certify_trace 2% longer to read
-                copies = [(series, list(map(np.ndarray.copy, block[:end])))
-                          for series, block in recorded]
                 try:
                     res, dist = rows(0, hi)
                 except NonFiniteError:  # find the row; drop the stack's kinds
@@ -743,8 +742,8 @@ def run(problem, config, record_history=False):
                 residuals.extend(res)
                 if dists is not None:
                     dists.extend(dist)
-                for series, copied in copies:
-                    series.extend(copied[:end])
+                for name in hist:
+                    _keep(hist, name, getattr(blk, name)[:end])
                 # the kinds of the rows kept, and of a step whose error counts
                 fired.update(pending, (kind for kind, i in events.items()
                                        if i < end + (error is not None)))
@@ -762,17 +761,19 @@ def run(problem, config, record_history=False):
         except NonFiniteError:
             status = "diverged"
         if not (two_op or frdr) and np.isfinite(z).all():
-            with suppress(NonFiniteError):   # a diverged z keeps the last x
+            with suppress(Exception):   # a step not taken: x stays the last
                 x = A_res(z)
         fired.update(pending)
     trace.warnings.extend(fp_warnings(fired))
+    for name, (buf, n) in hist.items():     # trim each series in place
+        buf.resize((n, buf.shape[1]), refcheck=False)
+        setattr(trace, name, buf)
     # A diverged step has no residual or distance: NaN stands in for them.
     for series in (residuals, dists):
         if series is not None:
             series.extend([math.nan] * (len(step_norms) - len(series)))
 
-    trace.status = status
-    trace.iterations = len(step_norms)
+    trace.status, trace.iterations = status, len(step_norms)
     trace.forward_evals, trace.resolvent_evals = fe, re
     trace.z_final, trace.x_final = z, x
     return trace

@@ -247,7 +247,7 @@ def test_criterion_6_reduction_equivalences():
     # which every further step is trivially the unrelaxed one
     if trace.iterations < 200 and trace.step_norms[-1] != 0.0:
         failures.append(f"(c) FoRB stopped after {trace.iterations} steps")
-    xs = [xp] + trace.xs
+    xs = [xp, *trace.xs]
     worst = 0.0
     for k in range(1, len(xs) - 1):
         ref = problem.C.resolve(lam, xs[k] - 2.0 * lam * problem.B.forward(

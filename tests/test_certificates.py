@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -435,9 +436,10 @@ def test_certify_trace_matches_pointwise_ops():
                                          z0=np.ones(8), max_iters=long_run,
                                          tol=1e-300), record_history=True)
         assert long.iterations == long_run
-        # a hand-built trace whose last z is non-finite, as after divergence
+        # a hand-built trace whose last z is non-finite, as after
+        # divergence: its histories are lists of rows, not arrays
         nan = np.full(8, np.nan)
-        blown = replace(short, zs=short.zs + [nan], ys=short.ys + [nan],
+        blown = replace(short, zs=[*short.zs, nan], ys=[*short.ys, nan],
                         iterations=short.iterations + 1)
         cases = [(short, None, 50), (long, None, long_run),
                  (long, _BLOCK + 300, _BLOCK + 300),   # ends inside a block
@@ -489,6 +491,15 @@ def test_certify_trace_guards():
                                         tol=1e-300))
     with pytest.raises(CertificateError):
         certify_trace(problem, no_hist)
+    # kmax is a positive count: a float, a string, NaN or 0 is none
+    short = run(problem, SolverConfig(method="BFoRB", lam=lam, z0=np.ones(6),
+                                      max_iters=10, tol=1e-300),
+                record_history=True)
+    for kmax in (math.nan, 2.5, 2.0, "7", 0, -1):
+        with pytest.raises(CertificateError, match="positive integer"):
+            certify_trace(problem, short, kmax=kmax)
+    assert certify_trace(problem, short, kmax=np.int64(7)).summary[
+        "k_evaluated"] == 7
     # DR certificates demand a vanishing B
     dr_trace = run(problem, SolverConfig(method="DR", lam=lam, z0=np.ones(6),
                                          max_iters=10, tol=1e-300),

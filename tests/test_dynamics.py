@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -438,6 +439,35 @@ def test_dr_flow_gap_needs_z_history():
                                       tol=1e-300), record_history=True)
     with pytest.raises(AlignmentError):
         discretization_gap(flow, trace, stride=1)
+
+
+def test_gap_is_one_norm_per_aligned_iterate():
+    # gaps[i] = |states[round(k/h_ode)] - x_k| with the bits of
+    # np.linalg.norm, for k up to the flow's last time (7.2: T = 7.3 is 18
+    # steps of 0.4, and k/0.4 rounds half to even), whether the history is
+    # an array or a list of rows
+    full = make_affine_instance(4, 3, 0.8).triple()
+    problem = ProblemTriple(A=ZeroOperator(4), B=full.B, C=full.C)
+    flow = simulate_ppa(problem, 0.1, 0.4, 7.3, np.ones(4))
+    trace = run(problem, SolverConfig(method="FoRB", lam=0.1, z0=np.ones(4),
+                                      max_iters=12, tol=1e-300),
+                record_history=True)
+    listed = replace(trace, xs=list(trace.xs))
+    for stride in (1, 3):
+        want = [k for k in range(0, 13, stride)
+                if k <= flow.times[-1] + 1e-9]
+        for t in (trace, listed):
+            ks, gaps = discretization_gap(flow, t, stride)
+            assert ks.dtype == np.int64 and ks.tolist() == want
+            assert gaps.tolist() == [
+                float(np.linalg.norm(flow.states[int(round(k / 0.4))]
+                                     - trace.xs[k])) for k in want]
+    # a gap whose squares overflow is rescaled, so it is finite
+    huge = replace(trace, xs=[*trace.xs[:2], np.full(4, 1e200),
+                              *trace.xs[3:]])
+    with np.errstate(over="ignore"):
+        gap = discretization_gap(flow, huge, 1)[1][2]
+    assert gap == pytest.approx(2e200, rel=1e-12)
 
 
 def test_gap_contract_errors():

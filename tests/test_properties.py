@@ -14,10 +14,10 @@ from splitkit import (AffineOperator, CustomOperator, Method, ProblemTriple,
                       reference_point, run, save_instance, simulate_dr_flow,
                       simulate_ppa)
 from splitkit.cli import ConfigError, ExperimentConfig, parse_config
-from splitkit.solvers import TWO_OPERATOR_METHODS, _BLOCK
-from oracles import composed_run
+from splitkit.solvers import TWO_OPERATOR_METHODS, _BLOCK, _precompose
+from oracles import composed_run, precomposed_run
 from test_cli import _flow_rows_rowwise
-from test_solvers import _custom_triple
+from test_solvers import _assert_trace_is, _custom_triple
 
 PROPERTY = settings(max_examples=50, deadline=None)
 
@@ -91,6 +91,54 @@ def test_overflowing_oracle_ends_the_run_diverged(method, scale, lam, z0):
                                                 ref["iterations"])
     if any(overflowed):
         assert trace.status == "diverged"
+
+
+@st.composite
+def run_case(draw):
+    """A method, a random monotone affine triple, taken as affine operators
+    (the precomposed route, where the method has one) or each behind a
+    CustomOperator (the composed route), and a config whose ``max_iters``
+    lies near a block's end or past the 67-row history buffer's first and
+    second doublings, and whose ``tol`` lets some runs converge mid-block."""
+    method = draw(st.sampled_from(list(Method)))
+    problem = make_affine_instance(draw(st.integers(1, 5)),
+                                   draw(st.integers(0, 2**32 - 1)),
+                                   draw(st.floats(0.0, 1.0))).triple()
+    if draw(st.booleans()):
+        problem = _custom_triple(problem)
+    lam = draw(st.floats(0.01, 1.0))
+    gamma = (lam * draw(st.floats(1.0, 4.0)) if method is Method.FRDR
+             else None)
+    max_iters = draw(st.one_of(st.integers(1, 2), st.integers(63, 65),
+                               st.integers(127, 131), st.integers(250, 300)))
+    z0 = draw(arrays(float, problem.dim, elements=st.floats(-10.0, 10.0)))
+    return problem, SolverConfig(
+        method=method, lam=lam, z0=z0, max_iters=max_iters, gamma=gamma,
+        tol=draw(st.sampled_from([1e-300, 1e-10, 1e-6, 1e-3])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_case(), st.booleans())
+def test_run_is_the_per_step_run_bit_for_bit(case, record):
+    # whatever its blocks, its history buffer's doublings and where it
+    # stops, run() is the run of one step at a time in every Trace field,
+    # histories included: the precomposed step where run() precomposes,
+    # the composed step elsewhere
+    problem, config = case
+    A_res, C_res = problem.prepare(config.lam)
+    if config.method is Method.FRDR:
+        C_res = problem.C.prepare(config.gamma)
+    lifted = _precompose(config, A_res, problem.B, C_res)
+    ref = (precomposed_run if lifted else composed_run)(problem, config,
+                                                        record)
+    trace = run(problem, config, record_history=record)
+    _assert_trace_is(trace, ref)
+    for name in ("zs", "xs", "ys"):
+        series = getattr(trace, name)
+        assert (series is None) == (name not in ref)
+        if series is not None:
+            assert series.dtype == np.float64 and series.ndim == 2
+            assert series.flags.c_contiguous and series.flags.owndata
 
 
 def _assert_lemma_slacks_nonnegative(problem, method, lam):

@@ -198,7 +198,7 @@ def test_forb_step_h1_matches_unrelaxed_formula():
                                   y_init=(x, x_prev), max_iters=50,
                                   tol=1e-300), record_history=True)
     assert t.iterations == 50
-    xs = [x_prev] + t.xs
+    xs = [x_prev, *t.xs]
     for k in range(1, 51):
         ref = problem.C.resolve(lam, xs[k] - 2.0 * lam * problem.B.forward(
             xs[k]) + lam * problem.B.forward(xs[k - 1]))
@@ -558,6 +558,20 @@ def test_step_error_after_a_cut_row_in_its_block_ends_the_run_there(
     # without the raising row, the step's error propagates
     with pytest.raises(ValueError, match="step error"):
         run(_dr_cut_problem(None, step_error), _DR_CUT_CONFIG)
+
+
+def test_closing_resolvent_error_after_a_cut_row_is_dropped():
+    # row 63 ends the run at z_64, from which A raises: the closing
+    # J_{lam*A}(z_final) belongs to a step that the run does not take, so
+    # its error is dropped, as the step's own would be, and x_final stays
+    # the last kept x
+    want = vars(run(_dr_cut_problem(63), _DR_CUT_CONFIG,
+                    record_history=True))
+    t = run(_dr_cut_problem(63, 64), _DR_CUT_CONFIG, record_history=True)
+    assert (t.status, t.iterations) == ("diverged", 64)
+    assert np.array_equal(t.x_final, t.xs[-1])
+    assert not np.array_equal(t.x_final, want.pop("x_final"))
+    _assert_trace_is(t, want)
 
 
 @pytest.mark.parametrize("method, counters", [("BFoRB", (1, 1)),
@@ -1040,9 +1054,9 @@ def test_precomposed_runs_form_no_more_inverses(monkeypatch):
                 record_history=True)
         assert t.iterations == 5
         assert len(calls) == (3 if method is Method.FRDR else 2)
-        # each recorded iterate is an array of its own, not a view
+        # each recorded series is an array of its own, not a view
         for series in (t.zs, t.ys, t.xs):
-            assert all(v.base is None for v in series or [])
+            assert series is None or series.base is None
 
 
 @pytest.mark.parametrize("method", ["BFoRB", "BRFoB", "DavisYin", "FRDR"])
@@ -1193,6 +1207,68 @@ def test_composed_block_path_is_the_per_step_composed_run(name, method):
     assert trace.status != "max_iters" and trace.iterations % _BLOCK != 0
     _assert_trace_is(trace, composed_run(problem, config, True))
     _assert_trace_is(run(problem, config), composed_run(problem, config))
+
+
+@pytest.mark.parametrize("method", [method.value for method in Method])
+def test_recorded_series_are_one_array_each(method, monkeypatch):
+    # every recorded series is one C-contiguous float64 array that owns its
+    # rows, shares no memory with the stepper's block arrays, and is row
+    # for row the per-step run's: for runs of 1, 63, 64, 65 and 129 steps,
+    # one of 300 past two doublings of its buffer (67 -> 134 -> 268 ->
+    # 536 rows), on both routes, and for diverged runs
+    steppers = []
+    for name in ("_Template", "_TwoOp", "_FRDR"):
+        cls = getattr(splitkit.solvers, name)
+        monkeypatch.setattr(splitkit.solvers, name, lambda *args, cls=cls: (
+            steppers.append(cls(*args)) or steppers[-1]))
+
+    def check(trace):   # the stepper is missing if its warm start failed
+        blocks = [v for stepper in steppers for v in vars(stepper).values()
+                  if isinstance(v, np.ndarray)]
+        steppers.clear()
+        for name in ("zs", "xs", "ys"):
+            series = getattr(trace, name)
+            if series is None:
+                assert name != "xs" and method in TWO_OPERATOR_METHODS
+                continue
+            assert series.dtype == np.float64 and series.ndim == 2
+            assert series.flags.c_contiguous and series.flags.owndata
+            assert series.base is None
+            assert not any(np.shares_memory(series, b) for b in blocks)
+
+    affine = make_affine_instance(6, 2, 0.8).triple()
+    for problem in (affine, _custom_triple(affine)):
+        lifted = problem is affine and method in _LIFTED
+        for max_iters in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1,
+                          300):
+            config = _composed_config(problem, affine.B.lipschitz, method,
+                                      max_iters=max_iters, tol=1e-300)
+            trace = run(problem, config, record_history=True)
+            assert trace.iterations == max_iters
+            check(trace)
+            _assert_trace_is(trace, (precomposed_run if lifted
+                                     else composed_run)(problem, config, True))
+    # diverged past the bound (the resolvents v -> -2v drive |z| up
+    # geometrically), and at the first step (no x recorded)
+    grow = CustomOperator(2, resolvent=lambda lam, v: -2.0 * v)
+    problem = ProblemTriple(A=grow, B=AffineOperator(0.1 * SKEW2), C=grow)
+    config = SolverConfig(method=method, lam=0.1, z0=np.ones(2),
+                          gamma=1.0 if method == "FRDR" else None)
+    trace = run(problem, config, record_history=True)
+    assert trace.status == "diverged" and trace.iterations > 1
+    check(trace)
+    _assert_trace_is(trace, composed_run(problem, config, True))
+    blown = ProblemTriple(
+        A=CustomOperator(2, resolvent=lambda lam, v: np.full(2, np.inf)),
+        B=CustomOperator(2, forward=lambda v: np.full(2, np.inf),
+                         lipschitz=1.0), C=ZeroOperator(2))
+    trace = run(blown, SolverConfig(method=method, lam=0.1, z0=np.ones(2),
+                                    gamma=1.0 if method == "FRDR" else None),
+                record_history=True)
+    assert (trace.status, trace.iterations) == ("diverged", 0)
+    if method not in TWO_OPERATOR_METHODS:
+        assert trace.xs.shape == (0, 2)
+    check(trace)
 
 
 @pytest.mark.parametrize("method", ["DR", "DavisYin", "BFoRB"])
