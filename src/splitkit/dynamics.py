@@ -158,7 +158,8 @@ def _euler_step(problem, lam, h_ode, inner_tol):
             t = h_ode * (np.dot(JA - 2.0 * JSA, lam * bA)
                          - np.dot(JS, lam * (bB + bC)))
         if np.isfinite(T).all() and np.isfinite(t).all():
-            return lambda j, z, out: np.add(np.dot(T, z, out=out), t, out=out)
+            T, add = T.dot, np.add      # bound once, as in the solvers' walks
+            return lambda j, z, out: add(T(z, out), t, out)
     rs, A_res = _sum_resolvent(problem, lam, inner_tol), problem.A.prepare(lam)
 
     def step(j, z, out):
@@ -223,8 +224,9 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
         for lo in range(0, n + 1, _BLOCK):      # the states lo..hi-1
             a, hi, error = lo or 1, min(lo + _BLOCK, n + 1), None
             try:
-                for j in range(a, hi):      # state j, from state j - 1
-                    step(j - 1, states[j - 1], states[j])
+                for j, z, out in zip(range(a, hi), states[a - 1:hi - 1],
+                                     states[a:hi]):     # state j from j - 1
+                    step(j - 1, z, out)
             except Exception as exc:
                 hi, error = j, exc
             step_norms[a:hi] = row_norms(states[a:hi] - states[a - 1:hi - 1])
@@ -277,4 +279,6 @@ def discretization_gap(flow, trace, stride):
     ks = np.arange(0, n_iters + 1, stride)
     ks = ks[ks <= flow.times[-1] + 1e-9]
     js = np.rint(ks / flow.h_ode).astype(int)
-    return ks, row_norms(flow.states[js] - np.asarray(iterates, float)[ks])
+    gaps = flow.states[js] - np.asarray(iterates, float)[ks]
+    with np.errstate(over="ignore"):    # squares that overflow are rescaled
+        return ks, row_norms(gaps)

@@ -232,8 +232,8 @@ class AffineOperator(MonotoneOperator):
         return float(np.linalg.norm(self.M, 2))
 
     def forward(self, v):
-        # np.dot: the gemv of M @ v, bit for bit, with half the dispatch
-        return np.dot(self.M, v) + self.b
+        # M.dot: the gemv of M @ v, bit for bit, without np.dot's dispatcher
+        return self.M.dot(v) + self.b
 
     def forward_rows(self, V):
         # batched @: forward's gemv per row (V @ M.T, a gemm, moves bits)
@@ -245,10 +245,11 @@ class AffineOperator(MonotoneOperator):
     def prepare(self, lam):
         M, b = self.affine_parts()
         J, lam_b = resolvent_matrix(M, lam), lam * b
+        J_dot = J.dot
 
         def resolve(v):
             if v.ndim == 1:
-                u = np.dot(J, v - lam_b)
+                u = J_dot(v - lam_b)
                 finite = np.count_nonzero(np.isfinite(u)) == u.shape[0]
             else:   # one gemv per row, as above; v @ J.T (a gemm) is not
                 u = (J @ (v - lam_b)[..., None])[..., 0]
@@ -336,7 +337,7 @@ class BilinearCoupling(MonotoneOperator):
 
     def forward(self, v):
         K, x, y = self.K, v[:self.n], v[self.n:]
-        return np.concatenate([np.dot(K.T, y), -np.dot(K, x) + self.c])
+        return np.concatenate([K.T.dot(y), -K.dot(x) + self.c])
 
     def forward_rows(self, V):
         # one gemv per row and block, as in forward

@@ -208,6 +208,13 @@ class _Rows:
     before the first step.  ``fe`` and ``re`` count the oracle calls before
     the first step and ``per`` those of each step.  :meth:`rows` gives the
     stack whose row norms are each step's iterate norm and step norms.
+
+    The walks call a matrix's bound ``ndarray.dot`` and pass ufunc outputs
+    by position, each bound once when the walk is built: the same gemv and
+    ufunc, bit for bit, without the dispatch of ``np.dot`` and of ``out=``.
+    At d=50 ``np.dot(J, z, out=x)`` took 0.84 us against 0.62 us for
+    ``J.dot(z, x)``, and ``np.add(a, b, out=c)`` 0.44 us against 0.39 us
+    for ``np.add(a, b, c)``.
     """
 
     history = ()
@@ -278,20 +285,20 @@ class _Template(_Rows):
         self.carried = (S, 1), (Y, 1), (BY, 2)
         self.zs, self.xs, self.ys = S[1:, 0], X, Y[1:]
         self.points = X, S[:-1, 0], None
+        add, sub, mul = np.add, np.subtract, np.multiply
         if lifted:
             G, c = lifted
-            JA, lam_b, t = A_res.J, A_res.lam_b, np.empty(d)
+            JA, G, lam_b, t = A_res.J.dot, G.dot, A_res.lam_b, np.empty(d)
             rows = (S[:-1, :2].reshape(n, 2 * d) if reflect else S[:-1, 0],
                     S[:-1, 0], S[1:, 0], S[1:, 1], X, Y[1:], Y[:-1])
 
             def walk(rows, pending):
                 for zv, z, z_next, v_next, x, y, y1 in rows:
-                    np.dot(JA, np.subtract(z, lam_b, out=t), out=x)
-                    np.add(np.dot(G, zv, out=y), c, out=y)
-                    np.subtract(np.add(z, y, out=z_next), x, out=z_next)
+                    JA(sub(z, lam_b, t), x)
+                    add(G(zv, y), c, y)
+                    sub(add(z, y, z_next), x, z_next)
                     if reflect:
-                        np.subtract(np.multiply(y, 2.0, out=v_next), y1,
-                                    out=v_next)
+                        sub(mul(y, 2.0, v_next), y1, v_next)
                     if pending:
                         return
         else:
@@ -309,12 +316,11 @@ class _Template(_Rows):
                         F = B_fwd(x)
                     w = 2.0 * x - z
                     y[...] = C_res(w if dr else w - lam * F)
-                    np.subtract(np.add(z, y, out=z_next), x, out=z_next)
+                    sub(add(z, y, z_next), x, z_next)
                     if bforb:
                         By[...] = B_fwd(y)
                     elif brfob:
-                        np.subtract(np.multiply(y, 2.0, out=v_next), y1,
-                                    out=v_next)
+                        sub(mul(y, 2.0, v_next), y1, v_next)
                     if pending:
                         return
         self.walk, self.steps = walk, list(zip(*rows))
@@ -425,31 +431,31 @@ class _FRDR(_Rows):
         self.steps = list(zip(S[:-1, 0], S[:-1, 3], S[1:, 0], S[1:, 3], W, Y,
                               BX[:-2], BX[1:-1], BX[2:]))
         a, r = np.empty(d), np.empty(d)
+        add, sub, mul = np.add, np.subtract, np.multiply
         if lifted:
             K, k = lifted
-            JA, lam_b = A_res.J, A_res.lam_b
+            JA, K, lam_b = A_res.J.dot, K.dot, A_res.lam_b
 
         def walk(rows, pending):
             for x, u, x_next, u_next, w, y, Bx_prev, Bx, Bx_next in rows:
                 # w = x - lam*u - lam*(2 Bx - Bx_prev)
-                np.subtract(x, np.multiply(u, lam, out=a), out=w)
-                np.subtract(np.multiply(Bx, 2.0, out=a), Bx_prev, out=a)
-                np.subtract(w, np.multiply(a, lam, out=a), out=w)
+                sub(x, mul(u, lam, a), w)
+                sub(mul(Bx, 2.0, a), Bx_prev, a)
+                sub(w, mul(a, lam, a), w)
                 if lifted:
                     # x_next = J_{lam*A}(w); r = 2 x_next - x + gamma*u;
                     # u_next = K r + k
-                    np.dot(JA, np.subtract(w, lam_b, out=a), out=x_next)
-                    np.subtract(np.multiply(x_next, 2.0, out=r), x, out=r)
-                    np.add(r, np.multiply(u, gamma, out=a), out=r)
-                    np.add(np.dot(K, r, out=u_next), k, out=u_next)
+                    JA(sub(w, lam_b, a), x_next)
+                    sub(mul(x_next, 2.0, r), x, r)
+                    add(r, mul(u, gamma, a), r)
+                    add(K(r, u_next), k, u_next)
                     if record:
-                        np.subtract(r, np.multiply(u_next, gamma, out=a),
-                                    out=y)
+                        sub(r, mul(u_next, gamma, a), y)
                 else:
                     x_next[...] = A_res(w)
                     t = 2.0 * x_next - x
                     y[...] = C_res(t + gamma * u)
-                    np.add(u, (t - y) / gamma, out=u_next)
+                    add(u, (t - y) / gamma, u_next)
                 Bx_next[...] = B_fwd(x_next)
                 if pending:
                     return

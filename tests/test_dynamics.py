@@ -328,6 +328,26 @@ def test_flow_raises_its_first_error_around_a_block_boundary(
         simulate_dr_flow(problem, 0.5, 0.01, 15.0, [0.0])
 
 
+@pytest.mark.parametrize("composed", [False, True])
+def test_flow_states_are_the_euler_step_taken_one_state_at_a_time(composed):
+    # 1,030 states, past the block boundary at 1,024: each state is the step
+    # from the one before, into a fresh array, bit for bit, whether the
+    # affine triple takes the precomposed map or a custom A the composed step
+    problem = make_affine_instance(dim=6, seed=2, skew_fraction=0.8).triple()
+    if composed:
+        A = CustomOperator(6, resolvent=problem.A.resolve)
+        problem = ProblemTriple(A=A, B=problem.B, C=problem.C)
+    lam, h_ode, z0 = 0.2, 0.01, np.linspace(-1.0, 2.0, 6)
+    flow = simulate_dr_flow(problem, lam, h_ode, 10.29, z0)
+    step = splitkit.dynamics._euler_step(problem, lam, h_ode, 1e-10)
+    states = [z0]
+    for j in range(1029):
+        states.append(np.empty(6))
+        step(j, states[j], states[j + 1])
+    assert flow.states.shape == (1030, 6)
+    assert flow.states.tobytes() == np.array(states).tobytes()
+
+
 def test_flow_norms_of_states_beyond_1e154_are_finite():
     # the squares of these states overflow, their norms do not
     problem = make_affine_instance(dim=5, seed=1, skew_fraction=0.8).triple()
@@ -468,6 +488,20 @@ def test_gap_is_one_norm_per_aligned_iterate():
     with np.errstate(over="ignore"):
         gap = discretization_gap(flow, huge, 1)[1][2]
     assert gap == pytest.approx(2e200, rel=1e-12)
+
+
+def test_gap_whose_squares_overflow_is_finite_without_a_warning():
+    # the same huge iterate as above, without np.errstate: the project's
+    # RuntimeWarnings are errors, and the rescaled gap is finite
+    full = make_affine_instance(4, 3, 0.8).triple()
+    problem = ProblemTriple(A=ZeroOperator(4), B=full.B, C=full.C)
+    flow = simulate_ppa(problem, 0.1, 0.4, 7.3, np.ones(4))
+    trace = run(problem, SolverConfig(method="FoRB", lam=0.1, z0=np.ones(4),
+                                      max_iters=12, tol=1e-300),
+                record_history=True)
+    trace.xs[2] = 1e200
+    assert discretization_gap(flow, trace, 1)[1][2] == pytest.approx(
+        2e200, rel=1e-12)
 
 
 def test_gap_contract_errors():

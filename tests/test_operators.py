@@ -597,6 +597,31 @@ def test_one_vector_products_have_the_bits_of_matmul(seed, d, n, layout, bad,
                 resolve(v)
 
 
+@pytest.mark.parametrize("d", [1, 50])
+def test_one_vector_oracles_have_the_bits_of_np_dot(d):
+    # the oracles call the matrix's bound ndarray.dot: np.dot's product, bit
+    # for bit, on a contiguous and on a strided row view.  A bilinear
+    # coupling has d >= 2, so d=1 takes K of shape 1x1 for it.
+    r = rng(d)
+    affine = AffineOperator(_monotone_matrix(r, d), r.uniform(-1, 1, d))
+    m = max(d // 2, 1)
+    K, c = r.uniform(-1, 1, (m, max(d - m, 1))), r.uniform(-1, 1, m)
+    bilinear = BilinearCoupling(K, c)
+    for op in (affine, bilinear):
+        V = r.uniform(-5, 5, (3, 2 * op.dim))
+        resolve = op.prepare(0.7)
+        J, lam_b = resolve.J, resolve.lam_b
+        for v in (V[1, :op.dim], V[1, ::2]):
+            assert not v.flags.owndata
+            assert _bytes(resolve(v)) == _bytes(np.dot(J, v - lam_b))
+            if op is affine:
+                want = np.dot(op.M, v) + op.b
+            else:
+                x, y = v[:K.shape[1]], v[K.shape[1]:]
+                want = np.concatenate([np.dot(K.T, y), -np.dot(K, x) + c])
+            assert _bytes(op.forward(v)) == _bytes(want)
+
+
 @pytest.mark.parametrize("opposite", [False, True])
 @pytest.mark.parametrize("d", [3, 8, 65])
 def test_prepared_affine_resolve_rejects_one_bad_entry_anywhere(d, opposite):
