@@ -10,12 +10,13 @@ This module evaluates both numerically, from full iterate histories
 Each inequality and each Lyapunov function is written once, in ``_kernel``:
 row k of its output is the lemma slack of the step k -> k+1 and phi_k, each
 a row-wise dot product over shifted slices of stacked iterates and forward
-values.  ``certify_trace`` feeds it a recorded run in blocks of ``_BLOCK``
-rows, evaluating B at ``x`` and, by one ``forward_rows`` call per block, at
-each point the formulas read (K+3 points for a K-step BFoRB run, K+2 for
-BRFoB); each public per-k function (``lemma_*_slack``, ``phi_*``) is a
-one-row call into it, with the same bits.  The blocks bound peak memory
-(see ``_BLOCK``).
+values.  ``certify_trace`` feeds it a recorded run in blocks of
+``_block_rows`` rows, read as views of the run's arrays (the first block
+backfills the rows before 0 by a copy), evaluating B at ``x`` and, by one
+``forward_rows`` call per block, at each point the formulas read (K+3
+points for a K-step BFoRB run, K+2 for BRFoB); each public per-k function
+(``lemma_*_slack``, ``phi_*``) is a one-row call into it, with the same
+bits.  The blocks bound peak memory (see ``_BLOCK_BYTES``).
 
 ``reference_point`` and ``certify_trace`` ignore floating-point events: a
 value that overflows is not finite, and the CLI reports it as ``null``.
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import as_count, as_vector, residual, vanishes
+from .operators import _norm, as_count, as_vector, residual, vanishes
 from .solvers import Method
 
 
@@ -39,10 +40,18 @@ class GroundTruthError(CertificateError):
     element of ``A(x_star)`` to build a reference point from."""
 
 
-#: Rows per kernel call in ``certify_trace``.  Stacking a whole 5,000-step
-#: trace at d=50 at once raised peak memory by about 8 MB; blocks of this
-#: size cost under 1 MB and keep the per-block numpy overhead negligible.
-_BLOCK = 1024
+#: Bytes per stacked array in one kernel call of ``certify_trace``.  A
+#: whole 5,000-step trace at d=50 raised peak memory by about 8 MB, and
+#: blocks of 1,024 rows took 3.2 MB per array at d=400 and thousands of
+#: page faults per call.  128 KB (327 rows at d=50, 40 at d=400) was the
+#: fastest budget at both sizes: smaller blocks pay numpy's per-call
+#: overhead more often, and larger ones were slower too.
+_BLOCK_BYTES = 128 * 1024
+
+
+def _block_rows(dim):
+    """Rows per kernel call at dimension ``dim``."""
+    return max(1, _BLOCK_BYTES // (8 * dim))
 
 
 def _dot(u, v):
@@ -109,12 +118,12 @@ def reference_point(problem, lam):
     x, B, C = problem.x_star, problem.B, problem.C
     z = x + lam * problem.a_star
     xr = problem.A.prepare(lam)(z)
-    if np.linalg.norm(xr - x) > 1e-10 * (1.0 + np.linalg.norm(x)):
+    if _norm(xr - x) > 1e-10 * (1.0 + _norm(x)):
         raise CertificateError("reference point fails x = J_{lam*A}(z)")
     b_x = B.forward(x)
     if C.has_forward:
         r = (x - z) - lam * (b_x + C.forward(x))
-        if np.linalg.norm(r) > 1e-10 * (1.0 + np.linalg.norm(z)):
+        if _norm(r) > 1e-10 * (1.0 + _norm(z)):
             raise CertificateError(
                 "reference point fails x - z = lam*(B+C)(x)")
     return ReferencePoint(z=z, x=x, lam=lam, b_x=b_x)
@@ -131,16 +140,16 @@ def _forward_points(flavor, Y):
     return Y[1:] if flavor == "bforb" else _reflect(Y[1:-1], Y[:-2])
 
 
-def _kernel(flavor, ref, lam, L, Z, Y, F, b_x=None):
+def _kernel(flavor, ref, lam, L, Z, Y, P, F, b_x=None):
     """Lemma slacks of the steps k0..k1-1 and phi of the iterates k0..k1.
 
     ``Z`` stacks ``z_{k0-3}..z_{k1}``, ``Y`` stacks ``y_{k0-3}..y_{k1-1}``
-    and ``F`` holds B at ``_forward_points(flavor, Y)``: at points
-    ``k0-2..k1-1`` for BFoRB and ``k0-2..k1-2`` for BRFoB, which also needs
-    ``b_x = B(x)``.  Every formula is a row-wise dot product over shifted
-    slices; a series that several terms read is formed once and sliced.
-    Also returns ``|z_{k+1} - z_k|^2`` per step and ``|z_k - z|^2`` per
-    iterate.
+    and ``F`` holds B at the points ``P = _forward_points(flavor, Y)``: at
+    points ``k0-2..k1-1`` for BFoRB and ``k0-2..k1-2`` for BRFoB, which
+    also needs ``b_x = B(x)`` and reads its reflected points from ``P``.
+    Every formula is a row-wise dot product over shifted slices; a series
+    that several terms read is formed once and sliced.  Also returns
+    ``|z_{k+1} - z_k|^2`` per step and ``|z_k - z|^2`` per iterate.
     """
     if ref.lam != lam:
         raise CertificateError("reference point was built for a different lam")
@@ -165,16 +174,18 @@ def _kernel(flavor, ref, lam, L, Z, Y, F, b_x=None):
         phi = (v + (1.0 + 22.0 * lam * L) * step2
                + (47.0 / 3.0) * lam * L * dz2[1:-1]
                + (14.0 / 3.0) * lam * L * dz2[:-2] + (7.0 / 11.0) * dev)
-        rhs = v[:-1] + step2[:-1] + 2.0 * lam * _dot(
-            df, _reflect(yk1, yk2)[:-1] - yk1[1:])
+        rhs = v[:-1] + step2[:-1] + 2.0 * lam * _dot(df, P[1:] - yk1[1:])
         lhs = v[1:] + 2.0 * step2[1:] + dev[1:]
     return rhs - lhs, phi, step2[1:], dist2
 
 
 def _rows(stack, lo, hi):
-    """Rows lo..hi-1 of ``stack`` (an array, or a list of rows), by one
-    index in which row 0 backfills the rows before it."""
-    return np.asarray(stack, dtype=float)[np.maximum(np.arange(lo, hi), 0)]
+    """Rows lo..hi-1 of ``stack`` (an array, or a list of rows): a view,
+    or for ``lo < 0`` a copy in which row 0 backfills the rows before it."""
+    stack = np.asarray(stack, dtype=float)
+    if lo >= 0:
+        return stack[lo:hi]
+    return stack[np.maximum(np.arange(lo, hi), 0)]
 
 
 def _pointwise(problem, ref, lam, L, flavor, zs, ys, lemma):
@@ -186,9 +197,9 @@ def _pointwise(problem, ref, lam, L, flavor, zs, ys, lemma):
     n = int(lemma)
     Z = _rows(zs, len(zs) - 4 - n, len(zs))
     Y = _rows(ys, len(ys) - 3 - n, len(ys))
-    B = problem.B
-    F = B.forward_rows(_forward_points(flavor, Y))
-    slack, phi, _, _ = _kernel(flavor, ref, lam, L, Z, Y, F,
+    B, P = problem.B, _forward_points(flavor, Y)
+    slack, phi, _, _ = _kernel(flavor, ref, lam, L, Z, Y, P,
+                               B.forward_rows(P),
                                B.forward(ref.x) if flavor == "brfob" else None)
     return float(slack[0] if lemma else phi[0])
 
@@ -371,8 +382,9 @@ def certify_trace(problem, trace, kmax=None):
     slacks, step2 = np.empty(K), np.empty(K)
     phis, dist2 = np.empty(K + 1), np.empty(K + 1)
     F, off = np.empty((0, problem.dim)), trace.y_offset
-    for k0 in range(0, K, _BLOCK):
-        k1 = min(k0 + _BLOCK, K)
+    rows = _block_rows(problem.dim)
+    for k0 in range(0, K, rows):
+        k1 = min(k0 + rows, K)
         Z = _rows(zs, k0 - 3, k1 + 1)
         Y = _rows(ys, k0 - 3 + off, k1 + off)
         # B once per point: the previous block already evaluated the first
@@ -381,7 +393,8 @@ def certify_trace(problem, trace, kmax=None):
         done = F[k1 - k0 - len(P):]
         F = np.concatenate([done, problem.B.forward_rows(P[len(done):])])
         (slacks[k0:k1], phis[k0:k1 + 1], step2[k0:k1],
-         dist2[k0:k1 + 1]) = _kernel(flavor, ref, lam, L, Z, Y, F, ref.b_x)
+         dist2[k0:k1 + 1]) = _kernel(flavor, ref, lam, L, Z, Y, P, F,
+                                     ref.b_x)
 
     lb = np.maximum(0.0, lb_coeff * dist2 - phis)
     lb[0] = 0.0

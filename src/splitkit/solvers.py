@@ -214,7 +214,10 @@ class _Rows:
     ufunc, bit for bit, without the dispatch of ``np.dot`` and of ``out=``.
     At d=50 ``np.dot(J, z, out=x)`` took 0.84 us against 0.62 us for
     ``J.dot(z, x)``, and ``np.add(a, b, out=c)`` 0.44 us against 0.39 us
-    for ``np.add(a, b, c)``.
+    for ``np.add(a, b, c)``.  A doubling is a self-addition, exact as the
+    product is (inf, NaN and -0 too), and a scalar factor a 0-d array: at
+    d=50 ``np.multiply(v, 2.0, o)`` took 0.56 us, with a 0-d array 0.34
+    us, and ``np.add(v, v, o)`` 0.29 us.
     """
 
     history = ()
@@ -298,7 +301,7 @@ class _Template(_Rows):
                     add(G(zv, y), c, y)
                     sub(add(z, y, z_next), x, z_next)
                     if reflect:
-                        sub(mul(y, 2.0, v_next), y1, v_next)
+                        sub(add(y, y, v_next), y1, v_next)
                     if pending:
                         return
         else:
@@ -417,7 +420,8 @@ class _FRDR(_Rows):
     """
 
     def __init__(self, config, A_res, B_fwd, C_res, lifted, record):
-        lam, gamma = config.lam, config.gamma
+        # 0-d arrays: a cheaper scalar operand of a ufunc than a float
+        lam, gamma = np.array(config.lam), np.array(config.gamma)
         x = config.z0.copy()
         n, d = min(_BLOCK, config.max_iters), x.shape[0]
         S = np.zeros((n + 1, 4, d))                     # u_0 = 0
@@ -440,13 +444,13 @@ class _FRDR(_Rows):
             for x, u, x_next, u_next, w, y, Bx_prev, Bx, Bx_next in rows:
                 # w = x - lam*u - lam*(2 Bx - Bx_prev)
                 sub(x, mul(u, lam, a), w)
-                sub(mul(Bx, 2.0, a), Bx_prev, a)
+                sub(add(Bx, Bx, a), Bx_prev, a)
                 sub(w, mul(a, lam, a), w)
                 if lifted:
                     # x_next = J_{lam*A}(w); r = 2 x_next - x + gamma*u;
                     # u_next = K r + k
                     JA(sub(w, lam_b, a), x_next)
-                    sub(mul(x_next, 2.0, r), x, r)
+                    sub(add(x_next, x_next, r), x, r)
                     add(r, mul(u, gamma, a), r)
                     add(K(r, u_next), k, u_next)
                     if record:

@@ -11,7 +11,7 @@ from splitkit import (AffineOperator, CertificateError, CustomOperator,
                       lemma_brfob_slack, make_affine_instance,
                       max_stepsize, omega_residual, phi_bforb, phi_brfob,
                       reference_point, run)
-from splitkit.certificates import _BLOCK
+from splitkit.certificates import _block_rows
 
 
 def rng(seed=0):
@@ -90,6 +90,28 @@ def test_reference_point_from_a_star():
     assert without.a_star is None
     with pytest.raises(GroundTruthError):
         reference_point(without, 0.3)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e160])
+def test_reference_point_checks_hold_beyond_overflowing_squares(scale):
+    # each pair passes ProblemTriple's checks but fails one of
+    # reference_point's; beyond about 1.3e154 the squares of x and z
+    # overflow, and a bound taken from an inf norm would pass anything
+    x_star, a_star = scale * np.ones(2), np.zeros(2)
+    identity = CustomOperator(2, resolvent=lambda lam, v: v)
+    # J_{lam*A} is the identity at lam = 1 only
+    A = CustomOperator(2, resolvent=lambda lam, v: v if lam == 1.0
+                       else 1.01 * v)
+    # C = 1e-9*I: inside ProblemTriple's 1e-8 bound, outside 1e-10
+    C = CustomOperator(2, forward=lambda v: 1e-9 * v,
+                       resolvent=lambda lam, v: v / (1.0 + 1e-9 * lam))
+    cases = (((A, identity), "x = J_{lam\\*A}\\(z\\)", 0.5),
+             ((identity, C), "x - z = lam\\*\\(B\\+C\\)\\(x\\)", 1.0))
+    for (A_op, C_op), message, lam in cases:
+        problem = ProblemTriple(A=A_op, B=ZeroOperator(2), C=C_op,
+                                x_star=x_star, a_star=a_star)
+        with pytest.raises(CertificateError, match=message):
+            reference_point(problem, lam)
 
 
 # ----------------------------------------------------------- omega residual
@@ -426,7 +448,8 @@ def test_certify_trace_matches_pointwise_ops():
 
     # count the points handed to B, one by one or as the rows of a stack
     problem.B.forward, problem.B.forward_rows = counted, counted_rows
-    long_run = 2 * _BLOCK + 100         # three blocks, the last one partial
+    rows = _block_rows(8)
+    long_run = 2 * rows + 100           # three blocks, the last one partial
     for method in ("BFoRB", "BRFoB"):
         lam = 0.9 * max_stepsize(method, L)
         short = run(problem, SolverConfig(method=method, lam=lam,
@@ -442,7 +465,7 @@ def test_certify_trace_matches_pointwise_ops():
         blown = replace(short, zs=[*short.zs, nan], ys=[*short.ys, nan],
                         iterations=short.iterations + 1)
         cases = [(short, None, 50), (long, None, long_run),
-                 (long, _BLOCK + 300, _BLOCK + 300),   # ends inside a block
+                 (long, rows + 300, rows + 300),   # ends inside a block
                  (blown, None, blown.iterations - 1)]
         for trace, kmax, k_evaluated in cases:
             calls[0] = 0
@@ -480,6 +503,71 @@ def _check_pointwise(problem, method, trace, report):
                           trace.y_at(k - 2), trace.y_at(k - 3))
         assert report.lemma_slacks[k] == s
         assert report.phi[k] == p
+
+
+@pytest.mark.parametrize("method", ["BFoRB", "BRFoB", "DR", "DavisYin"])
+def test_certify_trace_bits_do_not_depend_on_the_block_size(monkeypatch,
+                                                            method):
+    # blocks past the first are views of the trace: 1 row, 5 rows, three
+    # blocks with a partial last one and the whole trace in one block give
+    # the same bits, with B evaluated once per point
+    inst = make_affine_instance(5, 1, 0.8)
+    if method == "DR":
+        # B = 0 as an affine map: ZeroOperator's forward_rows calls its
+        # forward, which the count below would see twice
+        dr = dr_problem(dim=5)
+        problem, lam = ProblemTriple(
+            A=dr.A, B=AffineOperator(np.zeros((5, 5))), C=dr.C,
+            x_star=dr.x_star), 0.4
+    elif method == "DavisYin":                  # a constant B
+        b_B = inst.b_A + inst.b_B + inst.b_C
+        problem, lam = ProblemTriple(
+            A=AffineOperator(inst.M_A, inst.b_A),
+            B=AffineOperator(np.zeros((5, 5)), inst.b_B),
+            C=AffineOperator(inst.M_C, inst.b_C),
+            x_star=np.linalg.solve(inst.M_A + inst.M_C, -b_B)), 0.5
+    else:
+        problem = inst.triple()
+        lam = 0.9 * max_stepsize(method, problem.B.lipschitz)
+    trace = run(problem, SolverConfig(method=method, lam=lam, z0=np.ones(5),
+                                      max_iters=40, tol=1e-300),
+                record_history=True)
+    assert trace.iterations == 40
+    assert trace.y_offset == (0 if method in ("DR", "DavisYin") else 2)
+    # the blocks alias the trace: a write into one would raise
+    trace.zs.flags.writeable = trace.ys.flags.writeable = False
+    listed = replace(trace, zs=list(trace.zs), ys=list(trace.ys))
+    forward, forward_rows = problem.B.forward, problem.B.forward_rows
+    calls = [0]
+
+    def counted(v):
+        calls[0] += 1
+        return forward(v)
+
+    def counted_rows(V):
+        calls[0] += len(V)
+        return forward_rows(V)
+
+    monkeypatch.setattr(problem.B, "forward", counted)
+    monkeypatch.setattr(problem.B, "forward_rows", counted_rows)
+    arrays = ("lemma_slacks", "phi", "descent_violations",
+              "telescope_violations", "lower_bound_violations")
+    for t, kmax in ((trace, None), (trace, 23), (listed, None)):
+        K = kmax or 40
+        reports = []
+        for rows in (1, 5, K // 3 + 1, K):
+            monkeypatch.setattr("splitkit.certificates._BLOCK_BYTES",
+                                8 * problem.dim * rows)
+            calls[0] = 0
+            reports.append(certify_trace(problem, t, kmax=kmax))
+            assert calls[0] == K + (2 if method == "BRFoB" else 3)
+        first = reports[0]
+        assert first.summary["k_evaluated"] == K
+        for report in reports[1:]:
+            assert report.summary == first.summary
+            for name in arrays:
+                assert (getattr(report, name).tobytes()
+                        == getattr(first, name).tobytes())
 
 
 def test_certify_trace_guards():
