@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._text import FMT as _FMT, rows as _rows
 # omega_residual is unused here; kept because perfbench/bench_trace.py
 # patches it in this module.
 from .certificates import (CertificateError, certify_trace,  # noqa: F401
@@ -27,8 +28,6 @@ from .problems import (load_instance, make_affine_instance,
                        make_saddle_instance)
 from .solvers import (Method, NOT_GUARANTEED, SolverConfig, SolverError,
                       max_stepsize, run)
-
-_FMT = "%.17g"
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -271,17 +270,15 @@ def _solver_config(cfg, method, lam, dim):
 
 def _write_csv(path, key, keys, **columns):
     """Write a CSV: a ``key`` column of ``keys``, then one column per
-    keyword whose value is not None (name=floats, in order), all formatted
-    with ``_FMT`` (which prints an integer key as ``str`` does).  Arrays
-    are formatted from their ``tolist()``: Python floats print the same
-    digits as numpy's, and faster."""
+    keyword whose value is not None (name=floats, in order), each value as
+    ``_FMT`` prints it (an integer key as ``str`` does), by the block
+    formatter :func:`splitkit._text.rows`.  Raises ``ValueError``, and
+    writes nothing, if the columns differ in length."""
     columns = {name: col for name, col in columns.items() if col is not None}
-    row = ",".join([_FMT] * (1 + len(columns))) + "\n"
-    values = [col.tolist() if isinstance(col, np.ndarray) else col
-              for col in (keys, *columns.values())]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join([key, *columns]) + "\n")
-        fh.writelines(row % v for v in zip(*values))
+    table = _rows([keys, *columns.values()])
+    with open(path, "wb") as fh:
+        fh.write((",".join([key, *columns]) + "\n").encode())
+        fh.writelines(table)
 
 
 def _write_json(path, payload):
@@ -315,14 +312,19 @@ _GATES = {"lemma_ok": ("min_lemma_slack", "lemma_tol", -1.0),
 def _certify(problem, trace, cfg, stem):
     """Certify ``trace``, write its certificate CSV, return the summary
     plus gates: pass/fail booleans at the documented tolerances, or null
-    when a compared value is not finite (every such value is null too)."""
+    when a compared value is not finite (every such value is null too).
+
+    The CSV has one row per step k -> k+1 of the K steps.  ``phi`` and
+    ``lower_bound_violations`` belong to the K+1 iterates, so the row of
+    step k carries those of iterate k, and the last iterate's are left
+    out; the summary still counts them."""
     report = certify_trace(problem, trace)
     _write_csv(stem + "__certificate.csv", "k",
                range(report.lemma_slacks.shape[0]),
-               lemma_slack=report.lemma_slacks, phi=report.phi,
+               lemma_slack=report.lemma_slacks, phi=report.phi[:-1],
                descent_violation=report.descent_violations,
                telescope_violation=report.telescope_violations,
-               lower_bound_violation=report.lower_bound_violations)
+               lower_bound_violation=report.lower_bound_violations[:-1])
     s = dict(report.summary)
     z0 = _initial_point(cfg, problem.dim)
     s["lemma_tol"] = 1e-9 * (1.0 + float(np.dot(z0, z0)))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._text import FMT, rows
 from .operators import (AffineOperator, BilinearCoupling, BoxNormalCone,
                         CustomOperator, OperatorError, ProblemTriple, ScaledL1)
 
@@ -217,9 +218,6 @@ def make_saddle_instance(m, n, seed, alpha, radius):
 # Serialization: plain text, matrices row-major after a metadata header.
 # Floats use 17 significant digits, which round-trips IEEE doubles exactly.
 
-_FMT = "%.17g"
-
-
 #: Each kind's file layout: the instance class, the header fields in file
 #: order (an integer with its least value, or a float where that is None),
 #: and the arrays with the header fields that give their shapes.
@@ -244,20 +242,21 @@ def save_instance(inst, path):
     if kind is None:
         raise OperatorError(f"cannot serialize {type(inst).__name__}")
     _, header, arrays = _LAYOUT[kind]
-    lines = ["splitkit-instance v1", f"kind {kind}"]
+    text = [b"splitkit-instance v1\n", f"kind {kind}\n".encode()]
     for name, least in header:
         value = getattr(inst, name)
-        lines.append(f"{name} {value if least is not None else _FMT % value}")
+        text.append(f"{name} {value if least is not None else FMT % value}\n"
+                    .encode())
     for name, *_ in arrays:
         a = getattr(inst, name)
         if a is None:
             raise OperatorError(f"cannot serialize {kind} without {name}")
-        lines.append(f"{'matrix' if a.ndim == 2 else 'vector'} {name} "
-                     + " ".join(map(str, a.shape)))
-        lines += (" ".join(_FMT % v for v in row) for row in np.atleast_2d(a))
-    lines.append("end\n")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines))
+        text.append(f"{'matrix' if a.ndim == 2 else 'vector'} {name} "
+                    f"{' '.join(map(str, a.shape))}\n".encode())
+        text += rows(np.atleast_2d(a).T, b" ")
+    text.append(b"end\n")
+    with open(path, "wb") as fh:
+        fh.writelines(text)
 
 
 class _Reader:

@@ -452,6 +452,33 @@ tol = 1e-11
     assert len(series) == 2
 
 
+def test_certificate_csv_has_a_row_per_step(tmp_path):
+    # phi and the lower-bound violations have one entry per iterate, K+1
+    # of them: the CSV's K rows are the steps and carry iterates 0..K-1
+    cfg = parse_config(AFFINE_CFG)
+    _, problem, _ = build_problem(cfg)
+    lam = 0.9 * splitkit.max_stepsize(splitkit.Method.BFORB,
+                                      problem.B.lipschitz)
+    trace = splitkit.run(problem, splitkit.cli._solver_config(
+        cfg, splitkit.Method.BFORB, lam, problem.dim), record_history=True)
+    report = splitkit.certify_trace(problem, trace)
+    out = tmp_path / "o"
+    assert main(["certify", "--config", write(tmp_path, "exp.cfg", AFFINE_CFG),
+                 "--out", str(out), "--quiet"]) == EXIT_OK
+    path, = out.glob("*__certificate.csv")
+    header, *lines = path.read_text().splitlines()
+    assert header == ("k,lemma_slack,phi,descent_violation,"
+                      "telescope_violation,lower_bound_violation")
+    table = np.array([[float(v) for v in line.split(",")] for line in lines])
+    assert len(table) == trace.iterations == len(report.phi) - 1
+    np.testing.assert_array_equal(table[:, 0], np.arange(len(table)))
+    for j, col in enumerate((report.lemma_slacks, report.phi[:-1],
+                             report.descent_violations,
+                             report.telescope_violations,
+                             report.lower_bound_violations[:-1]), start=1):
+        np.testing.assert_array_equal(table[:, j], col)
+
+
 def test_certify_saddle_ok(tmp_path):
     # the triple of a generated saddle instance carries its planted zero,
     # which gives the reference point at every stepsize
