@@ -346,32 +346,34 @@ def _say(quiet, msg):
         print(msg)
 
 
-def _solve(cfg, out_dir, seed_override, jobs, certificates=False):
+def _solve(cfg, out_dir, seed_override, jobs, certificates=False,
+           diagnostics=True):
     """Validate every ``(method, lam)`` job of ``jobs(L)`` (with
     ``certificates``, also its reference point), then create ``out_dir``;
     returns ``(pid, problem, traces)``, the traces in job order, each run
-    as it is read."""
+    as it is read, recording its history with ``certificates`` and its
+    residual and distance rows with ``diagnostics`` (see :func:`run`)."""
     pid, problem, _ = build_problem(cfg, seed_override)
     configs = [_solver_config(cfg, m, lam, problem.dim)
                for m, lam in jobs(problem.B.lipschitz)]
     for sc in configs if certificates else ():
         reference_point(problem, sc.lam)
     os.makedirs(out_dir, exist_ok=True)
-    return pid, problem, (run(problem, sc, record_history=certificates)
-                          for sc in configs)
+    return pid, problem, (run(problem, sc, record_history=certificates,
+                              diagnostics=diagnostics) for sc in configs)
 
 
 def cmd_run(cfg, out_dir, quiet=False, seed_override=None, gates=False):
     """Run every configured method; write traces, summaries, certificates.
-    With ``gates`` (certify) write only the certificates; exit 0 if and
-    only if every gate holds."""
+    With ``gates`` (certify) write only the certificates, from runs that
+    evaluate no residual row; exit 0 if and only if every gate holds."""
     if cfg.lam_policy is None:
         raise ConfigError([(None, _ONE_LAMBDA)])
     certificates = gates or cfg.certify
     pid, problem, traces = _solve(cfg, out_dir, seed_override, lambda L: [
         (m, cfg.lam_value if cfg.lam_policy == "absolute" else
          cfg.lam_value * _bound(cfg, m, L, "use an absolute lambda"))
-        for m in cfg.methods], certificates)
+        for m in cfg.methods], certificates, diagnostics=not gates)
     ok = True
     for trace in traces:
         method = trace.method.value
@@ -405,13 +407,14 @@ def cmd_run(cfg, out_dir, quiet=False, seed_override=None, gates=False):
 
 
 def cmd_sweep(cfg, grid, out_dir, quiet=False, seed_override=None):
-    """One run per (method, stepsize fraction); writes a sweep table."""
+    """One run per (method, stepsize fraction), evaluating no residual
+    row; writes a sweep table."""
     if not grid:
         raise ConfigError([(None, "sweep requires a non-empty --grid")])
     pid, _, traces = _solve(
         cfg, out_dir, seed_override,
         lambda L: [(m, frac * _bound(cfg, m, L, "sweep is undefined"))
-                   for m in cfg.methods for frac in grid])
+                   for m in cfg.methods for frac in grid], diagnostics=False)
     rows = ["method,fraction,lambda,status,iterations,iters_to_tol\n"]
     ok = True
     for trace, frac in zip(traces, list(grid) * len(cfg.methods)):

@@ -157,7 +157,10 @@ class SolverConfig:
 @dataclass
 class Trace:
     """Per-iteration records of one run plus terminal status; a recorded
-    history is one 2-D array whose row ``j`` is iterate ``j``."""
+    history is one 2-D array whose row ``j`` is iterate ``j``.
+    ``residuals`` and ``dist_to_xstar`` are ``None`` when the run did not
+    evaluate them (``dist_to_xstar`` also when the problem has no
+    ``x_star``)."""
 
     method: Method
     lam: float
@@ -560,7 +563,7 @@ def _keep(hist, name, rows):
     hist[name] = buf, n + len(rows)
 
 
-def run(problem, config, record_history=False):
+def run(problem, config, record_history=False, diagnostics=True):
     """Drive ``config.method`` on ``problem`` until the stopping rule fires.
 
     Stops when the governing iterate change satisfies
@@ -591,7 +594,8 @@ def run(problem, config, record_history=False):
     :func:`row_norms` call and the stopping tests as array comparisons;
     (2) the block ends after the first step that stops the run, before the
     step that raised (a stop cancels a later step's error), or at its last
-    row; (3) the residual and distance rows up to that end follow (below);
+    row; (3) the residual and distance rows up to that end follow (below,
+    skipped with ``diagnostics=False``);
     (4) the block's records, the kinds fired at its kept rows and the
     iterates and counters of its last kept row are committed at once; then
     the step's error, if it still counts, ends the run.  So a kind is named
@@ -632,6 +636,11 @@ def run(problem, config, record_history=False):
     at its row, whatever a later step raised: only then are the block's
     rows evaluated again one at a time, to find it, and the warnings name
     only the kinds of the steps and rows up to it.
+    With ``diagnostics=False`` no residual or distance row is evaluated and
+    both series end as ``None``; every other field is bit for bit that of
+    the default run, the counters too, which never count the rows' oracle
+    calls.  So a residual oracle that raises cannot end the run, and a
+    floating-point kind that only a residual row fires is not named.
     With ``record_history=True`` each commit also writes the block's kept
     ``z``/``y``/``x`` rows, one slice per series, into the buffers that end
     as the :class:`Trace` histories.  The closing ``J_{lam*A}(z_final)``
@@ -647,8 +656,10 @@ def run(problem, config, record_history=False):
     trace = Trace(method=method, lam=lam, gamma=config.gamma, h=config.h)
     trace.warnings.extend(_stepsize_warnings(config, problem.B.lipschitz))
     x_star = problem.x_star
-    dists = trace.dist_to_xstar = None if x_star is None else []
-    step_norms, residuals = trace.step_norms, trace.residuals
+    residuals = trace.residuals = [] if diagnostics else None
+    dists = trace.dist_to_xstar = (
+        [] if diagnostics and x_star is not None else None)
+    step_norms = trace.step_norms
 
     # The last kept step's iterates; the start stands in until one is kept.
     z = x = config.z0.copy()
@@ -736,7 +747,7 @@ def run(problem, config, record_history=False):
                 # rows end at the first that raises (a divergence has none).
                 end, hi = lo, lo - (status == "diverged")
                 try:
-                    res, dist = rows(0, hi)
+                    res, dist = rows(0, hi) if diagnostics else ((), ())
                 except NonFiniteError:  # find the row; drop the stack's kinds
                     pending.clear()
                     res, dist = [], []
@@ -749,9 +760,9 @@ def run(problem, config, record_history=False):
                         res += r
                         dist += d
                 step_norms.extend(steps[:end].tolist())
-                residuals.extend(res)
-                if dists is not None:
-                    dists.extend(dist)
+                for series, new in ((residuals, res), (dists, dist)):
+                    if series is not None:
+                        series.extend(new)
                 for name in hist:
                     _keep(hist, name, getattr(blk, name)[:end])
                 # the kinds of the rows kept, and of a step whose error counts

@@ -668,6 +668,37 @@ lambda_fraction = 0.9
 """
 
 
+@pytest.mark.parametrize("text", [
+    AFFINE_CFG, SADDLE_CFG.replace("m = 4\nn = 6", "m = 20\nn = 30")],
+    ids=["affine", "saddle-20x30"])
+def test_sweep_and_certify_runs_agree_with_run(tmp_path, text):
+    # sweep and certify evaluate no residual row and run does; on the
+    # precomposed (affine) and the composed (saddle) route, the sweep row at
+    # lambda_fraction and the certificate end as the run verb's summary
+    cfg = write(tmp_path, "exp.cfg", text.replace(
+        "methods = BFoRB", "methods = BFoRB, BRFoB"))
+    for verb, extra in (("run", []), ("sweep", ["--grid", "0.5,0.9"]),
+                        ("certify", [])):
+        assert main([verb, "--config", cfg, "--out", str(tmp_path / verb),
+                     "--quiet", *extra]) == EXIT_OK
+    sweep, = (tmp_path / "sweep").glob("*__sweep.csv")
+    rows = {row[0]: row for row in (
+        line.split(",") for line in sweep.read_text().splitlines()[1:])
+        if float(row[1]) == 0.9}
+    assert sorted(rows) == ["BFoRB", "BRFoB"]
+    for path in (tmp_path / "run").glob("*__summary.json"):
+        summary = json.loads(path.read_text())
+        method, status, n = (summary[key] for key in (
+            "method", "status", "iterations"))
+        row = rows.pop(method)
+        assert (row[3], int(row[4]), float(row[2])) == (
+            status, n, summary["lambda"])
+        cert = json.loads((tmp_path / "certify" / path.name.replace(
+            "__summary.json", "__certificate.json")).read_text())
+        assert (cert["status"], cert["iterations"]) == (status, n)
+    assert not rows
+
+
 def _flow_rows_rowwise(problem, flow):
     """The flow's rows ``(t, step_norm, omega_residual[, dist_to_xstar])``
     recomputed one by one from the states alone."""

@@ -117,13 +117,31 @@ def run_case(draw):
         tol=draw(st.sampled_from([1e-300, 1e-10, 1e-6, 1e-3])))
 
 
+def _route_cases():
+    """BFoRB on one affine triple: the precomposed route, and the composed
+    route with each operator behind a CustomOperator."""
+    problem = make_affine_instance(4, 3, 0.8).triple()
+    config = SolverConfig(
+        method="BFoRB", z0=np.ones(4), max_iters=130, tol=1e-10,
+        lam=0.9 * max_stepsize("BFoRB", problem.B.lipschitz))
+    return (problem, config), (_custom_triple(problem), config)
+
+
+_PRECOMPOSED, _COMPOSED = _route_cases()
+
+
 @settings(max_examples=300, deadline=None)
-@given(run_case(), st.booleans())
-def test_run_is_the_per_step_run_bit_for_bit(case, record):
+@given(run_case(), st.booleans(), st.booleans())
+@example(_PRECOMPOSED, False, False)
+@example(_PRECOMPOSED, True, False)
+@example(_COMPOSED, False, False)
+@example(_COMPOSED, True, False)
+def test_run_is_the_per_step_run_bit_for_bit(case, record, diagnostics):
     # whatever its blocks, its history buffer's doublings and where it
     # stops, run() is the run of one step at a time in every Trace field,
     # histories included: the precomposed step where run() precomposes,
-    # the composed step elsewhere
+    # the composed step elsewhere.  Without diagnostics the residual and
+    # distance series are None and every other field keeps its bits
     problem, config = case
     A_res, C_res = problem.prepare(config.lam)
     if config.method is Method.FRDR:
@@ -131,7 +149,11 @@ def test_run_is_the_per_step_run_bit_for_bit(case, record):
     lifted = _precompose(config, A_res, problem.B, C_res)
     ref = (precomposed_run if lifted else composed_run)(problem, config,
                                                         record)
-    trace = run(problem, config, record_history=record)
+    trace = run(problem, config, record_history=record,
+                diagnostics=diagnostics)
+    if not diagnostics:
+        assert trace.residuals is None and trace.dist_to_xstar is None
+        del ref["residuals"], ref["dist_to_xstar"]
     _assert_trace_is(trace, ref)
     for name in ("zs", "xs", "ys"):
         series = getattr(trace, name)

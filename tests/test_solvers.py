@@ -427,6 +427,52 @@ def test_residual_oracle_raising_first_ends_the_run_at_its_row():
         assert t.z_final.tolist() == [9.5] and t.x_final.tolist() == [-19.0]
 
 
+def test_run_without_rows_goes_past_a_raising_residual_oracle():
+    # the DR instance above, with diagnostics=False: no residual row calls
+    # the overflowing B, so the run goes past row 27 and stops on its own,
+    # on an exactly zero step; its counters are those of the steps it kept
+    B = CustomOperator(1, lipschitz=0.0, forward=lambda v: np.where(
+        np.abs(v) < 1e-6, np.inf, 0.0))
+    problem = ProblemTriple(A=AffineOperator([[1.0]]), B=B,
+                            C=AffineOperator([[0.5]]))
+    config = SolverConfig(method="DR", lam=0.5, z0=[1.0], max_iters=1000,
+                          tol=1e-300)
+    rows = run(problem, config, record_history=True)
+    t = run(problem, config, record_history=True, diagnostics=False)
+    assert (t.status, t.iterations, t.forward_evals, t.resolvent_evals,
+            t.warnings) == ("converged", 729, 0, 2 * 729, [])
+    assert t.residuals is None and t.dist_to_xstar is None
+    assert t.step_norms[:28] == rows.step_norms and t.step_norms[-1] == 0.0
+    assert (len(t.zs), len(t.ys), len(t.xs)) == (730, 729, 729)
+    for name in ("zs", "ys", "xs"):
+        assert np.array_equal(getattr(t, name)[:len(getattr(rows, name))],
+                              getattr(rows, name))
+    assert t.z_final.tolist() == t.zs[-1].tolist()
+
+
+def test_kind_fired_only_by_a_residual_row_is_named_only_with_rows():
+    # DR's steps never evaluate B; the residual's B overflows (exp) once
+    # |x_k| < 1e-2 and returns 0: only the rows fire the overflow, and a
+    # run without them names no kind and keeps every other field
+    def B_fwd(v):
+        return np.minimum(np.exp(710.0 * (np.abs(v) < 1e-2)), 0.0)
+
+    problem = ProblemTriple(A=AffineOperator([[1.0]]),
+                            B=CustomOperator(1, forward=B_fwd, lipschitz=0.0),
+                            C=AffineOperator([[0.5]]))
+    config = SolverConfig(method="DR", lam=0.5, z0=[1.0], max_iters=600,
+                          tol=1e-300)
+    rows = run(problem, config)
+    t = run(problem, config, diagnostics=False)
+    assert rows.warnings == ["floating-point overflow encountered"]
+    assert t.warnings == [] and t.residuals is None
+    assert (t.status, t.iterations, t.forward_evals, t.resolvent_evals) == (
+        rows.status, rows.iterations, rows.forward_evals,
+        rows.resolvent_evals) == ("max_iters", 600, 0, 1200)
+    assert t.step_norms == rows.step_norms
+    assert t.z_final.tobytes() == rows.z_final.tobytes()
+
+
 def test_floating_point_kinds_named_in_row_order():
     # both oracles return finite values: the residual's B overflows (exp)
     # once |x_k| < 1e-2, and the step's A divides by zero once |z_k| <
