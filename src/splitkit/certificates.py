@@ -86,13 +86,15 @@ class ReferencePoint:
     """A pair ``(z, x)`` with ``x = J_{lam*A}(z)`` and ``x`` a solution.
 
     :func:`reference_point` also keeps ``b_x = B(x)``, evaluated once for
-    its own check and read again by the BRFoB certificates.
+    its own check and read again by the BRFoB certificates, and the
+    ``problem`` it was built for.
     """
 
     z: np.ndarray
     x: np.ndarray
     lam: float
     b_x: np.ndarray = None
+    problem: object = field(default=None, repr=False, compare=False)
 
 
 @np.errstate(all="ignore")
@@ -126,7 +128,7 @@ def reference_point(problem, lam):
         if _norm(r) > 1e-10 * (1.0 + _norm(z)):
             raise CertificateError(
                 "reference point fails x - z = lam*(B+C)(x)")
-    return ReferencePoint(z=z, x=x, lam=lam, b_x=b_x)
+    return ReferencePoint(z=z, x=x, lam=lam, b_x=b_x, problem=problem)
 
 
 def _reflect(u, u_prev):
@@ -341,7 +343,7 @@ def descent_report(phis, z_steps, eps, lemma_slacks=None,
 
 
 @np.errstate(all="ignore")
-def certify_trace(problem, trace, kmax=None):
+def certify_trace(problem, trace, kmax=None, ref=None):
     """Evaluate the full certificate suite along a recorded run.
 
     Supports BFoRB and BRFoB runs on any monotone instance, plus Davis-Yin
@@ -350,6 +352,9 @@ def certify_trace(problem, trace, kmax=None):
     inequalities with the forward terms dropping out.  The trace must have
     been produced with ``record_history=True`` on a problem admitting a
     reference point; ``kmax``, a positive integer, caps the steps evaluated.
+    ``ref``, when given, is the point that ``reference_point(problem,
+    trace.lam)`` returned, which is then not built again; a point built
+    for another problem or stepsize raises ``CertificateError``.
     """
     if trace.zs is None or trace.ys is None:
         raise CertificateError("trace lacks history; rerun with record_history")
@@ -364,7 +369,11 @@ def certify_trace(problem, trace, kmax=None):
         raise CertificateError("DavisYin certificates require a constant B")
 
     lam, L = trace.lam, problem.B.lipschitz
-    ref = reference_point(problem, lam)
+    if ref is None:
+        ref = reference_point(problem, lam)
+    elif ref.problem is not problem or ref.lam != lam:
+        raise CertificateError(
+            "reference point was built for another problem or lam")
     zs, ys = (np.asarray(s, dtype=float) for s in (trace.zs, trace.ys))
     # run() ends a run at its first non-finite iterate, so only the last
     # recorded z can be non-finite.

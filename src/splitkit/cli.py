@@ -309,16 +309,17 @@ _GATES = {"lemma_ok": ("min_lemma_slack", "lemma_tol", -1.0),
           "lower_bound_ok": ("max_lower_bound_violation", "phi_tol", 1.0)}
 
 
-def _certify(problem, trace, cfg, stem):
-    """Certify ``trace``, write its certificate CSV, return the summary
-    plus gates: pass/fail booleans at the documented tolerances, or null
-    when a compared value is not finite (every such value is null too).
+def _certify(problem, trace, ref, cfg, stem):
+    """Certify ``trace`` at its validated reference point ``ref``, write
+    its certificate CSV, return the summary plus gates: pass/fail booleans
+    at the documented tolerances, or null when a compared value is not
+    finite (every such value is null too).
 
     The CSV has one row per step k -> k+1 of the K steps.  ``phi`` and
     ``lower_bound_violations`` belong to the K+1 iterates, so the row of
     step k carries those of iterate k, and the last iterate's are left
     out; the summary still counts them."""
-    report = certify_trace(problem, trace)
+    report = certify_trace(problem, trace, ref=ref)
     _write_csv(stem + "__certificate.csv", "k",
                range(report.lemma_slacks.shape[0]),
                lemma_slack=report.lemma_slacks, phi=report.phi[:-1],
@@ -350,17 +351,20 @@ def _solve(cfg, out_dir, seed_override, jobs, certificates=False,
            diagnostics=True):
     """Validate every ``(method, lam)`` job of ``jobs(L)`` (with
     ``certificates``, also its reference point), then create ``out_dir``;
-    returns ``(pid, problem, traces)``, the traces in job order, each run
-    as it is read, recording its history with ``certificates`` and its
-    residual and distance rows with ``diagnostics`` (see :func:`run`)."""
+    returns ``(pid, problem, runs)``, the runs ``(trace, ref)`` in job
+    order, each run as it is read, recording its history with
+    ``certificates`` and its residual and distance rows with
+    ``diagnostics`` (see :func:`run`); ``ref`` is the job's validated
+    reference point, or None without ``certificates``."""
     pid, problem, _ = build_problem(cfg, seed_override)
     configs = [_solver_config(cfg, m, lam, problem.dim)
                for m, lam in jobs(problem.B.lipschitz)]
-    for sc in configs if certificates else ():
-        reference_point(problem, sc.lam)
+    refs = [reference_point(problem, sc.lam) if certificates else None
+            for sc in configs]
     os.makedirs(out_dir, exist_ok=True)
-    return pid, problem, (run(problem, sc, record_history=certificates,
-                              diagnostics=diagnostics) for sc in configs)
+    return pid, problem, ((run(problem, sc, record_history=certificates,
+                               diagnostics=diagnostics), ref)
+                          for sc, ref in zip(configs, refs))
 
 
 def cmd_run(cfg, out_dir, quiet=False, seed_override=None, gates=False):
@@ -370,15 +374,16 @@ def cmd_run(cfg, out_dir, quiet=False, seed_override=None, gates=False):
     if cfg.lam_policy is None:
         raise ConfigError([(None, _ONE_LAMBDA)])
     certificates = gates or cfg.certify
-    pid, problem, traces = _solve(cfg, out_dir, seed_override, lambda L: [
+    pid, problem, runs = _solve(cfg, out_dir, seed_override, lambda L: [
         (m, cfg.lam_value if cfg.lam_policy == "absolute" else
          cfg.lam_value * _bound(cfg, m, L, "use an absolute lambda"))
         for m in cfg.methods], certificates, diagnostics=not gates)
     ok = True
-    for trace in traces:
+    for trace, ref in runs:
         method = trace.method.value
         stem = os.path.join(out_dir, f"{pid}__{method}__lam{trace.lam:.10g}")
-        cert = _certify(problem, trace, cfg, stem) if certificates else None
+        cert = (_certify(problem, trace, ref, cfg, stem) if certificates
+                else None)
         if gates:
             cert.update(status=trace.status, iterations=trace.iterations)
             _write_json(stem + "__certificate.json", cert)
@@ -411,13 +416,13 @@ def cmd_sweep(cfg, grid, out_dir, quiet=False, seed_override=None):
     row; writes a sweep table."""
     if not grid:
         raise ConfigError([(None, "sweep requires a non-empty --grid")])
-    pid, _, traces = _solve(
+    pid, _, runs = _solve(
         cfg, out_dir, seed_override,
         lambda L: [(m, frac * _bound(cfg, m, L, "sweep is undefined"))
                    for m in cfg.methods for frac in grid], diagnostics=False)
     rows = ["method,fraction,lambda,status,iterations,iters_to_tol\n"]
     ok = True
-    for trace, frac in zip(traces, list(grid) * len(cfg.methods)):
+    for (trace, _), frac in zip(runs, list(grid) * len(cfg.methods)):
         method = trace.method.value
         marker = (str(trace.iterations) if trace.status == "converged"
                   else trace.status)

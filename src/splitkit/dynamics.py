@@ -17,10 +17,22 @@ and, for the Douglas-Rachford flow of a problem with a known solution,
 ``|x_j - x_star|`` with ``x_j = J_{lam*A}(z_j)`` (``z_j`` for the
 proximal-point flow), evaluated per block of stored states by one stacked
 call, with the bits of one call per state.
+
+A flow of three affine (or zero) operators, on a process that may use more
+than one CPU, takes each block's rows on one worker thread while it steps
+the next block; every oracle either thread calls is then a prepared affine
+or zero one.  Any other flow takes its rows inline, between its blocks, so
+no user callable is called from a second thread.  Either way the bits, the
+order of the errors and the ``warnings`` are the same; the worker is
+joined before the simulation returns or raises.
 """
 
 import math
+import os
+import threading
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -30,7 +42,9 @@ from .operators import (AffineOperator, OperatorError, ProblemTriple,
 
 #: States per block in :func:`simulate_dr_flow`, which takes the steps to
 #: a block's states, then their norms in one call, then the block's residual
-#: rows, whose copies of ``x_j`` and ``2x_j - z_j`` take 800 KB at d=50.
+#: rows, whose copies of ``x_j`` and ``2x_j - z_j`` take 800 KB at d=50
+#: (twice that while a worker takes one block's rows and the caller steps
+#: the next).
 _BLOCK = 1024
 
 
@@ -173,6 +187,72 @@ def _euler_step(problem, lam, h_ode, inner_tol):
     return step
 
 
+def _spare_cpu():
+    """Whether this process may run on more than one CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+class _RowsWorker(threading.Thread):
+    """The one thread on which :func:`simulate_dr_flow` takes the rows of
+    a block while the caller steps the next.  ``hand(call)`` passes it a
+    call, ``collect()`` waits for the call in hand and raises its error,
+    and leaving it as a context joins the thread, whose result is then
+    dropped.  Each call runs under ``fp_errstate(on_fp)``: numpy keeps its
+    error state per thread."""
+
+    def __init__(self, on_fp):
+        super().__init__(name="splitkit-flow-rows")
+        self.on_fp, self.call, self.error, self.busy = on_fp, None, None, False
+        self.handed, self.done = threading.Semaphore(0), threading.Semaphore(0)
+
+    def run(self):
+        with fp_errstate(self.on_fp):
+            while True:
+                self.handed.acquire()
+                call = self.call
+                if call is None:
+                    return
+                try:
+                    call()
+                except BaseException as exc:    # collect() raises it
+                    self.error = exc
+                self.done.release()
+
+    def hand(self, call):
+        self.call, self.busy = call, True
+        self.handed.release()
+
+    def collect(self):
+        if self.busy:
+            self.busy = False
+            self.done.acquire()
+            if self.error is not None:
+                raise self.error
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.call = None
+        self.handed.release()
+        self.join()
+
+
+def _rows_worker(on_fp, wanted):
+    """A started :class:`_RowsWorker`, as a context that stops it, or
+    ``nullcontext()`` (None) when not ``wanted`` or no thread starts."""
+    if wanted:
+        worker = _RowsWorker(on_fp)
+        try:
+            worker.start()
+            return worker
+        except RuntimeError:    # "can't start new thread": rows run inline
+            pass
+    return nullcontext()
+
+
 def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
     """Explicit Euler on the Douglas-Rachford flow of the full triple.
 
@@ -191,9 +271,15 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
     later step, and a state that is not finite raises ``OperatorError`` at
     its time, after the rows of the states before it and before any error
     of the steps after it.
-    Floating-point events print no warning: each kind is named once in
-    ``warnings``, in the order of ``run()``'s, and forming the affine map
-    names none.
+    When ``A``, ``B`` and ``C`` all have ``affine_parts`` and the process
+    may run on two CPUs, the rows of each block but the last run on one
+    worker thread while the steps to the next block are taken; the next
+    block waits for them before it hands on its own rows or raises, so the
+    bits and the order of the errors are those above.  Other flows take
+    their rows inline.
+    Floating-point events print no warning: each kind, on either thread,
+    is named once in ``warnings``, in the order of ``run()``'s, and
+    forming the affine map names none.
     """
     z0 = as_vector(z0, problem.dim, "z0")
     if not 0.0 < h_ode <= 1.0:
@@ -216,8 +302,22 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
         X = A_res(Z)
         return X, residual(C_res, lam, 2.0 * X - Z, X, B_rows(X))
 
+    def block_rows(lo, hi):     # the rows of the states lo..hi-1
+        try:
+            X, residuals[lo:hi] = rows(states[lo:hi])
+        except Exception:
+            for i in range(lo, hi):     # raise the first row's error
+                rows(states[i:i + 1])
+            raise
+        if dists is not None:
+            dists[lo:hi] = row_norms(X - x_star)
+
     kinds = set()
-    with fp_errstate(lambda kind, flag: kinds.add(kind)):
+    on_fp = lambda kind, flag: kinds.add(kind)
+    overlap = n >= _BLOCK and _spare_cpu() and all(
+        op.affine_parts() is not None
+        for op in (problem.A, problem.B, problem.C))
+    with _rows_worker(on_fp, overlap) as worker, fp_errstate(on_fp):
         step = _euler_step(problem, lam, h_ode, inner_tol)
         A_res, C_res = problem.prepare(lam)
         states[0] = z0
@@ -235,16 +335,14 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
                 hi = lo + int(bad[0])
                 error = OperatorError(
                     f"flow state non-finite at t={hi * h_ode:g}")
-            try:
-                X, residuals[lo:hi] = rows(states[lo:hi])
-            except Exception:
-                for i in range(lo, hi):     # raise the first row's error
-                    rows(states[i:i + 1])
-                raise
-            if dists is not None:
-                dists[lo:hi] = row_norms(X - x_star)
-            if error is not None:
-                raise error
+            if worker is not None:  # the rows before, then this block's
+                worker.collect()
+            if worker is not None and error is None and hi <= n:
+                worker.hand(partial(block_rows, lo, hi))
+            else:
+                block_rows(lo, hi)
+                if error is not None:
+                    raise error
     return FlowTrajectory(
         times=np.arange(n + 1) * h_ode, states=states, h_ode=h_ode, lam=lam,
         inner_tol=inner_tol, kind="dr", step_norms=step_norms,

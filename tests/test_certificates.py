@@ -624,6 +624,28 @@ def test_certify_trace_guards():
         certify_trace(two_op, forb)
 
 
+def test_certify_trace_takes_the_reference_point_of_its_problem_and_lam():
+    # a given point gives the bits of the point certify_trace builds; one
+    # built for another problem, even on the same data, or for another lam
+    # is refused
+    problem = make_affine_instance(6, 1, 0.8).triple()
+    lam = 0.5 * max_stepsize("BRFoB", problem.B.lipschitz)
+    trace = run(problem, SolverConfig(method="BRFoB", lam=lam, z0=np.ones(6),
+                                      max_iters=50, tol=1e-300),
+                record_history=True)
+    built = certify_trace(problem, trace)
+    given = certify_trace(problem, trace, ref=reference_point(problem, lam))
+    for name in ("lemma_slacks", "phi", "descent_violations",
+                 "telescope_violations", "lower_bound_violations"):
+        assert getattr(given, name).tobytes() == getattr(built, name).tobytes()
+    assert given.summary == built.summary
+    twin = make_affine_instance(6, 1, 0.8).triple()
+    for ref in (reference_point(twin, lam),
+                reference_point(problem, 0.5 * lam)):
+        with pytest.raises(CertificateError, match="another problem or lam"):
+            certify_trace(problem, trace, ref=ref)
+
+
 def test_certificates_hold_for_nonlinear_B():
     # the inequalities need monotonicity only, not linearity of B
     from splitkit import BoxNormalCone, CustomOperator

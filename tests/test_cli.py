@@ -324,6 +324,68 @@ def test_verbs_run_serially_whatever_splitkit_threads(tmp_path, monkeypatch,
         assert (out1 / f).read_bytes() == (out2 / f).read_bytes()
 
 
+@pytest.mark.parametrize("verb, cfg_extra", [
+    ("run", "certify = true\n"), ("certify", "")])
+def test_certified_verbs_build_one_reference_point_per_method(
+        tmp_path, monkeypatch, verb, cfg_extra):
+    # the point validated before --out is created is the one certified
+    built = []
+    original = splitkit.certificates.reference_point
+
+    def counted(problem, lam):
+        built.append(lam)
+        return original(problem, lam)
+
+    monkeypatch.setattr(splitkit.cli, "reference_point", counted)
+    monkeypatch.setattr(splitkit.certificates, "reference_point", counted)
+    cfg = write(tmp_path, "exp.cfg",
+                AFFINE_CFG.replace("methods = BFoRB", "methods = BFoRB, BRFoB")
+                + cfg_extra)
+    assert main([verb, "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == EXIT_OK
+    assert len(built) == 2 and built[0] != built[1]
+    assert len([f for f in os.listdir(tmp_path / "o")
+                if f.endswith("__certificate.csv")]) == 2
+
+
+@pytest.mark.parametrize("start", ["counted", "inline"])
+def test_flow_starts_at_most_one_thread_and_leaves_none(tmp_path, monkeypatch,
+                                                        start):
+    # an affine flow of 3,001 states takes its rows on one worker thread,
+    # joined before main returns; where no thread can start, the rows run
+    # inline, and the CSV keeps its bytes either way
+    cfg = write(tmp_path, "exp.cfg", AFFINE_CFG + """
+[ode]
+lambda = 0.1
+h_ode = 0.01
+T = 30.0
+""")
+    monkeypatch.setattr(dynamics, "_spare_cpu", lambda: True)
+    threads, started = threading.enumerate(), []
+    start_thread = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start_thread(thread)
+
+    def refused(thread):
+        started.append(thread)
+        raise RuntimeError("can't start new thread")
+
+    out = tmp_path / start
+    monkeypatch.setattr(threading.Thread, "start",
+                        counted if start == "counted" else refused)
+    assert main(["flow", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == EXIT_OK
+    assert len(started) == 1 and threading.enumerate() == threads
+    monkeypatch.setattr(dynamics, "_spare_cpu", lambda: False)
+    assert main(["flow", "--config", cfg, "--out", str(tmp_path / "serial"),
+                 "--quiet"]) == EXIT_OK
+    assert len(started) == 1
+    csv = "affine-d10-s1__dr-flow.csv"
+    assert (out / csv).read_bytes() == (tmp_path / "serial" / csv).read_bytes()
+
+
 def test_run_seed_override_changes_artifacts(tmp_path):
     cfg = write(tmp_path, "exp.cfg", AFFINE_CFG)
     out = str(tmp_path / "o")

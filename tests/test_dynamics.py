@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -292,7 +294,11 @@ def test_overflowing_affine_flows_take_the_composed_step(monkeypatch):
                 simulate_dr_flow(problem, 1.0, 0.01, 30.0, z0)
 
 
-@pytest.mark.parametrize("row, step, state, first", [
+# (row, step, state, first): state j is j, except the non-finite state; the
+# row of each state from ``row`` on raises, and so does each step from state
+# ``step`` on.  At one state the non-finite state comes first, then its row,
+# then the step from it.
+BOUNDARY_CASES = [
     (1023, 1023, 1024, "row at 1023"),
     (1024, 1024, 1025, "row at 1024"),
     (1023, 1025, 1024, "row at 1023"),
@@ -301,13 +307,12 @@ def test_overflowing_affine_flows_take_the_composed_step(monkeypatch):
     (1026, 1026, 1023, "non-finite at t=10.23"),
     (1025, 1025, 1024, "non-finite at t=10.24"),
     (1024, 1024, 1024, "non-finite at t=10.24"),
-])
-def test_flow_raises_its_first_error_around_a_block_boundary(
-        row, step, state, first, monkeypatch):
-    # state j is j, except the non-finite state; the row of each state from
-    # ``row`` on raises, and so does each step from state ``step`` on.  At
-    # one state the non-finite state comes first, then its row, then the
-    # step from it.
+]
+
+
+def _boundary_step(step, state):
+    """An ``_euler_step`` whose state j is j, except ``state``, which is
+    inf, and whose steps from state ``step`` on raise."""
     def euler_step(problem, lam, h_ode, inner_tol):
         def take(j, z, out):
             if j >= step:
@@ -315,17 +320,157 @@ def test_flow_raises_its_first_error_around_a_block_boundary(
             out[...] = np.inf if j + 1 == state else j + 1.0
         return take
 
+    return euler_step
+
+
+def _count_thread_starts(monkeypatch):
+    """The list to which each ``threading.Thread.start`` from now on adds
+    its thread."""
+    started, start = [], threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+@pytest.mark.parametrize("row, step, state, first", BOUNDARY_CASES)
+def test_flow_raises_its_first_error_around_a_block_boundary(
+        row, step, state, first, monkeypatch):
+    # a custom B takes the rows inline
     def forward(v):
         if v[0] >= row:
             raise ValueError(f"row at {v[0]:g}")
         return 0.0 * v
 
-    monkeypatch.setattr(splitkit.dynamics, "_euler_step", euler_step)
+    monkeypatch.setattr(splitkit.dynamics, "_euler_step",
+                        _boundary_step(step, state))
     problem = ProblemTriple(A=ZeroOperator(1), C=AffineOperator([[0.5]]),
                             B=CustomOperator(1, forward=forward,
                                              lipschitz=0.0))
     with pytest.raises((ValueError, OperatorError), match=first):
         simulate_dr_flow(problem, 0.5, 0.01, 15.0, [0.0])
+
+
+@pytest.mark.parametrize("row, step, state, first", BOUNDARY_CASES)
+def test_affine_flow_raises_its_first_error_around_a_block_boundary(
+        row, step, state, first, monkeypatch):
+    # the same cases with an affine B, whose rows run on the worker thread,
+    # raise the same first error and leave no thread behind
+    def forward_rows(V):
+        late = V[V[:, 0] >= row]
+        if late.size:
+            raise ValueError(f"row at {late[0, 0]:g}")
+        return 0.0 * V
+
+    monkeypatch.setattr(splitkit.dynamics, "_euler_step",
+                        _boundary_step(step, state))
+    monkeypatch.setattr(splitkit.dynamics, "_spare_cpu", lambda: True)
+    B = AffineOperator([[0.0]])
+    monkeypatch.setattr(B, "forward_rows", forward_rows)
+    problem = ProblemTriple(A=ZeroOperator(1), B=B, C=AffineOperator([[0.5]]))
+    threads = threading.enumerate()
+    started = _count_thread_starts(monkeypatch)
+    with pytest.raises((ValueError, OperatorError), match=first):
+        simulate_dr_flow(problem, 0.5, 0.01, 15.0, [0.0])
+    assert len(started) == 1
+    assert threading.enumerate() == threads
+
+
+def test_flows_leave_no_thread_behind(monkeypatch):
+    # on return and on each error case's raise, affine and composed alike
+    monkeypatch.setattr(splitkit.dynamics, "_spare_cpu", lambda: True)
+    threads = threading.enumerate()
+    started = _count_thread_starts(monkeypatch)
+    problem = make_affine_instance(dim=4, seed=1, skew_fraction=0.8).triple()
+    flow = simulate_dr_flow(problem, 0.2, 0.01, 30.0, np.ones(4))
+    assert flow.states.shape == (3001, 4) and len(started) == 1
+    assert threading.enumerate() == threads
+    for case in sorted(ERROR_CASES):
+        state, problem, z0 = ERROR_CASES[case]
+        n = 3 * splitkit.dynamics._BLOCK
+        assert _flow_error(problem, 1.0, 0.01, z0, n) is not None
+        assert threading.enumerate() == threads, case
+    assert len(started) == 1 + len(ERROR_CASES)
+
+
+def test_affine_flow_names_a_kind_only_its_worker_met_without_warning(
+        monkeypatch):
+    # |z_j| falls from 1.7e155 by 0.5% a step, so the squares of the rows
+    # of the first few hundred states overflow, on the worker, and those of
+    # the steps and of the last block's rows do not
+    monkeypatch.setattr(splitkit.dynamics, "_spare_cpu", lambda: True)
+    started = _count_thread_starts(monkeypatch)
+    problem = ProblemTriple(ZeroOperator(3), ZeroOperator(3),
+                            AffineOperator(np.eye(3)), x_star=np.zeros(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flow = simulate_dr_flow(problem, 1.0, 0.01, 20.0, 1e155 * np.ones(3))
+    assert len(started) == 1
+    assert flow.warnings == ["floating-point overflow encountered"]
+    assert np.isfinite(flow.states).all()
+    assert np.isfinite(flow.step_norms).all()
+    with np.errstate(over="ignore"):
+        norms = row_norms(flow.states)
+    assert (flow.dist_to_xstar == norms).all()
+    assert flow.residuals == pytest.approx(0.5 * norms, rel=1e-15)
+    big = math.sqrt(np.finfo(float).max)    # norms whose squares overflow
+    assert 0.5 * norms[0] > big > norms[1024]
+
+
+def test_concurrent_affine_flows_keep_their_bits_under_fast_switching(
+        monkeypatch):
+    # three callers, each with its worker, on two cores, switching threads
+    # every microsecond: each flow has the bits and warnings of the flow
+    # that takes its rows inline
+    problem = make_affine_instance(dim=4, seed=3, skew_fraction=0.8).triple()
+    args = (problem, 0.2, 0.01, 30.0, 1e160 * np.ones(4))
+    monkeypatch.setattr(splitkit.dynamics, "_spare_cpu", lambda: False)
+    serial = simulate_dr_flow(*args)
+    monkeypatch.setattr(splitkit.dynamics, "_spare_cpu", lambda: True)
+    flows = [None] * 3
+
+    def simulate(i):
+        flows[i] = simulate_dr_flow(*args)
+
+    callers = [threading.Thread(target=simulate, args=(i,)) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert serial.warnings == ["floating-point overflow encountered"]
+    for flow in flows:
+        for name in ("states", "step_norms", "residuals", "dist_to_xstar"):
+            assert (getattr(flow, name).tobytes()
+                    == getattr(serial, name).tobytes()), name
+        assert flow.warnings == serial.warnings
+
+
+def test_composed_flow_calls_its_oracles_from_the_caller_only(monkeypatch):
+    # a custom A: steps and rows take A's resolvent on the caller's thread,
+    # and no thread starts
+    monkeypatch.setattr(splitkit.dynamics, "_spare_cpu", lambda: True)
+    started = _count_thread_starts(monkeypatch)
+    base = make_affine_instance(dim=3, seed=1, skew_fraction=0.8).triple()
+    callers = set()
+
+    def resolvent(lam, v):
+        callers.add(threading.get_ident())
+        return base.A.resolve(lam, v)
+
+    problem = ProblemTriple(CustomOperator(3, resolvent=resolvent), base.B,
+                            base.C)
+    flow = simulate_dr_flow(problem, 0.2, 0.01, 25.0, np.ones(3))
+    assert flow.states.shape == (2501, 3)
+    assert callers == {threading.get_ident()} and started == []
 
 
 @pytest.mark.parametrize("composed", [False, True])
