@@ -16,7 +16,9 @@ state: the step norm ``|z_j - z_{j-1}|``, the ``omega_residual`` of ``z_j``
 and, for the Douglas-Rachford flow of a problem with a known solution,
 ``|x_j - x_star|`` with ``x_j = J_{lam*A}(z_j)`` (``z_j`` for the
 proximal-point flow), evaluated per block of stored states by one stacked
-call, with the bits of one call per state.
+call, with the bits of one call per state.  On a triple of affine (or
+zero) operators, ``A = 0`` included, the residual of ``z_j`` is ``|R z_j +
+r|``, one product with the residual map that runs use.
 
 A flow of three affine (or zero) operators, on a process that may use more
 than one CPU, takes each block's rows on one worker thread while it steps
@@ -39,6 +41,7 @@ import numpy as np
 from .operators import (AffineOperator, OperatorError, ProblemTriple,
                         ZeroOperator, as_count, as_vector, fp_errstate,
                         fp_warnings, residual, resolvent_matrix, row_norms)
+from .solvers import _map_residuals, _residual_map
 
 #: States per block in :func:`simulate_dr_flow`, which takes the steps to
 #: a block's states, then their norms in one call, then the block's residual
@@ -271,6 +274,15 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
     later step, and a state that is not finite raises ``OperatorError`` at
     its time, after the rows of the states before it and before any error
     of the steps after it.
+    The rows take ``X = J_{lam*A}(Z)`` of the states ``Z`` first, checked,
+    for the distance rows, so its error is raised at its state as before.
+    When ``A``, ``B`` and ``C`` all have ``affine_parts``, the residual
+    rows are then ``|R z + r|``, one product with the residual map of
+    ``run()`` (``R = J_C(2J_A - I - lam M_B J_A) - J_A``), derived once
+    per flow; a block with a row ``R z + r`` that is not finite takes the
+    composed rows, and the map's events are named nowhere.  A row of the
+    map may be finite where the composed ``B(x)`` overflows (states beyond
+    about 1e300), and such a row is kept, raising nothing.
     When ``A``, ``B`` and ``C`` all have ``affine_parts`` and the process
     may run on two CPUs, the rows of each block but the last run on one
     worker thread while the steps to the next block are taken; the next
@@ -298,13 +310,16 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
             f"T = {T:g} with h_ode = {h_ode:g} gives {T / h_ode:.3g} Euler "
             "steps, too many states to store") from None
 
-    def rows(Z):                # X = J_{lam*A}(Z) and Z's residuals
+    def rows(Z, omega=()):      # X = J_{lam*A}(Z) and Z's residuals
         X = A_res(Z)
-        return X, residual(C_res, lam, 2.0 * X - Z, X, B_rows(X))
+        res = _map_residuals(omega, Z) if omega else None
+        if res is None:     # no map, or a row of it not finite
+            res = residual(C_res, lam, 2.0 * X - Z, X, B_rows(X))
+        return X, res
 
     def block_rows(lo, hi):     # the rows of the states lo..hi-1
         try:
-            X, residuals[lo:hi] = rows(states[lo:hi])
+            X, residuals[lo:hi] = rows(states[lo:hi], omega)
         except Exception:
             for i in range(lo, hi):     # raise the first row's error
                 rows(states[i:i + 1])
@@ -320,6 +335,7 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
     with _rows_worker(on_fp, overlap) as worker, fp_errstate(on_fp):
         step = _euler_step(problem, lam, h_ode, inner_tol)
         A_res, C_res = problem.prepare(lam)
+        omega = _residual_map(problem, lam, A_res, C_res)
         states[0] = z0
         for lo in range(0, n + 1, _BLOCK):      # the states lo..hi-1
             a, hi, error = lo or 1, min(lo + _BLOCK, n + 1), None

@@ -8,7 +8,9 @@ only in the forward term (DR is the template with ``F = 0``);
 :class:`_TwoOp` runs FB, FoRB and RFoB, which ignore ``A`` and iterate
 ``x_k`` directly; :class:`_FRDR` runs FRDR.  On an affine triple with
 ``B != 0``, BFoRB, BRFoB, Davis-Yin and FRDR take a precomposed step,
-whose map :func:`_precompose` derives from the step's own formula.
+whose map :func:`_precompose` derives from the step's own formula, and
+BFoRB, BRFoB and FRDR take their residual rows from the residual map that
+the same helper, :func:`_derive`, gives :func:`_residual_map`.
 :func:`run` advances the stepper a block at a time and owns the stopping
 rule, the divergence test, the history and the residual, which it
 evaluates per block of steps.  The steppers receive the run's prepared
@@ -26,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (NonFiniteError, as_count, as_vector, fp_errstate,
-                        fp_warnings, residual, row_norms, vanishes)
+                        fp_warnings, residual, resolvent_matrix, row_norms,
+                        vanishes)
 
 #: Sentinel returned by :func:`max_stepsize` for methods whose convergence
 #: is not guaranteed by a Lipschitz bound alone (they need cocoercivity).
@@ -225,15 +228,22 @@ class _Rows:
 
     history = ()
 
-    def advance(self, lo, hi, pending):
-        """Take steps ``lo..hi-1`` up to the first that fires a
-        floating-point event (after which ``pending`` is not empty) or
-        raises.  Returns the row after the last step taken and what the
-        step that raised raised (``None``: no step raised).  The rows that
-        ``walk`` left in the iterator tell how far it got."""
+    def advance(self, lo, hi, pending, known):
+        """Take steps ``lo..hi-1`` up to the first that raises or fires a
+        floating-point event (after which ``pending`` is not empty), going
+        on past an event step whose kinds are all in ``known`` and whose
+        :meth:`rows` are finite.  Returns the row after the last step taken
+        and what the step that raised raised (``None``: no step raised).
+        The rows that ``walk`` left in the iterator tell how far it got."""
         rows = iter(self.steps[lo:hi])
         try:
             self.walk(rows, pending)
+            while pending and known.issuperset(pending):
+                m = hi - operator.length_hint(rows)
+                if not np.isfinite(self.rows(m - 1, m)).all():
+                    break
+                pending.clear()
+                self.walk(rows, pending)
         except Exception as exc:
             return hi - operator.length_hint(rows) - 1, exc
         return hi - operator.length_hint(rows), None
@@ -493,44 +503,76 @@ def _frdr_u(C, gamma, r):
     return (r - C(r)) / gamma
 
 
+def _derive(f, mats, oracles, n=1):
+    """``(G, c)`` with ``f(A, B, C, s_1, .., s_n) = G [s_1; ..; s_n] + c``
+    for a map ``f`` of three oracles that is affine in its ``n`` vectors
+    when the oracles are.  Block ``i`` of ``G`` is ``f`` of the linear
+    parts ``mats``, with ``s_i`` the identity and the others 0 (the parts
+    act on column stacks and cost nothing on the identity and on 0); ``c``
+    is ``f`` of the oracles themselves at zero.  Empty if an oracle raises
+    :class:`NonFiniteError` or ``G`` or ``c`` is not finite."""
+    I, zero = np.eye(len(mats[0])), np.zeros(len(mats[0]))
+    lin = [lambda S, M=M: M if S is I else np.dot(M, S) for M in mats]
+    with np.errstate(all="ignore"):
+        try:
+            G = np.hstack([f(*lin, *(I if j == i else 0.0 for j in range(n)))
+                           for i in range(n)])
+            c = f(*oracles, *[zero] * n)
+        except NonFiniteError:
+            return ()
+    return (G, c) if np.isfinite(G).all() and np.isfinite(c).all() else ()
+
+
+def _residual_map(problem, lam, A_res, C_res):
+    """``(R, r)`` with ``R p + r = J_{lam*C}(2x - p - lam*B(x)) - x``, x =
+    ``J_{lam*A}(p)``, at every point ``p``: Davis-Yin's y-map less
+    ``J_{lam*A}``, by :func:`_derive` from the resolvents ``A_res`` and
+    ``C_res`` at ``lam`` of a triple of affine (or zero) operators, whose
+    matrices are formed only where they lack one.  Empty for any other
+    triple, or if not finite."""
+    parts = [op.affine_parts() for op in (problem.A, problem.B, problem.C)]
+    if None in parts:
+        return ()
+    (MA, _), (MB, _), (MC, _) = parts
+    JA, JC = (getattr(res, "J", None) for res in (A_res, C_res))
+    mats = (resolvent_matrix(MA, lam) if JA is None else JA, MB,
+            resolvent_matrix(MC, lam) if JC is None else JC)
+    return _derive(lambda A, B, C, p: _template_y(A, B, C, lam, p, None)
+                   - A(p), mats, (A_res, problem.B.forward, C_res))
+
+
+def _map_residuals(omega, P):
+    """``|R p + r|`` for each row ``p`` of the stack ``P``, one batched gemv
+    of ``R`` per row (the bits of ``R.dot(p) + r``), or None, with no
+    floating-point event named, if a row of ``R p + r`` is not finite."""
+    R, r = omega
+    with np.errstate(all="ignore"):
+        U = (R @ P[..., None])[..., 0] + r
+    return row_norms(U) if np.isfinite(U).all() else None
+
+
 def _precompose(config, A_res, B, C_res):
     """``(G, c)`` with ``f(s) = G s + c`` for the y-map ``f`` of an affine
-    triple: :func:`_template_y` of ``s = (z, v)`` for BFoRB and BRFoB and of
-    ``s = z`` for Davis-Yin, :func:`_frdr_u` of ``s = r`` for FRDR (where
-    ``C_res`` is ``J_{gamma*C}``).  ``G`` is ``f`` of the identity on the
-    maps' linear parts, which act on column stacks and cost nothing on the
-    identity and on 0; ``c`` is ``f`` of zero on the oracles themselves.
-    Empty unless the method is one of these, ``A_res`` and ``C_res`` are
-    matrix resolvents and ``B`` is affine and not zero, or if
-    ``J_{lam*A}``, ``G`` or ``c`` is not finite."""
+    triple, by :func:`_derive`: :func:`_template_y` of ``s = (z, v)`` for
+    BFoRB and BRFoB and of ``s = z`` for Davis-Yin, :func:`_frdr_u` of
+    ``s = r`` for FRDR (where ``C_res`` is ``J_{gamma*C}``).  Empty unless
+    the method is one of these, ``A_res`` and ``C_res`` are matrix
+    resolvents and ``B`` is affine and not zero, or if ``J_{lam*A}``,
+    ``G`` or ``c`` is not finite."""
     JA, JC = getattr(A_res, "J", None), getattr(C_res, "J", None)
     if config.method not in _LIFTED or JA is None or JC is None:
         return ()
     parts = B.affine_parts()
-    if parts is None or vanishes(B):
+    if parts is None or vanishes(B) or not np.isfinite(JA).all():
         return ()
-    I = np.eye(JA.shape[0])
-    lin = [lambda S, M=M: M if S is I else np.dot(M, S)
-           for M in (JA, parts[0], JC)]
-    oracles, lam = (A_res, B.forward, C_res), config.lam
-    zero = np.zeros(len(I))
-    with np.errstate(all="ignore"):
-        try:
-            if config.method is Method.FRDR:
-                G = _frdr_u(lin[2], config.gamma, I)
-                c = _frdr_u(C_res, config.gamma, zero)
-            elif config.method is Method.DAVIS_YIN:
-                G = _template_y(*lin, lam, I, None)
-                c = _template_y(*oracles, lam, zero, None)
-            else:
-                G = np.hstack((_template_y(*lin, lam, I, 0.0),
-                               _template_y(*lin, lam, 0.0, I)))
-                c = _template_y(*oracles, lam, zero, zero)
-        except NonFiniteError:
-            return ()
-    if np.isfinite(JA).all() and np.isfinite(G).all() and np.isfinite(c).all():
-        return G, c
-    return ()
+    lam, gamma = config.lam, config.gamma
+    if config.method is Method.FRDR:
+        f, n = (lambda A, B, C, r: _frdr_u(C, gamma, r)), 1
+    elif config.method is Method.DAVIS_YIN:
+        f, n = (lambda A, B, C, z: _template_y(A, B, C, lam, z, None)), 1
+    else:
+        f, n = (lambda A, B, C, z, v: _template_y(A, B, C, lam, z, v)), 2
+    return _derive(f, (JA, parts[0], JC), (A_res, B.forward, C_res), n)
 
 
 def _stepsize_warnings(config, L):
@@ -589,8 +631,9 @@ def run(problem, config, record_history=False, diagnostics=True):
     The run goes one block of ``_BLOCK`` steps at a time, through four
     stages in order: (1) passes over the block take its steps in place (see
     :class:`_Rows`), each up to the block's end, right after a step that
-    fires a floating-point event or before a step that raises, and each
-    followed by the norms of its iterates and steps in one
+    fires a floating-point event (unless the run or the block already holds
+    each kind it fired and its iterate is finite) or before a step that
+    raises, and each followed by the norms of its iterates and steps in one
     :func:`row_norms` call and the stopping tests as array comparisons;
     (2) the block ends after the first step that stops the run, before the
     step that raised (a stop cancels a later step's error), or at its last
@@ -620,11 +663,15 @@ def run(problem, config, record_history=False, diagnostics=True):
 
     Per-iteration records hold the step norm, the solution residual
     ``|J_{lam*C}(2x - p - lam*B(x)) - x|`` with ``x = J_{lam*A}(p)`` (the
-    form of :func:`splitkit.certificates.omega_residual`: the step norm for
-    Davis-Yin and, when ``B = 0``, DR, whose steps compute exactly this;
-    the other methods pay one ``C`` resolve, and one ``B`` forward unless
-    the step caches ``B(x)`` as FoRB and FRDR do, outside the counters),
-    and, when the problem carries ``x_star``, the distance of ``x_k`` to it.
+    form of :func:`splitkit.certificates.omega_residual`), and, when the
+    problem carries ``x_star``, the distance of ``x_k`` to it.  Davis-Yin
+    and, when ``B = 0``, DR record their step norm, which their steps
+    compute as exactly this residual.  BFoRB, BRFoB and FRDR on the
+    precomposed step record ``|R p + r|``, one product with the residual
+    map of :func:`_residual_map`, ``R = J_C(2J_A - I - lam M_B J_A) -
+    J_A``, derived once per run: the same value to rounding.  The composed
+    route pays one ``C`` resolve, and one ``B`` forward unless the step
+    caches ``B(x)`` as FoRB and FRDR do, outside the counters.
     Row ``k`` of the residuals belongs to the point ``p`` of step ``k``:
     the iterate before the step, ``zs[k]``, for BFoRB, BRFoB, Davis-Yin and
     DR; ``w_k = zs[k+1]``, whose resolvent is ``x_{k+1}``, for FRDR; and
@@ -632,10 +679,14 @@ def run(problem, config, record_history=False, diagnostics=True):
     ignore ``A`` (their residual is that of ``B + C``).
     No residual feeds back into the iteration, so the rows are evaluated
     per block of ``_BLOCK`` steps by one stacked call, with the bits of one
-    call per row.  A residual oracle that raises ends the run "diverged"
-    at its row, whatever a later step raised: only then are the block's
-    rows evaluated again one at a time, to find it, and the warnings name
-    only the kinds of the steps and rows up to it.
+    call per row.  If a row ``R p + r`` of a block is not finite, the
+    block's residual rows are taken again by the composed formula, and the
+    map's events are named nowhere; a row of the map may be finite where
+    the composed route's ``B(x)`` overflows (states beyond about 1e300),
+    and such a row is kept.  A residual oracle that raises ends the run
+    "diverged" at its row, whatever a later step raised: only then are the
+    block's rows evaluated again one at a time, to find it, and the
+    warnings name only the kinds of the steps and rows up to it.
     With ``diagnostics=False`` no residual or distance row is evaluated and
     both series end as ``None``; every other field is bit for bit that of
     the default run, the counters too, which never count the rows' oracle
@@ -680,13 +731,18 @@ def run(problem, config, record_history=False, diagnostics=True):
     pending, fired, k = [], set(), 0
     N, steps = np.empty(_BLOCK + 1), np.empty(_BLOCK)
 
-    def rows(lo, hi):
-        """Residual and distance rows ``lo..hi-1`` of the block."""
+    def rows(lo, hi, omega=()):
+        """Residual and distance rows ``lo..hi-1`` of the block; given the
+        residual map ``omega``, the residual rows are its rows, and if one
+        is not finite the result is None."""
         X, P, BX = blk.points
         Xs = X[lo:hi]
         res = (steps[lo:hi] if residual_is_step
+               else _map_residuals(omega, P[lo:hi]) if omega
                else residual(C_res, lam, 2.0 * Xs - P[lo:hi], Xs,
                              B_rows(Xs) if BX is None else BX[lo:hi]))
+        if res is None:
+            return None
         return res.tolist(), ([] if x_star is None
                               else row_norms(Xs - x_star).tolist())
 
@@ -701,6 +757,8 @@ def run(problem, config, record_history=False, diagnostics=True):
         C_step = problem.C.prepare(config.gamma) if frdr else C_res
         B_fwd = problem.B.forward
         lifted = _precompose(config, A_res, problem.B, C_step)
+        omega = (_residual_map(problem, lam, A_res, C_res)
+                 if lifted and diagnostics and not residual_is_step else ())
         try:
             blk = (_FRDR if frdr else _TwoOp if two_op else _Template)(
                 config, A_res, B_fwd, C_step, lifted, record_history)
@@ -717,7 +775,8 @@ def run(problem, config, record_history=False, diagnostics=True):
                     # One pass: the steps up to the block's end, the first
                     # step that fires an event, or the step before one that
                     # raises; then their norms and stop tests.
-                    m, error = blk.advance(lo, n, pending)
+                    m, error = blk.advance(lo, n, pending,
+                                           fired.union(events))
                     fires = [(kind, m - (error is None)) for kind in pending]
                     pending.clear()
                     V = blk.rows(lo, m)
@@ -746,8 +805,10 @@ def run(problem, config, record_history=False, diagnostics=True):
                 # The block ends at row ``end``; its residual and distance
                 # rows end at the first that raises (a divergence has none).
                 end, hi = lo, lo - (status == "diverged")
-                try:
-                    res, dist = rows(0, hi) if diagnostics else ((), ())
+                try:    # the map's rows, else the composed ones
+                    res, dist = (((), ()) if not diagnostics
+                                 else omega and rows(0, hi, omega)
+                                 or rows(0, hi))
                 except NonFiniteError:  # find the row; drop the stack's kinds
                     pending.clear()
                     res, dist = [], []

@@ -17,6 +17,8 @@ counts and counters), strings and nulls exactly, floats within the same
 tolerance.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -25,6 +27,8 @@ import sys
 import tempfile
 
 import numpy as np
+
+from splitkit.cli import _initial_point, build_problem, main, parse_config
 
 HERE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -45,7 +49,6 @@ def config_path(case):
 
 def tolerance(case):
     """``1e-13*(1 + |z_0|^2)`` for the case's start ``z_0``."""
-    from splitkit.cli import _initial_point, build_problem, parse_config
     with open(config_path(case)) as fh:
         cfg = parse_config(fh.read())
     _, problem, _ = build_problem(cfg)
@@ -56,10 +59,6 @@ def tolerance(case):
 def generate(case, verb, out):
     """Run ``verb`` of ``case`` into the directory ``out``; returns the
     exit code (0, or 2 where a run stops before converging) and stderr."""
-    import contextlib
-    import io
-
-    from splitkit.cli import main
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main([verb, "--config", config_path(case), "--out", out,
@@ -68,7 +67,7 @@ def generate(case, verb, out):
 
 
 def _numbers_differ(a, b, tol):
-    """Whether two text cells differ beyond ``tol``: equal text, or two
+    """Whether two text cells differ: they match as equal text, or as two
     finite numbers within ``tol`` of each other."""
     if a == b:
         return False
@@ -147,7 +146,8 @@ def regenerate():
                 code, err = generate(case, verb, out)
                 if code not in (0, 2) or err:
                     sys.exit(f"{case} {verb}: exit code {code}: {err}")
-                old = set(os.listdir(target)) if os.path.isdir(target) else set()
+                old = set(os.listdir(target) if os.path.isdir(target)
+                          else ())
                 for name in sorted(old | set(os.listdir(out))):
                     path, new = (os.path.join(target, name),
                                  os.path.join(out, name))

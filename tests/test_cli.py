@@ -16,6 +16,7 @@ from splitkit import (ProblemTriple, ZeroOperator, dynamics,
                       simulate_dr_flow, simulate_ppa)
 from splitkit.cli import (ConfigError, EXIT_CONFIG, EXIT_NOT_CONVERGED,
                           EXIT_OK, build_problem, main, parse_config)
+from oracles import residual_map, residual_row
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
@@ -763,16 +764,18 @@ def test_sweep_and_certify_runs_agree_with_run(tmp_path, text):
 
 def _flow_rows_rowwise(problem, flow):
     """The flow's rows ``(t, step_norm, omega_residual[, dist_to_xstar])``
-    recomputed one by one from the states alone."""
+    recomputed one by one from the states alone; an affine triple's
+    residual rows are those of its residual map where finite."""
     lam = flow.lam
     with_dist = flow.kind == "dr" and problem.x_star is not None
     res_problem = problem if flow.kind == "dr" else ProblemTriple(
         A=ZeroOperator(problem.dim), B=problem.B, C=problem.C)
+    omega = residual_map(res_problem, lam)
     rows, prev = [], None
     for t, state in zip(flow.times, flow.states):
         x = res_problem.A.resolve(lam, state)
         row = [t, 0.0 if prev is None else np.linalg.norm(state - prev),
-               omega_residual(res_problem, lam, state, x)]
+               residual_row(omega, res_problem, lam, state)]
         if with_dist:
             row.append(np.linalg.norm(x - problem.x_star))
         rows.append(row)
@@ -809,8 +812,15 @@ def test_flow_csv_matches_rowwise_computation(tmp_path, monkeypatch,
     assert csv == _flow_csv_rowwise(problem, flow)
     res_problem = problem if kind == "dr" else ProblemTriple(
         A=ZeroOperator(problem.dim), B=problem.B, C=problem.C)
-    assert flow.residuals[-1] == omega_residual(res_problem, 0.1,
-                                                flow.terminal)
+    # an affine triple's terminal row is its residual map's, which agrees
+    # with omega_residual to rounding; a saddle's is omega_residual's
+    omega = residual_map(res_problem, 0.1)
+    assert (omega is None) == (problem_kind == "saddle")
+    assert flow.residuals[-1] == residual_row(omega, res_problem, 0.1,
+                                              flow.terminal)
+    assert abs(flow.residuals[-1] - omega_residual(
+        res_problem, 0.1, flow.terminal)) <= 1e-13 * (
+            1.0 + np.linalg.norm(flow.terminal))
     # the loop evaluates its residuals and distances per block of states:
     # lengths at the block's edges (a smaller block for the saddle, whose
     # inner solves take about 2 ms per step)

@@ -310,14 +310,16 @@ BOUNDARY_CASES = [
 ]
 
 
-def _boundary_step(step, state):
-    """An ``_euler_step`` whose state j is j, except ``state``, which is
-    inf, and whose steps from state ``step`` on raise."""
+def _boundary_step(step, state, huge=math.inf):
+    """An ``_euler_step`` whose state j is j (from state ``huge`` on,
+    j*1e305), except ``state``, which is inf, and whose steps from state
+    ``step`` on raise."""
     def euler_step(problem, lam, h_ode, inner_tol):
         def take(j, z, out):
             if j >= step:
                 raise ValueError(f"step from {j}")
-            out[...] = np.inf if j + 1 == state else j + 1.0
+            out[...] = (np.inf if j + 1 == state
+                        else (j + 1.0) * (1e305 if j + 1 >= huge else 1.0))
         return take
 
     return euler_step
@@ -357,26 +359,62 @@ def test_flow_raises_its_first_error_around_a_block_boundary(
 @pytest.mark.parametrize("row, step, state, first", BOUNDARY_CASES)
 def test_affine_flow_raises_its_first_error_around_a_block_boundary(
         row, step, state, first, monkeypatch):
-    # the same cases with an affine B, whose rows run on the worker thread,
-    # raise the same first error and leave no thread behind
-    def forward_rows(V):
-        late = V[V[:, 0] >= row]
+    # the same cases with affine operators, whose rows run on the worker
+    # thread and take their residuals from the residual map, raise the same
+    # first error, from J_{lam*A}, which the rows still take, and leave no
+    # thread behind
+    def resolve(V):
+        late = V[V[:, 0] >= row] if V.ndim == 2 else V[:0]
         if late.size:
             raise ValueError(f"row at {late[0, 0]:g}")
-        return 0.0 * V
+        return V
 
     monkeypatch.setattr(splitkit.dynamics, "_euler_step",
                         _boundary_step(step, state))
     monkeypatch.setattr(splitkit.dynamics, "_spare_cpu", lambda: True)
-    B = AffineOperator([[0.0]])
-    monkeypatch.setattr(B, "forward_rows", forward_rows)
-    problem = ProblemTriple(A=ZeroOperator(1), B=B, C=AffineOperator([[0.5]]))
+    A = ZeroOperator(1)
+    monkeypatch.setattr(A, "prepare", lambda lam: resolve)
+    problem = ProblemTriple(A=A, B=AffineOperator([[0.0]]),
+                            C=AffineOperator([[0.5]]))
     threads = threading.enumerate()
     started = _count_thread_starts(monkeypatch)
     with pytest.raises((ValueError, OperatorError), match=first):
         simulate_dr_flow(problem, 0.5, 0.01, 15.0, [0.0])
     assert len(started) == 1
     assert threading.enumerate() == threads
+
+
+@pytest.mark.parametrize("row, step, state, first", BOUNDARY_CASES)
+def test_affine_flow_whose_map_rows_overflow_raises_its_first_error_there(
+        row, step, state, first, monkeypatch):
+    # from state ``row`` on the states are j*1e305, where the rows R p + r
+    # of the residual map (R = -4000) are not finite: each block with such
+    # a row takes its composed rows, stacked, whose C resolve raises, then
+    # one at a time, where J_{lam*A} raises at the first such state.  On
+    # the worker thread and inline alike, the flow raises the same first
+    # error, and only the blocks that hold such a state evaluate B
+    def resolve(V):
+        if V.ndim == 2 and len(V) == 1 and V[0, 0] >= 1e305:
+            raise ValueError(f"row at {V[0, 0] / 1e305:g}")
+        return V
+
+    def forward_rows(V):
+        stacks.append(V.min())
+        return rows(V)
+
+    monkeypatch.setattr(splitkit.dynamics, "_euler_step",
+                        _boundary_step(step, state, huge=row))
+    A, B = ZeroOperator(1), AffineOperator([[1e4]])
+    rows, stacks = B.forward_rows, []
+    monkeypatch.setattr(A, "prepare", lambda lam: resolve)
+    monkeypatch.setattr(B, "forward_rows", forward_rows)
+    problem = ProblemTriple(A=A, B=B, C=AffineOperator([[0.5]]))
+    for spare in (True, False):
+        monkeypatch.setattr(splitkit.dynamics, "_spare_cpu", lambda: spare)
+        with pytest.raises((ValueError, OperatorError), match=first):
+            with np.errstate(over="ignore", invalid="ignore"):
+                simulate_dr_flow(problem, 0.5, 0.01, 15.0, [0.0])
+    assert min(stacks, default=row) >= row - row % splitkit.dynamics._BLOCK
 
 
 def test_flows_leave_no_thread_behind(monkeypatch):

@@ -1,8 +1,11 @@
 """Property tests over random monotone instances (d <= 8; flows d <= 20)."""
 
 import dataclasses
+import warnings
+import zlib
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -14,8 +17,9 @@ from splitkit import (AffineOperator, CustomOperator, Method, ProblemTriple,
                       reference_point, run, save_instance, simulate_dr_flow,
                       simulate_ppa)
 from splitkit.cli import ConfigError, ExperimentConfig, parse_config
+from splitkit.operators import NonFiniteError
 from splitkit.solvers import TWO_OPERATOR_METHODS, _BLOCK, _precompose
-from oracles import composed_run, precomposed_run
+from oracles import composed_run, precomposed_run, residual_map, residual_row
 from test_cli import _flow_rows_rowwise
 from test_solvers import _assert_trace_is, _custom_triple
 
@@ -93,28 +97,100 @@ def test_overflowing_oracle_ends_the_run_diverged(method, scale, lam, z0):
         assert trace.status == "diverged"
 
 
+#: The faults that run_case draws (None: none); see _faulty.
+_FAULTS = [None, None, "row", "step", "scale", "map", "events"]
+
+
 @st.composite
 def run_case(draw):
     """A method, a random monotone affine triple, taken as affine operators
     (the precomposed route, where the method has one) or each behind a
-    CustomOperator (the composed route), and a config whose ``max_iters``
+    CustomOperator (the composed route), a config whose ``max_iters``
     lies near a block's end or past the 67-row history buffer's first and
-    second doublings, and whose ``tol`` lets some runs converge mid-block."""
+    second doublings, and whose ``tol`` lets some runs converge mid-block,
+    and a fault ``(kind, at, q)`` for :func:`_faulty`: a residual oracle
+    or a step that raises from row ``at`` of the fault-free run on, a start
+    near 1e306 (``"scale"``), a diagonal triple with a large ``B`` and a
+    start from 1e300 on, whose diverging states leave the rows ``R p + r``
+    of its residual map not finite from some state on, where the composed
+    rows raise (``"map"``, run by FRDR, whose rows these are), or oracles
+    that fire floating-point events at the calls whose argument's CRC is 0
+    modulo ``q``."""
     method = draw(st.sampled_from(list(Method)))
-    problem = make_affine_instance(draw(st.integers(1, 5)),
-                                   draw(st.integers(0, 2**32 - 1)),
-                                   draw(st.floats(0.0, 1.0))).triple()
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(_FAULTS))
+    if kind == "map":
+        method, eye = Method.FRDR, np.eye(draw(st.integers(1, 3)))
+        problem = ProblemTriple(*(AffineOperator(draw(st.floats(*ab)) * eye)
+                                  for ab in ((0.0, 2.0), (3.0, 8.0),
+                                             (0.0, 2.0))))
+    else:
+        problem = make_affine_instance(draw(st.integers(1, 5)),
+                                       draw(st.integers(0, 2**32 - 1)),
+                                       draw(st.floats(0.0, 1.0))).triple()
+    if kind in ("row", "step", "events") or draw(st.booleans()):
         problem = _custom_triple(problem)
-    lam = draw(st.floats(0.01, 1.0))
+    lam = draw(st.floats(0.5 if kind == "map" else 0.01, 1.0))
     gamma = (lam * draw(st.floats(1.0, 4.0)) if method is Method.FRDR
              else None)
     max_iters = draw(st.one_of(st.integers(1, 2), st.integers(63, 65),
                                st.integers(127, 131), st.integers(250, 300)))
     z0 = draw(arrays(float, problem.dim, elements=st.floats(-10.0, 10.0)))
+    if kind in ("scale", "map"):
+        z0 = z0 * draw(st.sampled_from([1e300, 1e305] if kind == "map"
+                                       else [1e306, 1e307]))
+    fault = (kind, draw(st.sampled_from([0, 1, 2, 62, 63, 64, 65, 128])),
+             draw(st.sampled_from([1, 2, 3, 7])))
     return problem, SolverConfig(
         method=method, lam=lam, z0=z0, max_iters=max_iters, gamma=gamma,
-        tol=draw(st.sampled_from([1e-300, 1e-10, 1e-6, 1e-3])))
+        tol=draw(st.sampled_from([1e-300, 1e-10, 1e-6, 1e-3]))), fault
+
+
+def _faulty(problem, config, fault):
+    """``problem`` with the drawn ``fault``: for ``"row"`` its
+    ``B.forward_rows``, which only residual rows call, raises
+    ``NonFiniteError`` on the ``x`` of each row from row ``at`` of the
+    fault-free run on; for ``"step"`` its ``A``'s resolvent raises
+    ``ValueError`` on each point from step ``at`` on; for ``"events"`` its
+    resolvent of ``A`` divides by zero and its ``B`` takes the square root
+    of -1 at the calls whose argument's CRC is 0 modulo ``q``, returning
+    their values unchanged.  Other faults change nothing."""
+    kind, at, q = fault
+    if kind not in ("row", "step", "events"):
+        return problem
+    two_op = config.method in TWO_OPERATOR_METHODS
+    clean = composed_run(problem, config, True, False)
+    if kind == "row":     # the rows' x: x_k, or x_{k+1} for FB, FoRB, RFoB
+        poison = {x.tobytes() for x in clean["xs"][two_op + at:]}
+    else:                 # the steps' points: z_k, or w_k for FRDR
+        poison = {z.tobytes() for z in clean.get("zs", [])[
+            (config.method is Method.FRDR) + at:]}
+    A, B = problem.A, problem.B
+
+    def resolvent(lam, v):
+        if kind == "step" and v.tobytes() in poison:
+            raise ValueError("step error")
+        if kind == "events" and zlib.crc32(v.tobytes()) % q == 0:
+            np.divide(1.0, np.zeros(1))
+        return A.resolve(lam, v)
+
+    def forward(v):
+        if kind == "events" and zlib.crc32(v.tobytes()) % q == 0:
+            np.sqrt(-np.ones(1))
+        return B.forward(v)
+
+    faulty = ProblemTriple(
+        CustomOperator(A.dim, resolvent=resolvent),
+        CustomOperator(B.dim, forward=forward, lipschitz=B.lipschitz),
+        problem.C, x_star=problem.x_star)
+    rows = faulty.B.forward_rows
+
+    def forward_rows(V):
+        if kind == "row" and any(v.tobytes() in poison for v in V):
+            raise NonFiniteError("residual row")
+        return rows(V)
+
+    faulty.B.forward_rows = forward_rows
+    return faulty
 
 
 def _route_cases():
@@ -124,10 +200,21 @@ def _route_cases():
     config = SolverConfig(
         method="BFoRB", z0=np.ones(4), max_iters=130, tol=1e-10,
         lam=0.9 * max_stepsize("BFoRB", problem.B.lipschitz))
-    return (problem, config), (_custom_triple(problem), config)
+    none = (None, 0, 1)
+    return ((problem, config, none),
+            (_custom_triple(problem), config, none))
 
 
 _PRECOMPOSED, _COMPOSED = _route_cases()
+
+#: FRDR from 1e300 on a diagonal triple: the rows R p + r of rows 0-10 are
+#: not all finite, so the block takes its composed rows, and row 10's
+#: raises: the run ends "diverged" after 11 steps
+_MAP_FALLBACK = (
+    ProblemTriple(AffineOperator([[0.5]]), AffineOperator([[4.0]]),
+                  AffineOperator([[0.5]])),
+    SolverConfig(method="FRDR", lam=1.0, gamma=2.0, z0=[1e300],
+                 max_iters=200, tol=1e-300), ("map", 0, 1))
 
 
 @settings(max_examples=300, deadline=None)
@@ -136,21 +223,35 @@ _PRECOMPOSED, _COMPOSED = _route_cases()
 @example(_PRECOMPOSED, True, False)
 @example(_COMPOSED, False, False)
 @example(_COMPOSED, True, False)
+@example(_MAP_FALLBACK, True, True)
 def test_run_is_the_per_step_run_bit_for_bit(case, record, diagnostics):
-    # whatever its blocks, its history buffer's doublings and where it
-    # stops, run() is the run of one step at a time in every Trace field,
-    # histories included: the precomposed step where run() precomposes,
-    # the composed step elsewhere.  Without diagnostics the residual and
-    # distance series are None and every other field keeps its bits
-    problem, config = case
+    # whatever its blocks, its history buffer's doublings, where it stops
+    # and its drawn fault, run() is the run of one step at a time in every
+    # Trace field, histories included, or raises what that run raises: the
+    # precomposed step where run() precomposes, the composed step
+    # elsewhere, and the residual and distance rows as documented (those
+    # of the residual map in blocks where they are finite, a raising row
+    # cutting the run).  Without diagnostics the residual and distance
+    # series are None, no row is evaluated, and every other field is that
+    # of a run without rows
+    problem, config, fault = case
+    problem = _faulty(problem, config, fault)
     A_res, C_res = problem.prepare(config.lam)
     if config.method is Method.FRDR:
         C_res = problem.C.prepare(config.gamma)
     lifted = _precompose(config, A_res, problem.B, C_res)
-    ref = (precomposed_run if lifted else composed_run)(problem, config,
-                                                        record)
-    trace = run(problem, config, record_history=record,
-                diagnostics=diagnostics)
+    reference = precomposed_run if lifted else composed_run
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ref = reference(problem, config, record, diagnostics)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                run(problem, config, record_history=record,
+                    diagnostics=diagnostics)
+            return
+        trace = run(problem, config, record_history=record,
+                    diagnostics=diagnostics)
     if not diagnostics:
         assert trace.residuals is None and trace.dist_to_xstar is None
         del ref["residuals"], ref["dist_to_xstar"]
@@ -200,8 +301,10 @@ def test_lemma_slacks_nonnegative_at_any_stepsize(dim, seed, skew, frac,
 def test_residual_and_distance_rows_are_one_point_values(dim, seed, method,
                                                          length, frac, tol):
     # run() evaluates its residual and distance rows per block of steps;
-    # each row has the bits of omega_residual and |x - x_star| at its one
-    # point, whatever the length, and the series stay lists of floats
+    # each row has the bits of its one point's value, whatever the length,
+    # and the series stay lists of floats: |x - x_star|, and the residual
+    # map's row for BFoRB, BRFoB and FRDR (within rounding of
+    # omega_residual) and omega_residual's for the other methods
     problem = make_affine_instance(dim, seed, 0.8).triple()
     L = problem.B.lipschitz
     gamma = 1.0 / L if method is Method.FRDR else None
@@ -219,10 +322,15 @@ def test_residual_and_distance_rows_are_one_point_values(dim, seed, method,
     for series in (trace.residuals, trace.dist_to_xstar):
         assert type(series) is list and len(series) == trace.iterations
         assert all(type(v) is float for v in series)
+    omega = (residual_map(problem, lam)
+             if method in (Method.BFORB, Method.BRFOB, Method.FRDR) else None)
     for k in range(trace.iterations):
         if method is not Method.DAVIS_YIN:      # its residual is its step
-            assert trace.residuals[k] == omega_residual(res_problem, lam,
-                                                        points[k])
+            assert trace.residuals[k] == residual_row(omega, res_problem,
+                                                      lam, points[k])
+            assert abs(trace.residuals[k] - omega_residual(
+                res_problem, lam, points[k])) <= 1e-13 * (
+                    1.0 + np.linalg.norm(points[k]))
         assert trace.dist_to_xstar[k] == np.linalg.norm(xs[k]
                                                         - problem.x_star)
 
@@ -374,17 +482,18 @@ def test_precomposed_step_is_the_oracle_step_up_to_rounding(case, method):
     # an affine triple runs BFoRB, BRFoB, Davis-Yin and FRDR as one
     # precomposed step, the same triple behind CustomOperator oracles as
     # the composed one: 40 steps agree to rounding, with equal counters; the
-    # update identity stays exact and each residual row is the
-    # omega_residual of its point, bit for bit
+    # update identity stays exact, and each residual row is the residual
+    # map's row at its point, bit for bit (Davis-Yin: the step norm), and
+    # the omega_residual of that point to rounding
     problem, lam, z0, history = case
     frdr, dy = method == "FRDR", method == "DavisYin"
     kwargs = {"gamma": 4.0 * lam} if frdr else {}
     if not (frdr or dy):
         kwargs["y_init"] = history
-    lifted, oracle = (run(p, SolverConfig(
-        method=method, lam=lam, z0=z0, max_iters=40, tol=1e-300, **kwargs),
-        record_history=True)
-        for p in (problem, _custom_triple(problem)))
+    config = SolverConfig(method=method, lam=lam, z0=z0, max_iters=40,
+                          tol=1e-300, **kwargs)
+    lifted, oracle = (run(p, config, record_history=True)
+                      for p in (problem, _custom_triple(problem)))
     assert (lifted.status, lifted.iterations) == (oracle.status,
                                                   oracle.iterations)
     assert (lifted.forward_evals, lifted.resolvent_evals) == (
@@ -395,15 +504,19 @@ def test_precomposed_step_is_the_oracle_step_up_to_rounding(case, method):
         for u, v in zip(a, b):
             assert np.linalg.norm(u - v) <= 1e-12 * (1.0 + np.linalg.norm(v))
     zs, xs, ys = lifted.zs, lifted.xs, lifted.ys[lifted.y_offset:]
+    # B = 0 (or a map not finite) takes the composed step and rows
+    A_res, C_res = problem.prepare(lam)
+    omega = residual_map(problem, lam) if _precompose(
+        config, A_res, problem.B,
+        problem.C.prepare(config.gamma) if frdr else C_res) else None
     for k in range(lifted.iterations):
         point = zs[k + frdr]
-        omega = omega_residual(problem, lam, point)
-        if dy:      # the residual is the step norm, to rounding
-            assert lifted.residuals[k] == lifted.step_norms[k]
-            assert abs(omega - lifted.residuals[k]) <= 1e-12 * (
-                1.0 + np.linalg.norm(point))
-        else:
-            assert lifted.residuals[k] == omega
+        assert lifted.residuals[k] == (
+            lifted.step_norms[k] if dy
+            else residual_row(omega, problem, lam, point))
+        assert abs(omega_residual(problem, lam, point)
+                   - lifted.residuals[k]) <= 1e-12 * (
+            1.0 + np.linalg.norm(point))
         if not frdr:
             assert np.array_equal(zs[k + 1], zs[k] + ys[k] - xs[k])
 

@@ -14,7 +14,7 @@ from splitkit import (AffineOperator, BoxNormalCone, CustomOperator, Method,
                       max_stepsize, omega_residual, run, solve_affine_direct)
 import splitkit.operators
 import splitkit.solvers
-from oracles import composed_run, precomposed_run
+from oracles import composed_run, precomposed_run, residual_map, residual_row
 from splitkit.solvers import TWO_OPERATOR_METHODS, _BLOCK
 
 SKEW2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -620,6 +620,30 @@ def test_closing_resolvent_error_after_a_cut_row_is_dropped():
     _assert_trace_is(t, want)
 
 
+def test_steps_that_fire_a_named_kind_take_one_pass_per_block(monkeypatch):
+    # A divides by zero at every call, so every step fires an event; once
+    # the run holds the kind, a pass goes on past such steps whose z is
+    # finite: the 729 steps take one pass per block (two in the first,
+    # which ends at the step that first fires the kind), each one row_norms
+    # call after the one of z_0, and the run is the per-step run bit for bit
+    def A_res(lam, v):
+        np.divide(1.0, np.zeros(1))
+        return v / (1.0 + lam)
+
+    problem = ProblemTriple(A=CustomOperator(1, resolvent=A_res),
+                            B=ZeroOperator(1), C=AffineOperator([[0.5]]))
+    config = SolverConfig(method="DR", lam=0.5, z0=[1.0], max_iters=1000,
+                          tol=1e-300)
+    calls, row_norms = [], splitkit.solvers.row_norms
+    monkeypatch.setattr(splitkit.solvers, "row_norms",
+                        lambda V: calls.append(V.shape) or row_norms(V))
+    t = run(problem, config, record_history=True)
+    assert (t.status, t.iterations) == ("converged", 729)
+    assert t.warnings == ["floating-point divide by zero encountered"]
+    assert len(calls) == 1 + math.ceil(729 / _BLOCK) + 1
+    _assert_trace_is(t, composed_run(problem, config, True))
+
+
 @pytest.mark.parametrize("method, counters", [("BFoRB", (1, 1)),
                                               ("BRFoB", (0, 1))])
 def test_counters_count_the_warm_start_when_the_first_step_fails(method,
@@ -788,11 +812,22 @@ def test_residual_row_k_is_omega_residual_of_one_point(method, variant,
                                           or variant == "B=0")
 
 
+#: The methods whose residual rows on a precomposed triple are |R p + r|.
+_MAPPED = ("BFoRB", "BRFoB", "FRDR")
+
+
 def _assert_rows_are_one_point_values(trace, problem, history, shift,
                                       residual_is_step):
-    """Row k of the residuals is omega_residual of ``history[k + shift]``,
-    and row k of the distances (if any) ``|x - x_star|`` of the step's x,
-    bit for bit, as lists of Python floats."""
+    """Row k of the residuals is that of ``history[k + shift]``, and row k
+    of the distances (if any) ``|x - x_star|`` of the step's x, bit for
+    bit, as lists of Python floats: on an affine triple with ``A != 0``,
+    the residual of BFoRB, BRFoB and FRDR is the norm of the residual map's
+    row, within rounding of omega_residual's, and every other residual
+    that of omega_residual (Davis-Yin's and, with ``B = 0``, DR's is the
+    step norm, within rounding)."""
+    omega = (residual_map(problem, trace.lam)
+             if trace.method.value in _MAPPED and problem.A.kind == "affine"
+             else None)
     points = getattr(trace, history)
     xs = trace.xs[trace.method in TWO_OPERATOR_METHODS:]
     dists = trace.dist_to_xstar
@@ -801,12 +836,12 @@ def _assert_rows_are_one_point_values(trace, problem, history, shift,
         assert all(type(v) is float for v in series)
     for k, res in enumerate(trace.residuals):
         point = points[k + shift]
-        omega = omega_residual(problem, trace.lam, point)
         if residual_is_step:
             assert res == trace.step_norms[k]
-            assert abs(res - omega) <= 1e-15 * (1.0 + np.linalg.norm(point))
         else:
-            assert res == omega
+            assert res == residual_row(omega, problem, trace.lam, point)
+        assert abs(res - omega_residual(problem, trace.lam, point)) <= (
+            1e-15 * (1.0 + np.linalg.norm(point)))
         if dists is not None:
             assert dists[k] == np.linalg.norm(xs[k] - problem.x_star)
 
