@@ -73,10 +73,10 @@ def residual_row(omega, problem, lam, p):
     that has the map ``omega`` (None: no map): ``|R p + r|`` where that is
     finite, else :func:`splitkit.certificates.omega_residual`'s."""
     if omega is not None:
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):     # squares that overflow rescale
             u = np.dot(omega[0], p) + omega[1]
-        if np.isfinite(u).all():
-            return float(row_norms(u[None])[0])
+            if np.isfinite(u).all():
+                return float(row_norms(u[None])[0])
     return omega_residual(problem, lam, p)
 
 

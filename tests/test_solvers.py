@@ -866,6 +866,25 @@ def test_residual_rows_of_a_run_that_stops_mid_block(method, variant,
     _assert_rows_are_one_point_values(trace, problem, history, shift, False)
 
 
+def test_residual_map_row_is_kept_where_the_composed_row_overflows():
+    # at z_0 = 1e300, B(x_0) = 1e310 overflows, so the composed residual of
+    # z_0 raises, as omega_residual does; the residual map's row R z_0 + r
+    # = -1.01e300 is finite, and the precomposed BFoRB run keeps it
+    problem = ProblemTriple(A=AffineOperator([[0.0]]),
+                            B=AffineOperator([[1e10]]),
+                            C=AffineOperator([[1e12]]))
+    config = SolverConfig(method="BFoRB", lam=1.0, z0=[1e300], max_iters=3,
+                          tol=1e-300)
+    with np.errstate(over="ignore"), pytest.raises(
+            splitkit.operators.NonFiniteError):
+        omega_residual(problem, 1.0, config.z0)
+    t = run(problem, config)
+    assert (t.status, t.iterations) == ("max_iters", 3)
+    omega = residual_map(problem, 1.0)
+    assert t.residuals[0] == residual_row(omega, problem, 1.0, config.z0)
+    assert t.residuals[0] == pytest.approx(1.01e300, rel=1e-12)
+
+
 # ----------------------------------------------------- reduction invariants
 
 def _dr_family_problem(seed=11, dim=5):
