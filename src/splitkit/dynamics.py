@@ -8,8 +8,9 @@ Two flows are simulated by explicit Euler stepping:
   which is the Douglas-Rachford flow of ``(0, B, C)``.
 
 Equilibria of either flow are exactly the fixed points of the corresponding
-splitting dynamics.  Higher-order integrators are deliberately out of scope:
-the discrete methods these flows explain are first order.
+splitting dynamics.  An Euler step of size ``h`` is a DR step on ``(A, 0,
+B + C)`` relaxed by ``h``.  Higher-order integrators are deliberately out
+of scope: the discrete methods these flows explain are first order.
 
 Like a solver ``Trace``, a :class:`FlowTrajectory` carries one record per
 state: the step norm ``|z_j - z_{j-1}|``, the ``omega_residual`` of ``z_j``
@@ -17,8 +18,9 @@ and, for the Douglas-Rachford flow of a problem with a known solution,
 ``|x_j - x_star|`` with ``x_j = J_{lam*A}(z_j)`` (``z_j`` for the
 proximal-point flow), evaluated per block of stored states by one stacked
 call, with the bits of one call per state.  On a triple of affine (or
-zero) operators, ``A = 0`` included, the residual of ``z_j`` is ``|R z_j +
-r|``, one product with the residual map that runs use.
+zero) operators, ``A = 0`` included, a step is one product with the map
+that the runs' helper derives from the step's formula, and the residual
+of ``z_j`` is ``|R z_j + r|``, one product with the runs' residual map.
 
 A flow of three affine (or zero) operators, on a process that may use more
 than one CPU, takes each block's rows on one worker thread while it steps
@@ -40,8 +42,8 @@ import numpy as np
 
 from .operators import (AffineOperator, OperatorError, ProblemTriple,
                         ZeroOperator, as_count, as_vector, fp_errstate,
-                        fp_warnings, residual, resolvent_matrix, row_norms)
-from .solvers import _map_residuals, _residual_map
+                        fp_warnings, residual, row_norms)
+from .solvers import _derive, _map_residuals, _residual_map
 
 #: States per block in :func:`simulate_dr_flow`, which takes the steps to
 #: a block's states, then their norms in one call, then the block's residual
@@ -159,30 +161,25 @@ def simulate_ppa(problem, lam, h_ode, T, x0, inner_tol=1e-10):
                    kind="ppa")
 
 
-def _euler_step(problem, lam, h_ode, inner_tol):
+def _euler_step(h_ode, A_res, S_res, J_A):
     """The step ``(j, z_j, out) -> z_{j+1}`` of :func:`simulate_dr_flow`,
-    written into ``out``; for an affine triple, when finite, ``T z + t``
-    with ``T = I + h_ode*(2 J_S J_A - J_S - J_A)``, ``t = h_ode*((J_A - 2
-    J_S J_A) lam b_A - J_S lam (b_B + b_C))`` and the matrices ``J_A =
-    J_{lam*A}``, ``J_S = J_{lam*(B+C)}``."""
-    parts = [op.affine_parts() for op in (problem.A, problem.B, problem.C)]
-    if all(p is not None for p in parts):
-        (MA, bA), (MB, bB), (MC, bC) = parts
-        with np.errstate(all="ignore"):     # a map not finite goes unused
-            JA, JS = resolvent_matrix(MA, lam), resolvent_matrix(MB + MC, lam)
-            JSA = np.dot(JS, JA)
-            T = np.eye(problem.dim) + h_ode * (2.0 * JSA - JS - JA)
-            t = h_ode * (np.dot(JA - 2.0 * JSA, lam * bA)
-                         - np.dot(JS, lam * (bB + bC)))
-        if np.isfinite(T).all() and np.isfinite(t).all():
-            T, add = T.dot, np.add      # bound once, as in the solvers' walks
-            return lambda j, z, out: add(T(z, out), t, out)
-    rs, A_res = _sum_resolvent(problem, lam, inner_tol), problem.A.prepare(lam)
+    written into ``out``: the relaxed DR step ``f(A, S, z) = z +
+    h_ode*(S(2x - z) - x)``, ``x = A(z)``, of the resolvents ``A_res =
+    J_{lam*A}`` and ``S_res = J_{lam*(B+C)}``.  Given the matrix ``J_A``
+    of ``A_res`` of an affine triple, it is ``T z + t``, with ``(T, t)``
+    the map that :func:`_derive` gives ``f``, when finite."""
+    def f(A, S, z):
+        x = A(z)
+        return z + h_ode * (S(2.0 * x - z) - x)
+
+    Tt = () if J_A is None else _derive(f, (J_A, S_res.J), (A_res, S_res))
+    if Tt:      # T.dot and add bound once, as in the solvers' walks
+        T, add, t = Tt[0].dot, np.add, Tt[1]
+        return lambda j, z, out: add(T(z, out), t, out)
 
     def step(j, z, out):
-        x = A_res(z)
         try:
-            out[...] = z + h_ode * (rs(2.0 * x - z) - x)
+            out[...] = f(A_res, S_res, z)
         except InnerSolveError as exc:
             raise InnerSolveError(f"{exc} at t={j * h_ode:g}",
                                   residual=exc.residual, t=j * h_ode)
@@ -259,39 +256,38 @@ def _rows_worker(on_fp, wanted):
 def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
     """Explicit Euler on the Douglas-Rachford flow of the full triple.
 
-    z_{j+1} = z_j + h_ode * (J_{lam*(B+C)}(2 J_{lam*A}(z_j) - z_j)
-                             - J_{lam*A}(z_j)),
-    one gemv for an affine triple (see :func:`_euler_step`).  ``lam`` and
-    ``T`` must be positive and finite, ``h_ode`` in (0, 1].  The flow has
-    no stopping rule, so it goes ``_BLOCK`` states at a time: it takes the
-    steps to them, each written straight into the stored states, up to
-    the first step that raises; one :func:`row_norms` call gives their
-    step norms (the bits of ``np.linalg.norm`` per step, rescaled where
-    its squares overflow); the block then ends at its first state that is
-    not finite, one stacked call gives the residual and distance rows of
-    the states before the end, and the first error is raised.  So an
-    oracle error of a row is raised at its state, before the error of any
-    later step, and a state that is not finite raises ``OperatorError`` at
-    its time, after the rows of the states before it and before any error
-    of the steps after it.
+    z_{j+1} = z_j + h_ode*(J_{lam*(B+C)}(2x_j - z_j) - x_j), x_j =
+    J_{lam*A}(z_j), by :func:`_euler_step`.  ``lam`` and ``T`` must be
+    positive and finite, ``h_ode`` in (0, 1].  The flow has no stopping
+    rule, so it goes ``_BLOCK`` states at a time: it takes the steps to
+    them, each written straight into the stored states, up to the first
+    step that raises; one :func:`row_norms` call gives their step norms
+    (the bits of ``np.linalg.norm`` per step, rescaled where its squares
+    overflow); the block then ends at its first state that is not finite,
+    one stacked call gives the residual and distance rows of the states
+    before the end, and the first error is raised.  So an oracle error of
+    a row is raised at its state, before the error of any later step, and
+    a state that is not finite raises ``OperatorError`` at its time, after
+    the rows of the states before it and before any error of the steps
+    after it.
     The rows take ``X = J_{lam*A}(Z)`` of the states ``Z`` first, checked,
     for the distance rows, so its error is raised at its state as before.
-    When ``A``, ``B`` and ``C`` all have ``affine_parts``, the residual
-    rows are then ``|R z + r|``, one product with the residual map of
-    ``run()`` (``R = J_C(2J_A - I - lam M_B J_A) - J_A``), derived once
-    per flow; a block with a row ``R z + r`` that is not finite takes the
-    composed rows, and the map's events are named nowhere.  A row of the
-    map may be finite where the composed ``B(x)`` overflows (states beyond
-    about 1e300), and such a row is kept, raising nothing.
-    When ``A``, ``B`` and ``C`` all have ``affine_parts`` and the process
-    may run on two CPUs, the rows of each block but the last run on one
-    worker thread while the steps to the next block are taken; the next
-    block waits for them before it hands on its own rows or raises, so the
-    bits and the order of the errors are those above.  Other flows take
-    their rows inline.
+    When ``A``, ``B`` and ``C`` all have ``affine_parts``, the flow forms
+    each inverse once, each step is one gemv with the Euler map and the
+    residual rows are ``|R z + r|``, one product with the residual map of
+    ``run()`` (``R = J_C(2J_A - I - lam M_B J_A) - J_A``); both maps are
+    derived once per flow.  A block with a row ``R z + r`` that is not
+    finite takes the composed rows, and the map's events are named
+    nowhere.  A row of the map may be finite where the composed ``B(x)``
+    overflows (states beyond about 1e300), and such a row is kept, raising
+    nothing.  If the process may run on two CPUs, the rows of each block
+    but the last then run on one worker thread while the steps to the next
+    block are taken; the next block waits for them before it hands on its
+    own rows or raises, so the bits and the order of the errors are those
+    above.  Other flows take their rows inline.
     Floating-point events print no warning: each kind, on either thread,
     is named once in ``warnings``, in the order of ``run()``'s, and
-    forming the affine map names none.
+    forming the affine maps names none.
     """
     z0 = as_vector(z0, problem.dim, "z0")
     if not 0.0 < h_ode <= 1.0:
@@ -329,13 +325,13 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
 
     kinds = set()
     on_fp = lambda kind, flag: kinds.add(kind)
-    overlap = n >= _BLOCK and _spare_cpu() and all(
-        op.affine_parts() is not None
-        for op in (problem.A, problem.B, problem.C))
-    with _rows_worker(on_fp, overlap) as worker, fp_errstate(on_fp):
-        step = _euler_step(problem, lam, h_ode, inner_tol)
+    with fp_errstate(on_fp):
         A_res, C_res = problem.prepare(lam)
-        omega = _residual_map(problem, lam, A_res, C_res)
+        mats, omega = _residual_map(problem, lam, A_res, C_res)
+        S_res = _sum_resolvent(problem, lam, inner_tol)
+        step = _euler_step(h_ode, A_res, S_res, mats and mats[0])
+    overlap = n >= _BLOCK and mats is not None and _spare_cpu()
+    with _rows_worker(on_fp, overlap) as worker, fp_errstate(on_fp):
         states[0] = z0
         for lo in range(0, n + 1, _BLOCK):      # the states lo..hi-1
             a, hi, error = lo or 1, min(lo + _BLOCK, n + 1), None

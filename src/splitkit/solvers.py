@@ -10,7 +10,8 @@ only in the forward term (DR is the template with ``F = 0``);
 ``B != 0``, BFoRB, BRFoB, Davis-Yin and FRDR take a precomposed step,
 whose map :func:`_precompose` derives from the step's own formula, and
 BFoRB, BRFoB and FRDR take their residual rows from the residual map that
-the same helper, :func:`_derive`, gives :func:`_residual_map`.
+the same helper, :func:`_derive`, gives :func:`_residual_map` (and the
+flows of :mod:`splitkit.dynamics` their Euler map).
 :func:`run` advances the stepper a block at a time and owns the stopping
 rule, the divergence test, the history and the residual, which it
 evaluates per block of steps.  The steppers receive the run's prepared
@@ -504,8 +505,8 @@ def _frdr_u(C, gamma, r):
 
 
 def _derive(f, mats, oracles, n=1):
-    """``(G, c)`` with ``f(A, B, C, s_1, .., s_n) = G [s_1; ..; s_n] + c``
-    for a map ``f`` of three oracles that is affine in its ``n`` vectors
+    """``(G, c)`` with ``f(*oracles, s_1, .., s_n) = G [s_1; ..; s_n] + c``
+    for a map ``f`` of its oracles that is affine in its ``n`` vectors
     when the oracles are.  Block ``i`` of ``G`` is ``f`` of the linear
     parts ``mats``, with ``s_i`` the identity and the others 0 (the parts
     act on column stacks and cost nothing on the identity and on 0); ``c``
@@ -524,21 +525,22 @@ def _derive(f, mats, oracles, n=1):
 
 
 def _residual_map(problem, lam, A_res, C_res):
-    """``(R, r)`` with ``R p + r = J_{lam*C}(2x - p - lam*B(x)) - x``, x =
-    ``J_{lam*A}(p)``, at every point ``p``: Davis-Yin's y-map less
-    ``J_{lam*A}``, by :func:`_derive` from the resolvents ``A_res`` and
-    ``C_res`` at ``lam`` of a triple of affine (or zero) operators, whose
-    matrices are formed only where they lack one.  Empty for any other
-    triple, or if not finite."""
+    """``(mats, omega)`` for a triple of affine (or zero) operators: its
+    matrices ``mats = (J_{lam*A}, M_B, J_{lam*C})``, each inverse that of
+    the resolvent ``A_res`` or ``C_res`` at ``lam`` where it holds one and
+    formed otherwise, and ``omega = (R, r)`` with ``R p + r =
+    J_{lam*C}(2x - p - lam*B(x)) - x``, x = ``J_{lam*A}(p)``, at every
+    point ``p`` (Davis-Yin's y-map less ``J_{lam*A}``), by :func:`_derive`,
+    or empty if not finite.  ``(None, ())`` for any other triple."""
     parts = [op.affine_parts() for op in (problem.A, problem.B, problem.C)]
     if None in parts:
-        return ()
+        return None, ()
     (MA, _), (MB, _), (MC, _) = parts
     JA, JC = (getattr(res, "J", None) for res in (A_res, C_res))
     mats = (resolvent_matrix(MA, lam) if JA is None else JA, MB,
             resolvent_matrix(MC, lam) if JC is None else JC)
-    return _derive(lambda A, B, C, p: _template_y(A, B, C, lam, p, None)
-                   - A(p), mats, (A_res, problem.B.forward, C_res))
+    return mats, _derive(lambda A, B, C, p: _template_y(A, B, C, lam, p, None)
+                         - A(p), mats, (A_res, problem.B.forward, C_res))
 
 
 def _map_residuals(omega, P):
@@ -757,7 +759,7 @@ def run(problem, config, record_history=False, diagnostics=True):
         C_step = problem.C.prepare(config.gamma) if frdr else C_res
         B_fwd = problem.B.forward
         lifted = _precompose(config, A_res, problem.B, C_step)
-        omega = (_residual_map(problem, lam, A_res, C_res)
+        omega = (_residual_map(problem, lam, A_res, C_res)[1]
                  if lifted and diagnostics and not residual_is_step else ())
         try:
             blk = (_FRDR if frdr else _TwoOp if two_op else _Template)(

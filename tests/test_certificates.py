@@ -622,6 +622,19 @@ def test_certify_trace_guards():
                record_history=True)
     with pytest.raises(CertificateError):
         certify_trace(two_op, forb)
+    # FRDR records the histories, but no certificate is defined for it
+    frdr = run(problem, SolverConfig(method="FRDR", lam=lam, gamma=2.0 * lam,
+                                     z0=np.ones(6), max_iters=10,
+                                     tol=1e-300), record_history=True)
+    with pytest.raises(CertificateError, match="no certificate is defined"):
+        certify_trace(problem, frdr)
+    # a run whose first iterate is not finite leaves no step to certify
+    overflow = run(problem, SolverConfig(method="BFoRB", lam=lam,
+                                         z0=np.full(6, 1e308), max_iters=10,
+                                         tol=1e-300), record_history=True)
+    assert overflow.status == "diverged" and len(overflow.zs) == 2
+    with pytest.raises(CertificateError, match="too short"):
+        certify_trace(problem, overflow)
 
 
 def test_certify_trace_takes_the_reference_point_of_its_problem_and_lam():

@@ -254,7 +254,9 @@ ERROR_CASES = {
     "J_A overflows mid-block": (162, ProblemTriple(
         A=AffineOperator([[3.0]], [-1e308]), B=ZeroOperator(1),
         C=AffineOperator([[0.0]], [-6e307])), np.zeros(1)),
-    # ... or, here, overflow themselves at state 156, after J_A did at 17
+    # ... or, here, J_A overflows at 17; J_{lam*(B+C)} overflows at
+    # 2 J_{lam*A}(0), so the map's offset is not finite and this flow
+    # takes the composition
     "J_A overflows before the state": (17, ProblemTriple(
         A=AffineOperator([[3.0]], [-1e308]), B=ZeroOperator(1),
         C=AffineOperator([[0.0]], [-1.5e308])), np.array([6e307])),
@@ -273,22 +275,37 @@ def test_affine_flow_errors_match_the_resolvent_composition(case,
     assert first == (state, (NonFiniteError,
                              "affine resolvent produced non-finite values"))
     assert _flow_error(problem, lam, h_ode, z0, n_max) == first[1]
-    # an all-NaN J takes every flow to the resolvent composition
-    monkeypatch.setattr(splitkit.dynamics, "resolvent_matrix",
-                        lambda M, lam: np.full(M.shape, np.nan))
+    # an empty derivation takes every flow to the resolvent composition
+    monkeypatch.setattr(splitkit.dynamics, "_derive", lambda *args: ())
     assert _first_error(problem, lam, h_ode, z0, n_max) == first
     assert _flow_error(problem, lam, h_ode, z0, n_max) == first[1]
 
 
 def test_overflowing_affine_flows_take_the_composed_step(monkeypatch):
-    # the last two cases above run the composed map, not the composition
-    def unused(*args):
-        raise AssertionError("resolvent composition taken")
+    # the third case above runs the composed map, not the composition: its
+    # flow calls J_{lam*(B+C)} once, at zero, to derive the map, and none of
+    # its steps calls it.  The fourth's J_{lam*(B+C)} overflows at
+    # 2 J_{lam*A}(0), where the derivation takes the map's offset, so its
+    # flow takes the composition, one call per step, to the same error
+    calls, make = [], splitkit.dynamics._sum_resolvent
 
-    monkeypatch.setattr(splitkit.dynamics, "_sum_resolvent", unused)
-    for case in ("J_A overflows mid-block", "J_A overflows before the state"):
+    def counted(*args):
+        resolve = make(*args)
+
+        def call(w):
+            calls.append(w)
+            return resolve(w)
+
+        call.J = resolve.J
+        return call
+
+    monkeypatch.setattr(splitkit.dynamics, "_sum_resolvent", counted)
+    for case, composed in (("J_A overflows mid-block", False),
+                           ("J_A overflows before the state", True)):
         state, problem, z0 = ERROR_CASES[case]
+        calls.clear()
         assert _flow_error(problem, 1.0, 0.01, z0, state - 1) is None
+        assert len(calls) == 1 + composed * (state - 1)
         with pytest.raises(NonFiniteError):
             with np.errstate(over="ignore"):
                 simulate_dr_flow(problem, 1.0, 0.01, 30.0, z0)
@@ -314,7 +331,7 @@ def _boundary_step(step, state, huge=math.inf):
     """An ``_euler_step`` whose state j is j (from state ``huge`` on,
     j*1e305), except ``state``, which is inf, and whose steps from state
     ``step`` on raise."""
-    def euler_step(problem, lam, h_ode, inner_tol):
+    def euler_step(h_ode, A_res, S_res, J_A):
         def take(j, z, out):
             if j >= step:
                 raise ValueError(f"step from {j}")
@@ -522,13 +539,29 @@ def test_flow_states_are_the_euler_step_taken_one_state_at_a_time(composed):
         problem = ProblemTriple(A=A, B=problem.B, C=problem.C)
     lam, h_ode, z0 = 0.2, 0.01, np.linspace(-1.0, 2.0, 6)
     flow = simulate_dr_flow(problem, lam, h_ode, 10.29, z0)
-    step = splitkit.dynamics._euler_step(problem, lam, h_ode, 1e-10)
+    A_res = problem.A.prepare(lam)
+    step = splitkit.dynamics._euler_step(
+        h_ode, A_res, splitkit.dynamics._sum_resolvent(problem, lam),
+        getattr(A_res, "J", None))
     states = [z0]
     for j in range(1029):
         states.append(np.empty(6))
         step(j, states[j], states[j + 1])
     assert flow.states.shape == (1030, 6)
     assert flow.states.tobytes() == np.array(states).tobytes()
+
+
+def test_affine_flows_form_each_inverse_once(monkeypatch):
+    # J_{lam*A}, J_{lam*C} and J_{lam*(B+C)}, shared by the Euler map, the
+    # residual map and the rows; the PPA flow's J_{lam*0} is formed once too
+    calls, inverse = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda M: calls.append(M)
+                        or inverse(M))
+    problem = make_affine_instance(dim=6, seed=2, skew_fraction=0.8).triple()
+    for simulate in (simulate_dr_flow, simulate_ppa):
+        calls.clear()
+        simulate(problem, 0.2, 0.01, 1.0, np.ones(6))
+        assert len(calls) == 3
 
 
 def test_flow_norms_of_states_beyond_1e154_are_finite():

@@ -368,6 +368,34 @@ def test_composed_affine_flow_is_the_resolvent_composition(
                                                                      flow)
 
 
+@PROPERTY
+@given(st.integers(1, 20), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0),
+       st.floats(1e-3, 10.0), st.integers(1, 40), st.floats(-10.0, 10.0),
+       st.booleans())
+def test_dr_flow_at_unit_step_is_the_dr_run_of_a_b_plus_c(
+        dim, seed, skew, lam, steps, z0, composed):
+    # the paper's discretisation identity: at h_ode = 1 an Euler step of the
+    # DR flow of (A, B, C) is a DR step on (A, 0, B + C), on the flow's
+    # derived map and, with A wrapped as a custom operator, on its composed
+    # step alike
+    problem = make_affine_instance(dim, seed, skew).triple()
+    z0 = np.full(dim, z0)
+    summed = ProblemTriple(problem.A, ZeroOperator(dim), AffineOperator(
+        problem.B.M + problem.C.M, problem.B.b + problem.C.b))
+    trace = run(summed, SolverConfig(method="DR", lam=lam, z0=z0,
+                                     max_iters=steps, tol=1e-300),
+                record_history=True)
+    if composed:
+        J_A = problem.A.prepare(lam)
+        A = CustomOperator(dim, resolvent=lambda _, v: J_A(v))
+        problem = ProblemTriple(A, problem.B, problem.C)
+    flow = simulate_dr_flow(problem, lam, 1.0, float(steps), z0)
+    assert len(trace.zs) <= len(flow.states) == steps + 1
+    for z, z_run in zip(flow.states, trace.zs):
+        assert np.max(np.abs(z - z_run)) <= 1e-12 * (
+            1.0 + np.linalg.norm(z_run))
+
+
 def planted_saddle():
     """A generated saddle instance's triple, which carries the planted zero
     ``x_star`` and ``a_star`` in ``A(x_star)``."""

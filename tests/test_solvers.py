@@ -1036,6 +1036,9 @@ def test_config_validation():
                        y_init=([2.0], [0.5]))
     with pytest.raises(SolverError):
         run(identity_B_problem(), cfg)    # y_init[0] must equal z0
+    problem = make_affine_instance(3, 1, 0.8).triple()
+    with pytest.raises(SolverError, match="z0 has dim 1, problem has 3"):
+        run(problem, SolverConfig(method="DR", lam=0.1, z0=[1.0]))
 
 
 @pytest.mark.parametrize("max_iters", [float("nan"), 10.5, 1e3, "7", None,
