@@ -21,22 +21,10 @@ call, with the bits of one call per state.  On a triple of affine (or
 zero) operators, ``A = 0`` included, a step is one product with the map
 that the runs' helper derives from the step's formula, and the residual
 of ``z_j`` is ``|R z_j + r|``, one product with the runs' residual map.
-
-A flow of three affine (or zero) operators, on a process that may use more
-than one CPU, takes each block's rows on one worker thread while it steps
-the next block; every oracle either thread calls is then a prepared affine
-or zero one.  Any other flow takes its rows inline, between its blocks, so
-no user callable is called from a second thread.  Either way the bits, the
-order of the errors and the ``warnings`` are the same; the worker is
-joined before the simulation returns or raises.
 """
 
 import math
-import os
-import threading
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -47,9 +35,7 @@ from .solvers import _derive, _map_residuals, _residual_map
 
 #: States per block in :func:`simulate_dr_flow`, which takes the steps to
 #: a block's states, then their norms in one call, then the block's residual
-#: rows, whose copies of ``x_j`` and ``2x_j - z_j`` take 800 KB at d=50
-#: (twice that while a worker takes one block's rows and the caller steps
-#: the next).
+#: rows, whose copies of ``x_j`` and ``2x_j - z_j`` take 800 KB at d=50.
 _BLOCK = 1024
 
 
@@ -187,78 +173,13 @@ def _euler_step(h_ode, A_res, S_res, J_A):
     return step
 
 
-def _spare_cpu():
-    """Whether this process may run on more than one CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1
-
-
-class _RowsWorker(threading.Thread):
-    """The one thread on which :func:`simulate_dr_flow` takes the rows of
-    a block while the caller steps the next.  ``hand(call)`` passes it a
-    call, ``collect()`` waits for the call in hand and raises its error,
-    and leaving it as a context joins the thread, whose result is then
-    dropped.  Each call runs under ``fp_errstate(on_fp)``: numpy keeps its
-    error state per thread."""
-
-    def __init__(self, on_fp):
-        super().__init__(name="splitkit-flow-rows")
-        self.on_fp, self.call, self.error, self.busy = on_fp, None, None, False
-        self.handed, self.done = threading.Semaphore(0), threading.Semaphore(0)
-
-    def run(self):
-        with fp_errstate(self.on_fp):
-            while True:
-                self.handed.acquire()
-                call = self.call
-                if call is None:
-                    return
-                try:
-                    call()
-                except BaseException as exc:    # collect() raises it
-                    self.error = exc
-                self.done.release()
-
-    def hand(self, call):
-        self.call, self.busy = call, True
-        self.handed.release()
-
-    def collect(self):
-        if self.busy:
-            self.busy = False
-            self.done.acquire()
-            if self.error is not None:
-                raise self.error
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.call = None
-        self.handed.release()
-        self.join()
-
-
-def _rows_worker(on_fp, wanted):
-    """A started :class:`_RowsWorker`, as a context that stops it, or
-    ``nullcontext()`` (None) when not ``wanted`` or no thread starts."""
-    if wanted:
-        worker = _RowsWorker(on_fp)
-        try:
-            worker.start()
-            return worker
-        except RuntimeError:    # "can't start new thread": rows run inline
-            pass
-    return nullcontext()
-
-
 def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
     """Explicit Euler on the Douglas-Rachford flow of the full triple.
 
     z_{j+1} = z_j + h_ode*(J_{lam*(B+C)}(2x_j - z_j) - x_j), x_j =
-    J_{lam*A}(z_j), by :func:`_euler_step`.  ``lam`` and ``T`` must be
-    positive and finite, ``h_ode`` in (0, 1].  The flow has no stopping
+    J_{lam*A}(z_j), by :func:`_euler_step`.  ``lam``, ``T`` and
+    ``inner_tol`` must be positive and finite, ``h_ode`` in (0, 1], even
+    where no inner iteration reads ``inner_tol``.  The flow has no stopping
     rule, so it goes ``_BLOCK`` states at a time: it takes the steps to
     them, each written straight into the stored states, up to the first
     step that raises; one :func:`row_norms` call gives their step norms
@@ -280,19 +201,15 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
     finite takes the composed rows, and the map's events are named
     nowhere.  A row of the map may be finite where the composed ``B(x)``
     overflows (states beyond about 1e300), and such a row is kept, raising
-    nothing.  If the process may run on two CPUs, the rows of each block
-    but the last then run on one worker thread while the steps to the next
-    block are taken; the next block waits for them before it hands on its
-    own rows or raises, so the bits and the order of the errors are those
-    above.  Other flows take their rows inline.
-    Floating-point events print no warning: each kind, on either thread,
-    is named once in ``warnings``, in the order of ``run()``'s, and
-    forming the affine maps names none.
+    nothing.
+    Floating-point events print no warning: each kind is named once in
+    ``warnings``, in the order of ``run()``'s, and forming the affine maps
+    names none.
     """
     z0 = as_vector(z0, problem.dim, "z0")
     if not 0.0 < h_ode <= 1.0:
         raise OperatorError("h_ode must lie in (0, 1]")
-    for name, value in (("T", T), ("lam", lam)):
+    for name, value in (("T", T), ("lam", lam), ("inner_tol", inner_tol)):
         if not 0.0 < value < math.inf:
             raise OperatorError(f"{name} must be positive and finite")
     B_rows, x_star = problem.B.forward_rows, problem.x_star
@@ -324,14 +241,11 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
             dists[lo:hi] = row_norms(X - x_star)
 
     kinds = set()
-    on_fp = lambda kind, flag: kinds.add(kind)
-    with fp_errstate(on_fp):
+    with fp_errstate(lambda kind, flag: kinds.add(kind)):
         A_res, C_res = problem.prepare(lam)
         mats, omega = _residual_map(problem, lam, A_res, C_res)
         S_res = _sum_resolvent(problem, lam, inner_tol)
         step = _euler_step(h_ode, A_res, S_res, mats and mats[0])
-    overlap = n >= _BLOCK and mats is not None and _spare_cpu()
-    with _rows_worker(on_fp, overlap) as worker, fp_errstate(on_fp):
         states[0] = z0
         for lo in range(0, n + 1, _BLOCK):      # the states lo..hi-1
             a, hi, error = lo or 1, min(lo + _BLOCK, n + 1), None
@@ -347,14 +261,9 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
                 hi = lo + int(bad[0])
                 error = OperatorError(
                     f"flow state non-finite at t={hi * h_ode:g}")
-            if worker is not None:  # the rows before, then this block's
-                worker.collect()
-            if worker is not None and error is None and hi <= n:
-                worker.hand(partial(block_rows, lo, hi))
-            else:
-                block_rows(lo, hi)
-                if error is not None:
-                    raise error
+            block_rows(lo, hi)
+            if error is not None:
+                raise error
     return FlowTrajectory(
         times=np.arange(n + 1) * h_ode, states=states, h_ode=h_ode, lam=lam,
         inner_tol=inner_tol, kind="dr", step_norms=step_norms,

@@ -300,14 +300,21 @@ def test_run_byte_identical_reruns(tmp_path):
 
 
 @pytest.mark.parametrize("verb, extra", [
-    ("run", []), ("sweep", ["--grid", "0.3,0.5,0.9"]), ("certify", [])])
+    ("run", []), ("sweep", ["--grid", "0.3,0.5,0.9"]), ("certify", []),
+    ("flow", [])])
 def test_verbs_run_serially_whatever_splitkit_threads(tmp_path, monkeypatch,
                                                       verb, extra):
-    # every verb runs its jobs one after another: none starts a thread,
-    # and SPLITKIT_THREADS, which nothing reads, changes nothing
+    # every verb runs its jobs one after another: none starts a thread, not
+    # even the affine flow of 3,001 states, and SPLITKIT_THREADS, which
+    # nothing reads, changes nothing
     cfg = write(tmp_path, "exp.cfg",
                 AFFINE_CFG.replace("methods = BFoRB",
-                                   "methods = BFoRB, BRFoB"))
+                                   "methods = BFoRB, BRFoB") + """
+[ode]
+lambda = 0.1
+h_ode = 0.01
+T = 30.0
+""")
     out1, out2 = tmp_path / "plain", tmp_path / "with-threads-var"
     assert main([verb, "--config", cfg, "--out", str(out1), "--quiet",
                  *extra]) == EXIT_OK
@@ -347,44 +354,6 @@ def test_certified_verbs_build_one_reference_point_per_method(
     assert len(built) == 2 and built[0] != built[1]
     assert len([f for f in os.listdir(tmp_path / "o")
                 if f.endswith("__certificate.csv")]) == 2
-
-
-@pytest.mark.parametrize("start", ["counted", "inline"])
-def test_flow_starts_at_most_one_thread_and_leaves_none(tmp_path, monkeypatch,
-                                                        start):
-    # an affine flow of 3,001 states takes its rows on one worker thread,
-    # joined before main returns; where no thread can start, the rows run
-    # inline, and the CSV keeps its bytes either way
-    cfg = write(tmp_path, "exp.cfg", AFFINE_CFG + """
-[ode]
-lambda = 0.1
-h_ode = 0.01
-T = 30.0
-""")
-    monkeypatch.setattr(dynamics, "_spare_cpu", lambda: True)
-    threads, started = threading.enumerate(), []
-    start_thread = threading.Thread.start
-
-    def counted(thread):
-        started.append(thread)
-        start_thread(thread)
-
-    def refused(thread):
-        started.append(thread)
-        raise RuntimeError("can't start new thread")
-
-    out = tmp_path / start
-    monkeypatch.setattr(threading.Thread, "start",
-                        counted if start == "counted" else refused)
-    assert main(["flow", "--config", cfg, "--out", str(out),
-                 "--quiet"]) == EXIT_OK
-    assert len(started) == 1 and threading.enumerate() == threads
-    monkeypatch.setattr(dynamics, "_spare_cpu", lambda: False)
-    assert main(["flow", "--config", cfg, "--out", str(tmp_path / "serial"),
-                 "--quiet"]) == EXIT_OK
-    assert len(started) == 1
-    csv = "affine-d10-s1__dr-flow.csv"
-    assert (out / csv).read_bytes() == (tmp_path / "serial" / csv).read_bytes()
 
 
 def test_run_seed_override_changes_artifacts(tmp_path):

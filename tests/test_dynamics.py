@@ -192,6 +192,21 @@ def test_flow_parameter_validation():
                 simulate(problem, lam, 0.1, T, np.array([1.0]))
 
 
+@pytest.mark.parametrize("inner_tol", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("simulate", [simulate_ppa, simulate_dr_flow])
+def test_flows_reject_inner_tol_outside_zero_to_inf(simulate, inner_tol):
+    # before any step, whether the flow's J_{lam*(B+C)} is direct (affine B,
+    # which never reads inner_tol) or iterative (custom B, where inf took
+    # the B = 0 answer and nan or a negative tolerance stalled)
+    affine = make_affine_instance(dim=4, seed=1, skew_fraction=0.8).triple()
+    custom = ProblemTriple(affine.A, CustomOperator(
+        4, forward=affine.B.forward, lipschitz=affine.B.lipschitz), affine.C)
+    for problem in (affine, custom):
+        with pytest.raises(OperatorError,
+                           match="inner_tol must be positive and finite"):
+            simulate(problem, 0.2, 0.1, 1.0, np.ones(4), inner_tol)
+
+
 def test_flow_inner_solve_error_carries_step_time(monkeypatch):
     # the fourth J_{lam*(B+C)} evaluation is the step from t = 3 * h_ode
     calls = []
@@ -376,10 +391,9 @@ def test_flow_raises_its_first_error_around_a_block_boundary(
 @pytest.mark.parametrize("row, step, state, first", BOUNDARY_CASES)
 def test_affine_flow_raises_its_first_error_around_a_block_boundary(
         row, step, state, first, monkeypatch):
-    # the same cases with affine operators, whose rows run on the worker
-    # thread and take their residuals from the residual map, raise the same
-    # first error, from J_{lam*A}, which the rows still take, and leave no
-    # thread behind
+    # the same cases with affine operators, whose rows take their residuals
+    # from the residual map, raise the same first error, from J_{lam*A},
+    # which the rows still take, and start no thread
     def resolve(V):
         late = V[V[:, 0] >= row] if V.ndim == 2 else V[:0]
         if late.size:
@@ -388,17 +402,14 @@ def test_affine_flow_raises_its_first_error_around_a_block_boundary(
 
     monkeypatch.setattr(splitkit.dynamics, "_euler_step",
                         _boundary_step(step, state))
-    monkeypatch.setattr(splitkit.dynamics, "_spare_cpu", lambda: True)
     A = ZeroOperator(1)
     monkeypatch.setattr(A, "prepare", lambda lam: resolve)
     problem = ProblemTriple(A=A, B=AffineOperator([[0.0]]),
                             C=AffineOperator([[0.5]]))
-    threads = threading.enumerate()
     started = _count_thread_starts(monkeypatch)
     with pytest.raises((ValueError, OperatorError), match=first):
         simulate_dr_flow(problem, 0.5, 0.01, 15.0, [0.0])
-    assert len(started) == 1
-    assert threading.enumerate() == threads
+    assert started == []
 
 
 @pytest.mark.parametrize("row, step, state, first", BOUNDARY_CASES)
@@ -407,9 +418,9 @@ def test_affine_flow_whose_map_rows_overflow_raises_its_first_error_there(
     # from state ``row`` on the states are j*1e305, where the rows R p + r
     # of the residual map (R = -4000) are not finite: each block with such
     # a row takes its composed rows, stacked, whose C resolve raises, then
-    # one at a time, where J_{lam*A} raises at the first such state.  On
-    # the worker thread and inline alike, the flow raises the same first
-    # error, and only the blocks that hold such a state evaluate B
+    # one at a time, where J_{lam*A} raises at the first such state.  The
+    # flow raises the same first error as the composed flow, and only the
+    # blocks that hold such a state evaluate B
     def resolve(V):
         if V.ndim == 2 and len(V) == 1 and V[0, 0] >= 1e305:
             raise ValueError(f"row at {V[0, 0] / 1e305:g}")
@@ -426,44 +437,41 @@ def test_affine_flow_whose_map_rows_overflow_raises_its_first_error_there(
     monkeypatch.setattr(A, "prepare", lambda lam: resolve)
     monkeypatch.setattr(B, "forward_rows", forward_rows)
     problem = ProblemTriple(A=A, B=B, C=AffineOperator([[0.5]]))
-    for spare in (True, False):
-        monkeypatch.setattr(splitkit.dynamics, "_spare_cpu", lambda: spare)
-        with pytest.raises((ValueError, OperatorError), match=first):
-            with np.errstate(over="ignore", invalid="ignore"):
-                simulate_dr_flow(problem, 0.5, 0.01, 15.0, [0.0])
+    with pytest.raises((ValueError, OperatorError), match=first):
+        with np.errstate(over="ignore", invalid="ignore"):
+            simulate_dr_flow(problem, 0.5, 0.01, 15.0, [0.0])
     assert min(stacks, default=row) >= row - row % splitkit.dynamics._BLOCK
 
 
 def test_flows_leave_no_thread_behind(monkeypatch):
-    # on return and on each error case's raise, affine and composed alike
-    monkeypatch.setattr(splitkit.dynamics, "_spare_cpu", lambda: True)
+    # an affine flow of three blocks starts no thread, on return and on
+    # each error case's raise, affine and composed alike
     threads = threading.enumerate()
     started = _count_thread_starts(monkeypatch)
     problem = make_affine_instance(dim=4, seed=1, skew_fraction=0.8).triple()
     flow = simulate_dr_flow(problem, 0.2, 0.01, 30.0, np.ones(4))
-    assert flow.states.shape == (3001, 4) and len(started) == 1
+    assert flow.states.shape == (3001, 4) and started == []
     assert threading.enumerate() == threads
     for case in sorted(ERROR_CASES):
         state, problem, z0 = ERROR_CASES[case]
         n = 3 * splitkit.dynamics._BLOCK
         assert _flow_error(problem, 1.0, 0.01, z0, n) is not None
         assert threading.enumerate() == threads, case
-    assert len(started) == 1 + len(ERROR_CASES)
+    assert started == []
 
 
-def test_affine_flow_names_a_kind_only_its_worker_met_without_warning(
+def test_affine_flow_names_a_kind_only_its_rows_met_without_warning(
         monkeypatch):
     # |z_j| falls from 1.7e155 by 0.5% a step, so the squares of the rows
-    # of the first few hundred states overflow, on the worker, and those of
-    # the steps and of the last block's rows do not
-    monkeypatch.setattr(splitkit.dynamics, "_spare_cpu", lambda: True)
+    # of the first few hundred states overflow, and those of the steps and
+    # of the last block's rows do not
     started = _count_thread_starts(monkeypatch)
     problem = ProblemTriple(ZeroOperator(3), ZeroOperator(3),
                             AffineOperator(np.eye(3)), x_star=np.zeros(3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         flow = simulate_dr_flow(problem, 1.0, 0.01, 20.0, 1e155 * np.ones(3))
-    assert len(started) == 1
+    assert started == []
     assert flow.warnings == ["floating-point overflow encountered"]
     assert np.isfinite(flow.states).all()
     assert np.isfinite(flow.step_norms).all()
@@ -475,16 +483,13 @@ def test_affine_flow_names_a_kind_only_its_worker_met_without_warning(
     assert 0.5 * norms[0] > big > norms[1024]
 
 
-def test_concurrent_affine_flows_keep_their_bits_under_fast_switching(
-        monkeypatch):
-    # three callers, each with its worker, on two cores, switching threads
-    # every microsecond: each flow has the bits and warnings of the flow
-    # that takes its rows inline
+def test_concurrent_affine_flows_keep_their_bits_under_fast_switching():
+    # three callers sharing one problem, switching threads every
+    # microsecond: each flow has the bits and warnings of the flow taken
+    # alone
     problem = make_affine_instance(dim=4, seed=3, skew_fraction=0.8).triple()
     args = (problem, 0.2, 0.01, 30.0, 1e160 * np.ones(4))
-    monkeypatch.setattr(splitkit.dynamics, "_spare_cpu", lambda: False)
     serial = simulate_dr_flow(*args)
-    monkeypatch.setattr(splitkit.dynamics, "_spare_cpu", lambda: True)
     flows = [None] * 3
 
     def simulate(i):
@@ -512,7 +517,6 @@ def test_concurrent_affine_flows_keep_their_bits_under_fast_switching(
 def test_composed_flow_calls_its_oracles_from_the_caller_only(monkeypatch):
     # a custom A: steps and rows take A's resolvent on the caller's thread,
     # and no thread starts
-    monkeypatch.setattr(splitkit.dynamics, "_spare_cpu", lambda: True)
     started = _count_thread_starts(monkeypatch)
     base = make_affine_instance(dim=3, seed=1, skew_fraction=0.8).triple()
     callers = set()
