@@ -59,26 +59,24 @@ def _dot(u, v):
     return np.einsum("ij,ij->i", u, v)
 
 
-def omega_residual(problem, lam, z, x=None):
+def omega_residual(problem, lam, z):
     """Distance of ``z`` from being a fixed point of the splitting dynamics.
 
     Computes ``x = J_{lam*A}(z)`` and returns
     ``| J_{lam*C}(2x - z - lam*B(x)) - x |``, which vanishes exactly on the
-    shadow set of the inclusion (for single-valued ``B``).  Used as the
-    solution-quality metric of solver traces.  A caller that already holds
-    ``J_{lam*A}(z)`` passes it as ``x`` to save that resolvent.  Each call
-    prepares ``A`` and ``C`` anew (an inverse per affine or bilinear
-    operator); for many points at one ``lam``, evaluate the formula on
+    shadow set of the inclusion (for single-valued ``B``), by
+    :func:`splitkit.operators.residual` without a residual map.  Used as
+    the solution-quality metric of solver traces.  Each call prepares
+    ``A`` and ``C`` anew (an inverse per affine or bilinear operator); for
+    many points at one ``lam``, call ``residual`` on
     ``problem.prepare(lam)`` instead.
     """
     if not 0.0 < lam < math.inf:
         raise CertificateError("lam must be positive and finite")
     z = as_vector(z, problem.dim, "z")
-    if x is None:
-        x = problem.A.resolve(lam, z)
-    X = x[None]
-    return float(residual(problem.C.prepare(lam), lam, 2.0 * X - z, X,
-                          problem.B.forward_rows(X))[0])
+    X = problem.A.resolve(lam, z)[None]
+    return float(residual(problem.C.prepare(lam), problem.B, lam, X,
+                          z[None])[0])
 
 
 @dataclass

@@ -163,7 +163,7 @@ def parse_config(text):
     if kind in _SCHEMA["problem"]:
         params = _convert(prob, _SCHEMA["problem"][kind],
                           f"for {kind} problem", errors)
-    else:
+    elif kind is not None:
         errors.append((kind_line, f"unknown problem kind {kind!r}"))
 
     # Without [run] every key takes its default and no method is named,

@@ -31,7 +31,7 @@ import numpy as np
 from .operators import (AffineOperator, OperatorError, ProblemTriple,
                         ZeroOperator, as_count, as_vector, fp_errstate,
                         fp_warnings, residual, row_norms)
-from .solvers import _derive, _map_residuals, _residual_map
+from .solvers import _derive, _residual_map
 
 #: States per block in :func:`simulate_dr_flow`, which takes the steps to
 #: a block's states, then their norms in one call, then the block's residual
@@ -192,16 +192,12 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
     the rows of the states before it and before any error of the steps
     after it.
     The rows take ``X = J_{lam*A}(Z)`` of the states ``Z`` first, checked,
-    for the distance rows, so its error is raised at its state as before.
+    for the distance rows, so its error is raised at its state as before,
+    then the residual rows of :func:`~splitkit.operators.residual`.
     When ``A``, ``B`` and ``C`` all have ``affine_parts``, the flow forms
-    each inverse once, each step is one gemv with the Euler map and the
-    residual rows are ``|R z + r|``, one product with the residual map of
-    ``run()`` (``R = J_C(2J_A - I - lam M_B J_A) - J_A``); both maps are
-    derived once per flow.  A block with a row ``R z + r`` that is not
-    finite takes the composed rows, and the map's events are named
-    nowhere.  A row of the map may be finite where the composed ``B(x)``
-    overflows (states beyond about 1e300), and such a row is kept, raising
-    nothing.
+    each inverse once, each step is one gemv with the Euler map, and
+    ``residual`` takes the residual map of ``run()``; both maps are
+    derived once per flow.
     Floating-point events print no warning: each kind is named once in
     ``warnings``, in the order of ``run()``'s, and forming the affine maps
     names none.
@@ -212,7 +208,7 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
     for name, value in (("T", T), ("lam", lam), ("inner_tol", inner_tol)):
         if not 0.0 < value < math.inf:
             raise OperatorError(f"{name} must be positive and finite")
-    B_rows, x_star = problem.B.forward_rows, problem.x_star
+    x_star = problem.x_star
     try:
         n = int(round(T / h_ode))
         states = np.empty((n + 1, z0.shape[0]))
@@ -225,10 +221,7 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
 
     def rows(Z, omega=()):      # X = J_{lam*A}(Z) and Z's residuals
         X = A_res(Z)
-        res = _map_residuals(omega, Z) if omega else None
-        if res is None:     # no map, or a row of it not finite
-            res = residual(C_res, lam, 2.0 * X - Z, X, B_rows(X))
-        return X, res
+        return X, residual(C_res, problem.B, lam, X, Z, omega=omega)
 
     def block_rows(lo, hi):     # the rows of the states lo..hi-1
         try:
@@ -275,7 +268,9 @@ def discretization_gap(flow, trace, stride):
     """Distances between flow samples and discrete iterates.
 
     Iterate ``k`` is aligned with flow time ``t = k`` (the discretizations
-    behind the methods take unit time steps).  Like is compared with like:
+    behind the methods take unit time steps), the state ``k * rint(1 /
+    h_ode)``, so one time unit must be a whole number of Euler steps, to
+    within 1e-9.  Like is compared with like:
     a proximal-point flow against the trace's ``x_k``, a Douglas-Rachford
     flow, whose states are shadow points, against its ``z_k``.  Returns
     ``(ks, gaps)``, ``ks`` every ``stride``-th iterate up to the flow's last
@@ -295,9 +290,13 @@ def discretization_gap(flow, trace, stride):
             f"stride {stride} exceeds trace length {n_iters}")
     if flow.states.shape[1] != iterates[0].shape[0]:
         raise AlignmentError("flow and trace dimensions differ")
+    per = round(1.0 / flow.h_ode)   # Euler steps per time unit
+    if not abs(per * flow.h_ode - 1.0) <= 1e-9:
+        raise AlignmentError(
+            f"h_ode = {flow.h_ode:g} takes no whole number of Euler steps "
+            "per time unit, so no state lies at the iterates' times")
     ks = np.arange(0, n_iters + 1, stride)
     ks = ks[ks <= flow.times[-1] + 1e-9]
-    js = np.rint(ks / flow.h_ode).astype(int)
-    gaps = flow.states[js] - np.asarray(iterates, float)[ks]
+    gaps = flow.states[ks * per] - np.asarray(iterates, float)[ks]
     with np.errstate(over="ignore"):    # squares that overflow are rescaled
         return ks, row_norms(gaps)

@@ -477,14 +477,27 @@ def _norm(v):
         return float(row_norms(v[None])[0])
 
 
-def residual(C_res, lam, W, X, BX):
-    """The omega residuals ``|J_{lam*C}(w - lam*bx) - x|`` of the rows of
-    a stack of points ``z``, for checked ``X = J_{lam*A}(Z)`` row by row,
-    the reflected points ``W = 2X - Z``, ``BX = B(X)`` and ``C_res =
-    J_{lam*C}``; one call for the stack has the bits of one call per row.
-    The caller forms ``W``: the splitting steps compute it anyway.
+def residual(C_res, B, lam, X, P, BX=None, omega=()):
+    """The omega residuals ``|J_{lam*C}(2x - p - lam*B(x)) - x|`` of the
+    rows ``p`` of a stack ``P``, for checked ``X = J_{lam*A}(P)`` row by
+    row and ``C_res = J_{lam*C}``, with ``B(X)`` taken by
+    ``B.forward_rows`` unless the caller passes it as ``BX``.  Given the
+    residual map ``omega = (R, r)`` of an affine triple, they are ``|R p +
+    r|``, one batched gemv of ``R`` per row (the bits of ``R.dot(p) +
+    r``), if every row ``R p + r`` is finite, with no floating-point kind
+    named for the map; otherwise the composed rows.  A row of the map may
+    be finite where the composed ``B(x)`` overflows (points beyond about
+    1e300).  One call for the stack has the bits of one call per row.
     """
-    return row_norms(C_res(W - lam * BX) - X)
+    if omega:
+        R, r = omega
+        with np.errstate(all="ignore"):
+            U = (R @ P[..., None])[..., 0] + r
+        if np.isfinite(U).all():
+            return row_norms(U)
+    if BX is None:
+        BX = B.forward_rows(X)
+    return row_norms(C_res(2.0 * X - P - lam * BX) - X)
 
 
 #: The floating-point kinds that runs and flows name, in the order named.

@@ -543,16 +543,6 @@ def _residual_map(problem, lam, A_res, C_res):
                          - A(p), mats, (A_res, problem.B.forward, C_res))
 
 
-def _map_residuals(omega, P):
-    """``|R p + r|`` for each row ``p`` of the stack ``P``, one batched gemv
-    of ``R`` per row (the bits of ``R.dot(p) + r``), or None, with no
-    floating-point event named, if a row of ``R p + r`` is not finite."""
-    R, r = omega
-    with np.errstate(all="ignore"):
-        U = (R @ P[..., None])[..., 0] + r
-    return row_norms(U) if np.isfinite(U).all() else None
-
-
 def _precompose(config, A_res, B, C_res):
     """``(G, c)`` with ``f(s) = G s + c`` for the y-map ``f`` of an affine
     triple, by :func:`_derive`: :func:`_template_y` of ``s = (z, v)`` for
@@ -663,32 +653,25 @@ def run(problem, config, record_history=False, diagnostics=True):
     where both are finite.  Every other triple and method, ``B = 0``
     included (DR's template, bit for bit), takes the composed step.
 
-    Per-iteration records hold the step norm, the solution residual
-    ``|J_{lam*C}(2x - p - lam*B(x)) - x|`` with ``x = J_{lam*A}(p)`` (the
-    form of :func:`splitkit.certificates.omega_residual`), and, when the
-    problem carries ``x_star``, the distance of ``x_k`` to it.  Davis-Yin
-    and, when ``B = 0``, DR record their step norm, which their steps
-    compute as exactly this residual.  BFoRB, BRFoB and FRDR on the
-    precomposed step record ``|R p + r|``, one product with the residual
-    map of :func:`_residual_map`, ``R = J_C(2J_A - I - lam M_B J_A) -
-    J_A``, derived once per run: the same value to rounding.  The composed
-    route pays one ``C`` resolve, and one ``B`` forward unless the step
-    caches ``B(x)`` as FoRB and FRDR do, outside the counters.
+    Per-iteration records hold the step norm, the omega residual of
+    :func:`~splitkit.operators.residual` and, when the problem carries
+    ``x_star``, the distance of ``x_k`` to it.  Davis-Yin and, when ``B =
+    0``, DR record their step norm, which their steps compute as exactly
+    this residual.  BFoRB, BRFoB and FRDR on the precomposed step pass
+    ``residual`` the map of :func:`_residual_map`, derived once per run;
+    the composed rows pay one ``C`` resolve, and one ``B`` forward unless
+    the step caches ``B(x)`` as FoRB and FRDR do, outside the counters.
     Row ``k`` of the residuals belongs to the point ``p`` of step ``k``:
     the iterate before the step, ``zs[k]``, for BFoRB, BRFoB, Davis-Yin and
     DR; ``w_k = zs[k+1]``, whose resolvent is ``x_{k+1}``, for FRDR; and
     the iterate after the step, ``xs[k+1]``, for FB, FoRB and RFoB, which
     ignore ``A`` (their residual is that of ``B + C``).
     No residual feeds back into the iteration, so the rows are evaluated
-    per block of ``_BLOCK`` steps by one stacked call, with the bits of one
-    call per row.  If a row ``R p + r`` of a block is not finite, the
-    block's residual rows are taken again by the composed formula, and the
-    map's events are named nowhere; a row of the map may be finite where
-    the composed route's ``B(x)`` overflows (states beyond about 1e300),
-    and such a row is kept.  A residual oracle that raises ends the run
-    "diverged" at its row, whatever a later step raised: only then are the
-    block's rows evaluated again one at a time, to find it, and the
-    warnings name only the kinds of the steps and rows up to it.
+    per block of ``_BLOCK`` steps by one ``residual`` call.  A residual
+    oracle that raises ends the run "diverged" at its row, whatever a
+    later step raised: only then are the block's composed rows evaluated
+    again one at a time, to find it, and the warnings name only the kinds
+    of the steps and rows up to it.
     With ``diagnostics=False`` no residual or distance row is evaluated and
     both series end as ``None``; every other field is bit for bit that of
     the default run, the counters too, which never count the rows' oracle
@@ -726,7 +709,6 @@ def run(problem, config, record_history=False, diagnostics=True):
 
     residual_is_step = method is Method.DAVIS_YIN or (
         method is Method.DR and vanishes(problem.B))
-    B_rows = problem.B.forward_rows
     # The floating-point kinds fired since the last look, and those the run
     # names.  k steps precede the block; ``N`` holds the norm of the iterate
     # before it, then those of its rows, and ``steps`` their step norms.
@@ -734,17 +716,13 @@ def run(problem, config, record_history=False, diagnostics=True):
     N, steps = np.empty(_BLOCK + 1), np.empty(_BLOCK)
 
     def rows(lo, hi, omega=()):
-        """Residual and distance rows ``lo..hi-1`` of the block; given the
-        residual map ``omega``, the residual rows are its rows, and if one
-        is not finite the result is None."""
+        """Residual and distance rows ``lo..hi-1`` of the block, the
+        residual rows by :func:`residual` with the residual map ``omega``."""
         X, P, BX = blk.points
         Xs = X[lo:hi]
         res = (steps[lo:hi] if residual_is_step
-               else _map_residuals(omega, P[lo:hi]) if omega
-               else residual(C_res, lam, 2.0 * Xs - P[lo:hi], Xs,
-                             B_rows(Xs) if BX is None else BX[lo:hi]))
-        if res is None:
-            return None
+               else residual(C_res, problem.B, lam, Xs, P[lo:hi],
+                             None if BX is None else BX[lo:hi], omega))
         return res.tolist(), ([] if x_star is None
                               else row_norms(Xs - x_star).tolist())
 
@@ -807,10 +785,8 @@ def run(problem, config, record_history=False, diagnostics=True):
                 # The block ends at row ``end``; its residual and distance
                 # rows end at the first that raises (a divergence has none).
                 end, hi = lo, lo - (status == "diverged")
-                try:    # the map's rows, else the composed ones
-                    res, dist = (((), ()) if not diagnostics
-                                 else omega and rows(0, hi, omega)
-                                 or rows(0, hi))
+                try:
+                    res, dist = rows(0, hi, omega) if diagnostics else ((), ())
                 except NonFiniteError:  # find the row; drop the stack's kinds
                     pending.clear()
                     res, dist = [], []

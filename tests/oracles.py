@@ -90,8 +90,7 @@ def _rows(problem, lam, omega, points, steps, residual_is_step, now):
     omega residuals, and the first row whose oracle raises
     ``NonFiniteError`` cuts the run.  Returns the residuals, the distances,
     the kinds that each row fired and the cut row (None: no cut)."""
-    C_res, B_rows, x_star = problem.C.prepare(lam), problem.B.forward_rows, \
-        problem.x_star
+    C_res, x_star = problem.C.prepare(lam), problem.x_star
     res, dist, kinds = [], [], []
     for lo in range(0, len(points), _BLOCK):
         block, mapped = points[lo:lo + _BLOCK], None
@@ -108,9 +107,8 @@ def _rows(problem, lam, omega, points, steps, residual_is_step, now):
                 elif mapped is not None:
                     res += row_norms(mapped[i][None]).tolist()
                 else:
-                    res += residual(C_res, lam, (2.0 * x - p)[None], x[None],
-                                    B_rows(x[None]) if bx is None
-                                    else bx[None]).tolist()
+                    res += residual(C_res, problem.B, lam, x[None], p[None],
+                                    None if bx is None else bx[None]).tolist()
             except NonFiniteError:
                 kinds.append(_take(now))
                 return res, dist, kinds, lo + i

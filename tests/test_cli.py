@@ -14,8 +14,9 @@ import splitkit.cli
 from splitkit import (ProblemTriple, ZeroOperator, dynamics,
                       make_affine_instance, omega_residual, save_instance,
                       simulate_dr_flow, simulate_ppa)
-from splitkit.cli import (ConfigError, EXIT_CONFIG, EXIT_NOT_CONVERGED,
-                          EXIT_OK, build_problem, main, parse_config)
+from splitkit.cli import (ConfigError, EXIT_CONFIG, EXIT_IO,
+                          EXIT_NOT_CONVERGED, EXIT_OK, build_problem, main,
+                          parse_config)
 from oracles import residual_map, residual_row
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -282,6 +283,46 @@ def test_run_missing_gamma_exits_1(tmp_path):
 def test_run_missing_config_exits_3(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.cfg"),
                  "--quiet"]) == 3
+
+
+_ODE = "\n[ode]\nlambda = 0.1\nh_ode = 0.1\nT = 1.0\n"
+
+
+@pytest.mark.parametrize("old, new, verb, error, code", [
+    ("kind = affine\n", "", "run",
+     "config error: missing required key 'kind'", EXIT_CONFIG),
+    ("dim = 10", "dim = ten", "run",
+     "config error: line {}: cannot parse dim = 'ten'", EXIT_CONFIG),
+    ("kind = affine", "kind = cube", "run",
+     "config error: line {}: unknown problem kind 'cube'", EXIT_CONFIG),
+    ("tol = 1e-10", "tol = 1e-10\ngamma = 0.5", "run",
+     "config error: line {}: gamma is only used by FRDR", EXIT_CONFIG),
+    ("methods = BFoRB", "methods = FoRB\nh = 1.5", "run",
+     "config error: line {}: h must lie in (0, 1]", EXIT_CONFIG),
+    ("tol = 1e-10", "tol = 1e-10\nz0 = twos", "run",
+     "config error: line {}: z0 must be 'ones' or 'zeros', got 'twos'",
+     EXIT_CONFIG),
+    ("tol = 1e-10", "tol = 1e-10\n" + _ODE + "flow = rk4", "flow",
+     "config error: line {}: flow must be 'dr' or 'ppa'", EXIT_CONFIG),
+    (None, None, "run", "i/o error: ", EXIT_IO)],
+    ids=["no-kind", "unparsable", "unknown-kind", "gamma", "h", "z0",
+         "flow", "out-under-a-file"])
+def test_each_config_or_io_error_prints_one_line_and_its_exit_code(
+        tmp_path, capsys, old, new, verb, error, code):
+    # a config error names the line of the last line of ``new``; --out
+    # under a regular file cannot be created, whatever the user's rights
+    text = AFFINE_CFG if old is None else AFFINE_CFG.replace(old, new)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / ("file" if old is None else "") / "o"
+    assert main([verb, "--config", write(tmp_path, "exp.cfg", text),
+                 "--out", str(out), "--quiet"]) == code
+    err = capsys.readouterr().err.splitlines()
+    if old is None:
+        assert len(err) == 1 and err[0].startswith(error), err
+    else:
+        line = new and text.splitlines().index(new.splitlines()[-1]) + 1
+        assert err == [error.format(line)], err
+    assert not out.exists()
 
 
 def test_run_byte_identical_reruns(tmp_path):

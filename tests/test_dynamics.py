@@ -682,13 +682,12 @@ def test_dr_flow_gap_needs_z_history():
 
 
 def test_gap_is_one_norm_per_aligned_iterate():
-    # gaps[i] = |states[round(k/h_ode)] - x_k| with the bits of
-    # np.linalg.norm, for k up to the flow's last time (7.2: T = 7.3 is 18
-    # steps of 0.4, and k/0.4 rounds half to even), whether the history is
-    # an array or a list of rows
+    # gaps[i] = |states[4k] - x_k| (the flow at t = k) with the bits of
+    # np.linalg.norm, for k up to the flow's last time (7.25: T = 7.3 is 29
+    # steps of 0.25), whether the history is an array or a list of rows
     full = make_affine_instance(4, 3, 0.8).triple()
     problem = ProblemTriple(A=ZeroOperator(4), B=full.B, C=full.C)
-    flow = simulate_ppa(problem, 0.1, 0.4, 7.3, np.ones(4))
+    flow = simulate_ppa(problem, 0.1, 0.25, 7.3, np.ones(4))
     trace = run(problem, SolverConfig(method="FoRB", lam=0.1, z0=np.ones(4),
                                       max_iters=12, tol=1e-300),
                 record_history=True)
@@ -700,8 +699,8 @@ def test_gap_is_one_norm_per_aligned_iterate():
             ks, gaps = discretization_gap(flow, t, stride)
             assert ks.dtype == np.int64 and ks.tolist() == want
             assert gaps.tolist() == [
-                float(np.linalg.norm(flow.states[int(round(k / 0.4))]
-                                     - trace.xs[k])) for k in want]
+                float(np.linalg.norm(flow.states[4 * k] - trace.xs[k]))
+                for k in want]
     # a gap whose squares overflow is rescaled, so it is finite
     huge = replace(trace, xs=[*trace.xs[:2], np.full(4, 1e200),
                               *trace.xs[3:]])
@@ -715,13 +714,26 @@ def test_gap_whose_squares_overflow_is_finite_without_a_warning():
     # RuntimeWarnings are errors, and the rescaled gap is finite
     full = make_affine_instance(4, 3, 0.8).triple()
     problem = ProblemTriple(A=ZeroOperator(4), B=full.B, C=full.C)
-    flow = simulate_ppa(problem, 0.1, 0.4, 7.3, np.ones(4))
+    flow = simulate_ppa(problem, 0.1, 0.25, 7.3, np.ones(4))
     trace = run(problem, SolverConfig(method="FoRB", lam=0.1, z0=np.ones(4),
                                       max_iters=12, tol=1e-300),
                 record_history=True)
     trace.xs[2] = 1e200
     assert discretization_gap(flow, trace, 1)[1][2] == pytest.approx(
         2e200, rel=1e-12)
+
+
+@pytest.mark.parametrize("h_ode", [0.4, 0.3])
+def test_gap_needs_a_whole_number_of_euler_steps_per_time_unit(h_ode):
+    # with h_ode = 0.3, rounding k / h_ode put iterate 1 at t = 0.9 and
+    # iterate 2 at t = 2.1; no state lies at t = 1
+    problem = scalar_identity_B()
+    flow = simulate_ppa(problem, 0.5, h_ode, 5.0, np.array([1.0]))
+    trace = run(problem, SolverConfig(method="FoRB", lam=0.4,
+                                      z0=np.array([1.0]), max_iters=4,
+                                      tol=1e-300), record_history=True)
+    with pytest.raises(AlignmentError, match="whole number of Euler steps"):
+        discretization_gap(flow, trace, stride=1)
 
 
 def test_gap_contract_errors():
