@@ -22,7 +22,7 @@ from ._text import FMT as _FMT, rows as _rows
 # patches it in this module.
 from .certificates import (CertificateError, certify_trace,  # noqa: F401
                            omega_residual, reference_point)
-from .dynamics import simulate_dr_flow, simulate_ppa
+from .dynamics import _flow_arrays, simulate_dr_flow, simulate_ppa
 from .operators import OperatorError
 from .problems import (load_instance, make_affine_instance,
                        make_saddle_instance)
@@ -437,16 +437,18 @@ def cmd_sweep(cfg, grid, out_dir, quiet=False, seed_override=None):
 
 
 def cmd_flow(cfg, out_dir, quiet=False, seed_override=None):
-    """Simulate the configured continuous-time flow and export the
-    trajectory; name each floating-point kind it met on stderr."""
+    """Check the configured flow, create ``out_dir``, then simulate and
+    export the trajectory; name each floating-point kind met on stderr."""
     if cfg.ode is None:
         raise ConfigError([(None, "flow requires an [ode] section")])
     pid, problem, _ = build_problem(cfg, seed_override)
     kind = cfg.ode["flow"]
     simulate = simulate_ppa if kind == "ppa" else simulate_dr_flow
-    flow = simulate(problem, cfg.ode["lambda"], cfg.ode["h_ode"],
-                    cfg.ode["T"], _initial_point(cfg, problem.dim))
+    args = (problem, cfg.ode["lambda"], cfg.ode["h_ode"], cfg.ode["T"],
+            _initial_point(cfg, problem.dim))
+    _flow_arrays(*args)     # the flow's own checks: an error leaves no --out
     os.makedirs(out_dir, exist_ok=True)
+    flow = simulate(*args)
     _write_csv(os.path.join(out_dir, f"{pid}__{kind}-flow.csv"), "t",
                flow.times, step_norm=flow.step_norms,
                omega_residual=flow.residuals, dist_to_xstar=flow.dist_to_xstar)

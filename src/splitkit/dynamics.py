@@ -148,29 +148,52 @@ def simulate_ppa(problem, lam, h_ode, T, x0, inner_tol=1e-10):
 
 
 def _euler_step(h_ode, A_res, S_res, J_A):
-    """The step ``(j, z_j, out) -> z_{j+1}`` of :func:`simulate_dr_flow`,
-    written into ``out``: the relaxed DR step ``f(A, S, z) = z +
-    h_ode*(S(2x - z) - x)``, ``x = A(z)``, of the resolvents ``A_res =
-    J_{lam*A}`` and ``S_res = J_{lam*(B+C)}``.  Given the matrix ``J_A``
-    of ``A_res`` of an affine triple, it is ``T z + t``, with ``(T, t)``
-    the map that :func:`_derive` gives ``f``, when finite."""
+    """The step ``(j, [1; z_j], out) -> z_{j+1}`` of
+    :func:`simulate_dr_flow`, written into ``out``: the relaxed DR step
+    ``f(A, S, z) = z + h_ode*(S(2x - z) - x)``, ``x = A(z)``, of the
+    resolvents ``A_res = J_{lam*A}`` and ``S_res = J_{lam*(B+C)}``.  Given
+    the matrix ``J_A`` of ``A_res`` of an affine triple, it is ``H [1;
+    z_j]``, with ``H`` the map that :func:`_derive` gives ``f``, when
+    finite."""
     def f(A, S, z):
         x = A(z)
         return z + h_ode * (S(2.0 * x - z) - x)
 
-    Tt = () if J_A is None else _derive(f, (J_A, S_res.J), (A_res, S_res))
-    if Tt:      # T.dot and add bound once, as in the solvers' walks
-        T, add, t = Tt[0].dot, np.add, Tt[1]
-        return lambda j, z, out: add(T(z, out), t, out)
+    H = () if J_A is None else _derive((J_A, S_res.J), (A_res, S_res), (f, 1))
+    if H:       # H.dot bound once, as in the solvers' walks
+        return lambda j, z, out, dot=H[0].dot: dot(z, out)
 
     def step(j, z, out):
         try:
-            out[...] = f(A_res, S_res, z)
+            out[...] = f(A_res, S_res, z[1:])
         except InnerSolveError as exc:
             raise InnerSolveError(f"{exc} at t={j * h_ode:g}",
                                   residual=exc.residual, t=j * h_ode)
 
     return step
+
+
+def _flow_arrays(problem, lam, h_ode, T, z0, inner_tol=1e-10):
+    """The checked ``z0`` of a flow and its unwritten arrays: rows ``[1;
+    z_j]`` of its ``round(T/h_ode) + 1`` states, step norms (zeros),
+    residuals and distances (None without ``x_star``); or the
+    ``OperatorError`` of :func:`simulate_dr_flow`'s rules."""
+    z0 = as_vector(z0, problem.dim, "z0")
+    if not 0.0 < h_ode <= 1.0:
+        raise OperatorError("h_ode must lie in (0, 1]")
+    for name, value in (("T", T), ("lam", lam), ("inner_tol", inner_tol)):
+        if not 0.0 < value < math.inf:
+            raise OperatorError(f"{name} must be positive and finite")
+    try:
+        n = int(round(T / h_ode))
+        rows = np.empty((n + 1, z0.shape[0] + 1))
+        step_norms, residuals = np.zeros(n + 1), np.empty(n + 1)
+        dists = None if problem.x_star is None else np.empty(n + 1)
+    except (ValueError, MemoryError, OverflowError):
+        raise OperatorError(
+            f"T = {T:g} with h_ode = {h_ode:g} gives {T / h_ode:.3g} Euler "
+            "steps, too many states to store") from None
+    return z0, rows, step_norms, residuals, dists
 
 
 def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
@@ -195,31 +218,20 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
     for the distance rows, so its error is raised at its state as before,
     then the residual rows of :func:`~splitkit.operators.residual`.
     When ``A``, ``B`` and ``C`` all have ``affine_parts``, the flow forms
-    each inverse once, each step is one gemv with the Euler map, and
-    ``residual`` takes the residual map of ``run()``; both maps are
-    derived once per flow.
+    each inverse once, each step is one gemv with the Euler map ``H`` on
+    the state's stored row ``[1; z_j]`` (the states are a view of those
+    rows), and ``residual`` takes the residual map of ``run()``; both maps
+    are derived once per flow.
     Floating-point events print no warning: each kind is named once in
     ``warnings``, in the order of ``run()``'s, and forming the affine maps
     names none.
     """
-    z0 = as_vector(z0, problem.dim, "z0")
-    if not 0.0 < h_ode <= 1.0:
-        raise OperatorError("h_ode must lie in (0, 1]")
-    for name, value in (("T", T), ("lam", lam), ("inner_tol", inner_tol)):
-        if not 0.0 < value < math.inf:
-            raise OperatorError(f"{name} must be positive and finite")
-    x_star = problem.x_star
-    try:
-        n = int(round(T / h_ode))
-        states = np.empty((n + 1, z0.shape[0]))
-        step_norms, residuals = np.zeros(n + 1), np.empty(n + 1)
-        dists = None if x_star is None else np.empty(n + 1)
-    except (ValueError, MemoryError, OverflowError):
-        raise OperatorError(
-            f"T = {T:g} with h_ode = {h_ode:g} gives {T / h_ode:.3g} Euler "
-            "steps, too many states to store") from None
+    z0, buf, step_norms, residuals, dists = _flow_arrays(
+        problem, lam, h_ode, T, z0, inner_tol)
+    states, n, x_star = buf[:, 1:], len(buf) - 1, problem.x_star
+    buf[:, 0], states[0] = 1.0, z0
 
-    def rows(Z, omega=()):      # X = J_{lam*A}(Z) and Z's residuals
+    def rows(Z, omega=None):    # X = J_{lam*A}(Z) and Z's residuals
         X = A_res(Z)
         return X, residual(C_res, problem.B, lam, X, Z, omega=omega)
 
@@ -239,11 +251,10 @@ def simulate_dr_flow(problem, lam, h_ode, T, z0, inner_tol=1e-10):
         mats, omega = _residual_map(problem, lam, A_res, C_res)
         S_res = _sum_resolvent(problem, lam, inner_tol)
         step = _euler_step(h_ode, A_res, S_res, mats and mats[0])
-        states[0] = z0
         for lo in range(0, n + 1, _BLOCK):      # the states lo..hi-1
             a, hi, error = lo or 1, min(lo + _BLOCK, n + 1), None
             try:
-                for j, z, out in zip(range(a, hi), states[a - 1:hi - 1],
+                for j, z, out in zip(range(a, hi), buf[a - 1:hi - 1],
                                      states[a:hi]):     # state j from j - 1
                     step(j - 1, z, out)
             except Exception as exc:

@@ -14,14 +14,13 @@ spectral norm of its matrix, computed once, on first use.
 callable that the caller owns.  Affine and bilinear operators share one
 route: ``prepare`` forms the explicit inverse of ``I + lam*M`` for the
 ``M`` of ``affine_parts()`` there, once, and the callable closes over it
-and carries it and the offset ``lam*b`` as its attributes ``J`` and
-``lam_b``; nothing is cached on the operator.  The callable maps a vector,
-and a 2-D stack of vectors row by row with the bits of one call per row:
-the affine and bilinear ones by one stacked product, the zero, box and l1
-ones elementwise, the custom ones one row at a time.  A prepared callable only
-reads what it closes over and writes only arrays it allocates itself, so
-one problem, and even one prepared callable, may serve several threads at
-once.
+and carries it as its attribute ``J``; nothing is cached on the
+operator.  The callable maps a vector, and a 2-D stack of vectors row by
+row with the bits of one call per row: the affine and bilinear ones by
+one stacked product, the zero, box and l1 ones elementwise, the custom
+ones one row at a time.  A prepared callable only reads what it closes
+over and writes only arrays it allocates itself, so one problem, and even
+one prepared callable, may serve several threads at once.
 :class:`CustomOperator` callables must be thread-safe themselves.
 
 Oracle contract: the methods ``forward``, ``resolve`` and ``prepare`` are
@@ -259,7 +258,7 @@ class AffineOperator(MonotoneOperator):
                     "affine resolvent produced non-finite values")
             return u
 
-        resolve.J, resolve.lam_b = J, lam_b     # for precomposed steps
+        resolve.J = J       # for the precomposed maps
         return resolve
 
     def resolve(self, lam, v):
@@ -477,22 +476,21 @@ def _norm(v):
         return float(row_norms(v[None])[0])
 
 
-def residual(C_res, B, lam, X, P, BX=None, omega=()):
+def residual(C_res, B, lam, X, P, BX=None, omega=None):
     """The omega residuals ``|J_{lam*C}(2x - p - lam*B(x)) - x|`` of the
     rows ``p`` of a stack ``P``, for checked ``X = J_{lam*A}(P)`` row by
     row and ``C_res = J_{lam*C}``, with ``B(X)`` taken by
     ``B.forward_rows`` unless the caller passes it as ``BX``.  Given the
-    residual map ``omega = (R, r)`` of an affine triple, they are ``|R p +
-    r|``, one batched gemv of ``R`` per row (the bits of ``R.dot(p) +
+    residual map ``omega = [r | R]`` of an affine triple, they are ``|R p
+    + r|``, one batched gemv of ``R`` per row (the bits of ``R.dot(p) +
     r``), if every row ``R p + r`` is finite, with no floating-point kind
     named for the map; otherwise the composed rows.  A row of the map may
     be finite where the composed ``B(x)`` overflows (points beyond about
     1e300).  One call for the stack has the bits of one call per row.
     """
-    if omega:
-        R, r = omega
+    if omega is not None:
         with np.errstate(all="ignore"):
-            U = (R @ P[..., None])[..., 0] + r
+            U = (omega[:, 1:] @ P[..., None])[..., 0] + omega[:, 0]
         if np.isfinite(U).all():
             return row_norms(U)
     if BX is None:

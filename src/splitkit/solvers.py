@@ -8,7 +8,7 @@ only in the forward term (DR is the template with ``F = 0``);
 :class:`_TwoOp` runs FB, FoRB and RFoB, which ignore ``A`` and iterate
 ``x_k`` directly; :class:`_FRDR` runs FRDR.  On an affine triple with
 ``B != 0``, BFoRB, BRFoB, Davis-Yin and FRDR take a precomposed step,
-whose map :func:`_precompose` derives from the step's own formula, and
+whose maps :func:`_precompose` derives from the step's own formula, and
 BFoRB, BRFoB and FRDR take their residual rows from the residual map that
 the same helper, :func:`_derive`, gives :func:`_residual_map` (and the
 flows of :mod:`splitkit.dynamics` their Euler map).
@@ -198,7 +198,7 @@ class _Rows:
     """A method's steps, taken in place on a block of rows.
 
     A stepper is built from the run's ``config``, its prepared oracles
-    ``A_res``, ``B_fwd`` and ``C_res``, the precomposed map ``lifted``
+    ``A_res``, ``B_fwd`` and ``C_res``, the precomposed maps ``lifted``
     (empty: the composed step) and whether the run is ``record``ed, and
     building it makes the oracle calls that precede the first step.
     Step ``i`` reads row ``i`` and writes row ``i+1``, with the operations
@@ -221,10 +221,12 @@ class _Rows:
     ufunc, bit for bit, without the dispatch of ``np.dot`` and of ``out=``.
     At d=50 ``np.dot(J, z, out=x)`` took 0.84 us against 0.62 us for
     ``J.dot(z, x)``, and ``np.add(a, b, out=c)`` 0.44 us against 0.39 us
-    for ``np.add(a, b, c)``.  A doubling is a self-addition, exact as the
-    product is (inf, NaN and -0 too), and a scalar factor a 0-d array: at
-    d=50 ``np.multiply(v, 2.0, o)`` took 0.56 us, with a 0-d array 0.34
-    us, and ``np.add(v, v, o)`` 0.29 us.
+    for ``np.add(a, b, c)``; a homogeneous map on a stored row ``[1; s]``,
+    ``H.dot(s1, x)``, 0.57 us against 0.94 us with its offset apart, as
+    ``J.dot(np.subtract(z, lam_b, t), x)``.  A doubling is a
+    self-addition, exact as the product is (inf, NaN and -0 too), and a
+    scalar factor a 0-d array: at d=50 ``np.multiply(v, 2.0, o)`` took
+    0.56 us, with a 0-d array 0.34 us, and ``np.add(v, v, o)`` 0.29 us.
     """
 
     history = ()
@@ -262,18 +264,18 @@ class _Template(_Rows):
     and 0 for DR, which never evaluates B.  The history (y_{-2}, y_{-1})
     defaults to (x_0, x_0) with x_0 = J_{lam*A}(z_0).
 
-    Given the map ``(G, c)`` of an affine triple (:func:`_precompose`), the
-    step is precomposed: x_k is the prepared resolvent's own product
-    J_{lam*A}(z_k - lam*b_A), and one more product gives y_k = G [z_k; v_k]
-    + c (for affine B, 2B(y_{k-1}) - B(y_{k-2}) = B(v_k)), or y_k = G z_k
-    + c for Davis-Yin, whose v_k = x_k is folded into G.
+    Given the maps ``(JX, JY)`` of an affine triple (:func:`_precompose`),
+    the step is precomposed: x_k = JX [1; z_k], and y_k = JY [1; z_k; v_k]
+    (for affine B, 2B(y_{k-1}) - B(y_{k-2}) = B(v_k)), or y_k = JY [1;
+    z_k] for Davis-Yin, whose v_k = x_k is folded into JY.
 
-    Row ``i`` of ``S`` holds ``z_i``, then ``v_i`` (BFoRB and BRFoB:
-    ``[z_i; v_i]`` is the one contiguous vector that ``G`` multiplies),
-    then the step ``z_i - z_{i-1}``; ``X[i]`` is ``x_i`` and ``Y[i+1]`` is
-    ``y_i``, after the ``y_{-1}`` in ``Y[0]``.  The composed BFoRB step
-    caches ``B(y_i)`` in ``BY[i+2]``, after ``B(y_{-2})`` and ``B(y_{-1})``.
-    Each step makes one forward call (DR: none) and two resolvent calls.
+    Row ``i`` of ``S1`` holds 1, ``z_i``, ``v_i`` and the step ``z_i -
+    z_{i-1}`` (``S`` is its view without the 1), so the maps multiply its
+    contiguous ``[1; z_i]`` and ``[1; z_i; v_i]``; ``X[i]`` is ``x_i`` and
+    ``Y[i+1]`` is ``y_i``, after the ``y_{-1}`` in ``Y[0]``.  The composed
+    BFoRB step caches ``B(y_i)`` in ``BY[i+2]``, after ``B(y_{-2})`` and
+    ``B(y_{-1})``.  Each step counts one forward call (DR: none) and two
+    resolvent calls.
     """
 
     def __init__(self, config, A_res, B_fwd, C_res, lifted, record):
@@ -282,8 +284,9 @@ class _Template(_Rows):
         dr, reflect = method is Method.DR, bforb or brfob
         z = config.z0.copy()
         n, d = min(_BLOCK, config.max_iters), z.shape[0]
-        S, X = np.empty((n + 1, 3, d)), np.empty((n, d))
+        S1, X = np.ones((n + 1, 3 * d + 1)), np.empty((n, d))
         Y, BY = np.empty((n + 1, d)), np.empty((n + 2, d))
+        self.S = S = S1[:, 1:].reshape(n + 1, 3, d)     # a view
         S[0, 0] = z
         self.fe = self.re = 0
         if reflect:
@@ -298,21 +301,20 @@ class _Template(_Rows):
                 self.fe = 1 if y1 is y2 else 2
             S[0, 1], Y[0] = 2.0 * y1 - y2, y1
             self.history = y2, y1
-        self.S, self.per = S, (0 if dr else 1, 2)
+        self.per = (0 if dr else 1, 2)
         self.carried = (S, 1), (Y, 1), (BY, 2)
         self.zs, self.xs, self.ys = S[1:, 0], X, Y[1:]
         self.points = X, S[:-1, 0], None
         add, sub, mul = np.add, np.subtract, np.multiply
         if lifted:
-            G, c = lifted
-            JA, G, lam_b, t = A_res.J.dot, G.dot, A_res.lam_b, np.empty(d)
-            rows = (S[:-1, :2].reshape(n, 2 * d) if reflect else S[:-1, 0],
+            JX, JY = (H.dot for H in lifted)
+            rows = (S1[:-1, :d + 1], S1[:-1, :(2 if reflect else 1) * d + 1],
                     S[:-1, 0], S[1:, 0], S[1:, 1], X, Y[1:], Y[:-1])
 
             def walk(rows, pending):
-                for zv, z, z_next, v_next, x, y, y1 in rows:
-                    JA(sub(z, lam_b, t), x)
-                    add(G(zv, y), c, y)
+                for z1, zv1, z, z_next, v_next, x, y, y1 in rows:
+                    JX(z1, x)
+                    JY(zv1, y)
                     sub(add(z, y, z_next), x, z_next)
                     if reflect:
                         sub(add(y, y, v_next), y1, v_next)
@@ -421,16 +423,20 @@ class _FRDR(_Rows):
     is x_{k+1}.  u moves even when x stalls, so the step norm adds
     lam*|u_{k+1} - u_k|.  ``C_res`` is ``J_{gamma*C}``.
 
-    Given the map ``(K, k)`` of an affine triple (:func:`_precompose`), the
-    step is precomposed: x_{k+1} is the prepared resolvent's own product
-    and u_{k+1} = K r + k, with r = 2 x_{k+1} - x_k + gamma*u_k and K = (I
-    - J_{gamma*C})/gamma, takes the place of the resolve of y; y_{k+1} =
+    Given the maps ``(JX, PB, K)`` of an affine triple (:func:`_precompose`),
+    the step is precomposed and calls no oracle: for affine B, 2B(x_k) -
+    B(x_{k-1}) = B(t_k) with t_k = 2 x_k - x_{k-1}, so w_k = x_k - lam*u_k
+    + PB [1; t_k] with PB [1; t] = -lam*B(t); x_{k+1} = JX [1; w_k]; and
+    u_{k+1} = K [1; r], with r = t_{k+1} + gamma*u_k and K [1; r] = (r -
+    J_{gamma*C}(r))/gamma, takes the place of the resolve of y; y_{k+1} =
     r - gamma*u_{k+1}, formed for a ``record``ed history only.
 
     Row ``i`` of ``S`` holds ``x_i``, the steps ``x_i - x_{i-1}`` and
-    ``u_i - u_{i-1}``, and ``u_i``; ``W[i]`` is ``w_i``, ``Y[i]`` is
-    ``y_{i+1}`` and ``BX[i+2]`` is ``B(x_{i+1})``, after ``B(x_{-1})`` and
-    ``B(x_0)``.  Each step makes one forward and two resolvent calls.
+    ``u_i - u_{i-1}``, and ``u_i``; ``W1[i]`` is ``[1; w_i]`` and ``Y[i]``
+    is ``y_{i+1}``.  The precomposed step keeps ``[1; t_i]`` in ``T[i]``
+    (``t_0 = x_0``: ``x_{-1} = x_0``) and ``[1; r]`` in ``r``, the
+    composed one ``B(x_{i+1})`` in ``BX[i+2]``, after ``B(x_{-1})`` and
+    ``B(x_0)``.  Each step counts one forward and two resolvent calls.
     """
 
     def __init__(self, config, A_res, B_fwd, C_res, lifted, record):
@@ -439,46 +445,50 @@ class _FRDR(_Rows):
         x = config.z0.copy()
         n, d = min(_BLOCK, config.max_iters), x.shape[0]
         S = np.zeros((n + 1, 4, d))                     # u_0 = 0
-        BX, W, Y = np.empty((n + 2, d)), np.empty((n, d)), np.empty((n, d))
-        BX[0] = BX[1] = B_fwd(x)
+        W1, Y = np.ones((n, d + 1)), np.empty((n, d))
+        W, Bx = W1[:, 1:], B_fwd(x)
         S[0, 0] = x
         self.S, self.fe, self.re, self.per = S, 1, 0, (1, 2)
-        self.carried = (S, 1), (BX, 2)
         self.zs, self.xs, self.ys = W, S[1:, 0], Y
-        self.points = S[1:, 0], W, BX[2:]
-        self.steps = list(zip(S[:-1, 0], S[:-1, 3], S[1:, 0], S[1:, 3], W, Y,
-                              BX[:-2], BX[1:-1], BX[2:]))
-        a, r = np.empty(d), np.empty(d)
-        add, sub, mul = np.add, np.subtract, np.multiply
+        rows = S[:-1, 0], S[:-1, 3], S[1:, 0], S[1:, 3], W, Y
+        a, add, sub, mul = np.empty(d), np.add, np.subtract, np.multiply
         if lifted:
-            K, k = lifted
-            JA, K, lam_b = A_res.J.dot, K.dot, A_res.lam_b
+            JX, PB, K = (H.dot for H in lifted)
+            T, r = np.ones((n + 1, d + 1)), np.ones(d + 1)
+            T[0, 1:], rv = x, r[1:]
+            self.carried, self.points = ((S, 1), (T, 1)), (S[1:, 0], W, None)
+            rows += W1, T[:-1], T[1:, 1:]
+        else:
+            BX = np.tile(Bx, (n + 2, 1))       # B(x_{-1}) = B(x_0)
+            self.carried = (S, 1), (BX, 2)
+            self.points = S[1:, 0], W, BX[2:]
+            rows += BX[:-2], BX[1:-1], BX[2:]
 
         def walk(rows, pending):
-            for x, u, x_next, u_next, w, y, Bx_prev, Bx, Bx_next in rows:
-                # w = x - lam*u - lam*(2 Bx - Bx_prev)
-                sub(x, mul(u, lam, a), w)
-                sub(add(Bx, Bx, a), Bx_prev, a)
-                sub(w, mul(a, lam, a), w)
-                if lifted:
-                    # x_next = J_{lam*A}(w); r = 2 x_next - x + gamma*u;
-                    # u_next = K r + k
-                    JA(sub(w, lam_b, a), x_next)
-                    sub(add(x_next, x_next, r), x, r)
-                    add(r, mul(u, gamma, a), r)
-                    add(K(r, u_next), k, u_next)
+            # p, q, o: [1; w], [1; t] and t_next, or B(x_prev), B(x), B(x_next)
+            for x, u, x_next, u_next, w, y, p, q, o in rows:
+                sub(x, mul(u, lam, a), w)       # w = x - lam*u - lam*F
+                if lifted:                      # F = B(t), t = 2x - x_prev
+                    add(w, PB(q, a), w)
+                    JX(p, x_next)
+                    # t_next = 2 x_next - x; u_next = K [1; t_next + gamma*u]
+                    sub(add(x_next, x_next, o), x, o)
+                    add(o, mul(u, gamma, a), rv)
+                    K(r, u_next)
                     if record:
-                        sub(r, mul(u_next, gamma, a), y)
-                else:
+                        sub(rv, mul(u_next, gamma, a), y)
+                else:                           # F = 2 B(x) - B(x_prev)
+                    sub(add(q, q, a), p, a)
+                    sub(w, mul(a, lam, a), w)
                     x_next[...] = A_res(w)
                     t = 2.0 * x_next - x
                     y[...] = C_res(t + gamma * u)
                     add(u, (t - y) / gamma, u_next)
-                Bx_next[...] = B_fwd(x_next)
+                    o[...] = B_fwd(x_next)
                 if pending:
                     return
 
-        self.walk = walk
+        self.walk, self.steps = walk, list(zip(*rows))
 
     def rows(self, lo, hi):
         R = self.S[lo:hi + 1]
@@ -504,67 +514,73 @@ def _frdr_u(C, gamma, r):
     return (r - C(r)) / gamma
 
 
-def _derive(f, mats, oracles, n=1):
-    """``(G, c)`` with ``f(*oracles, s_1, .., s_n) = G [s_1; ..; s_n] + c``
-    for a map ``f`` of its oracles that is affine in its ``n`` vectors
-    when the oracles are.  Block ``i`` of ``G`` is ``f`` of the linear
-    parts ``mats``, with ``s_i`` the identity and the others 0 (the parts
-    act on column stacks and cost nothing on the identity and on 0); ``c``
-    is ``f`` of the oracles themselves at zero.  Empty if an oracle raises
-    :class:`NonFiniteError` or ``G`` or ``c`` is not finite."""
+def _derive(mats, oracles, *forms):
+    """The homogeneous matrices ``H = [c | G]``, one per form ``(f, n)``,
+    with ``f(*oracles, s_1, .., s_n) = H [1; s_1; ..; s_n]`` for a map
+    ``f`` of its oracles that is affine in its ``n`` vectors when the
+    oracles are.  Block ``i`` of ``G`` is ``f`` of the linear parts
+    ``mats``, with ``s_i`` the identity and the others 0 (the parts act on
+    column stacks and cost nothing on the identity and on 0); ``c`` is
+    ``f`` of the oracles themselves at zero.  Empty if an oracle raises
+    :class:`NonFiniteError` or an ``H`` is not finite."""
     I, zero = np.eye(len(mats[0])), np.zeros(len(mats[0]))
     lin = [lambda S, M=M: M if S is I else np.dot(M, S) for M in mats]
     with np.errstate(all="ignore"):
         try:
-            G = np.hstack([f(*lin, *(I if j == i else 0.0 for j in range(n)))
-                           for i in range(n)])
-            c = f(*oracles, *[zero] * n)
+            maps = tuple(np.hstack(
+                [f(*oracles, *[zero] * n)[:, None]]
+                + [f(*lin, *(I if j == i else 0.0 for j in range(n)))
+                   for i in range(n)]) for f, n in forms)
         except NonFiniteError:
             return ()
-    return (G, c) if np.isfinite(G).all() and np.isfinite(c).all() else ()
+    return maps if all(np.isfinite(H).all() for H in maps) else ()
 
 
 def _residual_map(problem, lam, A_res, C_res):
     """``(mats, omega)`` for a triple of affine (or zero) operators: its
     matrices ``mats = (J_{lam*A}, M_B, J_{lam*C})``, each inverse that of
     the resolvent ``A_res`` or ``C_res`` at ``lam`` where it holds one and
-    formed otherwise, and ``omega = (R, r)`` with ``R p + r =
-    J_{lam*C}(2x - p - lam*B(x)) - x``, x = ``J_{lam*A}(p)``, at every
-    point ``p`` (Davis-Yin's y-map less ``J_{lam*A}``), by :func:`_derive`,
-    or empty if not finite.  ``(None, ())`` for any other triple."""
+    formed otherwise, and the map ``omega = [r | R]`` of :func:`_derive`,
+    with ``R p + r = J_{lam*C}(2x - p - lam*B(x)) - x``, x =
+    ``J_{lam*A}(p)``, at every point ``p`` (Davis-Yin's y-map less
+    ``J_{lam*A}``), or None if not finite.  ``(None, None)`` for any other
+    triple."""
     parts = [op.affine_parts() for op in (problem.A, problem.B, problem.C)]
     if None in parts:
-        return None, ()
+        return None, None
     (MA, _), (MB, _), (MC, _) = parts
     JA, JC = (getattr(res, "J", None) for res in (A_res, C_res))
     mats = (resolvent_matrix(MA, lam) if JA is None else JA, MB,
             resolvent_matrix(MC, lam) if JC is None else JC)
-    return mats, _derive(lambda A, B, C, p: _template_y(A, B, C, lam, p, None)
-                         - A(p), mats, (A_res, problem.B.forward, C_res))
+    omega = _derive(mats, (A_res, problem.B.forward, C_res), (
+        lambda A, B, C, p: _template_y(A, B, C, lam, p, None) - A(p), 1))
+    return mats, omega[0] if omega else None
 
 
 def _precompose(config, A_res, B, C_res):
-    """``(G, c)`` with ``f(s) = G s + c`` for the y-map ``f`` of an affine
-    triple, by :func:`_derive`: :func:`_template_y` of ``s = (z, v)`` for
-    BFoRB and BRFoB and of ``s = z`` for Davis-Yin, :func:`_frdr_u` of
-    ``s = r`` for FRDR (where ``C_res`` is ``J_{gamma*C}``).  Empty unless
-    the method is one of these, ``A_res`` and ``C_res`` are matrix
-    resolvents and ``B`` is affine and not zero, or if ``J_{lam*A}``,
-    ``G`` or ``c`` is not finite."""
+    """The maps of :func:`_derive` of a precomposed step: ``JX [1; z] =
+    J_{lam*A}(z)``, then ``JY`` of :func:`_template_y` of ``[1; z; v]``
+    (BFoRB, BRFoB) or ``[1; z]`` (Davis-Yin), or for FRDR ``PB [1; t] =
+    -lam*B(t)`` and ``K`` of :func:`_frdr_u` (``C_res`` is
+    ``J_{gamma*C}``).  Empty unless the method is one of these, ``A_res``
+    and ``C_res`` are matrix resolvents and ``B`` is affine and not zero,
+    or if a map is not finite."""
     JA, JC = getattr(A_res, "J", None), getattr(C_res, "J", None)
     if config.method not in _LIFTED or JA is None or JC is None:
         return ()
     parts = B.affine_parts()
-    if parts is None or vanishes(B) or not np.isfinite(JA).all():
+    if parts is None or vanishes(B):
         return ()
     lam, gamma = config.lam, config.gamma
+    forms = [(lambda A, B, C, w: A(w), 1)]
     if config.method is Method.FRDR:
-        f, n = (lambda A, B, C, r: _frdr_u(C, gamma, r)), 1
+        forms += [(lambda A, B, C, t: -lam * B(t), 1),
+                  (lambda A, B, C, r: _frdr_u(C, gamma, r), 1)]
     elif config.method is Method.DAVIS_YIN:
-        f, n = (lambda A, B, C, z: _template_y(A, B, C, lam, z, None)), 1
+        forms += [(lambda A, B, C, z: _template_y(A, B, C, lam, z, None), 1)]
     else:
-        f, n = (lambda A, B, C, z, v: _template_y(A, B, C, lam, z, v)), 2
-    return _derive(f, (JA, parts[0], JC), (A_res, B.forward, C_res), n)
+        forms += [(lambda A, B, C, z, v: _template_y(A, B, C, lam, z, v), 2)]
+    return _derive((JA, parts[0], JC), (A_res, B.forward, C_res), *forms)
 
 
 def _stepsize_warnings(config, L):
@@ -644,13 +660,15 @@ def run(problem, config, record_history=False, diagnostics=True):
     When ``A`` and ``C`` are affine or bilinear (their prepared resolvents
     are matrix products) and ``B`` is affine and not zero, BFoRB, BRFoB,
     Davis-Yin and FRDR take the precomposed step of :func:`_precompose`
-    (the composed step if ``J_{lam*A}`` or its map is not finite), whose
-    iterates agree with the composed step's to rounding; the counters count
-    the method's logical oracle calls either way.  It checks no resolvent
-    for finiteness, so a diverged precomposed run ends at the step whose
-    iterate left the finite range or passed the bound: that step is its
-    last record, and the template's ``x_final`` is ``J_{lam*A}(z_final)``
-    where both are finite.  Every other triple and method, ``B = 0``
+    (the composed step if a map is not finite): each map is one product
+    with a row that carries its 1, and FRDR's maps fold in ``B``, so its
+    steps call no oracle.  The iterates agree with the composed step's to
+    rounding; the counters count the method's logical oracle calls either
+    way.  The precomposed step checks no resolvent for finiteness, so a
+    diverged precomposed run ends at the step whose iterate left the
+    finite range or passed the bound: that step is its last record, and
+    the template's ``x_final`` is ``J_{lam*A}(z_final)`` where both are
+    finite.  Every other triple and method, ``B = 0``
     included (DR's template, bit for bit), takes the composed step.
 
     Per-iteration records hold the step norm, the omega residual of
@@ -660,7 +678,8 @@ def run(problem, config, record_history=False, diagnostics=True):
     this residual.  BFoRB, BRFoB and FRDR on the precomposed step pass
     ``residual`` the map of :func:`_residual_map`, derived once per run;
     the composed rows pay one ``C`` resolve, and one ``B`` forward unless
-    the step caches ``B(x)`` as FoRB and FRDR do, outside the counters.
+    the step caches ``B(x)`` as FoRB and the composed FRDR step do,
+    outside the counters.
     Row ``k`` of the residuals belongs to the point ``p`` of step ``k``:
     the iterate before the step, ``zs[k]``, for BFoRB, BRFoB, Davis-Yin and
     DR; ``w_k = zs[k+1]``, whose resolvent is ``x_{k+1}``, for FRDR; and
@@ -715,7 +734,7 @@ def run(problem, config, record_history=False, diagnostics=True):
     pending, fired, k = [], set(), 0
     N, steps = np.empty(_BLOCK + 1), np.empty(_BLOCK)
 
-    def rows(lo, hi, omega=()):
+    def rows(lo, hi, omega=None):
         """Residual and distance rows ``lo..hi-1`` of the block, the
         residual rows by :func:`residual` with the residual map ``omega``."""
         X, P, BX = blk.points
@@ -738,7 +757,7 @@ def run(problem, config, record_history=False, diagnostics=True):
         B_fwd = problem.B.forward
         lifted = _precompose(config, A_res, problem.B, C_step)
         omega = (_residual_map(problem, lam, A_res, C_res)[1]
-                 if lifted and diagnostics and not residual_is_step else ())
+                 if lifted and diagnostics and not residual_is_step else None)
         try:
             blk = (_FRDR if frdr else _TwoOp if two_op else _Template)(
                 config, A_res, B_fwd, C_step, lifted, record_history)

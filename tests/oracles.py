@@ -168,15 +168,21 @@ def _finish(problem, config, log, diagnostics, record_history):
     return out
 
 
+def one(v):
+    """``[1; v]``, the row that a homogeneous map ``[c | G]`` multiplies."""
+    return np.concatenate(([1.0], v))
+
+
 def precomposed_run(problem, config, record_history=False, diagnostics=True):
     """A precomposed run, one step, its norms and its stop tests at a time.
 
     The reference for ``run()``'s block path on BFoRB, BRFoB, Davis-Yin and
-    FRDR: the same precomposed step (the map of
-    :func:`splitkit.solvers._precompose`), then the rows of the kept steps
-    by :func:`_rows`, whose residual rows of BFoRB, BRFoB and FRDR are
-    those of :func:`residual_map` where finite.  Returns the ``Trace``
-    fields that ``run()`` fills, with the histories only if
+    FRDR: the same precomposed step, each map of
+    :func:`splitkit.solvers._precompose` one product with a row ``[1; s]``
+    (FRDR's ``B`` folded in, called only in its warm start), then the rows
+    of the kept steps by :func:`_rows`, whose residual rows of BFoRB, BRFoB
+    and FRDR are those of :func:`residual_map` where finite.  Returns the
+    ``Trace`` fields that ``run()`` fills, with the histories only if
     ``record_history``; without ``diagnostics`` no row is evaluated.
     """
     method, lam, gamma = config.method, config.lam, config.gamma
@@ -192,17 +198,20 @@ def precomposed_run(problem, config, record_history=False, diagnostics=True):
         big = solvers.DIVERGE_FACTOR * (1.0 + prev)
         A_res, C_res = problem.prepare(lam)
         C_step = problem.C.prepare(gamma) if frdr else C_res
-        M, m = _precompose(config, A_res, B, C_step)
+        maps = _precompose(config, A_res, B, C_step)
         log["omega"] = (residual_map(problem, lam)
                         if method is not Method.DAVIS_YIN else None)
-        JA, lam_b = A_res.J, A_res.lam_b
         fe = re = 0
         x = z
         if frdr:
+            # the warm start's B(x_0), which the map's t_0 = x_0 folds in
+            JX, PB, K = maps
             u = np.zeros(z.shape[0])
-            Bx = Bx_prev = B.forward(x)
-            fe = 1
-        elif reflect:
+            B.forward(x)
+            t, fe = x, 1
+        else:
+            JX, JY = maps
+        if reflect:
             if config.y_init is None:
                 y1 = y2 = A_res(z)
                 re = 1
@@ -218,19 +227,20 @@ def precomposed_run(problem, config, record_history=False, diagnostics=True):
         log.update(start=(z, x, fe, re), warm=_take(now), A_res=A_res)
         for _ in range(config.max_iters):
             if frdr:
-                w = x - lam * u - lam * (2.0 * Bx - Bx_prev)
-                x_next = np.dot(JA, w - lam_b)
-                r = 2.0 * x_next - x + gamma * u
-                u_next = np.dot(M, r) + m
+                # 2B(x_k) - B(x_{k-1}) = B(t_k), t_k = 2x_k - x_{k-1}
+                w = x - lam * u + np.dot(PB, one(t))
+                x_next = np.dot(JX, one(w))
+                t = 2.0 * x_next - x
+                r = t + gamma * u
+                u_next = np.dot(K, one(r))
                 # y, formed for a recorded history only, as run() does
                 y = r - gamma * u_next if record_history else None
-                Bx_prev, Bx = Bx, B.forward(x_next)
                 n = row_norms(np.stack((x_next, x_next - x, u_next - u)))
                 norm, step = float(n[0]), float(n[1]) + lam * float(n[2])
-                x, u, z, p, bx = x_next, u_next, w, w, Bx
+                x, u, z, p, bx = x_next, u_next, w, w, None
             else:
-                x = np.dot(JA, z - lam_b)
-                y = np.dot(M, np.concatenate((z, v)) if reflect else z) + m
+                x = np.dot(JX, one(z))
+                y = np.dot(JY, one(np.concatenate((z, v)) if reflect else z))
                 z_next = z + y - x
                 if reflect:
                     v, y1 = 2.0 * y - y1, y

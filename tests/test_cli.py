@@ -659,6 +659,27 @@ def test_flow_ppa_on_readme_config(tmp_path):
     assert len(lines) == 1 + round(ode["T"] / ode["h_ode"]) + 1
 
 
+@pytest.mark.parametrize("kind", ["dr", "ppa"])
+def test_flow_out_under_a_file_exits_3_before_it_simulates(
+        tmp_path, capsys, monkeypatch, kind):
+    # --out is created before the flow, as the other verbs create it before
+    # their runs: one that cannot be created ends the verb with no step
+    def simulate(*args, **kwargs):
+        raise AssertionError("the flow was simulated")
+
+    monkeypatch.setattr(splitkit.cli, "simulate_dr_flow", simulate)
+    monkeypatch.setattr(splitkit.cli, "simulate_ppa", simulate)
+    (tmp_path / "file").write_text("")
+    cfg = write(tmp_path, "exp.cfg",
+                AFFINE_CFG + _ODE + f"flow = {kind}\n")
+    out = tmp_path / "file" / "o"
+    assert main(["flow", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == EXIT_IO
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("i/o error: "), err
+    assert not out.exists()
+
+
 def test_flow_requires_ode_block(tmp_path):
     cfg = write(tmp_path, "exp.cfg", AFFINE_CFG)
     assert main(["flow", "--config", cfg, "--out", str(tmp_path / "o"),

@@ -535,8 +535,9 @@ def test_composed_flow_calls_its_oracles_from_the_caller_only(monkeypatch):
 @pytest.mark.parametrize("composed", [False, True])
 def test_flow_states_are_the_euler_step_taken_one_state_at_a_time(composed):
     # 1,030 states, past the block boundary at 1,024: each state is the step
-    # from the one before, into a fresh array, bit for bit, whether the
-    # affine triple takes the precomposed map or a custom A the composed step
+    # from the row [1; z] of the one before, into a fresh array, bit for
+    # bit, whether the affine triple takes the precomposed map or a custom A
+    # the composed step
     problem = make_affine_instance(dim=6, seed=2, skew_fraction=0.8).triple()
     if composed:
         A = CustomOperator(6, resolvent=problem.A.resolve)
@@ -550,7 +551,7 @@ def test_flow_states_are_the_euler_step_taken_one_state_at_a_time(composed):
     states = [z0]
     for j in range(1029):
         states.append(np.empty(6))
-        step(j, states[j], states[j + 1])
+        step(j, np.concatenate(([1.0], states[j])), states[j + 1])
     assert flow.states.shape == (1030, 6)
     assert flow.states.tobytes() == np.array(states).tobytes()
 

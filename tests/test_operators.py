@@ -610,7 +610,7 @@ def test_one_vector_oracles_have_the_bits_of_np_dot(d):
     for op in (affine, bilinear):
         V = r.uniform(-5, 5, (3, 2 * op.dim))
         resolve = op.prepare(0.7)
-        J, lam_b = resolve.J, resolve.lam_b
+        J, lam_b = resolve.J, _closed_over(resolve, "lam_b")
         for v in (V[1, :op.dim], V[1, ::2]):
             assert not v.flags.owndata
             assert _bytes(resolve(v)) == _bytes(np.dot(J, v - lam_b))

@@ -396,6 +396,45 @@ def test_dr_flow_at_unit_step_is_the_dr_run_of_a_b_plus_c(
             1.0 + np.linalg.norm(z_run))
 
 
+@st.composite
+def planted_affine(draw):
+    """A random monotone affine triple whose offsets of ``A`` and ``C``
+    make a drawn ``x_star`` a zero of ``A`` and of ``B + C``, so of the
+    DR flow of ``(A, B, C)`` and of the PPA flow of ``B + C`` alike."""
+    dim = draw(st.integers(1, 8))
+    A, B, C = (draw(monotone_affine(dim)) for _ in range(3))
+    x = draw(arrays(float, dim, elements=st.floats(-10.0, 10.0)))
+    A = AffineOperator(A.M, -A.M @ x)
+    C = AffineOperator(C.M, -(B.forward(x) + C.M @ x))
+    return ProblemTriple(A, B, C, x_star=x)
+
+
+@PROPERTY
+@given(planted_affine(), st.floats(0.01, 10.0), st.floats(0.01, 1.0),
+       arrays(float, 8, elements=st.floats(-10.0, 10.0)),
+       st.sampled_from(["dr", "ppa"]))
+def test_every_euler_step_keeps_the_fejer_inequality(problem, lam, h_ode,
+                                                     z0, kind):
+    # an Euler step z' = z + h(Tz - z) of the DR operator T, firmly
+    # nonexpansive, with a fixed point zbar: |z' - zbar|^2 + ((2 - h)/h)
+    # |z' - z|^2 <= |z - zbar|^2, on the affine flows' derived map, to
+    # 1e-13*(1 + |z_0 - zbar|^2); the PPA flow's zbar is the zero of B + C
+    z0 = z0[:problem.dim]
+    if kind == "dr":
+        flow = simulate_dr_flow(problem, lam, h_ode, 40 * h_ode, z0)
+    else:
+        flow = simulate_ppa(problem, lam, h_ode, 40 * h_ode, z0)
+        problem = ProblemTriple(ZeroOperator(problem.dim), problem.B,
+                                problem.C, x_star=problem.x_star)
+    zbar = reference_point(problem, lam).z
+    Z = flow.states
+    assert len(Z) == 41
+    far = np.sum((Z - zbar) ** 2, axis=1)
+    steps = np.sum((Z[1:] - Z[:-1]) ** 2, axis=1)
+    slack = far[:-1] - far[1:] - (2.0 - h_ode) / h_ode * steps
+    assert slack.min() >= -1e-13 * (1.0 + far[0])
+
+
 def planted_saddle():
     """A generated saddle instance's triple, which carries the planted zero
     ``x_star`` and ``a_star`` in ``A(x_star)``."""

@@ -1162,6 +1162,27 @@ def test_precomposed_runs_form_no_more_inverses(monkeypatch):
             assert series is None or series.base is None
 
 
+@pytest.mark.parametrize("max_iters, tol, status", [
+    (20000, 1e-6, "converged"), (_BLOCK + 5, 1e-300, "max_iters")])
+def test_precomposed_frdr_calls_b_only_in_its_warm_start(max_iters, tol,
+                                                        status, monkeypatch):
+    # FRDR's map folds in the affine B: however many steps the run takes,
+    # it calls B.forward three times, once each for the offsets of its step
+    # and residual maps and last at x_0 in its warm start, never in a step
+    # or a row, and still counts one forward call per kept step
+    problem = make_affine_instance(12, 4, 0.8).triple()
+    calls, forward = [], problem.B.forward
+    monkeypatch.setattr(problem.B, "forward",
+                        lambda v: calls.append(v.copy()) or forward(v))
+    monkeypatch.setattr(problem.B, "forward_rows", None)
+    config = _lifted_config(problem, "FRDR", max_iters=max_iters, tol=tol)
+    trace = run(problem, config)
+    assert trace.status == status and trace.iterations > _BLOCK
+    assert len(calls) == 3 and np.array_equal(calls[-1], config.z0)
+    assert (trace.forward_evals, trace.resolvent_evals) == (
+        trace.iterations + 1, 2 * trace.iterations)
+
+
 @pytest.mark.parametrize("method", ["BFoRB", "BRFoB", "DavisYin", "FRDR"])
 def test_singular_resolvent_of_an_affine_triple_takes_the_oracle_route(
         method):
